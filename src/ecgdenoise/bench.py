@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,6 +96,14 @@ def sum_squared_error(estimate, truth) -> float:
     return float(np.sum((estimate - truth) ** 2))
 
 
+def _known_keys(cls, data: dict) -> dict:
+    """``data`` unchanged, or a ValueError naming keys ``cls`` lacks."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {unknown}")
+    return data
+
+
 @dataclass(frozen=True)
 class TauRegime:
     """Noise precision regime: a fixed value or Uniform(lo, hi)."""
@@ -149,7 +157,7 @@ class TauRegime:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TauRegime":
-        return cls(**data)
+        return cls(**_known_keys(cls, data))
 
 
 @dataclass(frozen=True)
@@ -216,7 +224,7 @@ class LatentDimRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatentDimRule":
-        return cls(**data)
+        return cls(**_known_keys(cls, data))
 
 
 _DEFAULT_REGIMES = (
@@ -264,6 +272,13 @@ class BenchmarkConfig:
             raise ValueError("at least one tau regime is required")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
+        names = [spec.name for spec in self.estimators]
+        duplicates = sorted({n for n in names if names.count(n) > 1})
+        if duplicates:
+            raise ValueError(
+                f"estimators share report name(s) {duplicates}; each "
+                f"report entry is keyed by name, so one would be dropped"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -285,7 +300,7 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkConfig":
-        data = dict(data)
+        data = dict(_known_keys(cls, data))
         if "tau_regimes" in data:
             data["tau_regimes"] = tuple(
                 TauRegime.from_dict(r) if isinstance(r, dict)
@@ -297,7 +312,7 @@ class BenchmarkConfig:
         if "estimators" in data:
             data["estimators"] = tuple(
                 EstimatorSpec.parse(e) if isinstance(e, str)
-                else EstimatorSpec(**e)
+                else EstimatorSpec(**_known_keys(EstimatorSpec, e))
                 for e in data["estimators"]
             )
         if "latent_dim" in data and isinstance(data["latent_dim"], dict):
@@ -348,13 +363,19 @@ def simulate_population(config: BenchmarkConfig, seed) -> np.ndarray:
 
 def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
                         taus: np.ndarray, n_beats: int, seed) -> np.ndarray:
-    """Corrupt each row of ``thetas`` with ``n_beats`` structured-noise beats."""
+    """Corrupt each row of ``thetas`` with ``n_beats`` structured-noise beats.
+
+    The draws are coloured into one new buffer and then scaled and shifted
+    in place, so at most two (N, B, d) arrays are alive at once.
+    """
     n, d = thetas.shape
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n_beats, d))
-    noise = z.reshape(n * n_beats, d) @ K.sqrt
-    noise = noise.reshape(n, n_beats, d) / taus[:, None, None]
-    return thetas[:, None, :] + noise
+    z = rng.standard_normal((n * n_beats, d))
+    beats = (z @ K.sqrt).reshape(n, n_beats, d)
+    del z
+    beats /= taus[:, None, None]
+    beats += thetas[:, None, :]
+    return beats
 
 
 def make_samples(beats: np.ndarray, thetas=None, taus=None, fs=DEFAULT_FS,

@@ -43,18 +43,37 @@ class GaussianMixture:
         return self.weights.size
 
 
-def _log_gaussian(z: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of rows of ``z`` under N(mean, cov)."""
-    chol = np.linalg.cholesky(cov)
-    delta = np.linalg.solve(chol, (z - mean).T)  # lower-triangular system
-    quad = np.sum(delta * delta, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (mean.size * _LOG_2PI + logdet + quad)
+def _log_gaussians(z: np.ndarray, means: np.ndarray,
+                   covs: np.ndarray) -> np.ndarray:
+    """Log densities (N, C) of rows of ``z`` under each N(means[c], covs[c]).
+
+    One batched Cholesky and one batched inverse of the (C, p, p) factors,
+    then a single (C, N, p) product for the Mahalanobis terms.
+    """
+    chol = np.linalg.cholesky(covs)
+    inv_chol = np.linalg.inv(chol)
+    delta = z[None, :, :] - means[:, None, :]
+    white = delta @ np.swapaxes(inv_chol, -1, -2)
+    quad = np.sum(white * white, axis=-1)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)),
+                          axis=-1)
+    return -0.5 * (means.shape[1] * _LOG_2PI + logdet[:, None] + quad).T
 
 
 def _ridge(cov: np.ndarray) -> np.ndarray:
-    p = cov.shape[0]
-    return cov + (COVARIANCE_RIDGE * np.trace(cov) / p + 1e-12) * np.eye(p)
+    """Add the relative trace ridge to one (p, p) or a (C, p, p) stack."""
+    p = cov.shape[-1]
+    shift = COVARIANCE_RIDGE * np.trace(cov, axis1=-2, axis2=-1) / p + 1e-12
+    return cov + np.asarray(shift)[..., None, None] * np.eye(p)
+
+
+def _m_step(z: np.ndarray, resp: np.ndarray, nk: np.ndarray):
+    """Weights, means and ridged covariances for all components at once."""
+    means = (resp.T @ z) / nk[:, None]
+    delta = z[None, :, :] - means[:, None, :]
+    weighted = delta * resp.T[:, :, None]
+    scatter = np.swapaxes(weighted, -1, -2) @ delta
+    return nk / z.shape[0], means, _ridge(scatter / nk[:, None, None])
 
 
 def _kmeanspp_centers(z: np.ndarray, n_components: int, rng) -> np.ndarray:
@@ -84,13 +103,7 @@ def _fit_once(z, n_components, rng, max_iter, tol):
     converged = False
     reinits = 0
     for _ in range(max_iter):
-        log_joint = np.stack(
-            [
-                np.log(weights[c]) + _log_gaussian(z, means[c], covs[c])
-                for c in range(n_components)
-            ],
-            axis=1,
-        )
+        log_joint = np.log(weights) + _log_gaussians(z, means, covs)
         norm = logsumexp(log_joint, axis=1)
         ll = float(norm.sum())
         if not np.isfinite(ll):
@@ -112,11 +125,7 @@ def _fit_once(z, n_components, rng, max_iter, tol):
             prev_ll = -np.inf
             continue
 
-        weights = nk / n
-        for c in range(n_components):
-            means[c] = resp[:, c] @ z / nk[c]
-            delta = z - means[c]
-            covs[c] = _ridge((resp[:, c] * delta.T) @ delta / nk[c])
+        weights, means, covs = _m_step(z, resp, nk)
 
         if ll - prev_ll <= tol * (1.0 + abs(ll)) and np.isfinite(prev_ll):
             converged = True
@@ -153,12 +162,6 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
 def gmm_responsibilities(mixture: GaussianMixture, z: np.ndarray) -> np.ndarray:
     """Posterior component probabilities for rows of ``z``; rows sum to 1."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    log_joint = np.stack(
-        [
-            np.log(mixture.weights[c])
-            + _log_gaussian(z, mixture.means[c], mixture.covariances[c])
-            for c in range(mixture.n_components)
-        ],
-        axis=1,
-    )
+    log_joint = np.log(mixture.weights) + _log_gaussians(
+        z, mixture.means, mixture.covariances)
     return np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])

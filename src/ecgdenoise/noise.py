@@ -27,6 +27,10 @@ EIGENVALUE_FLOOR = 1e-10
 #: Relative ridge added to K before inversion during noise estimation.
 INVERSE_RIDGE = 1e-8
 
+#: Residual rows :func:`estimate_noise` stacks per GEMM; bounds its working
+#: set to about this many rows of d floats, whatever the number of samples.
+RESIDUAL_BLOCK_ROWS = 1024
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
@@ -222,6 +226,28 @@ def _sample_beats(sample) -> np.ndarray:
     return np.asarray(beats, dtype=np.float64)
 
 
+def _residual_blocks(beat_sets, counts, d):
+    """Yield ``(first, stop, resid)`` over consecutive runs of samples.
+
+    ``resid`` stacks the residuals of samples ``first:stop`` around their
+    beat means, each scaled by 1 / sqrt(B_i - 1). Every block is written
+    into one reused buffer of at most ``RESIDUAL_BLOCK_ROWS`` rows (or one
+    sample's B_i, if larger).
+    """
+    per_block = max(1, RESIDUAL_BLOCK_ROWS // int(counts.max()))
+    buffer = np.empty((min(int(counts.sum()), per_block * int(counts.max())),
+                       d))
+    for first in range(0, len(beat_sets), per_block):
+        stop = min(first + per_block, len(beat_sets))
+        rows = 0
+        for beats in beat_sets[first:stop]:
+            block = buffer[rows:rows + beats.shape[0]]
+            np.subtract(beats, beats.mean(axis=0), out=block)
+            block *= 1.0 / math.sqrt(beats.shape[0] - 1)
+            rows += beats.shape[0]
+        yield first, stop, buffer[:rows]
+
+
 def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     """Estimate the shared covariance K and per-sample precisions tau_i.
 
@@ -232,6 +258,12 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     K / tau_i^2. Then S = tr(sum C_i), K = (d / S) sum C_i (trace exactly
     d) and sigma_i^2 = tr(K^{-1} C_i) / d with a small ridge on K.
 
+    ``samples`` is a sequence of :class:`EcgSample` or (B, d) matrices (B
+    may differ between samples) or an (N, B, d) array. Residuals are
+    stacked in blocks of about ``RESIDUAL_BLOCK_ROWS`` rows: one GEMM per
+    block accumulates sum C_i, and a second pass reads the tau_i off the
+    row energies of the whitened blocks.
+
     Returns ``(K_hat, tau_hat)`` with ``tau_hat`` an array aligned with the
     sample order.
     """
@@ -239,7 +271,6 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     if not beat_sets:
         raise ValueError("samples must be non-empty")
     d = beat_sets[0].shape[1]
-    residuals = []
     for i, beats in enumerate(beat_sets):
         if beats.shape[1] != d:
             raise ValueError("all samples must share the same beat length d")
@@ -247,11 +278,11 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
             raise InsufficientReplicatesError(
                 f"sample {i} has {beats.shape[0]} beat(s); need B >= 2"
             )
-        residuals.append(beats - beats.mean(axis=0))
+    counts = np.array([beats.shape[0] for beats in beat_sets])
 
     total = np.zeros((d, d))
-    for beats, resid in zip(beat_sets, residuals):
-        total += (resid.T @ resid) / (beats.shape[0] - 1)
+    for _, _, resid in _residual_blocks(beat_sets, counts, d):
+        total += resid.T @ resid
     s_hat = float(np.trace(total))
     if s_hat <= 0.0:
         raise ZeroNoiseError(
@@ -259,14 +290,15 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
         )
     k_hat = CovarianceMatrix.from_matrix(total * (d / s_hat), normalize=True)
 
-    vals = k_hat.eigenvalues + INVERSE_RIDGE
-    k_inv = (k_hat.eigenvectors / vals) @ k_hat.eigenvectors.T
-    taus = np.empty(len(beat_sets))
-    for i, resid in enumerate(residuals):
-        b = resid.shape[0]
-        sigma_sq = float(np.einsum("bi,ij,bj->", resid, k_inv, resid))
-        sigma_sq /= (b - 1) * d
-        if sigma_sq <= 0.0:
-            raise ZeroNoiseError(f"sample {i} has zero residual energy")
-        taus[i] = 1.0 / math.sqrt(sigma_sq)
-    return k_hat, taus
+    # r K^{-1} r^T is the squared norm of r V / sqrt(lambda + ridge)
+    white = k_hat.eigenvectors / np.sqrt(k_hat.eigenvalues + INVERSE_RIDGE)
+    sigma_sq = np.empty(len(beat_sets))
+    for first, stop, resid in _residual_blocks(beat_sets, counts, d):
+        rows = resid @ white
+        energy = np.einsum("ij,ij->i", rows, rows)
+        offsets = np.cumsum(counts[first:stop]) - counts[first:stop]
+        sigma_sq[first:stop] = np.add.reduceat(energy, offsets) / d
+    zero = np.flatnonzero(sigma_sq <= 0.0)
+    if zero.size:
+        raise ZeroNoiseError(f"sample {zero[0]} has zero residual energy")
+    return k_hat, 1.0 / np.sqrt(sigma_sq)

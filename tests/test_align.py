@@ -3,8 +3,14 @@ import numpy as np
 import pytest
 
 from ecgdenoise.align import Delineation, align_beats, detect_r_peaks
+from ecgdenoise.bench import DEFAULT_AMPLITUDE_GAIN, DEFAULT_JITTER
 from ecgdenoise.errors import NoBeatsError
-from ecgdenoise.simulate import DEFAULT_PARAMS, RawTrace, integrate_mcsharry
+from ecgdenoise.simulate import (
+    DEFAULT_PARAMS,
+    RawTrace,
+    integrate_mcsharry,
+    sample_jittered_params,
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +53,28 @@ class TestDetectRPeaks:
         trace = RawTrace(fs=100.0, values=x)
         delineation = detect_r_peaks(trace, min_rr=0.5)
         np.testing.assert_array_equal(delineation.r, [100, 500])
+
+    @pytest.mark.parametrize("seed", [203, 205])
+    def test_tall_t_wave_is_not_a_beat(self, seed):
+        # these subjects' T waves reach about 85% of the R height 0.31 s
+        # after R, past the refractory spacing; only slope tells them apart
+        params = sample_jittered_params(
+            DEFAULT_PARAMS.scaled(DEFAULT_AMPLITUDE_GAIN), DEFAULT_JITTER,
+            rng_seed=seed)
+        fs, duration = 250.0, 12.0
+        trace = integrate_mcsharry(params, duration=duration, fs=fs)
+        delineation = detect_r_peaks(trace)
+        assert abs(delineation.n_beats - duration / params.period) <= 1
+        gaps = np.diff(delineation.r)
+        assert np.all(np.abs(gaps - fs * params.period) <= 1.0)
+
+    def test_flat_slope_between_beats_ignored(self):
+        # a broad bump as tall as the spikes has far gentler flanks
+        t = np.arange(1000) / 100.0
+        x = np.exp(-0.5 * ((t - 7.0) / 0.4) ** 2)
+        x[[200, 500]] = 1.0
+        delineation = detect_r_peaks(RawTrace(fs=100.0, values=x), min_rr=0.5)
+        np.testing.assert_array_equal(delineation.r, [200, 500])
 
     def test_delineation_validation(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -128,6 +128,28 @@ class TestBenchmarkConfig:
         assert config.tau_regimes[0] == TauRegime.fixed(2)
         assert config.estimators[1].needs_estimation
 
+    def test_duplicate_report_names_rejected(self):
+        # mle and oracle_bayes are named without their noise mode, so these
+        # two specs would share one report entry
+        with pytest.raises(ValueError, match="oracle_bayes"):
+            small_config(estimators=(EstimatorSpec("oracle_bayes", "truth"),
+                                     EstimatorSpec("oracle_bayes",
+                                                   "estimated")))
+        with pytest.raises(ValueError, match="fa_truth"):
+            BenchmarkConfig.from_dict({
+                "seed": 1, "estimators": ["mle", "fa:truth", "fa"]})
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"\['bogus', 'extra'\]"):
+            BenchmarkConfig.from_dict({"seed": 1, "bogus": 3, "extra": 0})
+        with pytest.raises(ValueError, match="TauRegime.*'scale'"):
+            BenchmarkConfig.from_dict({
+                "seed": 1,
+                "tau_regimes": [{"kind": "fixed", "value": 2, "scale": 1}]})
+        with pytest.raises(ValueError, match="EstimatorSpec.*'mode'"):
+            BenchmarkConfig.from_dict({
+                "seed": 1, "estimators": [{"kind": "mle", "mode": "x"}]})
+
 
 @pytest.fixture(scope="module")
 def report():

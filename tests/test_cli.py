@@ -124,6 +124,27 @@ class TestBenchmark:
         assert document["config"]["n_samples"] == 8  # file wins
         assert document["config"]["seed"] == 3  # flag fills the gap
 
+    def test_unknown_config_key_is_json_error(self, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"seed": 1, "bogus": 3}))
+        code, payload = run_json(capsys, [
+            "benchmark", "--config", str(config_path),
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert "bogus" in payload["error"]["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_duplicate_estimator_names_is_json_error(self, tmp_path, capsys):
+        code, payload = run_json(capsys, [
+            "benchmark", "--seed", "1", "--estimator", "oracle_bayes:truth",
+            "--estimator", "oracle_bayes:estimated",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert "oracle_bayes" in payload["error"]["message"]
+
     def test_missing_seed_is_error(self, tmp_path, capsys):
         code, payload = run_json(capsys, [
             "benchmark", "--out", str(tmp_path / "r.json"),

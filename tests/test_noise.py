@@ -1,11 +1,16 @@
 """Matern covariance, noise sampling, whitening, and K/tau estimation."""
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ecgdenoise import noise
 from ecgdenoise.errors import InsufficientReplicatesError, ZeroNoiseError
 from ecgdenoise.noise import (
+    INVERSE_RIDGE,
     CovarianceMatrix,
     EcgSample,
     NoisePrecision,
@@ -216,3 +221,91 @@ class TestEstimateNoise:
         k2, t2 = estimate_noise([samples[i] for i in perm])
         np.testing.assert_allclose(k1.matrix, k2.matrix, atol=1e-9)
         np.testing.assert_allclose(t1[perm], t2, rtol=1e-9)
+
+
+def _loop_estimate_noise(beat_sets):
+    """Reference: one scatter and one quadratic form per sample."""
+    d = beat_sets[0].shape[1]
+    residuals = [b - b.mean(axis=0) for b in beat_sets]
+    total = np.zeros((d, d))
+    for resid in residuals:
+        total += (resid.T @ resid) / (resid.shape[0] - 1)
+    k_hat = CovarianceMatrix.from_matrix(
+        total * (d / float(np.trace(total))), normalize=True)
+    vals = k_hat.eigenvalues + INVERSE_RIDGE
+    k_inv = (k_hat.eigenvectors / vals) @ k_hat.eigenvectors.T
+    taus = np.empty(len(residuals))
+    for i, resid in enumerate(residuals):
+        sigma_sq = float(np.einsum("bi,ij,bj->", resid, k_inv, resid))
+        taus[i] = 1.0 / math.sqrt(sigma_sq / ((resid.shape[0] - 1) * d))
+    return k_hat, taus
+
+
+# The parity tolerances hold while K_hat is well conditioned, which takes a
+# few residual rows per dimension. With fewer, K_hat is floored to rank
+# deficiency and the reference's explicit K^{-1} (entries up to
+# 1 / INVERSE_RIDGE) loses about cond(K_hat) * eps to cancellation.
+ROWS_PER_DIM = 3
+
+
+@st.composite
+def ragged_beats(draw):
+    """Per-sample (B_i, d) beat sets with mixed B_i >= 2."""
+    d = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(2, 9), min_size=1, max_size=10))
+    assume(sum(b - 1 for b in counts) >= ROWS_PER_DIM * d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.standard_normal(d) * 5.0
+    return [theta + rng.standard_normal((b, d)) * rng.uniform(0.05, 2.0)
+            for b in counts]
+
+
+class TestEstimateNoiseParity:
+    @settings(max_examples=80, deadline=None)
+    @given(beat_sets=ragged_beats(), block_rows=st.integers(1, 40))
+    def test_ragged_matches_loop(self, beat_sets, block_rows):
+        # small blocks split the samples over several blocks of one or more
+        counts = np.array([b.shape[0] for b in beat_sets])
+        with mock.patch.object(noise, "RESIDUAL_BLOCK_ROWS", block_rows):
+            k_hat, taus = estimate_noise(beat_sets)
+            blocks = [(first, stop, resid.shape[0]) for first, stop, resid
+                      in noise._residual_blocks(beat_sets, counts,
+                                                beat_sets[0].shape[1])]
+        # the blocks cover the samples in order within the row bound
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == len(beat_sets)
+        for first, stop, rows in blocks:
+            assert rows == counts[first:stop].sum()
+            assert rows <= max(block_rows, counts.max())
+        k_ref, tau_ref = _loop_estimate_noise(beat_sets)
+        np.testing.assert_allclose(k_hat.matrix, k_ref.matrix, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(taus, tau_ref, rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), b=st.integers(2, 8), d=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_array_input_matches_loop(self, n, b, d, seed):
+        assume(n * (b - 1) >= ROWS_PER_DIM * d)
+        beats = np.random.default_rng(seed).standard_normal((n, b, d))
+        k_hat, taus = estimate_noise(beats)
+        k_ref, tau_ref = _loop_estimate_noise(list(beats))
+        np.testing.assert_allclose(k_hat.matrix, k_ref.matrix, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(taus, tau_ref, rtol=1e-12)
+        samples = [EcgSample(sample_id=f"s{i}", beats=row)
+                   for i, row in enumerate(beats)]
+        k_list, tau_list = estimate_noise(samples)
+        np.testing.assert_array_equal(k_list.matrix, k_hat.matrix)
+        np.testing.assert_array_equal(tau_list, taus)
+
+    def test_errors_name_the_sample(self, rng):
+        good = rng.standard_normal((4, 6))
+        with pytest.raises(InsufficientReplicatesError, match="sample 2"):
+            estimate_noise([good, good, good[:1]])
+        with pytest.raises(ZeroNoiseError, match="sample 1"):
+            estimate_noise([good, np.tile(np.arange(6.0), (3, 1)), good])
+        with pytest.raises(ValueError, match="same beat length"):
+            estimate_noise([good, good[:, :5]])
+        with pytest.raises(ValueError, match="non-empty"):
+            estimate_noise([])
