@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .errors import EcgDenoiseError, EmptyInputError, InsufficientReplicatesError
 from .estimators import (
     DEFAULT_N_COMPONENTS,
@@ -43,8 +42,11 @@ from .noise import (
 )
 from .serialize import SCHEMA_VERSION, _atomic_write, save_json
 from .simulate import (
+    BACKEND,
+    DEFAULT_FS,
     DEFAULT_PARAMS,
     ThetaBeat,
+    check_window,
     extract_canonical_beats,
     jitter_population,
 )
@@ -52,7 +54,6 @@ from .simulate import (
 log = logging.getLogger("ecgdenoise")
 
 DEFAULT_D = 493
-DEFAULT_FS = 500.0
 DEFAULT_R_OFFSET = 164
 
 #: Wave-amplitude gain applied to the base parameters so simulated beats sit
@@ -272,6 +273,10 @@ class BenchmarkConfig:
             raise ValueError("at least one tau regime is required")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
+        if self.mog_components < 1:
+            raise ValueError("mog_components must be >= 1")
+        # omega is never jittered, so every beat shares the default period
+        check_window(self.d, self.r_offset, self.fs, DEFAULT_PARAMS.period)
         names = [spec.name for spec in self.estimators]
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:

@@ -139,7 +139,7 @@ def _cmd_simulate(args) -> int:
 def _dataset_truth(samples, manifest):
     matern = manifest.get("matern") or {}
     K = matern_covariance(
-        manifest["d"], manifest.get("fs") or DEFAULT_FS,
+        manifest["d"], manifest["fs"],
         matern.get("lengthscale", DEFAULT_NOISE_LENGTHSCALE),
         matern.get("smoothness", DEFAULT_NOISE_SMOOTHNESS),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimators import FaModel, MogFaModel
 from .noise import EcgSample, NoisePrecision
-from .simulate import ThetaBeat
+from .simulate import DEFAULT_FS, ThetaBeat
 
 SCHEMA_VERSION = 1
 
@@ -52,18 +52,25 @@ def save_matrix_csv(path, matrix, row_ids=None) -> None:
 
 
 def load_matrix_csv(path):
-    """Read a headered CSV matrix; returns ``(matrix, row_ids)``."""
+    """Read a headered CSV matrix; returns ``(matrix, row_ids)``. A row
+    whose cell count differs from the header's raises ``ValueError``."""
     with open(path) as handle:
         header = handle.readline().strip()
         if not header.startswith("row_id"):
             raise ValueError(f"{path}: expected a 'row_id' CSV header")
+        n_cells = header.count(",") + 1
         row_ids = []
         rows = []
-        for line in handle:
+        for line_no, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
+            if len(cells) != n_cells:
+                raise ValueError(
+                    f"{path}: line {line_no} has {len(cells)} cells, "
+                    f"the header has {n_cells}"
+                )
             row_ids.append(cells[0])
             rows.append([float(v) for v in cells[1:]])
     return np.asarray(rows, dtype=np.float64), row_ids
@@ -112,22 +119,36 @@ def save_dataset(directory, samples, manifest_extra: dict,
     save_json(directory / "manifest.json", manifest)
 
 
+def _load_truth(path, sample_ids):
+    matrix, row_ids = load_matrix_csv(path)
+    if row_ids != sample_ids:
+        raise ValueError(
+            f"{path}: its {len(row_ids)} row ids do not match the "
+            f"manifest's {len(sample_ids)} sample_ids"
+        )
+    return matrix
+
+
 def load_dataset(directory):
-    """Read a dataset directory; returns ``(samples, manifest)``."""
+    """Read a dataset directory; returns ``(samples, manifest)``.
+
+    Ground-truth files hold one row per manifest sample id, in order. The
+    returned manifest's ``fs`` is ``DEFAULT_FS`` where the file has none.
+    """
     directory = Path(directory)
     manifest = load_json(directory / "manifest.json")
     if manifest.get("kind") != "ecgdenoise-dataset":
         raise ValueError(f"{directory}: not an ecgdenoise dataset")
+    sample_ids = manifest["sample_ids"]
     thetas = taus = None
     if manifest.get("has_ground_truth"):
-        thetas, _ = load_matrix_csv(directory / "thetas.csv")
+        thetas = _load_truth(directory / "thetas.csv", sample_ids)
     if manifest.get("has_true_taus"):
-        taus, _ = load_matrix_csv(directory / "taus.csv")
-        taus = taus[:, 0]
-    fs = manifest.get("fs") or 1.0
+        taus = _load_truth(directory / "taus.csv", sample_ids)[:, 0]
+    fs = manifest["fs"] = manifest.get("fs") or DEFAULT_FS
     r_offset = manifest.get("r_offset")
     samples = []
-    for i, sid in enumerate(manifest["sample_ids"]):
+    for i, sid in enumerate(sample_ids):
         beats, _ = load_matrix_csv(directory / "beats" / f"{sid}.csv")
         theta = None
         if thetas is not None:

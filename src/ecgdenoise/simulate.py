@@ -4,15 +4,19 @@ A rotating (u, v) pair is attracted to the unit circle; the voltage x is
 driven by five Gaussian-shaped angular bumps (P, Q, R, S, T) plus a linear
 pull toward the baseline. Integration uses classical fixed-step RK4 with
 step h = 1 / (4 fs), so every fourth state lands on the output grid.
+
+(u, v) depends neither on x nor on the wave parameters, so traces sharing
+``omega`` and a start share one phase path, stepped once; dx/dt is linear
+in x, so each RK4 step on x is an affine map x -> rho x + c_k.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import rk4_mcsharry
 from .errors import IntegrationDivergedError, InvalidJitterError, WindowTooLongError
 
 WAVE_NAMES = ("P", "Q", "R", "S", "T")
@@ -22,8 +26,18 @@ _TWO_PI = 2.0 * math.pi
 #: Steps per output sample (h = 1 / (STRIDE * fs)).
 STRIDE = 4
 
+#: Sampling rate (Hz) of the benchmark, and of datasets that do not state one.
+DEFAULT_FS = 500.0
+
 #: Retry budget when jittered positions violate the wave ordering.
 JITTER_MAX_RETRIES = 100
+
+#: Name of the integrator, recorded in benchmark reports and records.
+BACKEND = "python"
+
+#: Traces whose forcing is evaluated together. Each (4 steps, traces)
+#: temporary of one cycle at 500 Hz then holds about 2 MB.
+TRACE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -152,6 +166,117 @@ class ThetaBeat:
         return self.values.size
 
 
+def _rk4_rho(h: float) -> float:
+    """RK4 amplification of dx/dt = -x over one step of size ``h``."""
+    return 1.0 - h + h * h / 2.0 - h ** 3 / 6.0 + h ** 4 / 24.0
+
+
+def _shared(values, name: str) -> float:
+    values = np.unique(np.asarray(values, dtype=np.float64))
+    if values.size != 1:
+        raise ValueError(f"{name} must be shared by every trace of a batch")
+    return float(values[0])
+
+
+def _phase_path(omega: float, u: float, v: float, h: float, n_steps: int):
+    """RK4 path of the phase point: the states, shape (n_steps + 1, 2), and
+    the phase at the four stages of each step, shape (4 n_steps,)."""
+    def slope(u, v):
+        alpha = 1.0 - math.sqrt(u * u + v * v)
+        return alpha * u - omega * v, alpha * v + omega * u
+
+    h2, h6 = h / 2.0, h / 6.0
+    states = array("d", (u, v))
+    stages = array("d")
+    for _ in range(n_steps):
+        k1u, k1v = slope(u, v)
+        u2, v2 = u + h2 * k1u, v + h2 * k1v
+        k2u, k2v = slope(u2, v2)
+        u3, v3 = u + h2 * k2u, v + h2 * k2v
+        k3u, k3v = slope(u3, v3)
+        u4, v4 = u + h * k3u, v + h * k3v
+        k4u, k4v = slope(u4, v4)
+        stages.extend((u, v, u2, v2, u3, v3, u4, v4))
+        u, v = (u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+                v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+        states.extend((u, v))
+    stages = np.frombuffer(stages).reshape(-1, 2)
+    phases = np.arctan2(stages[:, 1], stages[:, 0])
+    return np.frombuffer(states).reshape(-1, 2), phases
+
+
+def _baseline_minus_waves(phases, a, b, theta, x0) -> np.ndarray:
+    """``x0 - sum_i a_i dth_i exp(-dth_i^2 / (2 b_i^2))``, shape (phases,
+    traces), with ``dth_i`` the phase minus ``theta_i`` wrapped into
+    (-pi, pi]. Elementwise only, so no trace depends on its block."""
+    total = np.zeros((phases.size, a.shape[0]))
+    for i in range(a.shape[1]):
+        dth = phases[:, None] - theta[:, i]
+        turns = dth + math.pi
+        turns /= _TWO_PI
+        np.floor(turns, out=turns)
+        turns *= _TWO_PI
+        dth -= turns
+        dth[dth == -math.pi] = math.pi
+        g = np.multiply(dth, dth, out=turns)
+        g /= -(2.0 * b[:, i] * b[:, i])
+        np.exp(g, out=g)
+        dth *= a[:, i]
+        g *= dth
+        total += g
+    return np.subtract(x0, total, out=total)
+
+
+def _divergence_steps(path: np.ndarray) -> np.ndarray:
+    """First step after which each column of ``path`` (row k: the state
+    after step k) is non-finite; ``len(path)`` where none is."""
+    bad = ~np.isfinite(path)
+    first = np.where(bad.any(axis=0), bad.argmax(axis=0), len(path))
+    return np.maximum(first, 1)
+
+
+def _rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
+    """Integrate McSharry systems that share one phase path with RK4.
+
+    Arrays ``a``, ``b``, ``theta`` (n, 5) and ``x0``, ``xinit`` (n,) are per
+    trace; ``omega``, ``u0`` and ``v0`` are shared (scalars, or arrays of
+    equal entries). Returns the phase states ``u``, ``v`` (m,) and the
+    voltages ``x`` (n, m) at every ``stride``-th step, m = n_steps // stride
+    + 1. With the forcing g fixed at the four stage phases, an RK4 step on
+    dx/dt = g - x is x -> rho x + c_k, c_k a weighted sum of those four g.
+    Raises :class:`IntegrationDivergedError` naming the first non-finite
+    step and trace.
+    """
+    if stride < 1 or n_steps < 0 or n_steps % stride != 0:
+        raise ValueError("n_steps must be a non-negative multiple of stride")
+    states, phases = _phase_path(_shared(omega, "omega"), _shared(u0, "u0"),
+                                 _shared(v0, "v0"), h, n_steps)
+
+    rho = _rk4_rho(h)
+    h6 = h / 6.0
+    w1 = h6 * (1.0 - h + h * h / 2.0 - h ** 3 / 4.0)
+    w2 = h6 * (2.0 - h + h * h / 2.0)
+    w3 = h6 * (2.0 - h)
+    n = len(xinit)
+    x = np.empty((n, n_steps // stride + 1))
+    diverged = np.full(n, _divergence_steps(states).min())
+    for lo in range(0, n, TRACE_BLOCK):
+        block = slice(lo, lo + TRACE_BLOCK)
+        g = _baseline_minus_waves(phases, a[block], b[block], theta[block],
+                                  x0[block]).reshape(n_steps, 4, -1)
+        path = np.empty((n_steps + 1, g.shape[2]))
+        path[0] = xinit[block]
+        path[1:] = w1 * g[:, 0] + w2 * g[:, 1] + w3 * g[:, 2] + h6 * g[:, 3]
+        for k in range(n_steps):
+            path[k + 1] += rho * path[k]
+        x[block] = path[::stride].T
+        diverged[block] = np.minimum(diverged[block], _divergence_steps(path))
+    if diverged.min() <= n_steps:
+        trace = int(np.argmin(diverged))
+        raise IntegrationDivergedError(int(diverged[trace]), trace)
+    return states[::stride, 0], states[::stride, 1], x
+
+
 def integrate_states(params: OdeParams, duration: float, fs: float,
                      initial_state=(-1.0, 0.0, 0.0)):
     """Integrate one system and return ``(t, u, v, x)`` sampled at ``fs``.
@@ -169,14 +294,11 @@ def integrate_states(params: OdeParams, duration: float, fs: float,
         raise ValueError("duration must cover at least one sample")
     h = 1.0 / (STRIDE * fs)
     u0, v0, x0 = (float(s) for s in initial_state)
-    u, v, x = rk4_mcsharry(
-        a[None, :], b[None, :], theta[None, :],
-        np.array([params.x0]), np.array([params.omega]),
-        np.array([u0]), np.array([v0]), np.array([x0]),
-        h, n_samples * STRIDE, STRIDE,
-    )
+    u, v, x = _rk4_mcsharry(a[None], b[None], theta[None],
+                            np.array([params.x0]), params.omega, u0, v0,
+                            np.array([x0]), h, n_samples * STRIDE, STRIDE)
     t = np.arange(n_samples + 1) / fs
-    return t, u[0], v[0], x[0]
+    return t, u, v, x[0]
 
 
 def integrate_mcsharry(params: OdeParams, duration: float, fs: float,
@@ -238,10 +360,18 @@ def jitter_population(base: OdeParams, jitter_fraction: float, n: int,
     return [sample_jittered_params(base, jitter_fraction, s) for s in children]
 
 
-def _rk4_decay_factor(h: float, n_steps: int) -> float:
-    # RK4 amplification of dx/dt = -x over n_steps steps
-    rho = 1.0 - h + h * h / 2.0 - h ** 3 / 6.0 + h ** 4 / 24.0
-    return rho ** n_steps
+def check_window(d: int, r_offset: int, fs: float, period: float) -> None:
+    """Raise unless a ``d``-sample window with its R peak at column
+    ``r_offset`` fits inside one cycle of ``period`` seconds at ``fs``."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    if not 0 <= r_offset < d:
+        raise ValueError("r_offset must satisfy 0 <= r_offset < d")
+    if d > fs * period + 1e-9:
+        raise WindowTooLongError(
+            f"window of {d} samples exceeds one cycle "
+            f"({fs * period:.3f} samples at fs={fs})"
+        )
 
 
 def extract_canonical_beats(params_batch, fs: float, d: int,
@@ -249,7 +379,10 @@ def extract_canonical_beats(params_batch, fs: float, d: int,
     """Extract steady-state beats for a batch sharing one ``omega``.
 
     Returns an array of shape ``(len(params_batch), d)``; see
-    :func:`extract_canonical_beat` for the single-beat contract.
+    :func:`extract_canonical_beat` for the single-beat contract. One cycle
+    is integrated, rounded to a whole number of RK4 steps; where
+    ``2 pi / (omega h)`` is not whole, samples read past the cycle's end
+    sit up to ``h / 2`` off the sample grid.
     """
     params_batch = list(params_batch)
     if not params_batch:
@@ -258,61 +391,42 @@ def extract_canonical_beats(params_batch, fs: float, d: int,
     if any(p.omega != omega for p in params_batch):
         raise ValueError("batched extraction requires a shared omega")
     d = int(d)
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if r_offset is None:
-        r_offset = d // 3
-    r_offset = int(r_offset)
-    if not 0 <= r_offset < d:
-        raise ValueError("r_offset must satisfy 0 <= r_offset < d")
+    r_offset = d // 3 if r_offset is None else int(r_offset)
     period = _TWO_PI / omega
-    if d > fs * period + 1e-9:
-        raise WindowTooLongError(
-            f"window of {d} samples exceeds one cycle "
-            f"({fs * period:.3f} samples at fs={fs})"
-        )
+    check_window(d, r_offset, fs, period)
 
     n = len(params_batch)
     a = np.stack([np.asarray(p.a, dtype=np.float64) for p in params_batch])
     b = np.stack([np.asarray(p.b, dtype=np.float64) for p in params_batch])
     theta = np.stack([np.asarray(p.theta, dtype=np.float64) for p in params_batch])
     x0 = np.array([p.x0 for p in params_batch])
-    omegas = np.full(n, omega)
 
     h = 1.0 / (STRIDE * fs)
-    steps_per_cycle = int(round(period / h))
-    if steps_per_cycle < STRIDE:
-        raise WindowTooLongError("cycle too short for the RK4 grid")
+    steps_per_cycle = int(round(period / h))  # >= STRIDE, as d >= 1
 
-    # One calibration cycle from voltage 0 determines the forced response c;
-    # the one-cycle map on the voltage is affine (x -> rho x + c), so the
-    # exact periodic initial voltage is c / (1 - rho). This removes the
-    # baseline transient without a long burn-in.
-    start_u = np.full(n, -1.0)  # phase pi: half a cycle from the R wave
-    start_v = np.zeros(n)
-    _, _, x_cal = rk4_mcsharry(
-        a, b, theta, x0, omegas, start_u, start_v, np.zeros(n),
-        h, steps_per_cycle, steps_per_cycle,
-    )
-    rho = _rk4_decay_factor(h, steps_per_cycle)
-    x_init = x_cal[:, -1] / (1.0 - rho)
+    # x_zero: one cycle from voltage 0 and phase pi (half a cycle from R).
+    # The one-cycle map on x is affine, x -> rho^steps x + x_zero[steps],
+    # so the periodic orbit is x_zero[k] + rho^k x_init, no burn-in needed.
+    # Sample j is step STRIDE * j from the start, read modulo the cycle;
+    # only steps that are multiples of ``grid`` are read.
+    grid = math.gcd(STRIDE, steps_per_cycle)
+    _, _, x_zero = _rk4_mcsharry(a, b, theta, x0, omega, -1.0, 0.0,
+                                 np.zeros(n), h, steps_per_cycle, grid)
+    rho = _rk4_rho(h)
+    x_init = x_zero[:, -1] / (1.0 - rho ** steps_per_cycle)
+    steps = grid * np.arange(steps_per_cycle // grid)
+    orbit = x_zero[:, :-1] + rho ** steps * x_init[:, None]
 
-    n_steps = 3 * steps_per_cycle
-    n_steps += (-n_steps) % STRIDE
-    _, _, x = rk4_mcsharry(
-        a, b, theta, x0, omegas, start_u, start_v, x_init,
-        h, n_steps, STRIDE,
-    )
+    def columns(samples):
+        return (STRIDE * samples) % steps_per_cycle // grid
 
+    # the R peak is searched over the second cycle's samples
     samples_per_cycle = steps_per_cycle / STRIDE
     lo = int(round(samples_per_cycle))
     hi = int(round(2 * samples_per_cycle))
-    peaks = lo + np.argmax(x[:, lo:hi], axis=1)
-    starts = peaks - r_offset
-    if np.any(starts < 0) or np.any(starts + d > x.shape[1]):
-        raise WindowTooLongError("beat window falls outside the integrated trace")
-    cols = starts[:, None] + np.arange(d)
-    return x[np.arange(n)[:, None], cols]
+    peaks = lo + np.argmax(orbit[:, columns(np.arange(lo, hi))], axis=1)
+    window = columns(peaks[:, None] - r_offset + np.arange(d))
+    return orbit[np.arange(n)[:, None], window]
 
 
 def extract_canonical_beat(params: OdeParams, fs: float, d: int,

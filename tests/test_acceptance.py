@@ -277,7 +277,7 @@ class TestCriterion6Properties:
         )
 
         # RK4 convergence order on the voltage trace
-        from ecgdenoise._kernels import rk4_mcsharry
+        from ecgdenoise.simulate import _rk4_mcsharry as rk4_mcsharry
 
         p = DEFAULT_PARAMS
         a, b, theta = p.as_arrays()

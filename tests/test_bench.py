@@ -139,6 +139,20 @@ class TestBenchmarkConfig:
             BenchmarkConfig.from_dict({
                 "seed": 1, "estimators": ["mle", "fa:truth", "fa"]})
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"mog_components": 0}, "mog_components"),
+        ({"r_offset": -1}, "r_offset"),
+        ({"r_offset": 100}, "r_offset"),  # d = 100
+        ({"d": 501, "r_offset": 164}, "exceeds one cycle"),
+        ({"d": 201, "fs": 200.0}, "exceeds one cycle"),
+    ])
+    def test_bad_values_rejected_up_front(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides)
+
+    def test_whole_cycle_window_accepted(self):
+        assert small_config(d=200, fs=200.0, mog_components=1).d == 200
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match=r"\['bogus', 'extra'\]"):
             BenchmarkConfig.from_dict({"seed": 1, "bogus": 3, "extra": 0})

@@ -1,11 +1,13 @@
 """End-to-end CLI: simulate, estimate-noise, denoise, benchmark, plot-data."""
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from ecgdenoise.cli import main
-from ecgdenoise.serialize import load_json, load_matrix_csv
+from ecgdenoise.cli import _dataset_truth, main
+from ecgdenoise.noise import matern_covariance
+from ecgdenoise.serialize import load_dataset, load_json, load_matrix_csv
 
 SIM_FLAGS = [
     "--n-samples", "12", "--beats", "6", "--d", "80", "--fs", "200",
@@ -145,6 +147,18 @@ class TestBenchmark:
         assert code == 1
         assert "oracle_bayes" in payload["error"]["message"]
 
+    def test_bad_config_value_is_json_error(self, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"seed": 1, "mog_components": 0}))
+        code, payload = run_json(capsys, [
+            "benchmark", "--config", str(config_path),
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert "mog_components" in payload["error"]["message"]
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_seed_is_error(self, tmp_path, capsys):
         code, payload = run_json(capsys, [
             "benchmark", "--out", str(tmp_path / "r.json"),
@@ -210,3 +224,46 @@ class TestErrorHandling:
         ])
         assert code == 0
         assert (tmp_path / "relative.csv").exists()
+
+
+class TestDatasetChecks:
+    @pytest.fixture()
+    def copy(self, dataset, tmp_path):
+        return shutil.copytree(dataset, tmp_path / "ds")
+
+    def test_missing_truth_row_is_json_error(self, copy, capsys):
+        thetas = copy / "thetas.csv"
+        lines = thetas.read_text().splitlines()
+        thetas.write_text("\n".join(lines[:-1]) + "\n")
+        code, payload = run_json(capsys, [
+            "estimate-noise", "--dataset", str(copy),
+            "--out", str(copy / "noise"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert "thetas.csv" in payload["error"]["message"]
+
+    def test_short_beats_row_is_json_error(self, copy, capsys):
+        beats = sorted((copy / "beats").iterdir())[0]
+        lines = beats.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        beats.write_text("\n".join(lines) + "\n")
+        code, payload = run_json(capsys, [
+            "estimate-noise", "--dataset", str(copy),
+            "--out", str(copy / "noise"),
+        ])
+        assert code == 1
+        message = payload["error"]["message"]
+        assert beats.name in message and "line 3" in message
+
+    def test_missing_fs_is_resolved_once(self, copy):
+        manifest = load_json(copy / "manifest.json")
+        manifest["fs"] = None
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        samples, loaded = load_dataset(copy)
+        K, _, _ = _dataset_truth(samples, loaded)
+        assert samples[0].theta.fs == loaded["fs"] == 500.0
+        expected = matern_covariance(
+            manifest["d"], 500.0, manifest["matern"]["lengthscale"],
+            manifest["matern"]["smoothness"])
+        np.testing.assert_array_equal(K.matrix, expected.matrix)

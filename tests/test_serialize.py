@@ -31,6 +31,15 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="row_id"):
             load_matrix_csv(path)
 
+    def test_cell_count_checked_against_header(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("row_id,c0,c1\na,1,2\nb,3\n")
+        with pytest.raises(ValueError, match=r"short\.csv: line 3 has 2 "):
+            load_matrix_csv(path)
+        path.write_text("row_id,c0,c1\na,1,2,3\n")
+        with pytest.raises(ValueError, match="line 2 has 4 cells"):
+            load_matrix_csv(path)
+
     def test_row_id_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2)), row_ids=["a"])
@@ -63,6 +72,35 @@ class TestDataset:
             np.testing.assert_array_equal(sample.theta.values, thetas[i])
             assert float(sample.tau) == taus[i]
             assert sample.theta.r_index == peak[i]
+
+    @staticmethod
+    def _write(directory, rng, fs=100.0):
+        thetas = rng.standard_normal((3, 8))
+        samples = [EcgSample(sample_id=f"s{i}", beats=np.zeros((2, 8)))
+                   for i in range(3)]
+        save_dataset(directory, samples, manifest_extra={"d": 8},
+                     thetas=thetas, taus=[2.0, 3.0, 4.0], r_offset=None,
+                     fs=fs)
+
+    @pytest.mark.parametrize("name", ["thetas.csv", "taus.csv"])
+    def test_truth_rows_match_manifest(self, tmp_path, rng, name):
+        self._write(tmp_path / "ds", rng)
+        path = tmp_path / "ds" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")  # drop s2
+        with pytest.raises(ValueError, match=f"{name}.*2 row ids.*3 sample"):
+            load_dataset(tmp_path / "ds")
+        lines[1], lines[2] = lines[2], lines[1]  # s1 before s0
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=name):
+            load_dataset(tmp_path / "ds")
+
+    def test_missing_fs_defaults_to_500_hz(self, tmp_path, rng):
+        self._write(tmp_path / "ds", rng, fs=None)
+        assert load_json(tmp_path / "ds" / "manifest.json")["fs"] is None
+        samples, manifest = load_dataset(tmp_path / "ds")
+        assert manifest["fs"] == 500.0
+        assert all(s.theta.fs == 500.0 for s in samples)
 
     def test_rejects_non_dataset(self, tmp_path):
         save_json(tmp_path / "ds" / "manifest.json", {"kind": "other"})

@@ -114,7 +114,7 @@ class TestIntegration:
         assert np.all(np.abs(gaps - expected) <= 1.0)
 
     def test_rk4_convergence_order(self):
-        from ecgdenoise._kernels import rk4_mcsharry
+        from ecgdenoise.simulate import _rk4_mcsharry as rk4_mcsharry
 
         p = DEFAULT_PARAMS
         a, b, theta = p.as_arrays()
