@@ -400,41 +400,50 @@ def make_samples(beats: np.ndarray, thetas=None, taus=None, fs=DEFAULT_FS,
     return samples
 
 
-def _run_estimator(spec: EstimatorSpec, config: BenchmarkConfig, *,
-                   means, thetas, K, taus_true, n_beats, k_hat, taus_hat,
-                   fit_seed):
-    """Estimates (N, d) plus a dict of extra diagnostics for the report."""
+def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
+            latent_dim: LatentDimRule, n_components: int, fit_seed):
+    """Estimates (N, d) of the clean beats plus a dict of diagnostics.
+
+    ``means`` holds each sample's beat mean and ``n_beats`` its beat count.
+    ``truth`` and ``estimate`` are ``(K, taus)`` pairs, or None when that
+    noise knowledge is not available; ``thetas`` are the ground-truth
+    beats (the oracle's atoms) or None. ``mle`` needs none of them. A
+    ``:truth`` spec without ``truth``, an ``:estimated`` one without
+    ``estimate`` and ``oracle_bayes`` without ``thetas`` are refused.
+    """
     extra = {}
     if spec.kind == "mle":
         return means.copy(), extra
     if spec.needs_estimation:
-        if k_hat is None:
+        if estimate is None:
             raise InsufficientReplicatesError(
                 "estimated noise mode needs B >= 2 beats per sample"
             )
-        k_used, taus_used = k_hat, taus_hat
+        K, taus = estimate
+    elif truth is None:
+        raise EcgDenoiseError(f"{spec.name} needs the true noise (K, taus); "
+                              f"use {spec.kind}:estimated")
     else:
-        k_used, taus_used = K, taus_true
+        K, taus = truth
     if spec.kind == "oracle_bayes":
-        estimates, idx = oracle_bayes_batch(means, thetas, k_used)
+        if thetas is None:
+            raise EcgDenoiseError("oracle_bayes needs the ground-truth beats")
+        estimates, idx = oracle_bayes_batch(means, thetas, K)
         extra["atom_accuracy"] = float(np.mean(idx == np.arange(len(means))))
         return estimates, extra
-    whitened = whiten(k_used, means, means.mean(axis=0))
-    p = config.latent_dim.choose(whitened)
+    whitened = whiten(K, means, means.mean(axis=0))
+    p = latent_dim.choose(whitened)
     extra["latent_dim"] = p
     if spec.kind == "fa":
-        model = fit_factor_analysis(means, k_used, taus_used, p,
-                                    n_beats=n_beats)
+        model = fit_factor_analysis(means, K, taus, p, n_beats=n_beats)
         extra["converged"] = bool(model.converged)
-        return fa_posterior_mean_batch(model, means, k_used, taus_used,
-                                       n_beats), extra
-    model = fit_mog_fa(means, k_used, taus_used, p,
-                       n_components=min(config.mog_components, len(means)),
+        return fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
+    model = fit_mog_fa(means, K, taus, p,
+                       n_components=min(n_components, len(means)),
                        n_beats=n_beats, rng_seed=fit_seed)
     extra["converged"] = bool(model.fa.converged)
     extra["n_components"] = int(model.n_components)
-    return mog_fa_posterior_mean_batch(model, means, k_used, taus_used,
-                                       n_beats), extra
+    return mog_fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
 
 
 def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
@@ -463,19 +472,19 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
         beats = simulate_cell_beats(thetas, K, taus, n_beats, noise_seed)
         means = beats.mean(axis=1)
 
-        k_hat = taus_hat = None
+        estimate = None
         if any(spec.needs_estimation for spec in config.estimators) \
                 and n_beats >= 2:
-            k_hat, taus_hat = estimate_noise(beats)
+            estimate = estimate_noise(beats)
 
         results = {}
         for spec in config.estimators:
             label = f"{regime.label}, B={n_beats}, {spec.name}"
             try:
-                estimates, extra = _run_estimator(
-                    spec, config, means=means, thetas=thetas, K=K,
-                    taus_true=taus, n_beats=n_beats, k_hat=k_hat,
-                    taus_hat=taus_hat, fit_seed=fit_seed,
+                estimates, extra = denoise(
+                    spec, means, n_beats, truth=(K, taus), estimate=estimate,
+                    thetas=thetas, latent_dim=config.latent_dim,
+                    n_components=config.mog_components, fit_seed=fit_seed,
                 )
                 errors = np.sum((estimates - thetas) ** 2, axis=1)
                 results[spec.name] = {

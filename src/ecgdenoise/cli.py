@@ -25,13 +25,16 @@ from .bench import (
     DEFAULT_FS,
     DEFAULT_JITTER,
     DEFAULT_LATENT_DIM,
+    DEFAULT_N_COMPONENTS,
     DEFAULT_NOISE_LENGTHSCALE,
     DEFAULT_NOISE_SMOOTHNESS,
     DEFAULT_R_OFFSET,
     BenchmarkConfig,
+    BenchmarkReport,
     EstimatorSpec,
     LatentDimRule,
     TauRegime,
+    denoise,
     emit_plot_data,
     make_samples,
     run_benchmark,
@@ -39,14 +42,15 @@ from .bench import (
     simulate_population,
 )
 from .errors import EcgDenoiseError
-from .estimators import (
+# whiten and the estimators go unused: perfbench/tracing.py wraps them here.
+from .estimators import (  # noqa: F401
     fa_posterior_mean_batch,
     fit_factor_analysis,
     fit_mog_fa,
     mog_fa_posterior_mean_batch,
     oracle_bayes_batch,
 )
-from .noise import estimate_noise, matern_covariance, whiten
+from .noise import estimate_noise, matern_covariance, whiten  # noqa: F401
 from .serialize import load_dataset, load_json, save_dataset, save_matrix_csv
 
 log = logging.getLogger("ecgdenoise")
@@ -136,20 +140,47 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _dataset_truth(samples, manifest):
+def _dataset_truth(samples):
+    """The true taus and thetas, each None unless every sample has it."""
+    taus = thetas = None
+    if all(s.tau is not None for s in samples):
+        taus = np.array([float(s.tau) for s in samples])
+    if all(s.theta is not None for s in samples):
+        thetas = np.stack([s.theta.values for s in samples])
+    return taus, thetas
+
+
+def _true_covariance(manifest, d: int):
+    """The dataset's Matern K on ``d`` samples at the manifest's fs."""
     matern = manifest.get("matern") or {}
-    K = matern_covariance(
-        manifest["d"], manifest["fs"],
+    return matern_covariance(
+        d, manifest["fs"],
         matern.get("lengthscale", DEFAULT_NOISE_LENGTHSCALE),
         matern.get("smoothness", DEFAULT_NOISE_SMOOTHNESS),
     )
-    taus = None
-    if all(s.tau is not None for s in samples):
-        taus = np.array([float(s.tau) for s in samples])
-    thetas = None
-    if all(s.theta is not None for s in samples):
-        thetas = np.stack([s.theta.values for s in samples])
-    return K, taus, thetas
+
+
+def _denoise_dataset(spec, samples, manifest, latent_dim: str,
+                     n_components=DEFAULT_N_COMPONENTS, fit_seed=0):
+    """``bench.denoise`` on a loaded dataset: (estimates, extra, thetas).
+
+    Noise is estimated for an ``:estimated`` spec; otherwise the true K is
+    built only when the dataset has true taus to pair it with.
+    """
+    means = np.stack([s.beat_mean for s in samples])
+    n_beats = np.array([s.n_beats for s in samples], dtype=float)
+    taus, thetas = _dataset_truth(samples)
+    truth = estimate = None
+    if spec.needs_estimation:
+        estimate = estimate_noise(samples)
+    elif taus is not None:
+        truth = (_true_covariance(manifest, means.shape[1]), taus)
+    estimates, extra = denoise(
+        spec, means, n_beats, truth=truth, estimate=estimate, thetas=thetas,
+        latent_dim=LatentDimRule.parse(latent_dim),
+        n_components=n_components, fit_seed=fit_seed,
+    )
+    return estimates, extra, thetas
 
 
 def _cmd_estimate_noise(args) -> int:
@@ -166,7 +197,7 @@ def _cmd_estimate_noise(args) -> int:
         "trace": float(np.trace(k_hat.matrix)),
         "tau_hat_median": float(np.median(tau_hat)),
     }
-    _, true_taus, _ = _dataset_truth(samples, manifest)
+    true_taus, _ = _dataset_truth(samples)
     if true_taus is not None:
         rel = np.abs(tau_hat - true_taus) / true_taus
         summary["tau_median_relative_error"] = float(np.median(rel))
@@ -177,41 +208,10 @@ def _cmd_estimate_noise(args) -> int:
 def _cmd_denoise(args) -> int:
     samples, manifest = load_dataset(args.dataset)
     spec = EstimatorSpec.parse(args.estimator)
-    K_true, taus_true, thetas = _dataset_truth(samples, manifest)
-    means = np.stack([s.beat_mean for s in samples])
-    n_beats = np.array([s.n_beats for s in samples], dtype=float)
-
-    if spec.needs_estimation:
-        K, taus = estimate_noise(samples)
-    else:
-        if taus_true is None:
-            raise EcgDenoiseError(
-                "dataset has no true taus; use --estimator KIND:estimated"
-            )
-        K, taus = K_true, taus_true
-
-    extra = {}
-    if spec.kind == "mle":
-        estimates = means
-    elif spec.kind == "oracle_bayes":
-        if thetas is None:
-            raise EcgDenoiseError("oracle needs a dataset with ground truth")
-        estimates, idx = oracle_bayes_batch(means, thetas, K)
-        extra["atom_accuracy"] = float(np.mean(idx == np.arange(len(means))))
-    else:
-        rule = LatentDimRule.parse(args.latent_dim)
-        p = rule.choose(whiten(K, means, means.mean(axis=0)))
-        extra["latent_dim"] = p
-        if spec.kind == "fa":
-            model = fit_factor_analysis(means, K, taus, p, n_beats=n_beats)
-            estimates = fa_posterior_mean_batch(model, means, K, taus, n_beats)
-        else:
-            model = fit_mog_fa(means, K, taus, p,
-                               n_components=min(args.components, len(samples)),
-                               n_beats=n_beats, rng_seed=args.seed)
-            estimates = mog_fa_posterior_mean_batch(model, means, K, taus,
-                                                    n_beats)
-
+    estimates, extra, thetas = _denoise_dataset(
+        spec, samples, manifest, args.latent_dim,
+        n_components=args.components, fit_seed=args.seed,
+    )
     out = _resolve_out(args.out, f"denoised-{spec.name}.csv")
     save_matrix_csv(out, estimates, [s.sample_id for s in samples])
     summary = {"estimates": str(out), "estimator": spec.name, **extra}
@@ -238,10 +238,11 @@ def _cmd_benchmark(args) -> int:
         "amplitude_gain": args.gain,
         "lengthscale": args.lengthscale,
         "smoothness": args.smoothness,
-        "estimators": args.estimator,
         "latent_dim": LatentDimRule.parse(args.latent_dim).to_dict(),
         "mog_components": args.components,
     }
+    if args.estimator:  # else BenchmarkConfig's default estimators apply
+        base["estimators"] = args.estimator
     base.update(overrides)  # config file wins over flags
     if base.get("seed") is None:
         raise EcgDenoiseError("a seed is required (flag --seed or config)")
@@ -260,8 +261,6 @@ def _cmd_plot_data(args) -> int:
         if not args.report:
             raise EcgDenoiseError("mse-table needs --report")
         document = load_json(args.report)
-        from .bench import BenchmarkReport
-
         report = BenchmarkReport(config=document["config"],
                                  cells=tuple(document["cells"]),
                                  meta=document.get("meta", {}))
@@ -272,26 +271,18 @@ def _cmd_plot_data(args) -> int:
         samples, manifest = load_dataset(args.dataset)
         if args.kind == "beats-overlay":
             wanted = args.sample or samples[0].sample_id
-            chosen = [s for s in samples if s.sample_id == wanted]
-            if not chosen:
+            ids = [s.sample_id for s in samples]
+            if wanted not in ids:
                 raise EcgDenoiseError(f"sample {wanted!r} not in dataset")
+            row = ids.index(wanted)
             reconstruction = None
             if args.estimator:
-                spec = EstimatorSpec.parse(args.estimator)
-                K, taus, _ = _dataset_truth(samples, manifest)
-                if spec.needs_estimation or taus is None:
-                    K, taus = estimate_noise(samples)
-                means = np.stack([s.beat_mean for s in samples])
-                n_beats = np.array([s.n_beats for s in samples], dtype=float)
-                rule = LatentDimRule.parse(args.latent_dim)
-                p = rule.choose(whiten(K, means, means.mean(axis=0)))
-                model = fit_factor_analysis(means, K, taus, p,
-                                            n_beats=n_beats)
-                row = [s.sample_id for s in samples].index(wanted)
-                reconstruction = fa_posterior_mean_batch(
-                    model, means, K, taus, n_beats
-                )[row]
-            emit_plot_data(chosen[0], args.kind, out,
+                estimates, _, _ = _denoise_dataset(
+                    EstimatorSpec.parse(args.estimator), samples, manifest,
+                    args.latent_dim,
+                )
+                reconstruction = estimates[row]
+            emit_plot_data(samples[row], args.kind, out,
                            reconstruction=reconstruction)
         else:
             emit_plot_data(samples, args.kind, out, bins=args.bins)
@@ -328,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mle | oracle_bayes | fa[:truth|:estimated] | mog_fa[...]")
     p.add_argument("--latent-dim", default=str(DEFAULT_LATENT_DIM),
                    help="a fixed integer or 'scree[:cutoff]'")
-    p.add_argument("--components", type=int, default=5)
+    p.add_argument("--components", type=int, default=DEFAULT_N_COMPONENTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="estimates CSV path")
     p.set_defaults(func=_cmd_denoise)
@@ -345,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="repeatable: KIND[:truth|:estimated]")
     p.add_argument("--latent-dim", default=str(DEFAULT_LATENT_DIM))
-    p.add_argument("--components", type=int, default=5)
+    p.add_argument("--components", type=int, default=DEFAULT_N_COMPONENTS)
     p.add_argument("--config", help="JSON config file (overrides flags)")
     p.add_argument("--out", help="report path")
     p.set_defaults(func=_cmd_benchmark)
@@ -373,10 +364,6 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if getattr(args, "estimator", None) is None and \
-            getattr(args, "command", "") == "benchmark":
-        args.estimator = ["mle", "oracle_bayes", "fa:truth", "fa:estimated",
-                          "mog_fa:truth"]
     try:
         return args.func(args)
     except (EcgDenoiseError, ValueError, OSError, KeyError) as exc:

@@ -76,30 +76,26 @@ class AtomPrior:
 class FaModel:
     """Factor analysis fit in whitened coordinates.
 
-    ``loadings`` (d x p) and ``noise_diag`` (unit-scale variances, all ones
-    when the noise level is known) live in the whitened space;
-    ``mean`` is the beat-space column mean removed before whitening.
+    ``loadings`` (d x p) live in the whitened space, where the noise is
+    isotropic; ``mean`` is the beat-space column mean removed before
+    whitening.
     """
 
     mean: np.ndarray
     loadings: np.ndarray
-    noise_diag: np.ndarray
     loglik_trace: np.ndarray = field(repr=False)
     converged: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "mean", _readonly(self.mean))
         object.__setattr__(self, "loadings", _readonly(self.loadings))
-        object.__setattr__(self, "noise_diag", _readonly(self.noise_diag))
         object.__setattr__(self, "loglik_trace",
                            _readonly(np.atleast_1d(self.loglik_trace)))
         d, p = self.loadings.shape
         if p > d:
             raise ValueError("latent dimension p cannot exceed d")
-        if self.mean.shape != (d,) or self.noise_diag.shape != (d,):
-            raise ValueError("mean and noise_diag must have length d")
-        if np.any(self.noise_diag <= 0):
-            raise ValueError("noise_diag entries must be positive")
+        if self.mean.shape != (d,):
+            raise ValueError("mean must have length d")
         _check_loglik_trace(self.loglik_trace)
 
     @property
@@ -284,9 +280,8 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
     mean = beats.mean(axis=0)
     xw = (beats - mean) @ K.inv_sqrt
     loadings, trace, converged = _fa_em(xw, psi, p, max_iter, tol)
-    return FaModel(mean=mean, loadings=loadings,
-                   noise_diag=np.ones(beats.shape[1]),
-                   loglik_trace=trace, converged=converged)
+    return FaModel(mean=mean, loadings=loadings, loglik_trace=trace,
+                   converged=converged)
 
 
 def fa_latent_means(model: FaModel, beats: np.ndarray, K: CovarianceMatrix,
@@ -448,9 +443,8 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
                       n_restarts=gmm_restarts)
     loadings, trace, converged = _mog_em(xw, psi, stage1.loadings, mixture,
                                          max_iter, tol)
-    fa = FaModel(mean=stage1.mean, loadings=loadings,
-                 noise_diag=np.ones(beats.shape[1]),
-                 loglik_trace=trace, converged=converged)
+    fa = FaModel(mean=stage1.mean, loadings=loadings, loglik_trace=trace,
+                 converged=converged)
     return MogFaModel(fa=fa, weights=mixture.weights,
                       comp_means=mixture.means,
                       comp_covs=mixture.covariances)

@@ -149,14 +149,18 @@ def load_dataset(directory):
     r_offset = manifest.get("r_offset")
     samples = []
     for i, sid in enumerate(sample_ids):
-        beats, _ = load_matrix_csv(directory / "beats" / f"{sid}.csv")
+        path = directory / "beats" / f"{sid}.csv"
+        beats, _ = load_matrix_csv(path)
         theta = None
         if thetas is not None:
             r_idx = int(np.argmax(thetas[i])) if r_offset is None else int(r_offset)
             theta = ThetaBeat(values=thetas[i], r_index=r_idx, fs=fs)
         tau = NoisePrecision(float(taus[i])) if taus is not None else None
-        samples.append(EcgSample(sample_id=sid, beats=beats, theta=theta,
-                                 tau=tau))
+        try:
+            samples.append(EcgSample(sample_id=sid, beats=beats, theta=theta,
+                                     tau=tau))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return samples, manifest
 
 
@@ -168,7 +172,6 @@ def _fa_payload(model: FaModel) -> dict:
     return {
         "mean": model.mean.tolist(),
         "loadings": model.loadings.tolist(),
-        "noise_diag": model.noise_diag.tolist(),
         "loglik_trace": model.loglik_trace.tolist(),
         "converged": bool(model.converged),
         "latent_dim": model.latent_dim,
@@ -177,10 +180,11 @@ def _fa_payload(model: FaModel) -> dict:
 
 
 def _fa_from_payload(payload: dict) -> FaModel:
+    """Keys other than the model's fields, such as the all-ones noise
+    diagonal that older documents carry, are ignored."""
     return FaModel(
         mean=np.asarray(payload["mean"]),
         loadings=np.asarray(payload["loadings"]),
-        noise_diag=np.asarray(payload["noise_diag"]),
         loglik_trace=np.asarray(payload["loglik_trace"]),
         converged=bool(payload["converged"]),
     )

@@ -9,13 +9,18 @@ from ecgdenoise.bench import (
     EstimatorSpec,
     LatentDimRule,
     TauRegime,
+    denoise,
     emit_plot_data,
     mse,
     run_benchmark,
     sum_squared_error,
 )
-from ecgdenoise.errors import EmptyInputError
-from ecgdenoise.noise import EcgSample, NoisePrecision
+from ecgdenoise.errors import (
+    EcgDenoiseError,
+    EmptyInputError,
+    InsufficientReplicatesError,
+)
+from ecgdenoise.noise import EcgSample, NoisePrecision, matern_covariance
 
 
 def small_config(**overrides):
@@ -104,6 +109,30 @@ class TestLatentDimRule:
         data = rng.standard_normal((5, 20)) * 1e-3
         data[:, 0] += np.array([10.0, -10.0, 10.0, -10.0, 10.0])
         assert 1 <= rule.choose(data) <= 4
+
+
+class TestDenoise:
+    def test_refusals(self):
+        means = np.arange(12.0).reshape(3, 4)
+
+        def run(text, **given):
+            kwargs = dict(truth=None, estimate=None, thetas=None,
+                          latent_dim=LatentDimRule("fixed", 1),
+                          n_components=1, fit_seed=0)
+            kwargs.update(given)
+            return denoise(EstimatorSpec.parse(text), means, np.ones(3),
+                           **kwargs)
+
+        estimates, extra = run("mle")  # needs no noise and no ground truth
+        np.testing.assert_array_equal(estimates, means)
+        assert extra == {}
+        with pytest.raises(EcgDenoiseError, match="fa_truth needs the true"):
+            run("fa:truth")
+        with pytest.raises(InsufficientReplicatesError, match="B >= 2"):
+            run("mog_fa:estimated")
+        truth = (matern_covariance(4, 500.0), np.ones(3))
+        with pytest.raises(EcgDenoiseError, match="oracle_bayes needs the"):
+            run("oracle_bayes", truth=truth)
 
 
 class TestBenchmarkConfig:

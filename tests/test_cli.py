@@ -5,9 +5,14 @@ import shutil
 import numpy as np
 import pytest
 
-from ecgdenoise.cli import _dataset_truth, main
-from ecgdenoise.noise import matern_covariance
-from ecgdenoise.serialize import load_dataset, load_json, load_matrix_csv
+from ecgdenoise.cli import _true_covariance, main
+from ecgdenoise.noise import EcgSample, matern_covariance
+from ecgdenoise.serialize import (
+    load_dataset,
+    load_json,
+    load_matrix_csv,
+    save_dataset,
+)
 
 SIM_FLAGS = [
     "--n-samples", "12", "--beats", "6", "--d", "80", "--fs", "200",
@@ -23,10 +28,27 @@ def dataset(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def unlabelled(dataset, tmp_path_factory):
+    """The same recordings saved with no true thetas or taus."""
+    samples, manifest = load_dataset(dataset)
+    out = tmp_path_factory.mktemp("cli") / "unlabelled"
+    save_dataset(out, [EcgSample(sample_id=s.sample_id, beats=s.beats)
+                       for s in samples],
+                 manifest_extra={"d": manifest["d"]}, fs=manifest["fs"])
+    return out
+
+
 def run_json(capsys, argv):
     code = main(argv)
     payload = json.loads(capsys.readouterr().out)
     return code, payload
+
+
+def overlay_reconstruction(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return np.array([float(y) for series, _, y in rows
+                     if series == "reconstruction"])
 
 
 class TestSimulate:
@@ -92,6 +114,35 @@ class TestDenoise:
             "--out", str(tmp_path / "o.csv"),
         ])
         assert oracle["mse"] <= mle["mse"] + 1e-12
+
+    @pytest.mark.parametrize("estimator", ["mle", "fa:estimated"])
+    def test_no_ground_truth_needed(self, unlabelled, tmp_path, capsys,
+                                    estimator):
+        out = tmp_path / "est.csv"
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(unlabelled), "--estimator", estimator,
+            "--latent-dim", "3", "--out", str(out),
+        ])
+        assert code == 0
+        assert "mse" not in payload
+        estimates, _ = load_matrix_csv(out)
+        assert estimates.shape == (12, 80)
+        if estimator == "mle":
+            samples, _ = load_dataset(unlabelled)
+            np.testing.assert_array_equal(
+                estimates, np.stack([s.beat_mean for s in samples]))
+
+    @pytest.mark.parametrize("estimator", ["fa:truth", "oracle_bayes"])
+    def test_truth_spec_without_truth_is_json_error(self, unlabelled,
+                                                    tmp_path, capsys,
+                                                    estimator):
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(unlabelled), "--estimator", estimator,
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "EcgDenoiseError"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestBenchmark:
@@ -179,6 +230,38 @@ class TestPlotData:
         text = out.read_text()
         assert "reconstruction" in text and "beat_00" in text
 
+    @pytest.mark.parametrize("estimator", ["mle", "oracle_bayes", "fa:truth",
+                                           "mog_fa:truth"])
+    def test_reconstruction_is_the_denoise_row(self, dataset, tmp_path,
+                                               capsys, estimator):
+        csv = tmp_path / "denoised.csv"
+        code, _ = run_json(capsys, [
+            "denoise", "--dataset", str(dataset), "--estimator", estimator,
+            "--latent-dim", "3", "--out", str(csv),
+        ])
+        assert code == 0
+        overlay = tmp_path / "overlay.csv"
+        code, _ = run_json(capsys, [
+            "plot-data", "--kind", "beats-overlay", "--dataset", str(dataset),
+            "--sample", "s00002", "--estimator", estimator,
+            "--latent-dim", "3", "--out", str(overlay),
+        ])
+        assert code == 0
+        estimates, row_ids = load_matrix_csv(csv)
+        np.testing.assert_array_equal(overlay_reconstruction(overlay),
+                                      estimates[row_ids.index("s00002")])
+
+    def test_truth_spec_without_truth_is_json_error(self, unlabelled,
+                                                    tmp_path, capsys):
+        code, payload = run_json(capsys, [
+            "plot-data", "--kind", "beats-overlay",
+            "--dataset", str(unlabelled), "--estimator", "fa:truth",
+            "--out", str(tmp_path / "overlay.csv"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "EcgDenoiseError"
+        assert not (tmp_path / "overlay.csv").exists()
+
     def test_tau_hist(self, dataset, tmp_path, capsys):
         out = tmp_path / "tau.csv"
         code, _ = run_json(capsys, [
@@ -256,12 +339,45 @@ class TestDatasetChecks:
         message = payload["error"]["message"]
         assert beats.name in message and "line 3" in message
 
+    def test_narrow_beats_file_is_named(self, copy, capsys):
+        beats = sorted((copy / "beats").iterdir())[0]
+        lines = [line.rsplit(",", 1)[0]
+                 for line in beats.read_text().splitlines()]
+        beats.write_text("\n".join(lines) + "\n")
+        code, payload = run_json(capsys, [
+            "estimate-noise", "--dataset", str(copy),
+            "--out", str(copy / "noise"),
+        ])
+        assert code == 1
+        message = payload["error"]["message"]
+        assert str(beats) in message and "beat length" in message
+
+    @pytest.mark.parametrize("estimator", ["fa:estimated", "fa:truth"])
+    def test_manifest_without_d(self, dataset, copy, tmp_path, capsys,
+                                estimator):
+        manifest = load_json(copy / "manifest.json")
+        del manifest["d"]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        code, _ = run_json(capsys, [
+            "estimate-noise", "--dataset", str(copy),
+            "--out", str(copy / "noise"),
+        ])
+        assert code == 0
+        for name, source in (("a.csv", dataset), ("b.csv", copy)):
+            code, _ = run_json(capsys, [
+                "denoise", "--dataset", str(source), "--estimator", estimator,
+                "--latent-dim", "3", "--out", str(tmp_path / name),
+            ])
+            assert code == 0
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
     def test_missing_fs_is_resolved_once(self, copy):
         manifest = load_json(copy / "manifest.json")
         manifest["fs"] = None
         (copy / "manifest.json").write_text(json.dumps(manifest))
         samples, loaded = load_dataset(copy)
-        K, _, _ = _dataset_truth(samples, loaded)
+        K = _true_covariance(loaded, manifest["d"])
         assert samples[0].theta.fs == loaded["fs"] == 500.0
         expected = matern_covariance(
             manifest["d"], 500.0, manifest["matern"]["lengthscale"],

@@ -276,7 +276,7 @@ class TestMogFa:
         rng = np.random.default_rng(36)
         loadings = _loadings(rng, D, 2, [3.0, 2.0])
         fa = FaModel(mean=np.zeros(D), loadings=loadings,
-                     noise_diag=np.ones(D), loglik_trace=np.array([0.0]))
+                     loglik_trace=np.array([0.0]))
         comp_means = np.array([[-10.0, 0.0], [10.0, 0.0]])
         mog = MogFaModel(fa=fa, weights=np.array([0.5, 0.5]),
                          comp_means=comp_means,
@@ -338,17 +338,11 @@ class TestModelValidation:
     def test_fa_model_rejects_decreasing_loglik(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             FaModel(mean=np.zeros(4), loadings=np.zeros((4, 1)),
-                    noise_diag=np.ones(4),
                     loglik_trace=np.array([0.0, -1.0]))
-
-    def test_fa_model_rejects_bad_noise(self):
-        with pytest.raises(ValueError, match="positive"):
-            FaModel(mean=np.zeros(4), loadings=np.zeros((4, 1)),
-                    noise_diag=np.zeros(4), loglik_trace=np.array([0.0]))
 
     def test_mog_model_rejects_bad_weights(self):
         fa = FaModel(mean=np.zeros(4), loadings=np.zeros((4, 2)),
-                     noise_diag=np.ones(4), loglik_trace=np.array([0.0]))
+                     loglik_trace=np.array([0.0]))
         with pytest.raises(ValueError, match="probability"):
             MogFaModel(fa=fa, weights=np.array([0.7, 0.7]),
                        comp_means=np.zeros((2, 2)),

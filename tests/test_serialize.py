@@ -1,4 +1,6 @@
 """File formats: CSV matrices, dataset directories, model documents."""
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,14 @@ class TestDataset:
         with pytest.raises(ValueError, match=name):
             load_dataset(tmp_path / "ds")
 
+    def test_narrow_beats_file_is_named(self, tmp_path, rng):
+        self._write(tmp_path / "ds", rng)
+        path = tmp_path / "ds" / "beats" / "s1.csv"
+        save_matrix_csv(path, np.zeros((2, 7)))  # thetas have 8 columns
+        message = re.escape(f"{path}: ground-truth beat length")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(tmp_path / "ds")
+
     def test_missing_fs_defaults_to_500_hz(self, tmp_path, rng):
         self._write(tmp_path / "ds", rng, fs=None)
         assert load_json(tmp_path / "ds" / "manifest.json")["fs"] is None
@@ -126,6 +136,20 @@ class TestModelDocuments:
         np.testing.assert_array_equal(loaded.mean, model.mean)
         assert loaded.converged == model.converged
         assert loaded.n_iter == model.n_iter
+
+    def test_older_fa_document_loads(self, tmp_path, k_small, rng):
+        model = fit_factor_analysis(rng.standard_normal((30, 24)), k_small,
+                                    taus=2.0, p=3)
+        path = tmp_path / "fa.json"
+        save_model(path, model)
+        document = load_json(path)
+        document["fa"]["noise_diag"] = [1.0] * 24  # as older documents have
+        save_json(path, document)
+        loaded = load_model(path)
+        for name in ("mean", "loadings", "loglik_trace"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(model, name))
+        assert loaded.converged == model.converged
 
     def test_mog_round_trip(self, tmp_path, k_small, rng):
         beats = rng.standard_normal((30, 24))
