@@ -1,19 +1,24 @@
 """File formats: headered CSV matrices, dataset directories, JSON documents.
 
-Matrices are CSV with a ``row_id`` first column. Datasets are a directory
-with a ``manifest.json`` plus per-sample beat matrices (and ground truth
-when simulated). Reports and fitted models are JSON documents carrying a
-``schema_version`` field. Writes are atomic (temp file + rename).
+Matrices handed to the user are CSV with a ``row_id`` first column.
+Datasets are a directory with a ``manifest.json`` plus float64 ``.npy``
+arrays: ``beats.npy`` holds every recording's beats stacked in manifest
+order, split by the manifest's ``beat_counts``; ``thetas.npy`` (N, d) and
+``taus.npy`` (N,) hold the ground truth when simulated. Reports and fitted
+models are JSON documents carrying a ``schema_version`` field. Writes are
+atomic (temp file + rename).
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
+from .errors import EmptyInputError
 from .estimators import FaModel, MogFaModel
 from .noise import EcgSample, NoisePrecision
 from .simulate import DEFAULT_FS, ThetaBeat
@@ -23,18 +28,26 @@ SCHEMA_VERSION = 1
 _FLOAT_FMT = "%.17g"  # round-trips float64 exactly
 
 
-def _atomic_write(path, text: str) -> None:
+@contextmanager
+def _atomic_file(path, mode: str = "w"):
+    """A handle on a temp file that replaces ``path`` when the block ends
+    without an exception; otherwise the temp file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode) as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path, text: str) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(text)
 
 
 def save_matrix_csv(path, matrix, row_ids=None) -> None:
@@ -89,78 +102,166 @@ def load_json(path) -> dict:
 # dataset directories
 # ---------------------------------------------------------------------------
 
+BEATS_FILE = "beats.npy"
+THETAS_FILE = "thetas.npy"
+TAUS_FILE = "taus.npy"
+
+
+def _check_sample_ids(sample_ids, where) -> None:
+    """Ids name CSV rows, so each must be non-empty, unique and free of
+    commas and line breaks."""
+    if not isinstance(sample_ids, list):
+        raise ValueError(f"{where}: sample ids must be a list of strings")
+    seen = set()
+    for sid in sample_ids:
+        if not isinstance(sid, str) or not sid or any(c in sid for c in ",\r\n"):
+            raise ValueError(f"{where}: sample id {sid!r} must be a non-empty "
+                             f"string without commas, CR or LF")
+        if sid in seen:
+            raise ValueError(f"{where}: sample id {sid!r} appears twice")
+        seen.add(sid)
+
+
+def _check_manifest(manifest: dict, where) -> list:
+    """The manifest's beat counts, after checking them and ``n_samples``
+    against ``sample_ids``."""
+    sample_ids = manifest.get("sample_ids")
+    _check_sample_ids(sample_ids, where)
+    if manifest.get("n_samples") != len(sample_ids):
+        raise ValueError(f"{where}: n_samples is {manifest.get('n_samples')!r}"
+                         f" but there are {len(sample_ids)} sample_ids")
+    counts = manifest.get("beat_counts")
+    if (not isinstance(counts, list) or len(counts) != len(sample_ids)
+            or not all(type(c) is int and c >= 1 for c in counts)):
+        raise ValueError(f"{where}: beat_counts must hold one positive "
+                         f"integer per sample id")
+    return counts
+
+
+def _save_npy(path, blocks, shape) -> None:
+    """Write ``blocks`` in order as one little-endian float64 ``.npy`` array
+    of ``shape``, streaming each block rather than concatenating them."""
+    header = {"descr": "<f8", "fortran_order": False, "shape": tuple(shape)}
+    with _atomic_file(path, "wb") as handle:
+        np.lib.format.write_array_header_1_0(handle, header)
+        for block in blocks:
+            handle.write(np.ascontiguousarray(block, dtype="<f8").data)
+
+
+def _load_npy(path, ndim: int, n_rows: int, rows_from: str) -> np.ndarray:
+    """A float64 ``.npy`` array of ``ndim`` dimensions and ``n_rows`` rows,
+    the count that ``rows_from`` states; anything else (truncated, pickled,
+    another dtype) raises ``ValueError`` naming ``path``."""
+    try:
+        array = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(array, np.ndarray):  # an .npz archive
+        array.close()
+        raise ValueError(f"{path}: not a single .npy array")
+    if array.dtype != np.float64 or array.ndim != ndim:
+        raise ValueError(f"{path}: expected a {ndim}-D float64 array, "
+                         f"found {array.ndim}-D {array.dtype}")
+    if array.shape[0] != n_rows:
+        raise ValueError(f"{path}: {array.shape[0]} rows, but {rows_from}")
+    return array
+
+
 def save_dataset(directory, samples, manifest_extra: dict,
                  thetas=None, taus=None, r_offset: int | None = None,
                  fs: float | None = None) -> None:
-    """Write samples (and ground truth when given) under ``directory``."""
+    """Write samples (and ground truth when given) under ``directory``.
+
+    The beats of all samples must share one width. The manifest is
+    written last, once every array is in place.
+    """
     directory = Path(directory)
-    (directory / "beats").mkdir(parents=True, exist_ok=True)
+    if not samples:
+        raise EmptyInputError("a dataset needs at least one sample")
     sample_ids = [s.sample_id for s in samples]
+    _check_sample_ids(sample_ids, directory)
+    d = samples[0].d
     for sample in samples:
-        save_matrix_csv(directory / "beats" / f"{sample.sample_id}.csv",
-                        sample.beats)
+        if sample.d != d:
+            raise ValueError(f"{directory}: sample {sample.sample_id!r} has "
+                             f"beats of width {sample.d}, the first has {d}")
+    if thetas is not None:
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if thetas.shape != (len(samples), d):
+            raise ValueError(f"{directory}: thetas have shape {thetas.shape}, "
+                             f"the beats need {(len(samples), d)}")
+    if taus is not None:
+        taus = np.asarray(taus, dtype=np.float64)
+        if taus.shape != (len(samples),):
+            raise ValueError(f"{directory}: taus have shape {taus.shape}, "
+                             f"the samples need {(len(samples),)}")
+    beat_counts = [s.n_beats for s in samples]
+    _save_npy(directory / BEATS_FILE, (s.beats for s in samples),
+              (sum(beat_counts), d))
+    if thetas is not None:
+        _save_npy(directory / THETAS_FILE, [thetas], thetas.shape)
+    if taus is not None:
+        _save_npy(directory / TAUS_FILE, [taus], taus.shape)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "ecgdenoise-dataset",
         "n_samples": len(samples),
         "sample_ids": sample_ids,
+        "beat_counts": beat_counts,
         "has_ground_truth": thetas is not None,
         "has_true_taus": taus is not None,
         "r_offset": r_offset,
         "fs": fs,
     }
     manifest.update(manifest_extra)
-    if thetas is not None:
-        save_matrix_csv(directory / "thetas.csv", thetas, sample_ids)
-    if taus is not None:
-        save_matrix_csv(directory / "taus.csv",
-                        np.asarray(taus, dtype=np.float64)[:, None],
-                        sample_ids)
     save_json(directory / "manifest.json", manifest)
-
-
-def _load_truth(path, sample_ids):
-    matrix, row_ids = load_matrix_csv(path)
-    if row_ids != sample_ids:
-        raise ValueError(
-            f"{path}: its {len(row_ids)} row ids do not match the "
-            f"manifest's {len(sample_ids)} sample_ids"
-        )
-    return matrix
 
 
 def load_dataset(directory):
     """Read a dataset directory; returns ``(samples, manifest)``.
 
-    Ground-truth files hold one row per manifest sample id, in order. The
-    returned manifest's ``fs`` is ``DEFAULT_FS`` where the file has none.
+    Each sample's beats are a read-only row slice of ``beats.npy``. Truth
+    arrays hold one row per manifest sample id, in order. The returned
+    manifest's ``fs`` is ``DEFAULT_FS`` where the file has none.
     """
     directory = Path(directory)
     manifest = load_json(directory / "manifest.json")
     if manifest.get("kind") != "ecgdenoise-dataset":
         raise ValueError(f"{directory}: not an ecgdenoise dataset")
+    beats_path = directory / BEATS_FILE
+    if not beats_path.exists() and (directory / "beats").is_dir():
+        raise ValueError(
+            f"{beats_path} is missing: {directory} has the older layout of "
+            f"one CSV per recording under beats/, which is no longer read; "
+            f"re-run `ecgdenoise simulate` to write the dataset again"
+        )
+    counts = _check_manifest(manifest, directory / "manifest.json")
     sample_ids = manifest["sample_ids"]
+    n, n_beats = len(sample_ids), sum(counts)
+    beats = _load_npy(beats_path, 2, n_beats,
+                      f"the manifest's beat_counts sum to {n_beats}")
+    per_sample = f"the manifest has {n} sample_ids"
     thetas = taus = None
     if manifest.get("has_ground_truth"):
-        thetas = _load_truth(directory / "thetas.csv", sample_ids)
+        thetas = _load_npy(directory / THETAS_FILE, 2, n, per_sample)
     if manifest.get("has_true_taus"):
-        taus = _load_truth(directory / "taus.csv", sample_ids)[:, 0]
+        taus = _load_npy(directory / TAUS_FILE, 1, n, per_sample)
     fs = manifest["fs"] = manifest.get("fs") or DEFAULT_FS
     r_offset = manifest.get("r_offset")
+    ends = np.cumsum(counts)
     samples = []
     for i, sid in enumerate(sample_ids):
-        path = directory / "beats" / f"{sid}.csv"
-        beats, _ = load_matrix_csv(path)
         theta = None
         if thetas is not None:
             r_idx = int(np.argmax(thetas[i])) if r_offset is None else int(r_offset)
             theta = ThetaBeat(values=thetas[i], r_index=r_idx, fs=fs)
         tau = NoisePrecision(float(taus[i])) if taus is not None else None
         try:
-            samples.append(EcgSample(sample_id=sid, beats=beats, theta=theta,
-                                     tau=tau))
+            samples.append(EcgSample(sample_id=sid,
+                                     beats=beats[ends[i] - counts[i]:ends[i]],
+                                     theta=theta, tau=tau))
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            raise ValueError(f"{beats_path}: {exc}") from exc
     return samples, manifest
 
 

@@ -53,11 +53,16 @@ def overlay_reconstruction(path):
 
 class TestSimulate:
     def test_dataset_layout(self, dataset):
+        assert sorted(p.name for p in dataset.iterdir()) == [
+            "beats.npy", "manifest.json", "taus.npy", "thetas.npy"]
         manifest = load_json(dataset / "manifest.json")
         assert manifest["n_samples"] == 12
-        assert manifest["has_ground_truth"]
-        beats, _ = load_matrix_csv(dataset / "beats" / "s00000.csv")
-        assert beats.shape == (6, 80)
+        assert manifest["beat_counts"] == [6] * 12
+        assert manifest["has_ground_truth"] and manifest["has_true_taus"]
+        shapes = {name: np.load(dataset / name, allow_pickle=False).shape
+                  for name in ("beats.npy", "thetas.npy", "taus.npy")}
+        assert shapes == {"beats.npy": (72, 80), "thetas.npy": (12, 80),
+                          "taus.npy": (12,)}
 
     def test_summary_on_stdout(self, tmp_path, capsys):
         code, payload = run_json(capsys, [
@@ -70,9 +75,10 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         main(["simulate", *SIM_FLAGS, "--out", str(a)])
         main(["simulate", *SIM_FLAGS, "--out", str(b)])
-        beats_a, _ = load_matrix_csv(a / "beats" / "s00003.csv")
-        beats_b, _ = load_matrix_csv(b / "beats" / "s00003.csv")
-        np.testing.assert_array_equal(beats_a, beats_b)
+        files_a = {p.name: p.read_bytes() for p in a.iterdir()}
+        files_b = {p.name: p.read_bytes() for p in b.iterdir()}
+        assert len(files_a) == 4
+        assert files_a == files_b
 
 
 class TestEstimateNoise:
@@ -314,43 +320,63 @@ class TestDatasetChecks:
     def copy(self, dataset, tmp_path):
         return shutil.copytree(dataset, tmp_path / "ds")
 
-    def test_missing_truth_row_is_json_error(self, copy, capsys):
-        thetas = copy / "thetas.csv"
-        lines = thetas.read_text().splitlines()
-        thetas.write_text("\n".join(lines[:-1]) + "\n")
+    @staticmethod
+    def estimate_noise_error(capsys, copy):
         code, payload = run_json(capsys, [
             "estimate-noise", "--dataset", str(copy),
             "--out", str(copy / "noise"),
         ])
         assert code == 1
-        assert payload["error"]["type"] == "ValueError"
-        assert "thetas.csv" in payload["error"]["message"]
+        assert not (copy / "noise").exists()
+        return payload["error"]
+
+    def test_missing_truth_row_is_json_error(self, copy, capsys):
+        thetas = copy / "thetas.npy"
+        np.save(thetas, np.load(thetas)[:-1])
+        error = self.estimate_noise_error(capsys, copy)
+        assert error["type"] == "ValueError"
+        assert f"{thetas}: 11 rows" in error["message"]
 
     def test_short_beats_row_is_json_error(self, copy, capsys):
-        beats = sorted((copy / "beats").iterdir())[0]
-        lines = beats.read_text().splitlines()
-        lines[2] = lines[2].rsplit(",", 1)[0]
-        beats.write_text("\n".join(lines) + "\n")
-        code, payload = run_json(capsys, [
-            "estimate-noise", "--dataset", str(copy),
-            "--out", str(copy / "noise"),
-        ])
-        assert code == 1
-        message = payload["error"]["message"]
-        assert beats.name in message and "line 3" in message
+        beats = copy / "beats.npy"
+        np.save(beats, np.load(beats)[:-1])  # beat_counts sum to 72
+        error = self.estimate_noise_error(capsys, copy)
+        assert f"{beats}: 71 rows" in error["message"]
+        assert "beat_counts sum to 72" in error["message"]
 
     def test_narrow_beats_file_is_named(self, copy, capsys):
-        beats = sorted((copy / "beats").iterdir())[0]
-        lines = [line.rsplit(",", 1)[0]
-                 for line in beats.read_text().splitlines()]
-        beats.write_text("\n".join(lines) + "\n")
-        code, payload = run_json(capsys, [
-            "estimate-noise", "--dataset", str(copy),
-            "--out", str(copy / "noise"),
-        ])
-        assert code == 1
-        message = payload["error"]["message"]
-        assert str(beats) in message and "beat length" in message
+        beats = copy / "beats.npy"
+        np.save(beats, np.load(beats)[:, :-1])
+        error = self.estimate_noise_error(capsys, copy)
+        assert f"{beats}: ground-truth beat length" in error["message"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "object"])
+    def test_bad_beats_file_is_json_error(self, copy, capsys, damage):
+        beats = copy / "beats.npy"
+        if damage == "truncated":
+            beats.write_bytes(beats.read_bytes()[:-8])
+        else:
+            np.save(beats, np.array([{"beat": 1}], dtype=object),
+                    allow_pickle=True)
+        error = self.estimate_noise_error(capsys, copy)
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{beats}: ")
+
+    def test_duplicate_sample_id_is_json_error(self, copy, capsys):
+        manifest = load_json(copy / "manifest.json")
+        manifest["sample_ids"][1] = manifest["sample_ids"][0]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        error = self.estimate_noise_error(capsys, copy)
+        assert error["type"] == "ValueError"
+        assert "sample id 's00000' appears twice" in error["message"]
+
+    def test_old_layout_is_json_error(self, copy, capsys):
+        (copy / "beats.npy").unlink()
+        (copy / "beats").mkdir()
+        error = self.estimate_noise_error(capsys, copy)
+        assert error["type"] == "ValueError"
+        assert f"{copy / 'beats.npy'} is missing" in error["message"]
+        assert "re-run `ecgdenoise simulate`" in error["message"]
 
     @pytest.mark.parametrize("estimator", ["fa:estimated", "fa:truth"])
     def test_manifest_without_d(self, dataset, copy, tmp_path, capsys,

@@ -1,9 +1,15 @@
 """File formats: CSV matrices, dataset directories, model documents."""
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ecgdenoise.errors import EmptyInputError
 from ecgdenoise.estimators import FaModel, MogFaModel, fit_factor_analysis, fit_mog_fa
 from ecgdenoise.noise import EcgSample, NoisePrecision, matern_covariance
 from ecgdenoise.serialize import (
@@ -16,6 +22,14 @@ from ecgdenoise.serialize import (
     load_model,
     save_model,
 )
+from ecgdenoise.simulate import DEFAULT_FS
+
+
+def assert_same(a, b):
+    """Equal shape, dtype and bytes: exact, -0.0 and all."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype) == (b.shape, b.dtype)
+    assert a.tobytes() == b.tobytes()
 
 
 class TestMatrixCsv:
@@ -68,12 +82,29 @@ class TestDataset:
                      thetas=thetas, taus=taus, r_offset=None, fs=100.0)
         loaded, manifest = load_dataset(tmp_path / "ds")
         assert manifest["n_samples"] == 3
+        assert manifest["beat_counts"] == [4, 4, 4]
         assert manifest["has_ground_truth"]
         for i, (sample, original) in enumerate(zip(loaded, samples)):
             np.testing.assert_array_equal(sample.beats, original.beats)
             np.testing.assert_array_equal(sample.theta.values, thetas[i])
             assert float(sample.tau) == taus[i]
             assert sample.theta.r_index == peak[i]
+        # every sample's beats are a view of the one loaded array
+        stacked = loaded[0].beats.base
+        assert stacked.size == 12 * d
+        assert all(s.beats.base is stacked for s in loaded)
+
+    def test_beats_file_is_the_stacked_array(self, tmp_path, rng):
+        samples = [EcgSample(sample_id=f"s{i}",
+                             beats=rng.standard_normal((b, 5)))
+                   for i, b in enumerate((3, 1, 2))]
+        save_dataset(tmp_path / "ds", samples, manifest_extra={})
+        expected = tmp_path / "expected.npy"
+        np.save(expected, np.concatenate([s.beats for s in samples]))
+        assert (tmp_path / "ds" / "beats.npy").read_bytes() == \
+            expected.read_bytes()
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == \
+            ["beats.npy", "manifest.json"]
 
     @staticmethod
     def _write(directory, rng, fs=100.0):
@@ -84,26 +115,125 @@ class TestDataset:
                      thetas=thetas, taus=[2.0, 3.0, 4.0], r_offset=None,
                      fs=fs)
 
-    @pytest.mark.parametrize("name", ["thetas.csv", "taus.csv"])
+    @pytest.mark.parametrize("name", ["thetas.npy", "taus.npy"])
     def test_truth_rows_match_manifest(self, tmp_path, rng, name):
         self._write(tmp_path / "ds", rng)
         path = tmp_path / "ds" / name
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop s2
-        with pytest.raises(ValueError, match=f"{name}.*2 row ids.*3 sample"):
-            load_dataset(tmp_path / "ds")
-        lines[1], lines[2] = lines[2], lines[1]  # s1 before s0
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=name):
+        np.save(path, np.load(path)[:-1])  # drop s2
+        with pytest.raises(ValueError,
+                           match=f"{name}: 2 rows, but the manifest has 3 "):
             load_dataset(tmp_path / "ds")
 
     def test_narrow_beats_file_is_named(self, tmp_path, rng):
         self._write(tmp_path / "ds", rng)
-        path = tmp_path / "ds" / "beats" / "s1.csv"
-        save_matrix_csv(path, np.zeros((2, 7)))  # thetas have 8 columns
+        path = tmp_path / "ds" / "beats.npy"
+        np.save(path, np.zeros((6, 7)))  # thetas have 8 columns
         message = re.escape(f"{path}: ground-truth beat length")
         with pytest.raises(ValueError, match=message):
             load_dataset(tmp_path / "ds")
+
+    def test_beats_rows_match_beat_counts(self, tmp_path, rng):
+        self._write(tmp_path / "ds", rng)
+        path = tmp_path / "ds" / "beats.npy"
+        np.save(path, np.zeros((5, 8)))  # beat_counts sum to 6
+        message = re.escape(f"{path}: 5 rows, but the manifest's "
+                            f"beat_counts sum to 6")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("name", ["beats.npy", "thetas.npy", "taus.npy"])
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "int64",
+                                        "ndim", "object", "npz"])
+    def test_bad_array_file_is_named(self, tmp_path, rng, name, damage):
+        self._write(tmp_path / "ds", rng)
+        path = tmp_path / "ds" / name
+        array = np.load(path)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-3])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "int64":
+            np.save(path, array.astype(np.int64))
+        elif damage == "ndim":
+            # beats and thetas flattened to 1-D; taus made 2-D
+            np.save(path, array.ravel() if array.ndim == 2 else array[:, None])
+        elif damage == "npz":
+            with open(path, "wb") as handle:
+                np.savez(handle, array=array)
+        else:
+            np.save(path, np.array([None] * len(array), dtype=object),
+                    allow_pickle=True)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            load_dataset(tmp_path / "ds")
+
+    def test_old_layout_is_refused(self, tmp_path):
+        directory = tmp_path / "ds"
+        save_matrix_csv(directory / "beats" / "s0.csv", np.zeros((2, 8)))
+        save_json(directory / "manifest.json", {
+            "schema_version": 1, "kind": "ecgdenoise-dataset",
+            "n_samples": 1, "sample_ids": ["s0"], "has_ground_truth": False,
+            "has_true_taus": False, "r_offset": None, "fs": None,
+        })
+        message = re.escape(f"{directory / 'beats.npy'} is missing") + \
+            ".*re-run `ecgdenoise simulate`"
+        with pytest.raises(ValueError, match=message):
+            load_dataset(directory)
+
+    @pytest.mark.parametrize("ids, bad", [
+        (["x", "x"], "'x'"),
+        (["a", ""], "''"),
+        (["a,b"], "'a,b'"),
+        (["a\nb"], "'a\\\\nb'"),
+        (["a\rb"], "'a\\\\rb'"),
+    ])
+    def test_bad_sample_ids_are_refused_on_save(self, tmp_path, ids, bad):
+        samples = [EcgSample(sample_id=sid, beats=np.full((2, 3), float(i)))
+                   for i, sid in enumerate(ids)]
+        with pytest.raises(ValueError, match=f"sample id {bad}"):
+            save_dataset(tmp_path / "ds", samples, manifest_extra={})
+        assert not (tmp_path / "ds").exists()
+
+    def test_id_with_a_path_writes_no_file_for_it(self, tmp_path):
+        sample = EcgSample(sample_id="../escape", beats=np.ones((2, 3)))
+        save_dataset(tmp_path / "ds", [sample], manifest_extra={})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+        loaded, _ = load_dataset(tmp_path / "ds")
+        assert loaded[0].sample_id == "../escape"
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"sample_ids": ["s0", "s0", "s2"]}, "sample id 's0' appears twice"),
+        ({"sample_ids": ["s0", "s,1", "s2"]}, "sample id 's,1'"),
+        ({"sample_ids": "s0"}, "sample ids must be a list"),
+        ({"n_samples": 2}, "n_samples is 2 but there are 3 sample_ids"),
+        ({"beat_counts": [2, 4]}, "beat_counts"),
+        ({"beat_counts": [2, 0, 4]}, "beat_counts"),
+        ({"beat_counts": [2, 2.0, 2]}, "beat_counts"),
+        ({"beat_counts": [2, True, 3]}, "beat_counts"),
+        ({"beat_counts": None}, "beat_counts"),
+    ])
+    def test_manifest_checked_against_sample_ids(self, tmp_path, rng, edit,
+                                                 match):
+        self._write(tmp_path / "ds", rng)
+        manifest = load_json(tmp_path / "ds" / "manifest.json")
+        manifest.update(edit)
+        save_json(tmp_path / "ds" / "manifest.json", manifest)
+        with pytest.raises(ValueError, match=match):
+            load_dataset(tmp_path / "ds")
+
+    def test_ragged_widths_and_bad_truth_are_refused_on_save(self, tmp_path):
+        samples = [EcgSample(sample_id="a", beats=np.zeros((2, 3))),
+                   EcgSample(sample_id="b", beats=np.zeros((2, 4)))]
+        with pytest.raises(ValueError, match="'b' has beats of width 4"):
+            save_dataset(tmp_path / "ds", samples, manifest_extra={})
+        with pytest.raises(ValueError, match="thetas have shape"):
+            save_dataset(tmp_path / "ds", samples[:1], manifest_extra={},
+                         thetas=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="taus have shape"):
+            save_dataset(tmp_path / "ds", samples[:1], manifest_extra={},
+                         taus=[1.0, 2.0])
+        with pytest.raises(EmptyInputError):
+            save_dataset(tmp_path / "ds", [], manifest_extra={})
+        assert not (tmp_path / "ds").exists()  # nothing was written
 
     def test_missing_fs_defaults_to_500_hz(self, tmp_path, rng):
         self._write(tmp_path / "ds", rng, fs=None)
@@ -175,3 +305,116 @@ class TestModelDocuments:
     def test_json_helpers(self, tmp_path):
         save_json(tmp_path / "x.json", {"b": 1, "a": [1, 2]})
         assert load_json(tmp_path / "x.json") == {"b": 1, "a": [1, 2]}
+
+
+# ---------------------------------------------------------------------------
+# round-trip properties
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                   allow_infinity=False)
+SAMPLE_ID = st.text(
+    st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
+    min_size=1, max_size=6)
+
+
+def finite_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=FINITE)
+
+
+@st.composite
+def datasets(draw):
+    """Ragged samples with optional truth; an int ``r_offset`` is made
+    each theta's argmax, as ``ThetaBeat`` requires."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 9))
+    counts = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    ids = draw(st.lists(SAMPLE_ID, min_size=n, max_size=n, unique=True))
+    beats = [draw(finite_arrays((b, d))) for b in counts]
+    r_offset = draw(st.none() | st.integers(0, d - 1))
+    thetas = draw(st.none() | finite_arrays((n, d)))
+    if thetas is not None and r_offset is not None:
+        thetas[:, r_offset] = thetas.max(axis=1) + 1.0
+    taus = draw(st.none() | hnp.arrays(
+        np.float64, (n,), elements=st.floats(min_value=1e-3, max_value=1e3)))
+    fs = draw(st.none() | st.floats(min_value=1.0, max_value=2000.0))
+    return ids, beats, thetas, taus, r_offset, fs
+
+
+@st.composite
+def fa_models(draw, d=None, p=None):
+    d = d or draw(st.integers(1, 6))
+    p = p or draw(st.integers(1, d))
+    trace = np.sort(draw(hnp.arrays(np.float64, draw(st.integers(1, 5)),
+                                    elements=FINITE)))
+    return FaModel(mean=draw(finite_arrays((d,))),
+                   loadings=draw(finite_arrays((d, p))),
+                   loglik_trace=trace, converged=draw(st.booleans()))
+
+
+@st.composite
+def mog_fa_models(draw):
+    d = draw(st.integers(1, 6))
+    p = draw(st.integers(1, d))
+    c = draw(st.integers(1, 4))
+    weights = draw(hnp.arrays(np.float64, c, elements=st.floats(0.01, 1.0)))
+    factors = draw(hnp.arrays(np.float64, (c, p, p),
+                              elements=st.floats(-10.0, 10.0)))
+    covs = factors @ factors.transpose(0, 2, 1) + np.eye(p)
+    return MogFaModel(fa=draw(fa_models(d=d, p=p)),
+                      weights=weights / weights.sum(),
+                      comp_means=draw(finite_arrays((c, p))),
+                      comp_covs=0.5 * (covs + covs.transpose(0, 2, 1)))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(datasets())
+    def test_dataset_round_trips_exactly(self, case):
+        ids, beats, thetas, taus, r_offset, fs = case
+        samples = [EcgSample(sample_id=sid, beats=b)
+                   for sid, b in zip(ids, beats)]
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(Path(tmp) / "ds", samples, manifest_extra={},
+                         thetas=thetas, taus=taus, r_offset=r_offset, fs=fs)
+            loaded, manifest = load_dataset(Path(tmp) / "ds")
+        expected_fs = fs or DEFAULT_FS
+        assert manifest["fs"] == expected_fs
+        assert [s.sample_id for s in loaded] == ids
+        for i, sample in enumerate(loaded):
+            assert_same(sample.beats, beats[i])
+            if thetas is None:
+                assert sample.theta is None
+            else:
+                assert_same(sample.theta.values, thetas[i])
+                assert sample.theta.r_index == (
+                    np.argmax(thetas[i]) if r_offset is None else r_offset)
+                assert sample.theta.fs == expected_fs
+            if taus is None:
+                assert sample.tau is None
+            else:
+                assert_same(float(sample.tau), taus[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(fa_models())
+    def test_fa_document_round_trips_exactly(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(Path(tmp) / "fa.json", model)
+            loaded = load_model(Path(tmp) / "fa.json")
+        assert isinstance(loaded, FaModel)
+        for name in ("mean", "loadings", "loglik_trace"):
+            assert_same(getattr(loaded, name), getattr(model, name))
+        assert loaded.converged == model.converged
+
+    @settings(max_examples=40, deadline=None)
+    @given(mog_fa_models())
+    def test_mog_fa_document_round_trips_exactly(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(Path(tmp) / "mog.json", model)
+            loaded = load_model(Path(tmp) / "mog.json")
+        assert isinstance(loaded, MogFaModel)
+        for name in ("weights", "comp_means", "comp_covs"):
+            assert_same(getattr(loaded, name), getattr(model, name))
+        for name in ("mean", "loadings", "loglik_trace"):
+            assert_same(getattr(loaded.fa, name), getattr(model.fa, name))
+        assert loaded.fa.converged == model.fa.converged
