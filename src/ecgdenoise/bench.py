@@ -436,14 +436,21 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
     extra["latent_dim"] = p
     if spec.kind == "fa":
         model = fit_factor_analysis(means, K, taus, p, n_beats=n_beats)
-        extra["converged"] = bool(model.converged)
+        extra.update(_fit_facts(model))
         return fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
     model = fit_mog_fa(means, K, taus, p,
                        n_components=min(n_components, len(means)),
                        n_beats=n_beats, rng_seed=fit_seed)
-    extra["converged"] = bool(model.fa.converged)
+    extra.update(_fit_facts(model.fa))
     extra["n_components"] = int(model.n_components)
     return mog_fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
+
+
+def _fit_facts(model) -> dict:
+    """How the loadings fit stopped: converged, the number of points it
+    kept and the log-likelihood at the last of them."""
+    return {"converged": bool(model.converged), "n_iter": model.n_iter,
+            "loglik": float(model.loglik_trace[-1])}
 
 
 def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:

@@ -25,6 +25,10 @@ class WindowTooLongError(EcgDenoiseError, ValueError):
     """Requested beat window exceeds one full cycle."""
 
 
+class OffGridRateError(EcgDenoiseError, ValueError):
+    """One cycle at the sampling rate is not a whole number of RK4 steps."""
+
+
 class NoBeatsError(EcgDenoiseError):
     """No usable beats were found in a trace."""
 
@@ -43,3 +47,8 @@ class FitDivergedError(EcgDenoiseError):
 
 class EmptyInputError(EcgDenoiseError, ValueError):
     """An operation received an empty report or sample set."""
+
+
+class InvalidSampleIdError(EcgDenoiseError, ValueError):
+    """A sample id cannot name a CSV row: empty, repeated, or holding a
+    separator or leading or trailing whitespace."""

@@ -14,6 +14,17 @@ The factor models operate in whitened coordinates (noise becomes
 isotropic), where each recording's beat average has known noise variance
 psi = 1 / (tau^2 B); estimates are mapped back through the covariance
 square root.
+
+Both factor models fit their loadings by EM accelerated with squared
+extrapolation (SQUAREM; Varadhan & Roland 2008): plain FA is the mixture
+case with one standard-normal component. A fit stops at the first point
+from which one plain EM step raises the log-likelihood by at most
+``EM_TOL`` relative, or after ``EM_MAX_ITER`` evaluations of the EM map
+(one E-step, which also gives the log-likelihood, and one M-step). Its
+``loglik_trace`` holds the log-likelihood of every point it kept: each EM
+step and each extrapolation that did not lower the log-likelihood. So
+``FaModel.n_iter`` counts kept points, which is the map evaluations less
+the rejected extrapolations.
 """
 from __future__ import annotations
 
@@ -22,12 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitDivergedError
-from .gmm import GaussianMixture, fit_gmm, logsumexp
+from .gmm import fit_gmm, logsumexp
 from .noise import CovarianceMatrix, EcgSample, _as_tau
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-#: EM stopping rule: relative log-likelihood change below this, or 500 iters.
+#: EM stopping rule: one EM step raises the log-likelihood by at most
+#: EM_TOL relative, or EM_MAX_ITER evaluations of the EM map are spent.
 EM_TOL = 1e-8
 EM_MAX_ITER = 500
 
@@ -108,6 +120,7 @@ class FaModel:
 
     @property
     def n_iter(self) -> int:
+        """Points the fit kept (see the module docstring)."""
         return self.loglik_trace.size
 
 
@@ -147,10 +160,8 @@ class MogFaModel:
     @classmethod
     def from_fa(cls, fa: FaModel) -> "MogFaModel":
         """Single standard-normal component: collapses to plain FA."""
-        p = fa.latent_dim
-        return cls(fa=fa, weights=np.ones(1),
-                   comp_means=np.zeros((1, p)),
-                   comp_covs=np.eye(p)[None])
+        weights, means, covs = _standard_prior(fa.latent_dim)
+        return cls(fa=fa, weights=weights, comp_means=means, comp_covs=covs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,47 +225,151 @@ def _posterior_latents(loadings: np.ndarray, xw: np.ndarray,
     return (scores / (psi[:, None] + s2[None, :])) @ w.T
 
 
-def _fa_em(xw, psi, p, max_iter, tol):
+def _spectral_start(xw: np.ndarray, psi: np.ndarray, p: int) -> np.ndarray:
+    """Top-p principal directions of the rows, scaled by their excess
+    variance over the mean noise level.
+
+    The eigenpairs come from the smaller of the two Gram matrices
+    (d x d or N x N); directions with no variance stay zero columns.
+    """
     n, d = xw.shape
-    # spectral start: top-p directions scaled by the excess over the noise
-    _, sv, vt = np.linalg.svd(xw / np.sqrt(n), full_matrices=False)
-    lam = sv * sv
-    psi_bar = float(psi.mean())
+    if n >= d:
+        lam, vec = np.linalg.eigh(xw.T @ xw / n)
+    else:
+        lam, vec = np.linalg.eigh(xw @ xw.T / n)
     k = min(p, lam.size)
-    amp = np.sqrt(np.maximum(lam[:k] - psi_bar, 1e-10 * max(lam[0], 1.0)))
+    lam = np.maximum(lam[::-1][:k], 0.0)
+    vec = vec[:, ::-1][:, :k]
+    if n < d:  # left singular vectors -> right ones
+        vec = xw.T @ vec
+        norms = np.linalg.norm(vec, axis=0)
+        vec = vec / np.where(norms > 0.0, norms, 1.0)
+    amp = np.sqrt(np.maximum(lam - float(psi.mean()),
+                             1e-10 * max(lam[0], 1.0)))
     loadings = np.zeros((d, p))
-    loadings[:, :k] = vt[:k].T * amp
+    loadings[:, :k] = vec * amp
+    return loadings
 
-    inv_psi = 1.0 / psi
-    trace = []
-    converged = False
-    for _ in range(max_iter):
-        s2, w = np.linalg.eigh(loadings.T @ loadings)
-        scores = xw @ loadings @ w
-        denom = psi[:, None] + s2[None, :]
-        latent_means = (scores / denom) @ w.T
-        # cancellation-free quadratic form:
-        # x^T (L L^T + psi I)^{-1} x = ||x - L m||^2 / psi + ||m||^2
-        resid = xw - latent_means @ loadings.T
-        quad = np.sum(resid * resid, axis=1) * inv_psi \
-            + np.sum(latent_means * latent_means, axis=1)
-        logdet = d * np.log(psi) + np.sum(np.log1p(s2[None, :] / psi[:, None]),
-                                          axis=1)
-        ll = float(-0.5 * np.sum(d * _LOG_2PI + logdet + quad))
+
+def _mog_component_terms(loadings, weights, means, covs, xw, psi):
+    """Log joint densities and posterior latent means per component.
+
+    Returns ``(log_joint (N, C), latent_means (C, N, p))`` plus the cached
+    per-component quantities needed by the M-step. Every component's
+    whitened covariance is L S_c L^T + psi_i I, so with L = Q R the part
+    of a row orthogonal to span(L) adds the same ||x_perp||^2 / psi_i to
+    each component and the rest is worked in p dimensions.
+    """
+    d = xw.shape[1]
+    p = loadings.shape[1]
+    q_l, r_l = np.linalg.qr(loadings)
+    y = xw @ q_l
+    x_perp = xw - y @ q_l.T  # a residual, not ||x||^2 - ||y||^2
+    perp2 = np.sum(x_perp * x_perp, axis=1)
+    chol = np.linalg.cholesky(covs + 1e-12 * np.eye(p))
+    basis = r_l @ chol  # (C, p, p): L chol_c in the Q coordinates
+    lam, rot = np.linalg.eigh(np.swapaxes(basis, -1, -2) @ basis)
+    lam = np.maximum(lam, 0.0)
+    centered = y - (means @ r_l.T)[:, None, :]  # (C, N, p)
+    scores = centered @ (basis @ rot)
+    denom = psi[:, None] + lam[:, None, :]
+    coeff = (scores / denom) @ np.swapaxes(rot, -1, -2)  # chol coordinates
+    # cancellation-free quadratic form:
+    # x^T (B B^T + psi I)^{-1} x = ||x - B c||^2 / psi + ||c||^2
+    resid = centered - coeff @ np.swapaxes(basis, -1, -2)
+    quad = (np.sum(resid * resid, axis=-1) + perp2) / psi \
+        + np.sum(coeff * coeff, axis=-1)
+    logdet = d * np.log(psi) + np.sum(np.log1p(lam[:, None, :] / psi[:, None]),
+                                      axis=-1)
+    log_joint = np.log(weights)[:, None] - 0.5 * (d * _LOG_2PI + logdet + quad)
+    latent_means = means[:, None, :] + coeff @ np.swapaxes(chol, -1, -2)
+    return log_joint.T, latent_means, (chol @ rot, denom)
+
+
+def _em_step(loadings, xw, psi, weights, means, covs):
+    """The log-likelihood at ``loadings`` and their EM update, under the
+    fixed latent prior sum_c weights[c] N(means[c], covs[c])."""
+    log_joint, latent_means, (basis_q, denom) = _mog_component_terms(
+        loadings, weights, means, covs, xw, psi
+    )
+    norm = logsumexp(log_joint, axis=1)
+    ll = float(norm.sum())
+    if not np.isfinite(ll):
+        return ll, loadings
+    resp = np.exp(log_joint - norm[:, None]).T  # (C, N)
+    weighted = latent_means * (resp / psi)[:, :, None]
+    numer = xw.T @ weighted.sum(axis=0)  # one GEMM for all components
+    ck = np.einsum("cn,cnp->cp", resp, 1.0 / denom)
+    denom_mat = np.sum((basis_q * ck[:, None, :]) @ np.swapaxes(basis_q, -1, -2)
+                       + np.swapaxes(weighted, -1, -2) @ latent_means, axis=0)
+    return ll, np.linalg.solve(denom_mat, numer.T).T
+
+
+def _squarem(em_step, theta, max_evals, tol):
+    """Maximise a log-likelihood by squared extrapolation of its EM map.
+
+    ``em_step(theta)`` returns the log-likelihood at ``theta`` and the EM
+    update of ``theta``. Each cycle takes the EM steps theta0 -> theta1 ->
+    theta2 and jumps to theta0 - 2 a r + a^2 v, with r = theta1 - theta0,
+    v = theta2 - theta1 - r and a = min(-|r| / |v|, -1) (scheme S3 of
+    Varadhan & Roland 2008; a = -1 lands on theta2). The jump is kept
+    when its log-likelihood is at least theta1's; otherwise the next cycle
+    starts from theta1, as plain EM would.
+
+    Returns ``(theta, trace, converged)``. ``trace`` holds the
+    log-likelihood of every point kept (each EM step and each kept jump),
+    so it never decreases, and ``theta`` is the last of them. The fit
+    stops when the EM step from a kept point raises the log-likelihood by
+    at most ``tol`` relative, as plain EM stops, or after ``max_evals``
+    calls of ``em_step``.
+    """
+    def checked(ll):
         if not np.isfinite(ll):
-            raise FitDivergedError("factor analysis log-likelihood not finite")
-        if trace and ll - trace[-1] <= tol * (1.0 + abs(ll)):
-            trace.append(ll)
-            converged = True
-            break
-        trace.append(ll)
+            raise FitDivergedError("EM log-likelihood is not finite")
+        return ll
 
-        weighted = latent_means * inv_psi[:, None]
-        numer = xw.T @ weighted
-        ck = np.sum(1.0 / denom, axis=0)
-        denom_mat = (w * ck) @ w.T + weighted.T @ latent_means
-        loadings = np.linalg.solve(denom_mat, numer.T).T
-    return loadings, np.asarray(trace), converged
+    def stalled(trace):
+        return trace[-1] - trace[-2] <= tol * (1.0 + abs(trace[-1]))
+
+    ll, theta1 = em_step(theta)
+    trace = [checked(ll)]
+    evals = 1
+    while evals < max_evals:
+        ll1, theta2 = em_step(theta1)
+        evals += 1
+        trace.append(checked(ll1))
+        theta0, theta = theta, theta1
+        if stalled(trace):
+            return theta, np.asarray(trace), True
+        if evals == max_evals:
+            break
+        r = theta1 - theta0
+        v = theta2 - theta1 - r
+        v_norm = np.linalg.norm(v)
+        alpha = min(-np.linalg.norm(r) / v_norm, -1.0) if v_norm > 0 else -1.0
+        jump = theta0 - 2.0 * alpha * r + alpha * alpha * v
+        if np.all(np.isfinite(jump)):
+            ll_jump, image = em_step(jump)
+            evals += 1
+            if ll_jump >= ll1:  # False for NaN
+                trace.append(ll_jump)
+                theta, theta1 = jump, image
+                continue
+        theta1 = theta2
+    return theta, np.asarray(trace), False
+
+
+def _standard_prior(p: int):
+    """The plain FA prior z ~ N(0, I) as a one-component mixture."""
+    return np.ones(1), np.zeros((1, p)), np.eye(p)[None]
+
+
+def _fit_loadings(xw, psi, loadings, prior, max_iter, tol):
+    """EM fit of the loadings under a fixed latent ``(weights, means,
+    covs)`` prior, accelerated by :func:`_squarem`."""
+    def em_step(theta):
+        return _em_step(theta, xw, psi, *prior)
+    return _squarem(em_step, loadings, max_iter, tol)
 
 
 def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
@@ -279,7 +394,9 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
     psi = _effective_psi(taus, n_beats, beats.shape[0])
     mean = beats.mean(axis=0)
     xw = (beats - mean) @ K.inv_sqrt
-    loadings, trace, converged = _fa_em(xw, psi, p, max_iter, tol)
+    loadings, trace, converged = _fit_loadings(
+        xw, psi, _spectral_start(xw, psi, p), _standard_prior(p), max_iter,
+        tol)
     return FaModel(mean=mean, loadings=loadings, loglik_trace=trace,
                    converged=converged)
 
@@ -344,79 +461,6 @@ def select_latent_dim(eigenvalues, slope_cutoff: float = DEFAULT_SLOPE_CUTOFF) -
 # mixture-of-Gaussians factor analysis
 # ---------------------------------------------------------------------------
 
-def _mog_component_terms(loadings, weights, means, covs, xw, psi):
-    """Log joint densities and posterior latent means per component.
-
-    Returns ``(log_joint (N, C), latent_means (C, N, p))`` plus the cached
-    per-component quantities needed by the M-step.
-    """
-    n, d = xw.shape
-    c_count = means.shape[0]
-    log_joint = np.empty((n, c_count))
-    latent_means = []
-    caches = []
-    for c in range(c_count):
-        cov = covs[c] + 1e-12 * np.eye(covs.shape[-1])
-        chol = np.linalg.cholesky(cov)
-        basis = loadings @ chol
-        lam, q = np.linalg.eigh(basis.T @ basis)
-        lam = np.maximum(lam, 0.0)
-        centered = xw - loadings @ means[c]
-        scores = (centered @ basis) @ q
-        denom = psi[:, None] + lam[None, :]
-        coeff = (scores / denom) @ q.T  # (N, p) coordinates in the chol basis
-        resid = centered - coeff @ basis.T
-        quad = np.sum(resid * resid, axis=1) / psi \
-            + np.sum(coeff * coeff, axis=1)
-        logdet = d * np.log(psi) + np.sum(np.log1p(lam[None, :] / psi[:, None]),
-                                          axis=1)
-        log_joint[:, c] = np.log(weights[c]) - 0.5 * (d * _LOG_2PI + logdet + quad)
-        latent_means.append(means[c] + coeff @ chol.T)
-        caches.append((chol, q, denom))
-    return log_joint, np.stack(latent_means), caches
-
-
-def _mog_em(xw, psi, loadings0, mixture: GaussianMixture, max_iter, tol):
-    n, d = xw.shape
-    loadings = loadings0.copy()
-    weights = mixture.weights
-    means = mixture.means
-    covs = mixture.covariances
-    inv_psi = 1.0 / psi
-
-    trace = []
-    converged = False
-    for _ in range(max_iter):
-        log_joint, latent_means, caches = _mog_component_terms(
-            loadings, weights, means, covs, xw, psi
-        )
-        norm = logsumexp(log_joint, axis=1)
-        ll = float(norm.sum())
-        if not np.isfinite(ll):
-            raise FitDivergedError("mixture FA log-likelihood not finite")
-        if trace and ll - trace[-1] <= tol * (1.0 + abs(ll)):
-            trace.append(ll)
-            converged = True
-            break
-        trace.append(ll)
-
-        resp = np.exp(log_joint - norm[:, None])
-        p = loadings.shape[1]
-        numer = np.zeros((d, p))
-        denom_mat = np.zeros((p, p))
-        for c in range(means.shape[0]):
-            chol, q, denom = caches[c]
-            r_psi = resp[:, c] * inv_psi
-            m_c = latent_means[c]
-            numer += xw.T @ (m_c * r_psi[:, None])
-            basis_q = chol @ q
-            ck = np.sum(resp[:, c][:, None] / denom, axis=0)
-            denom_mat += (basis_q * ck) @ basis_q.T
-            denom_mat += (m_c * r_psi[:, None]).T @ m_c
-        loadings = np.linalg.solve(denom_mat, numer.T).T
-    return loadings, np.asarray(trace), converged
-
-
 def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
                n_components: int = DEFAULT_N_COMPONENTS, n_beats=1,
                rng_seed=0, max_iter: int = EM_MAX_ITER, tol: float = EM_TOL,
@@ -441,8 +485,9 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
     latents = _posterior_latents(stage1.loadings, xw, psi)
     mixture = fit_gmm(latents, n_components, rng_seed,
                       n_restarts=gmm_restarts)
-    loadings, trace, converged = _mog_em(xw, psi, stage1.loadings, mixture,
-                                         max_iter, tol)
+    prior = (mixture.weights, mixture.means, mixture.covariances)
+    loadings, trace, converged = _fit_loadings(xw, psi, stage1.loadings,
+                                               prior, max_iter, tol)
     fa = FaModel(mean=stage1.mean, loadings=loadings, loglik_trace=trace,
                  converged=converged)
     return MogFaModel(fa=fa, weights=mixture.weights,

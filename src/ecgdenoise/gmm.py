@@ -48,16 +48,20 @@ def _log_gaussians(z: np.ndarray, means: np.ndarray,
     """Log densities (N, C) of rows of ``z`` under each N(means[c], covs[c]).
 
     One batched Cholesky and one batched inverse of the (C, p, p) factors,
-    then a single (C, N, p) product for the Mahalanobis terms.
+    then a single (N, p) @ (p, C p) product with the inverse factors side
+    by side for all the Mahalanobis terms.
     """
+    n_components, p = means.shape
     chol = np.linalg.cholesky(covs)
     inv_chol = np.linalg.inv(chol)
-    delta = z[None, :, :] - means[:, None, :]
-    white = delta @ np.swapaxes(inv_chol, -1, -2)
+    # stacked[:, c p + j] is row j of component c's inverse factor
+    stacked = inv_chol.transpose(2, 0, 1).reshape(p, n_components * p)
+    shift = (inv_chol @ means[:, :, None])[..., 0]
+    white = (z @ stacked).reshape(-1, n_components, p) - shift
     quad = np.sum(white * white, axis=-1)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)),
                           axis=-1)
-    return -0.5 * (means.shape[1] * _LOG_2PI + logdet[:, None] + quad).T
+    return -0.5 * (p * _LOG_2PI + logdet + quad)
 
 
 def _ridge(cov: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, InvalidSampleIdError
 from .estimators import FaModel, MogFaModel
 from .noise import EcgSample, NoisePrecision
 from .simulate import DEFAULT_FS, ThetaBeat
@@ -109,16 +109,20 @@ TAUS_FILE = "taus.npy"
 
 def _check_sample_ids(sample_ids, where) -> None:
     """Ids name CSV rows, so each must be non-empty, unique and free of
-    commas and line breaks."""
+    commas, line breaks and leading or trailing whitespace (which a CSV
+    reader strips)."""
     if not isinstance(sample_ids, list):
         raise ValueError(f"{where}: sample ids must be a list of strings")
     seen = set()
     for sid in sample_ids:
-        if not isinstance(sid, str) or not sid or any(c in sid for c in ",\r\n"):
-            raise ValueError(f"{where}: sample id {sid!r} must be a non-empty "
-                             f"string without commas, CR or LF")
+        if (not isinstance(sid, str) or not sid or sid != sid.strip()
+                or any(c in sid for c in ",\r\n")):
+            raise InvalidSampleIdError(
+                f"{where}: sample id {sid!r} must be a non-empty string "
+                f"without commas, CR, LF or leading or trailing whitespace")
         if sid in seen:
-            raise ValueError(f"{where}: sample id {sid!r} appears twice")
+            raise InvalidSampleIdError(
+                f"{where}: sample id {sid!r} appears twice")
         seen.add(sid)
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegrationDivergedError, InvalidJitterError, WindowTooLongError
+from .errors import (IntegrationDivergedError, InvalidJitterError,
+                     OffGridRateError, WindowTooLongError)
 
 WAVE_NAMES = ("P", "Q", "R", "S", "T")
 
@@ -362,15 +363,26 @@ def jitter_population(base: OdeParams, jitter_fraction: float, n: int,
 
 def check_window(d: int, r_offset: int, fs: float, period: float) -> None:
     """Raise unless a ``d``-sample window with its R peak at column
-    ``r_offset`` fits inside one cycle of ``period`` seconds at ``fs``."""
+    ``r_offset`` fits inside one cycle of ``period`` seconds at ``fs``,
+    and that cycle is a whole number of RK4 steps (``STRIDE fs period``
+    an integer), so the samples read past its end stay on the grid."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if not 0 <= r_offset < d:
         raise ValueError("r_offset must satisfy 0 <= r_offset < d")
+    if not (math.isfinite(fs) and fs > 0):
+        raise ValueError(f"fs must be finite and positive, not {fs}")
     if d > fs * period + 1e-9:
         raise WindowTooLongError(
             f"window of {d} samples exceeds one cycle "
             f"({fs * period:.3f} samples at fs={fs})"
+        )
+    steps = STRIDE * fs * period
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        nearest = round(steps) / (STRIDE * period)
+        raise OffGridRateError(
+            f"fs={fs} gives {steps:.6g} RK4 steps per {period:.6g} s cycle, "
+            f"not a whole number; the nearest valid fs is {nearest:.10g}"
         )
 
 
@@ -380,9 +392,8 @@ def extract_canonical_beats(params_batch, fs: float, d: int,
 
     Returns an array of shape ``(len(params_batch), d)``; see
     :func:`extract_canonical_beat` for the single-beat contract. One cycle
-    is integrated, rounded to a whole number of RK4 steps; where
-    ``2 pi / (omega h)`` is not whole, samples read past the cycle's end
-    sit up to ``h / 2`` off the sample grid.
+    is integrated; :func:`check_window` refuses an ``fs`` at which it is
+    not a whole number of RK4 steps.
     """
     params_batch = list(params_batch)
     if not params_batch:

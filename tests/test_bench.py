@@ -20,6 +20,7 @@ from ecgdenoise.errors import (
     EmptyInputError,
     InsufficientReplicatesError,
 )
+from ecgdenoise.estimators import fit_factor_analysis, fit_mog_fa
 from ecgdenoise.noise import EcgSample, NoisePrecision, matern_covariance
 
 
@@ -133,6 +134,23 @@ class TestDenoise:
         truth = (matern_covariance(4, 500.0), np.ones(3))
         with pytest.raises(EcgDenoiseError, match="oracle_bayes needs the"):
             run("oracle_bayes", truth=truth)
+
+    @pytest.mark.parametrize("kind", ["fa", "mog_fa"])
+    def test_fit_diagnostics(self, rng, kind):
+        means = rng.standard_normal((30, 6))
+        K, taus = matern_covariance(6, 500.0), np.full(30, 2.0)
+        _, extra = denoise(EstimatorSpec(kind, "truth"), means, 1,
+                           truth=(K, taus), estimate=None, thetas=None,
+                           latent_dim=LatentDimRule("fixed", 2),
+                           n_components=2, fit_seed=3)
+        if kind == "fa":
+            model = fit_factor_analysis(means, K, taus, 2)
+        else:
+            model = fit_mog_fa(means, K, taus, 2, n_components=2,
+                               rng_seed=3).fa
+        assert extra["converged"] == model.converged
+        assert extra["n_iter"] == model.n_iter
+        assert extra["loglik"] == model.loglik_trace[-1]
 
 
 class TestBenchmarkConfig:

@@ -80,6 +80,16 @@ class TestSimulate:
         assert len(files_a) == 4
         assert files_a == files_b
 
+    def test_off_grid_rate_is_json_error(self, tmp_path, capsys):
+        flags = list(SIM_FLAGS)
+        flags[flags.index("--fs") + 1] = "333.3"
+        code, payload = run_json(capsys, ["simulate", *flags,
+                                          "--out", str(tmp_path / "ds")])
+        assert code == 1
+        assert payload["error"]["type"] == "OffGridRateError"
+        assert "nearest valid fs is 333.25" in payload["error"]["message"]
+        assert not (tmp_path / "ds").exists()
+
 
 class TestEstimateNoise:
     def test_outputs(self, dataset, tmp_path, capsys):
@@ -367,8 +377,18 @@ class TestDatasetChecks:
         manifest["sample_ids"][1] = manifest["sample_ids"][0]
         (copy / "manifest.json").write_text(json.dumps(manifest))
         error = self.estimate_noise_error(capsys, copy)
-        assert error["type"] == "ValueError"
+        assert error["type"] == "InvalidSampleIdError"
         assert "sample id 's00000' appears twice" in error["message"]
+
+    def test_padded_sample_id_is_json_error(self, copy, capsys):
+        # a CSV reader strips the line, so ' s00001' would come back as
+        # 's00001' in estimates.csv and tau_hat.csv
+        manifest = load_json(copy / "manifest.json")
+        manifest["sample_ids"][1] = " s00001"
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        error = self.estimate_noise_error(capsys, copy)
+        assert error["type"] == "InvalidSampleIdError"
+        assert "sample id ' s00001'" in error["message"]
 
     def test_old_layout_is_json_error(self, copy, capsys):
         (copy / "beats.npy").unlink()

@@ -1,8 +1,20 @@
 """MLE, oracle Bayes, factor analysis and mixture FA estimators."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ecgdenoise import estimators
+from ecgdenoise.bench import (
+    BenchmarkConfig,
+    TauRegime,
+    simulate_cell_beats,
+    simulate_population,
+)
 from ecgdenoise.estimators import (
+    EM_MAX_ITER,
+    EM_TOL,
+    LOGLIK_SLACK,
     AtomPrior,
     FaModel,
     MogFaModel,
@@ -19,6 +31,7 @@ from ecgdenoise.estimators import (
 from ecgdenoise.noise import (
     CovarianceMatrix,
     EcgSample,
+    estimate_noise,
     matern_covariance,
     sample_noise_beats,
     unwhiten,
@@ -332,6 +345,146 @@ class TestMogFa:
         beats = rng.standard_normal((5, D))
         with pytest.raises(ValueError):
             fit_mog_fa(beats, k_mod, taus=1.0, p=2, n_components=6)
+
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _loop_component_terms(loadings, weights, means, covs, xw, psi):
+    """Reference: one Cholesky and one eigendecomposition per component,
+    worked in all d whitened dimensions."""
+    n, d = xw.shape
+    log_joint = np.empty((n, weights.size))
+    latent_means = []
+    for c in range(weights.size):
+        chol = np.linalg.cholesky(covs[c] + 1e-12 * np.eye(covs.shape[-1]))
+        basis = loadings @ chol
+        lam, q = np.linalg.eigh(basis.T @ basis)
+        lam = np.maximum(lam, 0.0)
+        centered = xw - loadings @ means[c]
+        scores = (centered @ basis) @ q
+        coeff = (scores / (psi[:, None] + lam[None, :])) @ q.T
+        resid = centered - coeff @ basis.T
+        quad = np.sum(resid * resid, axis=1) / psi \
+            + np.sum(coeff * coeff, axis=1)
+        logdet = d * np.log(psi) + np.sum(
+            np.log1p(lam[None, :] / psi[:, None]), axis=1)
+        log_joint[:, c] = np.log(weights[c]) \
+            - 0.5 * (d * _LOG_2PI + logdet + quad)
+        latent_means.append(means[c] + coeff @ chol.T)
+    return log_joint, np.stack(latent_means)
+
+
+def _plain_em(xw, psi, loadings, prior, max_iter, tol):
+    """Reference: plain EM on the same step, stopping at the first step
+    that raises the log-likelihood by at most ``tol`` relative."""
+    trace = []
+    for _ in range(max_iter):
+        ll, update = estimators._em_step(loadings, xw, psi, *prior)
+        trace.append(ll)
+        if len(trace) > 1 and ll - trace[-2] <= tol * (1.0 + abs(ll)):
+            return loadings, np.asarray(trace), True
+        loadings = update
+    return loadings, np.asarray(trace), False
+
+
+def _assert_rel(actual, expected, rel):
+    """Largest deviation within ``rel`` of the largest expected entry."""
+    scale = np.abs(expected).max()
+    assert np.abs(actual - expected).max() <= rel * scale
+
+
+@st.composite
+def mixture_problems(draw, p_below_half_d=False):
+    """Whitened rows of a C-component mixture factor model, each with its
+    own noise level psi_i (spread over 1.5 decades), and the model's
+    loadings and ``(weights, means, covs)`` prior. The loadings have
+    orthogonal columns of scale 1 to 3, so two float evaluations of one
+    formula agree to near machine precision."""
+    n = draw(st.integers(20, 60))
+    d = draw(st.integers(1, 10))
+    p = draw(st.integers(1, max(1, d // 2) if p_below_half_d else d))
+    c = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loadings = _loadings(rng, d, p, rng.uniform(1.0, 3.0, p))
+    weights = rng.dirichlet(np.ones(c))
+    means = 2.0 * rng.standard_normal((c, p))
+    a = rng.standard_normal((c, p, p))
+    covs = a @ np.swapaxes(a, -1, -2) / p + 0.5 * np.eye(p)
+    psi = 10.0 ** rng.uniform(-2.0, -0.5, n)
+    labels = rng.choice(c, size=n, p=weights)
+    z = means[labels] + np.einsum("nij,nj->ni",
+                                  np.linalg.cholesky(covs)[labels],
+                                  rng.standard_normal((n, p)))
+    xw = z @ loadings.T + rng.standard_normal((n, d)) * np.sqrt(psi)[:, None]
+    return xw, psi, loadings, (weights, means, covs)
+
+
+class TestEmPaths:
+    @settings(max_examples=80, deadline=None)
+    @given(mixture_problems())
+    def test_span_terms_match_loop(self, problem):
+        xw, psi, loadings, (weights, means, covs) = problem
+        log_joint, latent_means, _ = estimators._mog_component_terms(
+            loadings, weights, means, covs, xw, psi)
+        want_joint, want_means = _loop_component_terms(
+            loadings, weights, means, covs, xw, psi)
+        _assert_rel(log_joint, want_joint, 1e-12)
+        _assert_rel(latent_means, want_means, 1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(mixture_problems(p_below_half_d=True), st.booleans())
+    def test_squarem_reaches_plain_em(self, problem, mixture_prior):
+        # Both run to a tolerance far below LOGLIK_SLACK, so each ends at
+        # the maximum it climbs to (at EM_TOL either may stop short of it
+        # by up to EM_TOL / (1 - EM rate) relative). As in the package,
+        # plain FA fits centred rows from the spectral start, and the
+        # mixture fit starts near its answer (stage 3 starts from the
+        # stage-1 fit; here from the true loadings).
+        xw, psi, loadings, prior = problem
+        p = loadings.shape[1]
+        if mixture_prior:
+            start = loadings
+        else:
+            xw = xw - xw.mean(axis=0)
+            prior = estimators._standard_prior(p)
+            start = estimators._spectral_start(xw, psi, p)
+        fit, trace, converged = estimators._fit_loadings(
+            xw, psi, start, prior, 1500, 1e-12)
+        estimators._check_loglik_trace(trace)
+        assert estimators._em_step(fit, xw, psi, *prior)[0] == trace[-1]
+        _, want, want_converged = _plain_em(xw, psi, start, prior, 1500,
+                                            1e-12)
+        assume(converged and want_converged)
+        assert trace[-1] >= want[-1] - LOGLIK_SLACK * (1.0 + abs(want[-1]))
+
+    def test_slow_ragged_fit_converges(self):
+        # 300 ECG beats at fs 250 with tau ~ U(2, 20), B = 20 and estimated
+        # noise: plain EM is still climbing after EM_MAX_ITER steps
+        config = BenchmarkConfig(seed=0, n_samples=300, fs=250.0, d=246,
+                                 n_beats_grid=(20,))
+        population_seed, cell_seed = np.random.SeedSequence(0).spawn(2)
+        thetas = simulate_population(config, population_seed)
+        K = matern_covariance(config.d, config.fs, config.lengthscale,
+                              config.smoothness)
+        tau_seed, noise_seed, _ = cell_seed.spawn(3)
+        taus = TauRegime.uniform(2, 20).draw(
+            300, np.random.default_rng(tau_seed))
+        beats = simulate_cell_beats(thetas, K, taus, 20, noise_seed)
+        means = beats.mean(axis=1)
+        K_hat, tau_hat = estimate_noise(beats)
+        model = fit_factor_analysis(means, K_hat, tau_hat, p=7, n_beats=20)
+        assert model.converged
+        estimators._check_loglik_trace(model.loglik_trace)
+
+        psi = estimators._effective_psi(tau_hat, 20, 300)
+        xw = (means - model.mean) @ K_hat.inv_sqrt
+        start = estimators._spectral_start(xw, psi, 7)
+        _, plain, plain_converged = _plain_em(
+            xw, psi, start, estimators._standard_prior(7), EM_MAX_ITER,
+            EM_TOL)
+        assert not plain_converged
+        assert model.loglik_trace[-1] > plain[-1]
 
 
 class TestModelValidation:

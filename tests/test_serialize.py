@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ecgdenoise.errors import EmptyInputError
+from ecgdenoise.errors import EmptyInputError, InvalidSampleIdError
 from ecgdenoise.estimators import FaModel, MogFaModel, fit_factor_analysis, fit_mog_fa
 from ecgdenoise.noise import EcgSample, NoisePrecision, matern_covariance
 from ecgdenoise.serialize import (
@@ -185,11 +185,14 @@ class TestDataset:
         (["a,b"], "'a,b'"),
         (["a\nb"], "'a\\\\nb'"),
         (["a\rb"], "'a\\\\rb'"),
+        ([" a", "b"], "' a'"),
+        (["a", "b "], "'b '"),
+        (["\ta"], "'\\\\ta'"),
     ])
     def test_bad_sample_ids_are_refused_on_save(self, tmp_path, ids, bad):
         samples = [EcgSample(sample_id=sid, beats=np.full((2, 3), float(i)))
                    for i, sid in enumerate(ids)]
-        with pytest.raises(ValueError, match=f"sample id {bad}"):
+        with pytest.raises(InvalidSampleIdError, match=f"sample id {bad}"):
             save_dataset(tmp_path / "ds", samples, manifest_extra={})
         assert not (tmp_path / "ds").exists()
 
@@ -315,7 +318,7 @@ FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
 SAMPLE_ID = st.text(
     st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
-    min_size=1, max_size=6)
+    min_size=1, max_size=6).filter(lambda sid: sid == sid.strip())
 
 
 def finite_arrays(shape):

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgdenoise.errors import InvalidJitterError, WindowTooLongError
+from ecgdenoise.errors import (
+    InvalidJitterError,
+    OffGridRateError,
+    WindowTooLongError,
+)
 from ecgdenoise.simulate import (
     DEFAULT_PARAMS,
     OdeParams,
+    check_window,
     extract_canonical_beat,
     extract_canonical_beats,
     integrate_mcsharry,
@@ -278,3 +283,17 @@ class TestExtractCanonicalBeat:
     def test_bad_offset(self):
         with pytest.raises(ValueError):
             extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=100, r_offset=100)
+
+    def test_off_grid_rate_refused(self):
+        # 4 * 333.3 * 1 s = 1333.2 RK4 steps per cycle; 1333 is nearest
+        with pytest.raises(OffGridRateError, match="nearest valid fs is 333.25"):
+            extract_canonical_beat(DEFAULT_PARAMS, fs=333.3, d=200)
+
+    def test_every_integer_rate_on_grid(self):
+        for fs in range(1, 2001):
+            check_window(1, 0, float(fs), DEFAULT_PARAMS.period)
+
+    @pytest.mark.parametrize("fs", [0.0, -5.0, math.inf, math.nan])
+    def test_bad_rate_refused(self, fs):
+        with pytest.raises(ValueError, match="fs must be finite and positive"):
+            check_window(1, 0, fs, DEFAULT_PARAMS.period)
