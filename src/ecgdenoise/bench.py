@@ -443,6 +443,7 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
                        n_beats=n_beats, rng_seed=fit_seed)
     extra.update(_fit_facts(model.fa))
     extra["n_components"] = int(model.n_components)
+    extra.update(_mixture_facts(model.mixture_fit))
     return mog_fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
 
 
@@ -451,6 +452,16 @@ def _fit_facts(model) -> dict:
     kept and the log-likelihood at the last of them."""
     return {"converged": bool(model.converged), "n_iter": model.n_iter,
             "loglik": float(model.loglik_trace[-1])}
+
+
+def _mixture_facts(mixture) -> dict:
+    """How the latent mixture fit went: whether the kept restart converged,
+    the best and worst restart log-likelihood and the re-seeds of empty
+    components over all restarts."""
+    return {"gmm_converged": bool(mixture.converged),
+            "gmm_loglik_best": float(mixture.loglik),
+            "gmm_loglik_worst": float(mixture.restart_logliks.min()),
+            "gmm_reseeds": int(mixture.reseeds)}
 
 
 def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitDivergedError
-from .gmm import fit_gmm, logsumexp
+from .gmm import GaussianMixture, fit_gmm, logsumexp
 from .noise import CovarianceMatrix, EcgSample, _as_tau
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -130,12 +130,17 @@ class MogFaModel:
 
     ``fa`` carries the refit loadings/noise; the mixture components
     (weights, latent means, latent covariances) define the prior over z.
+    ``mixture_fit`` is the stage-2 mixture fit they came from (its
+    convergence, restart log-likelihoods and re-seeds), or None for a
+    model built from parts.
     """
 
     fa: FaModel
     weights: np.ndarray
     comp_means: np.ndarray
     comp_covs: np.ndarray
+    mixture_fit: GaussianMixture | None = field(default=None, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _readonly(self.weights))
@@ -478,6 +483,8 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
     n = beats.shape[0]
     if not 1 <= int(n_components) <= n:
         raise ValueError("need N >= n_components >= 1")
+    if int(gmm_restarts) < 1:
+        raise ValueError("gmm_restarts must be at least 1")
     stage1 = fit_factor_analysis(beats, K, taus, p, n_beats=n_beats,
                                  max_iter=max_iter, tol=tol)
     psi = _effective_psi(taus, n_beats, n)
@@ -492,7 +499,7 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
                  converged=converged)
     return MogFaModel(fa=fa, weights=mixture.weights,
                       comp_means=mixture.means,
-                      comp_covs=mixture.covariances)
+                      comp_covs=mixture.covariances, mixture_fit=mixture)
 
 
 def mog_fa_posterior_mean_batch(model: MogFaModel, means: np.ndarray,

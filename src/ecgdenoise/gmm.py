@@ -1,13 +1,39 @@
 """Full-covariance Gaussian mixture EM for low-dimensional latent scores.
 
-Small and self-contained: k-means++ style seeding, multiple restarts
-keeping the best likelihood, and a relative trace ridge on each component
-covariance. Collapsed components are re-seeded from random data points a
-bounded number of times before the fit is declared failed.
+EM runs in the mixture's exponential-family form, with every restart of a
+fit in one batch. The rows z are centred on their mean once per fit and
+mapped to the features ``phi(z) = [1, z, z_i z_j for i <= j]``, an
+(N, 1 + p + p(p+1)/2) matrix.
+
+* E-step. Each component's weight w, mean mu and covariance S becomes one
+  row of natural parameters, such that ``phi(z) . row`` is
+  ``log w + log N(z | mu, S)``: the constant
+  ``log w - (p log 2 pi + log det S + mu' P mu) / 2``, the linear part
+  ``P mu`` and the quadratic part ``-P / 2`` on the upper triangle, with
+  the off-diagonal terms doubled. The log joint densities of every row
+  under every component of every running restart are then one product
+  ``phi @ rows'``.
+* M-step. The responsibilities' sufficient statistics ``resp' @ phi`` are
+  one product as well. Per component they hold the mass nk and the sums
+  of z and of z z'. They give the weights nk / N, the means and the
+  covariances E[z z'] - mu mu', each with a relative trace ridge, and one
+  batched Cholesky gives the inverse factors F (P = F'F) that the next
+  E-step uses.
+
+Both expanded forms cancel for a component that is narrow next to its
+distance from the centre; past ``CANCELLATION_LIMIT`` such a component is
+computed from the rows instead.
+
+Each restart has its own seed stream, k-means++ start and path. A
+component that empties is re-seeded on a random row, at most
+``REINIT_RETRIES`` times per restart, before the fit is declared failed.
+A restart leaves the batch when it converges. The fit keeps the first
+restart with the largest final log-likelihood.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +47,11 @@ COVARIANCE_RIDGE = 1e-6
 #: Re-seeding budget for empty components within one EM run.
 REINIT_RETRIES = 3
 
+#: Largest squared distance of a component from the centre, in units of
+#: its own spread, that the expanded E- and M-step forms take; each loses
+#: about this factor times machine epsilon of relative precision.
+CANCELLATION_LIMIT = 1e4
+
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     amax = np.max(a, axis=axis, keepdims=True)
@@ -30,38 +61,78 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Fitted mixture: weights (C,), means (C, p), covariances (C, p, p)."""
+    """Fitted mixture: weights (C,), means (C, p), covariances (C, p, p).
+
+    ``loglik`` and ``converged`` describe the kept restart;
+    ``restart_logliks`` holds every restart's final log-likelihood and
+    ``reseeds`` counts the empty-component re-seeds over all restarts.
+    """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
     loglik: float
     converged: bool
+    restart_logliks: np.ndarray
+    reseeds: int
 
     @property
     def n_components(self) -> int:
         return self.weights.size
 
 
-def _log_gaussians(z: np.ndarray, means: np.ndarray,
-                   covs: np.ndarray) -> np.ndarray:
-    """Log densities (N, C) of rows of ``z`` under each N(means[c], covs[c]).
+@lru_cache(maxsize=None)
+def _upper(p: int):
+    """Row and column indices of the upper triangle of a (p, p) matrix.
 
-    One batched Cholesky and one batched inverse of the (C, p, p) factors,
-    then a single (N, p) @ (p, C p) product with the inverse factors side
-    by side for all the Mahalanobis terms.
+    Cached and shared, so read-only.
     """
-    n_components, p = means.shape
-    chol = np.linalg.cholesky(covs)
-    inv_chol = np.linalg.inv(chol)
-    # stacked[:, c p + j] is row j of component c's inverse factor
-    stacked = inv_chol.transpose(2, 0, 1).reshape(p, n_components * p)
-    shift = (inv_chol @ means[:, :, None])[..., 0]
-    white = (z @ stacked).reshape(-1, n_components, p) - shift
-    quad = np.sum(white * white, axis=-1)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)),
-                          axis=-1)
-    return -0.5 * (p * _LOG_2PI + logdet + quad)
+    rows, cols = np.triu_indices(p)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _features(zc: np.ndarray) -> np.ndarray:
+    """phi (N, 1 + p + p(p+1)/2) of centred rows: 1, z, z_i z_j (i <= j)."""
+    rows, cols = _upper(zc.shape[1])
+    return np.concatenate(
+        [np.ones((zc.shape[0], 1)), zc, zc[:, rows] * zc[:, cols]], axis=1)
+
+
+def _inverse_factor(covs: np.ndarray) -> np.ndarray:
+    """Inverse Cholesky factors of a (..., p, p) stack: P = F' F."""
+    return np.linalg.inv(np.linalg.cholesky(covs))
+
+
+def _log_joint(phi: np.ndarray, weights: np.ndarray, means: np.ndarray,
+               factors: np.ndarray) -> np.ndarray:
+    """log w_k + log N(z | mu_k, S_k), (N, K), for the rows behind ``phi``.
+
+    ``means`` are centred and ``factors`` are the inverse Cholesky factors
+    of the S_k. Each component becomes one row of natural parameters and
+    the densities are one product ``phi @ rows'``. Its terms grow like
+    mu' P mu and cancel near mu, so a component with mu' P mu beyond
+    ``CANCELLATION_LIMIT`` is whitened row by row instead.
+    """
+    p = means.shape[1]
+    factors_t = np.swapaxes(factors, -1, -2)
+    white_mean = (factors @ means[:, :, None])[..., 0]
+    mahal = np.sum(white_mean ** 2, axis=-1)
+    rows, cols = _upper(p)
+    quad = (factors_t @ factors)[:, rows, cols] \
+        * np.where(rows == cols, -0.5, -1.0)
+    logdet = -2.0 * np.sum(np.log(np.diagonal(factors, axis1=-2, axis2=-1)),
+                           axis=-1)
+    const = np.log(weights) - 0.5 * (p * _LOG_2PI + logdet)
+    linear = (factors_t @ white_mean[:, :, None])[..., 0]
+    natural = np.concatenate([(const - 0.5 * mahal)[:, None], linear, quad],
+                             axis=1)
+    log_joint = phi @ natural.T
+    zc = phi[:, 1:1 + p]
+    for k in np.flatnonzero(mahal > CANCELLATION_LIMIT):
+        white = (zc - means[k]) @ factors_t[k]
+        log_joint[:, k] = const[k] - 0.5 * np.sum(white * white, axis=1)
+    return log_joint
 
 
 def _ridge(cov: np.ndarray) -> np.ndarray:
@@ -71,13 +142,40 @@ def _ridge(cov: np.ndarray) -> np.ndarray:
     return cov + np.asarray(shift)[..., None, None] * np.eye(p)
 
 
-def _m_step(z: np.ndarray, resp: np.ndarray, nk: np.ndarray):
-    """Weights, means and ridged covariances for all components at once."""
-    means = (resp.T @ z) / nk[:, None]
-    delta = z[None, :, :] - means[:, None, :]
-    weighted = delta * resp.T[:, :, None]
-    scatter = np.swapaxes(weighted, -1, -2) @ delta
-    return nk / z.shape[0], means, _ridge(scatter / nk[:, None, None])
+def _m_step(stats: np.ndarray, resp: np.ndarray, zc: np.ndarray):
+    """Weights, centred means, ridged covariances and their inverse factors.
+
+    ``stats`` is ``resp' @ phi`` (K, D) for the responsibilities ``resp``
+    (N, K) of the centred rows ``zc``. E[z z'] - mu mu' loses about
+    |mu|^2 / lambda_min(S) of relative precision to cancellation, so a
+    component for which that exceeds ``CANCELLATION_LIMIT`` takes its
+    scatter from the rows instead. The first screen, by the smallest
+    variance, keeps every ridged covariance positive definite; the second
+    uses trace(P) >= 1 / lambda_min.
+    """
+    n, p = zc.shape
+    nk = stats[:, 0]
+    means = stats[:, 1:1 + p] / nk[:, None]
+    rows, cols = _upper(p)
+    moment = np.empty((stats.shape[0], p, p))
+    moment[:, rows, cols] = moment[:, cols, rows] = \
+        stats[:, 1 + p:] / nk[:, None]
+    covs = _ridge(moment - means[:, :, None] * means[:, None, :])
+    far = np.sum(means ** 2, axis=1) / CANCELLATION_LIMIT
+
+    def from_rows(narrow):
+        for k in np.flatnonzero(narrow):
+            delta = zc - means[k]
+            covs[k] = _ridge((resp[:, k] * delta.T) @ delta / nk[k])
+
+    narrow = far > np.min(np.diagonal(covs, axis1=1, axis2=2), axis=1)
+    from_rows(narrow)
+    factors = _inverse_factor(covs)
+    narrow = ~narrow & (far * np.sum(factors ** 2, axis=(1, 2)) > 1.0)
+    if narrow.any():
+        from_rows(narrow)
+        factors[narrow] = _inverse_factor(covs[narrow])
+    return nk / n, means, covs, factors
 
 
 def _kmeanspp_centers(z: np.ndarray, n_components: int, rng) -> np.ndarray:
@@ -96,55 +194,17 @@ def _kmeanspp_centers(z: np.ndarray, n_components: int, rng) -> np.ndarray:
     return np.stack(centers)
 
 
-def _fit_once(z, n_components, rng, max_iter, tol):
-    n, p = z.shape
-    global_cov = _ridge(np.atleast_2d(np.cov(z.T, ddof=1)))
-    means = _kmeanspp_centers(z, n_components, rng)
-    covs = np.repeat(global_cov[None], n_components, axis=0)
-    weights = np.full(n_components, 1.0 / n_components)
-
-    prev_ll = -np.inf
-    converged = False
-    reinits = 0
-    for _ in range(max_iter):
-        log_joint = np.log(weights) + _log_gaussians(z, means, covs)
-        norm = logsumexp(log_joint, axis=1)
-        ll = float(norm.sum())
-        if not np.isfinite(ll):
-            raise FitDivergedError("mixture log-likelihood is not finite")
-        resp = np.exp(log_joint - norm[:, None])
-
-        nk = resp.sum(axis=0)
-        empty = np.flatnonzero(nk < 1e-10)
-        if empty.size:
-            if reinits >= REINIT_RETRIES:
-                raise FitDivergedError(
-                    f"component(s) {empty.tolist()} stayed empty after "
-                    f"{REINIT_RETRIES} re-seeds"
-                )
-            reinits += 1
-            for c in empty:
-                means[c] = z[rng.integers(n)]
-                covs[c] = global_cov
-            prev_ll = -np.inf
-            continue
-
-        weights, means, covs = _m_step(z, resp, nk)
-
-        if ll - prev_ll <= tol * (1.0 + abs(ll)) and np.isfinite(prev_ll):
-            converged = True
-            break
-        prev_ll = ll
-    return GaussianMixture(weights, means, covs, ll, converged)
-
-
 def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
             n_restarts: int = 10, max_iter: int = 200,
             tol: float = 1e-7) -> GaussianMixture:
     """Fit a full-covariance Gaussian mixture to rows of ``z`` by EM.
 
-    Runs ``n_restarts`` seeded EM fits and keeps the best final
-    log-likelihood. Deterministic given ``rng_seed``.
+    Runs ``n_restarts`` seeded EM fits side by side and keeps the first
+    with the best final log-likelihood. A restart stops once an iteration
+    raises its log-likelihood by at most ``tol * (1 + |ll|)``, or after
+    ``max_iter`` iterations. Deterministic given ``rng_seed``. When a
+    restart fails, the error of the lowest-numbered failing restart is
+    raised.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
@@ -152,20 +212,110 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
     n_components = int(n_components)
     if not 1 <= n_components <= z.shape[0]:
         raise ValueError("need 1 <= n_components <= N")
+    n_restarts, max_iter = int(n_restarts), int(max_iter)
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be at least 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if not isinstance(rng_seed, np.random.SeedSequence):
         rng_seed = np.random.SeedSequence(rng_seed)
-    best = None
-    for child in rng_seed.spawn(n_restarts):
-        fit = _fit_once(z, n_components, np.random.default_rng(child),
-                        max_iter, tol)
-        if best is None or fit.loglik > best.loglik:
-            best = fit
-    return best
+    rngs = [np.random.default_rng(child)
+            for child in rng_seed.spawn(n_restarts)]
 
+    n, p = z.shape
+    c = n_components
+    centre = z.mean(axis=0)
+    zc = z - centre
+    phi = _features(zc)
+    global_cov = _ridge(np.atleast_2d(np.cov(z.T, ddof=1)))
+    global_factor = _inverse_factor(global_cov)
 
-def gmm_responsibilities(mixture: GaussianMixture, z: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities for rows of ``z``; rows sum to 1."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    log_joint = np.log(mixture.weights) + _log_gaussians(
-        z, mixture.means, mixture.covariances)
-    return np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])
+    # state is component-major, so the E-step's columns and the M-step's
+    # rows run over components, then over the running restarts
+    weights = np.full((c, n_restarts), 1.0 / c)
+    means = np.stack([_kmeanspp_centers(z, c, rng) for rng in rngs],
+                     axis=1) - centre
+    covs = np.repeat(global_cov[None], c * n_restarts,
+                     axis=0).reshape(c, n_restarts, p, p)
+    factors = np.repeat(global_factor[None], c * n_restarts,
+                        axis=0).reshape(c, n_restarts, p, p)
+    loglik = np.full(n_restarts, -np.inf)
+    prev_ll = np.full(n_restarts, -np.inf)
+    converged = np.zeros(n_restarts, dtype=bool)
+    reseeds = np.zeros(n_restarts, dtype=int)
+    failure = None  # (restart, error) of the lowest-numbered failure
+    active = np.arange(n_restarts)
+
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        k = active.size
+        log_joint = _log_joint(phi, weights[:, active].ravel(),
+                               means[:, active].reshape(-1, p),
+                               factors[:, active].reshape(-1, p, p))
+        log_joint = log_joint.reshape(n, c, k)
+        top = np.max(log_joint, axis=1)
+        top[~np.isfinite(top)] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = np.exp(log_joint - top[:, None, :])
+            total = dens.sum(axis=1)
+            ll = np.sum(np.log(total) + top, axis=0)
+            dens /= total[:, None, :]
+        loglik[active] = ll
+        stats = dens.reshape(n, c * k).T @ phi
+        empty = stats[:, 0].reshape(c, k) < 1e-10
+
+        stepping = np.ones(k, dtype=bool)
+        leaving = np.zeros(k, dtype=bool)
+        for slot in np.flatnonzero(~np.isfinite(ll) | empty.any(axis=0)):
+            r = active[slot]
+            if failure is not None and r > failure[0]:
+                break
+            stepping[slot] = False
+            if not np.isfinite(ll[slot]):
+                error = FitDivergedError(
+                    "mixture log-likelihood is not finite")
+            elif reseeds[r] >= REINIT_RETRIES:
+                error = FitDivergedError(
+                    f"component(s) {np.flatnonzero(empty[:, slot]).tolist()} "
+                    f"stayed empty after {REINIT_RETRIES} re-seeds"
+                )
+            else:
+                reseeds[r] += 1
+                for comp in np.flatnonzero(empty[:, slot]):
+                    means[comp, r] = zc[rngs[r].integers(n)]
+                    covs[comp, r] = global_cov
+                    factors[comp, r] = global_factor
+                prev_ll[r] = -np.inf
+                continue
+            # the restarts after a failing one would never have run
+            failure = (r, error)
+            leaving |= active >= r
+        stepping &= ~leaving
+
+        step = active[stepping]
+        if step.size:
+            resp = dens.reshape(n, c * k)
+            if step.size < k:
+                cols = (np.arange(c)[:, None] * k
+                        + np.flatnonzero(stepping)).ravel()
+                stats, resp = stats[cols], resp[:, cols]
+            w, m, s, f = _m_step(stats, resp, zc)
+            weights[:, step] = w.reshape(c, -1)
+            means[:, step] = m.reshape(c, -1, p)
+            covs[:, step] = s.reshape(c, -1, p, p)
+            factors[:, step] = f.reshape(c, -1, p, p)
+            ll_step = ll[stepping]
+            # prev_ll is -inf on a restart's first step and after a re-seed
+            done = ll_step - prev_ll[step] <= tol * (1.0 + np.abs(ll_step))
+            converged[step[done]] = True
+            prev_ll[step] = ll_step
+            leaving[np.flatnonzero(stepping)[done]] = True
+        active = active[~leaving]
+
+    if failure is not None:
+        raise failure[1]
+    best = int(np.argmax(loglik))
+    return GaussianMixture(weights[:, best].copy(), means[:, best] + centre,
+                           covs[:, best].copy(), float(loglik[best]),
+                           bool(converged[best]), loglik, int(reseeds.sum()))

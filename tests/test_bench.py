@@ -152,6 +152,27 @@ class TestDenoise:
         assert extra["n_iter"] == model.n_iter
         assert extra["loglik"] == model.loglik_trace[-1]
 
+    def test_mixture_diagnostics(self, rng):
+        # a mog_fa entry says how its latent mixture fit went: the kept
+        # restart's convergence, the best and worst of the 10 restarts'
+        # final log-likelihoods and the re-seeds over all of them
+        means = rng.standard_normal((30, 6))
+        K, taus = matern_covariance(6, 500.0), np.full(30, 2.0)
+        _, extra = denoise(EstimatorSpec("mog_fa", "truth"), means, 1,
+                           truth=(K, taus), estimate=None, thetas=None,
+                           latent_dim=LatentDimRule("fixed", 2),
+                           n_components=3, fit_seed=3)
+        mixture = fit_mog_fa(means, K, taus, 2, n_components=3,
+                             rng_seed=3).mixture_fit
+        assert mixture.restart_logliks.shape == (10,)
+        assert extra["gmm_converged"] == mixture.converged
+        assert extra["gmm_loglik_best"] == mixture.loglik \
+            == mixture.restart_logliks.max()
+        assert extra["gmm_loglik_worst"] == mixture.restart_logliks.min()
+        assert extra["gmm_reseeds"] == mixture.reseeds
+        entry = {key: extra[key] for key in extra if key.startswith("gmm_")}
+        assert json.loads(json.dumps(entry)) == entry
+
 
 class TestBenchmarkConfig:
     def test_seed_required(self):
