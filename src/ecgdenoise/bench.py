@@ -116,11 +116,15 @@ class TauRegime:
 
     def __post_init__(self):
         if self.kind == "fixed":
-            if self.value is None or not self.value > 0:
-                raise ValueError("fixed regime needs a positive value")
+            if self.value is None or not 0 < self.value < np.inf:
+                raise ValueError(f"fixed tau regime needs finite value > 0, "
+                                 f"not {self.value!r}")
         elif self.kind == "uniform":
-            if self.lo is None or self.hi is None or not 0 < self.lo < self.hi:
-                raise ValueError("uniform regime needs 0 < lo < hi")
+            if self.lo is None or self.hi is None \
+                    or not 0 < self.lo < self.hi < np.inf:
+                raise ValueError(f"uniform tau regime needs finite "
+                                 f"0 < lo < hi, not lo={self.lo!r}, "
+                                 f"hi={self.hi!r}")
         else:
             raise ValueError(f"unknown tau regime kind {self.kind!r}")
 
@@ -200,8 +204,13 @@ class LatentDimRule:
     def __post_init__(self):
         if self.mode not in ("scree", "fixed"):
             raise ValueError(f"unknown latent-dim mode {self.mode!r}")
-        if self.mode == "fixed" and int(self.value) < 1:
-            raise ValueError("fixed latent dimension must be >= 1")
+        if self.mode == "fixed":
+            if isinstance(self.value, (bool, np.bool_)) \
+                    or not float(self.value).is_integer():
+                raise ValueError(f"fixed latent dimension must be an "
+                                 f"integer, not {self.value!r}")
+            if int(self.value) < 1:
+                raise ValueError("fixed latent dimension must be >= 1")
 
     @classmethod
     def parse(cls, text: str) -> "LatentDimRule":
@@ -211,7 +220,9 @@ class LatentDimRule:
             return cls("scree", float(cutoff) if cutoff else DEFAULT_SLOPE_CUTOFF)
         return cls("fixed", int(text))
 
-    def choose(self, whitened_means: np.ndarray) -> int:
+    def choose(self, whitened_means) -> int:
+        """p for these whitened means (unread, and may be None, when
+        fixed)."""
         if self.mode == "fixed":
             return int(self.value)
         cov = np.cov(whitened_means.T, ddof=1)
@@ -401,7 +412,8 @@ def make_samples(beats: np.ndarray, thetas=None, taus=None, fs=DEFAULT_FS,
 
 
 def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
-            latent_dim: LatentDimRule, n_components: int, fit_seed):
+            latent_dim: LatentDimRule, n_components: int, fit_seed,
+            fa_fits: dict | None = None):
     """Estimates (N, d) of the clean beats plus a dict of diagnostics.
 
     ``means`` holds each sample's beat mean and ``n_beats`` its beat count.
@@ -410,6 +422,11 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
     beats (the oracle's atoms) or None. ``mle`` needs none of them. A
     ``:truth`` spec without ``truth``, an ``:estimated`` one without
     ``estimate`` and ``oracle_bayes`` without ``thetas`` are refused.
+
+    ``fa`` and stage 1 of ``mog_fa`` are one factor-analysis fit. Calls
+    that pass the same ``fa_fits`` dict (one per set of means) share it:
+    the first fit per noise mode and latent dimension is kept there, and
+    so is its error, which every later call that needs the fit raises.
     """
     extra = {}
     if spec.kind == "mle":
@@ -431,20 +448,38 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
         estimates, idx = oracle_bayes_batch(means, thetas, K)
         extra["atom_accuracy"] = float(np.mean(idx == np.arange(len(means))))
         return estimates, extra
-    whitened = whiten(K, means, means.mean(axis=0))
+    whitened = None
+    if latent_dim.mode == "scree":
+        whitened = whiten(K, means, means.mean(axis=0))
     p = latent_dim.choose(whitened)
     extra["latent_dim"] = p
+    key = (spec.noise, p)
+    if fa_fits is None:
+        fa_fits = {}
+    if key not in fa_fits:
+        try:
+            fa_fits[key] = fit_factor_analysis(means, K, taus, p,
+                                               n_beats=n_beats)
+        except _ENTRY_ERRORS as exc:
+            fa_fits[key] = exc
+    if isinstance(fa_fits[key], Exception):
+        raise fa_fits[key]
     if spec.kind == "fa":
-        model = fit_factor_analysis(means, K, taus, p, n_beats=n_beats)
+        model = fa_fits[key]
         extra.update(_fit_facts(model))
         return fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
     model = fit_mog_fa(means, K, taus, p,
                        n_components=min(n_components, len(means)),
-                       n_beats=n_beats, rng_seed=fit_seed)
+                       n_beats=n_beats, rng_seed=fit_seed,
+                       stage1=fa_fits[key])
     extra.update(_fit_facts(model.fa))
     extra["n_components"] = int(model.n_components)
     extra.update(_mixture_facts(model.mixture_fit))
     return mog_fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
+
+
+#: What a failing estimator raises; the grid marks its entry failed.
+_ENTRY_ERRORS = (EcgDenoiseError, ValueError, np.linalg.LinAlgError)
 
 
 def _fit_facts(model) -> dict:
@@ -464,12 +499,29 @@ def _mixture_facts(mixture) -> dict:
             "gmm_reseeds": int(mixture.reseeds)}
 
 
+class _Clock:
+    """Seconds since the previous lap (or since the clock started)."""
+
+    def __init__(self):
+        self._last = time.perf_counter()
+
+    def lap(self) -> float:
+        now = time.perf_counter()
+        elapsed, self._last = now - self._last, now
+        return elapsed
+
+
 def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
     """Run the full grid; a failing estimator marks its cell entry failed.
 
     Deterministic given ``config.seed`` (cells use independently spawned
     seed streams keyed by position). When ``out_path`` is given the report
     is also written there atomically.
+
+    ``meta["timings"]`` says where the wall-clock time went: the
+    population and K, then per cell its noise sampling, its noise
+    estimation and each entry's ``denoise`` and scoring. A factor-analysis
+    fit that entries of a cell share counts toward the first of them.
     """
     t_start = time.perf_counter()
     cells_spec = list(itertools.product(config.tau_regimes,
@@ -479,9 +531,13 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
 
     log.info("simulating population of %d beats (d=%d, backend=%s)",
              config.n_samples, config.d, BACKEND)
+    clock = _Clock()
     thetas = simulate_population(config, population_seed)
+    timings = {"population_s": clock.lap()}
     K = matern_covariance(config.d, config.fs, config.lengthscale,
                           config.smoothness)
+    timings["covariance_s"] = clock.lap()
+    timings["cells"] = []
 
     cells = []
     for (regime, n_beats), cell_seed in zip(cells_spec, cell_seeds):
@@ -489,13 +545,18 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
         taus = regime.draw(config.n_samples, np.random.default_rng(tau_seed))
         beats = simulate_cell_beats(thetas, K, taus, n_beats, noise_seed)
         means = beats.mean(axis=1)
+        cell_timings = {"tau_label": regime.label, "n_beats": n_beats,
+                        "sampling_s": clock.lap()}
 
         estimate = None
         if any(spec.needs_estimation for spec in config.estimators) \
                 and n_beats >= 2:
             estimate = estimate_noise(beats)
+        cell_timings["noise_s"] = clock.lap()
+        cell_timings["denoise_s"] = {}
 
         results = {}
+        fa_fits = {}
         for spec in config.estimators:
             label = f"{regime.label}, B={n_beats}, {spec.name}"
             try:
@@ -503,6 +564,7 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
                     spec, means, n_beats, truth=(K, taus), estimate=estimate,
                     thetas=thetas, latent_dim=config.latent_dim,
                     n_components=config.mog_components, fit_seed=fit_seed,
+                    fa_fits=fa_fits,
                 )
                 errors = np.sum((estimates - thetas) ** 2, axis=1)
                 results[spec.name] = {
@@ -515,12 +577,14 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
                     **extra,
                 }
                 log.info("%s: mse=%.4g", label, errors.mean())
-            except (EcgDenoiseError, ValueError, np.linalg.LinAlgError) as exc:
+            except _ENTRY_ERRORS as exc:
                 results[spec.name] = {
                     "status": "failed",
                     "error": f"{type(exc).__name__}: {exc}",
                 }
                 log.warning("%s failed: %s", label, exc)
+            cell_timings["denoise_s"][spec.name] = clock.lap()
+        timings["cells"].append(cell_timings)
         cells.append({
             "tau_regime": regime.to_dict(),
             "tau_label": regime.label,
@@ -534,6 +598,7 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
         cells=tuple(cells),
         meta={
             "wall_clock_s": time.perf_counter() - t_start,
+            "timings": timings,
             "library_version": __version__,
             "backend": BACKEND,
         },

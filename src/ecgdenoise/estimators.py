@@ -25,6 +25,20 @@ from which one plain EM step raises the log-likelihood by at most
 step and each extrapolation that did not lower the log-likelihood. So
 ``FaModel.n_iter`` counts kept points, which is the map evaluations less
 the rejected extrapolations.
+
+Work on the (N, d) rows is kept out of the loops:
+
+* Stage 1 of the mixture fit is a plain FA fit; ``fit_mog_fa`` takes one
+  already made for the same rows (``stage1=``), so a caller that runs
+  both estimators fits FA once.
+* Each E-step needs every row's energy off span(L), ||x_perp||^2. It is
+  ||x||^2 - ||Q' x||^2, with ||x||^2 computed once per fit, not a fresh
+  (N, d) residual. A row that lies so close to span(L) that the
+  difference would lose more than ``gmm.CANCELLATION_LIMIT`` machine
+  epsilons takes its explicit residual instead.
+* The posterior means map latents back through the (p, d) product
+  L' K^{1/2}, and FA reads the rows through the (d, p) product
+  K^{-1/2} L, so no (N, d) x (d, d) product is formed for them.
 """
 from __future__ import annotations
 
@@ -33,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitDivergedError
-from .gmm import GaussianMixture, fit_gmm, logsumexp
+from .gmm import CANCELLATION_LIMIT, GaussianMixture, fit_gmm, logsumexp
 from .noise import CovarianceMatrix, EcgSample, _as_tau
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -222,11 +236,19 @@ def _effective_psi(taus, n_beats, n_rows: int) -> np.ndarray:
     return 1.0 / (taus * taus * n_beats)
 
 
-def _posterior_latents(loadings: np.ndarray, xw: np.ndarray,
-                       psi: np.ndarray) -> np.ndarray:
-    """Posterior mean of z for whitened centered rows with noise psi_i I."""
+def _posterior_latents(loadings: np.ndarray, rows: np.ndarray,
+                       psi: np.ndarray, inv_sqrt=None) -> np.ndarray:
+    """Posterior mean of z for centred rows with whitened noise psi_i I.
+
+    The rows are whitened already, or, given ``inv_sqrt``, in beat space;
+    then they meet the whitener only through the (d, p) product
+    ``inv_sqrt @ loadings``.
+    """
     s2, w = np.linalg.eigh(loadings.T @ loadings)
-    scores = xw @ loadings @ w
+    if inv_sqrt is None:
+        scores = rows @ loadings @ w
+    else:
+        scores = rows @ ((inv_sqrt @ loadings) @ w)
     return (scores / (psi[:, None] + s2[None, :])) @ w.T
 
 
@@ -256,7 +278,12 @@ def _spectral_start(xw: np.ndarray, psi: np.ndarray, p: int) -> np.ndarray:
     return loadings
 
 
-def _mog_component_terms(loadings, weights, means, covs, xw, psi):
+def _row_energies(xw: np.ndarray) -> np.ndarray:
+    """||x||^2 of each row."""
+    return np.einsum("ij,ij->i", xw, xw)
+
+
+def _mog_component_terms(loadings, weights, means, covs, xw, psi, x2=None):
     """Log joint densities and posterior latent means per component.
 
     Returns ``(log_joint (N, C), latent_means (C, N, p))`` plus the cached
@@ -264,13 +291,24 @@ def _mog_component_terms(loadings, weights, means, covs, xw, psi):
     whitened covariance is L S_c L^T + psi_i I, so with L = Q R the part
     of a row orthogonal to span(L) adds the same ||x_perp||^2 / psi_i to
     each component and the rest is worked in p dimensions.
+
+    ``x2`` holds the rows' ||x||^2 (computed here when None), and
+    ||x_perp||^2 is taken as ||x||^2 - ||y||^2 with y = Q' x. That loses
+    about ||x||^2 / ||x_perp||^2 machine epsilons, so a row for which
+    this exceeds ``CANCELLATION_LIMIT`` (or the difference is not
+    positive) takes the explicit residual x - Q y instead.
     """
     d = xw.shape[1]
     p = loadings.shape[1]
     q_l, r_l = np.linalg.qr(loadings)
     y = xw @ q_l
-    x_perp = xw - y @ q_l.T  # a residual, not ||x||^2 - ||y||^2
-    perp2 = np.sum(x_perp * x_perp, axis=1)
+    if x2 is None:
+        x2 = _row_energies(xw)
+    perp2 = x2 - _row_energies(y)
+    close = (perp2 <= 0.0) | (x2 > CANCELLATION_LIMIT * perp2)
+    if close.any():
+        x_perp = xw[close] - y[close] @ q_l.T
+        perp2[close] = _row_energies(x_perp)
     chol = np.linalg.cholesky(covs + 1e-12 * np.eye(p))
     basis = r_l @ chol  # (C, p, p): L chol_c in the Q coordinates
     lam, rot = np.linalg.eigh(np.swapaxes(basis, -1, -2) @ basis)
@@ -291,11 +329,12 @@ def _mog_component_terms(loadings, weights, means, covs, xw, psi):
     return log_joint.T, latent_means, (chol @ rot, denom)
 
 
-def _em_step(loadings, xw, psi, weights, means, covs):
+def _em_step(loadings, xw, psi, weights, means, covs, x2=None):
     """The log-likelihood at ``loadings`` and their EM update, under the
-    fixed latent prior sum_c weights[c] N(means[c], covs[c])."""
+    fixed latent prior sum_c weights[c] N(means[c], covs[c]); ``x2`` are
+    the rows' ||x||^2, if known."""
     log_joint, latent_means, (basis_q, denom) = _mog_component_terms(
-        loadings, weights, means, covs, xw, psi
+        loadings, weights, means, covs, xw, psi, x2
     )
     norm = logsumexp(log_joint, axis=1)
     ll = float(norm.sum())
@@ -303,11 +342,11 @@ def _em_step(loadings, xw, psi, weights, means, covs):
         return ll, loadings
     resp = np.exp(log_joint - norm[:, None]).T  # (C, N)
     weighted = latent_means * (resp / psi)[:, :, None]
-    numer = xw.T @ weighted.sum(axis=0)  # one GEMM for all components
+    numer_t = weighted.sum(axis=0).T @ xw  # one GEMM for all components
     ck = np.einsum("cn,cnp->cp", resp, 1.0 / denom)
     denom_mat = np.sum((basis_q * ck[:, None, :]) @ np.swapaxes(basis_q, -1, -2)
                        + np.swapaxes(weighted, -1, -2) @ latent_means, axis=0)
-    return ll, np.linalg.solve(denom_mat, numer.T).T
+    return ll, np.linalg.solve(denom_mat, numer_t).T
 
 
 def _squarem(em_step, theta, max_evals, tol):
@@ -372,8 +411,10 @@ def _standard_prior(p: int):
 def _fit_loadings(xw, psi, loadings, prior, max_iter, tol):
     """EM fit of the loadings under a fixed latent ``(weights, means,
     covs)`` prior, accelerated by :func:`_squarem`."""
+    x2 = _row_energies(xw)
+
     def em_step(theta):
-        return _em_step(theta, xw, psi, *prior)
+        return _em_step(theta, xw, psi, *prior, x2)
     return _squarem(em_step, loadings, max_iter, tol)
 
 
@@ -411,8 +452,8 @@ def fa_latent_means(model: FaModel, beats: np.ndarray, K: CovarianceMatrix,
     """Posterior latent means for rows of ``beats`` under a fitted model."""
     beats = np.atleast_2d(np.asarray(beats, dtype=np.float64))
     psi = _effective_psi(taus, n_beats, beats.shape[0])
-    xw = (beats - model.mean) @ K.inv_sqrt
-    return _posterior_latents(model.loadings, xw, psi)
+    return _posterior_latents(model.loadings, beats - model.mean, psi,
+                              K.inv_sqrt)
 
 
 def fa_posterior_mean_batch(model: FaModel, means: np.ndarray,
@@ -420,7 +461,7 @@ def fa_posterior_mean_batch(model: FaModel, means: np.ndarray,
     """Posterior-mean denoising of each row of ``means``."""
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
     latents = fa_latent_means(model, means, K, taus, n_beats)
-    return model.mean + (latents @ model.loadings.T) @ K.sqrt
+    return model.mean + latents @ (model.loadings.T @ K.sqrt)
 
 
 def fa_posterior_mean(model: FaModel, sample: EcgSample, K: CovarianceMatrix,
@@ -469,13 +510,18 @@ def select_latent_dim(eigenvalues, slope_cutoff: float = DEFAULT_SLOPE_CUTOFF) -
 def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
                n_components: int = DEFAULT_N_COMPONENTS, n_beats=1,
                rng_seed=0, max_iter: int = EM_MAX_ITER, tol: float = EM_TOL,
-               gmm_restarts: int = 10) -> MogFaModel:
+               gmm_restarts: int = 10,
+               stage1: FaModel | None = None) -> MogFaModel:
     """Three-stage empirical-Bayes mixture factor analysis.
 
     1. Plain FA on the whitened rows gives loadings and latent posterior
        means. 2. A C-component Gaussian mixture is fitted to those latent
        scores. 3. The loadings are refit by EM under the fixed mixture
        prior (conditional moments of the joint Gaussian per component).
+
+    ``stage1`` is an already fitted :func:`fit_factor_analysis` result
+    for these rows, used in place of stage 1. It must have the rows' d,
+    latent dimension ``p`` and, bit for bit, their column mean.
     """
     beats = np.asarray(beats, dtype=np.float64)
     if beats.ndim != 2:
@@ -485,8 +531,16 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
         raise ValueError("need N >= n_components >= 1")
     if int(gmm_restarts) < 1:
         raise ValueError("gmm_restarts must be at least 1")
-    stage1 = fit_factor_analysis(beats, K, taus, p, n_beats=n_beats,
-                                 max_iter=max_iter, tol=tol)
+    if stage1 is None:
+        stage1 = fit_factor_analysis(beats, K, taus, p, n_beats=n_beats,
+                                     max_iter=max_iter, tol=tol)
+    elif (stage1.d, stage1.latent_dim) != (beats.shape[1], int(p)):
+        raise ValueError(
+            f"stage1 has d={stage1.d} and p={stage1.latent_dim}; these "
+            f"rows and p need d={beats.shape[1]} and p={int(p)}")
+    elif not np.array_equal(stage1.mean, beats.mean(axis=0)):
+        raise ValueError("stage1 was fitted to other rows: its mean is not "
+                         "their column mean")
     psi = _effective_psi(taus, n_beats, n)
     xw = (beats - stage1.mean) @ K.inv_sqrt
     latents = _posterior_latents(stage1.loadings, xw, psi)
@@ -503,13 +557,12 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
 
 
 def mog_fa_posterior_mean_batch(model: MogFaModel, means: np.ndarray,
-                                K: CovarianceMatrix, taus, n_beats=1,
-                                prior_weights: bool = False) -> np.ndarray:
+                                K: CovarianceMatrix, taus,
+                                n_beats=1) -> np.ndarray:
     """Mixture posterior-mean denoising of each row of ``means``.
 
     Component contributions are weighted by posterior responsibilities
-    p(c | x); ``prior_weights=True`` uses the prior mixture weights
-    instead.
+    p(c | x).
     """
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
     psi = _effective_psi(taus, n_beats, means.shape[0])
@@ -518,22 +571,17 @@ def mog_fa_posterior_mean_batch(model: MogFaModel, means: np.ndarray,
         model.fa.loadings, model.weights, model.comp_means, model.comp_covs,
         xw, psi,
     )
-    if prior_weights:
-        resp = np.broadcast_to(model.weights, log_joint.shape)
-    else:
-        resp = np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])
+    resp = np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])
     combined = np.einsum("nc,cnp->np", resp, latent_means)
-    return model.fa.mean + (combined @ model.fa.loadings.T) @ K.sqrt
+    return model.fa.mean + combined @ (model.fa.loadings.T @ K.sqrt)
 
 
 def mog_fa_posterior_mean(model: MogFaModel, sample: EcgSample,
-                          K: CovarianceMatrix, tau,
-                          prior_weights: bool = False) -> np.ndarray:
+                          K: CovarianceMatrix, tau) -> np.ndarray:
     """Denoise one recording with the mixture-prior posterior mean."""
     tau = _as_tau(tau)
     return mog_fa_posterior_mean_batch(
         model, sample.beat_mean[None, :], K, tau, sample.n_beats,
-        prior_weights=prior_weights,
     )[0]
 
 

@@ -12,9 +12,11 @@ mapped to the features ``phi(z) = [1, z, z_i z_j for i <= j]``, an
   ``P mu`` and the quadratic part ``-P / 2`` on the upper triangle, with
   the off-diagonal terms doubled. The log joint densities of every row
   under every component of every running restart are then one product
-  ``phi @ rows'``.
-* M-step. The responsibilities' sufficient statistics ``resp' @ phi`` are
-  one product as well. Per component they hold the mass nk and the sums
+  ``rows @ phi'``, a (C R, N) matrix for C components and R running
+  restarts. Read as (C, R, N), the normalisation over components (max,
+  exp, sum and log) runs over contiguous (R, N) slabs.
+* M-step. The responsibilities, (C R, N) as the E-step left them, give
+  the sufficient statistics ``resp @ phi`` in one product as well. Per component they hold the mass nk and the sums
   of z and of z z'. They give the weights nk / N, the means and the
   covariances E[z z'] - mu mu', each with a relative trace ridge, and one
   batched Cholesky gives the inverse factors F (P = F'F) that the next
@@ -106,11 +108,11 @@ def _inverse_factor(covs: np.ndarray) -> np.ndarray:
 
 def _log_joint(phi: np.ndarray, weights: np.ndarray, means: np.ndarray,
                factors: np.ndarray) -> np.ndarray:
-    """log w_k + log N(z | mu_k, S_k), (N, K), for the rows behind ``phi``.
+    """log w_k + log N(z | mu_k, S_k), (K, N), for the rows behind ``phi``.
 
     ``means`` are centred and ``factors`` are the inverse Cholesky factors
     of the S_k. Each component becomes one row of natural parameters and
-    the densities are one product ``phi @ rows'``. Its terms grow like
+    the densities are one product ``rows @ phi'``. Its terms grow like
     mu' P mu and cancel near mu, so a component with mu' P mu beyond
     ``CANCELLATION_LIMIT`` is whitened row by row instead.
     """
@@ -127,11 +129,11 @@ def _log_joint(phi: np.ndarray, weights: np.ndarray, means: np.ndarray,
     linear = (factors_t @ white_mean[:, :, None])[..., 0]
     natural = np.concatenate([(const - 0.5 * mahal)[:, None], linear, quad],
                              axis=1)
-    log_joint = phi @ natural.T
+    log_joint = natural @ phi.T
     zc = phi[:, 1:1 + p]
     for k in np.flatnonzero(mahal > CANCELLATION_LIMIT):
         white = (zc - means[k]) @ factors_t[k]
-        log_joint[:, k] = const[k] - 0.5 * np.sum(white * white, axis=1)
+        log_joint[k] = const[k] - 0.5 * np.sum(white * white, axis=1)
     return log_joint
 
 
@@ -145,8 +147,8 @@ def _ridge(cov: np.ndarray) -> np.ndarray:
 def _m_step(stats: np.ndarray, resp: np.ndarray, zc: np.ndarray):
     """Weights, centred means, ridged covariances and their inverse factors.
 
-    ``stats`` is ``resp' @ phi`` (K, D) for the responsibilities ``resp``
-    (N, K) of the centred rows ``zc``. E[z z'] - mu mu' loses about
+    ``stats`` is ``resp @ phi`` (K, D) for the responsibilities ``resp``
+    (K, N) of the centred rows ``zc``. E[z z'] - mu mu' loses about
     |mu|^2 / lambda_min(S) of relative precision to cancellation, so a
     component for which that exceeds ``CANCELLATION_LIMIT`` takes its
     scatter from the rows instead. The first screen, by the smallest
@@ -166,7 +168,7 @@ def _m_step(stats: np.ndarray, resp: np.ndarray, zc: np.ndarray):
     def from_rows(narrow):
         for k in np.flatnonzero(narrow):
             delta = zc - means[k]
-            covs[k] = _ridge((resp[:, k] * delta.T) @ delta / nk[k])
+            covs[k] = _ridge((resp[k] * delta.T) @ delta / nk[k])
 
     narrow = far > np.min(np.diagonal(covs, axis1=1, axis2=2), axis=1)
     from_rows(narrow)
@@ -230,8 +232,8 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
     global_cov = _ridge(np.atleast_2d(np.cov(z.T, ddof=1)))
     global_factor = _inverse_factor(global_cov)
 
-    # state is component-major, so the E-step's columns and the M-step's
-    # rows run over components, then over the running restarts
+    # state is component-major, so the E-step's and the M-step's rows run
+    # over components, then over the running restarts
     weights = np.full((c, n_restarts), 1.0 / c)
     means = np.stack([_kmeanspp_centers(z, c, rng) for rng in rngs],
                      axis=1) - centre
@@ -253,16 +255,18 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
         log_joint = _log_joint(phi, weights[:, active].ravel(),
                                means[:, active].reshape(-1, p),
                                factors[:, active].reshape(-1, p, p))
-        log_joint = log_joint.reshape(n, c, k)
-        top = np.max(log_joint, axis=1)
+        # (C, k, N): the reductions over components run over whole slabs
+        log_joint = log_joint.reshape(c, k, n)
+        top = np.max(log_joint, axis=0)
         top[~np.isfinite(top)] = 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            dens = np.exp(log_joint - top[:, None, :])
-            total = dens.sum(axis=1)
-            ll = np.sum(np.log(total) + top, axis=0)
-            dens /= total[:, None, :]
+            dens = np.exp(log_joint - top)
+            total = dens.sum(axis=0)
+            ll = np.sum(np.log(total) + top, axis=1)
+            dens /= total
         loglik[active] = ll
-        stats = dens.reshape(n, c * k).T @ phi
+        resp = dens.reshape(c * k, n)
+        stats = resp @ phi
         empty = stats[:, 0].reshape(c, k) < 1e-10
 
         stepping = np.ones(k, dtype=bool)
@@ -295,11 +299,10 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
 
         step = active[stepping]
         if step.size:
-            resp = dens.reshape(n, c * k)
             if step.size < k:
-                cols = (np.arange(c)[:, None] * k
+                keep = (np.arange(c)[:, None] * k
                         + np.flatnonzero(stepping)).ravel()
-                stats, resp = stats[cols], resp[:, cols]
+                stats, resp = stats[keep], resp[keep]
             w, m, s, f = _m_step(stats, resp, zc)
             weights[:, step] = w.reshape(c, -1)
             means[:, step] = m.reshape(c, -1, p)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ecgdenoise import bench, estimators
 from ecgdenoise.bench import (
     BenchmarkConfig,
     EstimatorSpec,
@@ -79,6 +80,24 @@ class TestTauRegime:
         with pytest.raises(ValueError):
             TauRegime.uniform(5, 2)
 
+    @pytest.mark.parametrize("make", [
+        lambda: TauRegime.fixed(np.inf),
+        lambda: TauRegime.fixed(np.nan),
+        lambda: TauRegime.uniform(2, np.inf),
+        lambda: TauRegime.parse("inf"),
+        lambda: TauRegime.parse("uniform:2,inf"),
+        lambda: TauRegime.from_dict({"kind": "fixed", "value": np.inf}),
+        lambda: TauRegime.from_dict({"kind": "uniform", "lo": 2,
+                                     "hi": np.inf}),
+    ], ids=["fixed", "fixed-nan", "uniform", "parse-fixed", "parse-uniform",
+            "dict-fixed", "dict-uniform"])
+    def test_infinite_tau_refused(self, make):
+        # an infinite tau means noiseless beats, from which no noise can
+        # be estimated; it is refused before any simulation
+        with pytest.raises(ValueError,
+                           match="(fixed|uniform) tau regime needs finite"):
+            make()
+
 
 class TestEstimatorSpec:
     def test_parse(self):
@@ -104,6 +123,16 @@ class TestLatentDimRule:
     def test_fixed_choose(self):
         rule = LatentDimRule("fixed", 4)
         assert rule.choose(np.zeros((10, 8))) == 4
+        assert LatentDimRule("fixed", 4.0).choose(None) == 4
+
+    @pytest.mark.parametrize("value", [7.9, 0.5, True, np.bool_(True),
+                                       np.inf, np.nan])
+    def test_fixed_must_be_integral(self, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            LatentDimRule("fixed", value)
+
+    def test_scree_cutoff_stays_a_float(self):
+        assert LatentDimRule("scree", -0.75).value == -0.75
 
     def test_scree_choose_caps_at_rank(self, rng):
         rule = LatentDimRule("scree", -0.8)
@@ -172,6 +201,67 @@ class TestDenoise:
         assert extra["gmm_reseeds"] == mixture.reseeds
         entry = {key: extra[key] for key in extra if key.startswith("gmm_")}
         assert json.loads(json.dumps(entry)) == entry
+
+
+def _counting_fa_fits(monkeypatch):
+    """Count every fit_factor_analysis call, from bench or from inside
+    fit_mog_fa."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit_factor_analysis(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "fit_factor_analysis", counted)
+    monkeypatch.setattr(estimators, "fit_factor_analysis", counted)
+    return calls
+
+
+class TestSharedFaFit:
+    def test_one_fit_per_cell_and_noise_mode(self, monkeypatch):
+        # fa_truth and mog_fa_truth share one fit per cell; fa_estimated
+        # fits once per B = 20 cell and is refused before fitting at B = 1
+        config = small_config(n_beats_grid=(1, 20),
+                              estimators=BenchmarkConfig(seed=0).estimators)
+        assert len(config.estimators) == 5
+        want = run_benchmark(config)
+        calls = _counting_fa_fits(monkeypatch)
+        got = run_benchmark(config)
+        assert len(calls) == 6
+        assert json.dumps(got.body()) == json.dumps(want.body())
+
+    def test_shared_fit_matches_a_separate_one(self, rng):
+        means = rng.standard_normal((30, 6))
+        K, taus = matern_covariance(6, 500.0), np.full(30, 2.0)
+        kwargs = dict(truth=(K, taus), estimate=None, thetas=None,
+                      latent_dim=LatentDimRule("fixed", 2), n_components=2,
+                      fit_seed=3)
+        fits = {}
+        shared = [denoise(EstimatorSpec(kind, "truth"), means, 1,
+                          fa_fits=fits, **kwargs)
+                  for kind in ("fa", "mog_fa")]
+        assert list(fits) == [("truth", 2)]
+        for kind, (estimates, extra) in zip(("fa", "mog_fa"), shared):
+            alone, alone_extra = denoise(EstimatorSpec(kind, "truth"), means,
+                                         1, **kwargs)
+            np.testing.assert_array_equal(estimates, alone)
+            assert extra == alone_extra
+
+    def test_failed_fit_fails_every_entry_that_needs_it(self, monkeypatch):
+        # one sample: the factor-analysis fit is refused, once per cell,
+        # and both entries built on it carry its error
+        calls = _counting_fa_fits(monkeypatch)
+        config = small_config(
+            n_samples=1, n_beats_grid=(1,), tau_regimes=(TauRegime.fixed(4),),
+            estimators=(EstimatorSpec("mle"), EstimatorSpec("fa", "truth"),
+                        EstimatorSpec("mog_fa", "truth")))
+        results = run_benchmark(config).cells[0]["estimators"]
+        assert len(calls) == 1
+        assert results["mle"]["status"] == "ok"
+        for name in ("fa_truth", "mog_fa_truth"):
+            assert results[name] == {
+                "status": "failed",
+                "error": "ValueError: need an (N, d) matrix with N >= 2"}
 
 
 class TestBenchmarkConfig:
@@ -278,6 +368,21 @@ class TestRunBenchmark:
         assert json.dumps(report.body(), sort_keys=True) == \
             json.dumps(again.body(), sort_keys=True)
         assert report.meta["wall_clock_s"] != again.meta["wall_clock_s"] or True
+
+    def test_timings_cover_the_run(self, report):
+        # meta.timings lies outside body(), so the body digest above holds,
+        # and its stages add up to the run's wall-clock time
+        timings = report.meta["timings"]
+        assert "timings" not in json.dumps(report.body())
+        assert [(c["tau_label"], c["n_beats"]) for c in timings["cells"]] \
+            == [(c["tau_label"], c["n_beats"]) for c in report.cells]
+        total = timings["population_s"] + timings["covariance_s"]
+        for cell, entries in zip(timings["cells"], report.cells):
+            assert set(cell["denoise_s"]) == set(entries["estimators"])
+            total += cell["sampling_s"] + cell["noise_s"] \
+                + sum(cell["denoise_s"].values())
+        wall = report.meta["wall_clock_s"]
+        assert abs(total - wall) <= 0.05 * wall
 
     def test_seed_changes_results(self, report):
         other = run_benchmark(small_config(seed=6))

@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from ecgdenoise import bench, cli
 from ecgdenoise.cli import _true_covariance, main
 from ecgdenoise.noise import EcgSample, matern_covariance
 from ecgdenoise.serialize import (
@@ -89,6 +90,41 @@ class TestSimulate:
         assert payload["error"]["type"] == "OffGridRateError"
         assert "nearest valid fs is 333.25" in payload["error"]["message"]
         assert not (tmp_path / "ds").exists()
+
+
+class TestInfiniteTau:
+    """``tau`` = inf (noiseless beats) is refused before any simulation."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a population")
+
+        monkeypatch.setattr(cli, "simulate_population", refuse)
+        monkeypatch.setattr(bench, "simulate_population", refuse)
+
+    def test_simulate(self, tmp_path, capsys):
+        flags = list(SIM_FLAGS)
+        flags[flags.index("--tau") + 1] = "inf"
+        code, payload = run_json(capsys, ["simulate", *flags,
+                                          "--out", str(tmp_path / "ds")])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "fixed tau regime needs finite value > 0, not inf"}
+        assert not (tmp_path / "ds").exists()
+
+    def test_benchmark(self, tmp_path, capsys):
+        code, payload = run_json(capsys, [
+            "benchmark", "--seed", "3", "--n-samples", "15", "--d", "80",
+            "--fs", "200", "--r-offset", "26", "--taus", "4;uniform:2,inf",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith(
+            "uniform tau regime needs finite 0 < lo < hi")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestEstimateNoise:

@@ -24,6 +24,7 @@ from ecgdenoise.estimators import (
     fit_mog_fa,
     mle_average,
     mog_fa_posterior_mean,
+    mog_fa_posterior_mean_batch,
     mog_fa_responsibilities,
     oracle_bayes,
     select_latent_dim,
@@ -331,20 +332,93 @@ class TestMogFa:
         trace = model.fa.loglik_trace
         assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
 
-    def test_prior_weight_flag(self, k_mod, rng):
-        beats = rng.standard_normal((40, D))
-        model = fit_mog_fa(beats, k_mod, taus=2.0, p=2, n_components=2,
-                           rng_seed=41)
-        sample = EcgSample(sample_id="s", beats=beats[0][None, :])
-        a = mog_fa_posterior_mean(model, sample, k_mod, 2.0)
-        b = mog_fa_posterior_mean(model, sample, k_mod, 2.0,
-                                  prior_weights=True)
-        assert a.shape == b.shape == (D,)
-
     def test_component_count_bounds(self, k_mod, rng):
         beats = rng.standard_normal((5, D))
         with pytest.raises(ValueError):
             fit_mog_fa(beats, k_mod, taus=1.0, p=2, n_components=6)
+
+    def test_given_stage1_is_the_same_fit(self, k_mod):
+        rng = np.random.default_rng(42)
+        loadings = _loadings(rng, D, 3, [3.0, 2.0, 1.0])
+        thetas, _ = _fa_population(k_mod, rng, 120, loadings)
+        taus = rng.uniform(2.0, 20.0, 120)
+        # beat means of B = 4 beats: noise K / (tau^2 B)
+        means = thetas + rng.standard_normal((120, D)) @ k_mod.sqrt \
+            / (taus[:, None] * 2.0)
+        stage1 = fit_factor_analysis(means, k_mod, taus, 3, n_beats=4)
+        given = fit_mog_fa(means, k_mod, taus, 3, n_components=3, n_beats=4,
+                           rng_seed=44, stage1=stage1)
+        fresh = fit_mog_fa(means, k_mod, taus, 3, n_components=3, n_beats=4,
+                           rng_seed=44)
+        for name in ("loadings", "mean", "loglik_trace"):
+            np.testing.assert_array_equal(getattr(given.fa, name),
+                                          getattr(fresh.fa, name))
+        for name in ("weights", "comp_means", "comp_covs"):
+            np.testing.assert_array_equal(getattr(given, name),
+                                          getattr(fresh, name))
+        np.testing.assert_array_equal(given.mixture_fit.restart_logliks,
+                                      fresh.mixture_fit.restart_logliks)
+
+    def test_foreign_stage1_refused(self, k_mod, rng):
+        beats = rng.standard_normal((30, D))
+        stage1 = fit_factor_analysis(beats, k_mod, taus=2.0, p=2)
+        # other rows: one row dropped, or every row moved by a rounding
+        for other in (beats[:-1], beats * (1.0 + 1e-15)):
+            with pytest.raises(ValueError, match="other rows"):
+                fit_mog_fa(other, k_mod, taus=2.0, p=2, n_components=2,
+                           stage1=stage1)
+        with pytest.raises(ValueError, match="p=3"):
+            fit_mog_fa(beats, k_mod, taus=2.0, p=3, n_components=2,
+                       stage1=stage1)
+        narrow = beats[:, :-1]
+        k_narrow = matern_covariance(d=D - 1, fs=500.0, lengthscale=0.02,
+                                     smoothness=1.5)
+        with pytest.raises(ValueError, match=f"d={D - 1}"):
+            fit_mog_fa(narrow, k_narrow, taus=2.0, p=2, n_components=2,
+                       stage1=stage1)
+
+
+class TestPosteriorBackProjection:
+    """Both posterior means map the latents back through the (p, d)
+    product L' K^{1/2}, and FA reads the rows through K^{-1/2} L; checked
+    against the whitened-space association (whiten the rows, then apply
+    L, then K^{1/2}) at 1e-12 of the largest estimate."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, k_mod):
+        rng = np.random.default_rng(45)
+        loadings = _loadings(rng, D, 3, [3.0, 2.0, 1.0])
+        thetas, _ = _fa_population(k_mod, rng, 200, loadings,
+                                   mu=np.linspace(-1.0, 1.0, D))
+        taus = rng.uniform(2.0, 20.0, 200)
+        means = thetas + rng.standard_normal((200, D)) @ k_mod.sqrt \
+            / taus[:, None]
+        mog = fit_mog_fa(means, k_mod, taus, 3, n_components=2,
+                         rng_seed=46)
+        fa = fit_factor_analysis(means, k_mod, taus, 3)
+        psi = estimators._effective_psi(taus, 1, 200)
+        return means, taus, psi, fa, mog
+
+    def test_fa(self, k_mod, fitted):
+        means, taus, psi, fa, _ = fitted
+        xw = (means - fa.mean) @ k_mod.inv_sqrt
+        latents = estimators._posterior_latents(fa.loadings, xw, psi)
+        want = fa.mean + (latents @ fa.loadings.T) @ k_mod.sqrt
+        got = fa_posterior_mean_batch(fa, means, k_mod, taus)
+        _assert_rel(got, want, 1e-12)
+
+    def test_mog_fa(self, k_mod, fitted):
+        means, taus, psi, _, mog = fitted
+        xw = (means - mog.fa.mean) @ k_mod.inv_sqrt
+        log_joint, latent_means = _loop_component_terms(
+            mog.fa.loadings, mog.weights, mog.comp_means, mog.comp_covs,
+            xw, psi)
+        resp = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+        resp /= resp.sum(axis=1, keepdims=True)
+        combined = np.einsum("nc,cnp->np", resp, latent_means)
+        want = mog.fa.mean + (combined @ mog.fa.loadings.T) @ k_mod.sqrt
+        got = mog_fa_posterior_mean_batch(mog, means, k_mod, taus)
+        _assert_rel(got, want, 1e-12)
 
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -425,6 +499,32 @@ class TestEmPaths:
     @given(mixture_problems())
     def test_span_terms_match_loop(self, problem):
         xw, psi, loadings, (weights, means, covs) = problem
+        log_joint, latent_means, _ = estimators._mog_component_terms(
+            loadings, weights, means, covs, xw, psi)
+        want_joint, want_means = _loop_component_terms(
+            loadings, weights, means, covs, xw, psi)
+        _assert_rel(log_joint, want_joint, 1e-12)
+        _assert_rel(latent_means, want_means, 1e-12)
+
+    def test_rows_near_the_span_take_the_residual(self):
+        # Rows 1e-5 off span(L) at ||x|| ~ 100: ||x||^2 - ||y||^2 would
+        # lose ~1e14 machine epsilons of ||x_perp||^2, which at
+        # psi = 1e-6 is ~1e3 times the 1e-12 tolerance, so these rows
+        # must take the explicit residual.
+        rng = np.random.default_rng(47)
+        d, p, n = 12, 3, 40
+        loadings = _loadings(rng, d, p, [3.0, 2.0, 1.0])
+        weights = np.array([0.3, 0.7])
+        means = np.array([[40.0, -30.0, 20.0], [-50.0, 10.0, 60.0]])
+        covs = np.stack([np.eye(p), np.diag([4.0, 2.0, 1.0])])
+        z = means[rng.integers(0, 2, n)] + rng.standard_normal((n, p))
+        q, _ = np.linalg.qr(loadings, mode="complete")
+        off = rng.standard_normal((n, d - p)) @ q[:, p:].T
+        off *= 1e-5 / np.linalg.norm(off, axis=1, keepdims=True)
+        xw = z @ loadings.T + off
+        psi = np.full(n, 1e-6)
+        assert np.all(np.sum(xw * xw, axis=1)
+                      > 1e12 * np.sum(off * off, axis=1))
         log_joint, latent_means, _ = estimators._mog_component_terms(
             loadings, weights, means, covs, xw, psi)
         want_joint, want_means = _loop_component_terms(

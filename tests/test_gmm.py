@@ -180,7 +180,7 @@ class TestBatchedSteps:
         centre = z.mean(axis=0)
         ones = np.ones(len(means))
         actual = _log_joint(_features(z - centre), ones, means - centre,
-                            _inverse_factor(covs))
+                            _inverse_factor(covs)).T
         expected = _loop_log_gaussians(z, means, covs)
         assert np.abs(actual - expected).max() \
             <= 1e-12 * np.abs(expected).max()
@@ -192,7 +192,7 @@ class TestBatchedSteps:
         nk = resp.sum(axis=0)
         centre = z.mean(axis=0)
         stats = resp.T @ _features(z - centre)
-        weights, means, covs, factors = _m_step(stats, resp, z - centre)
+        weights, means, covs, factors = _m_step(stats, resp.T, z - centre)
         expected = _loop_m_step(z, resp, nk)
         for actual, wanted in zip((weights, means + centre, covs), expected):
             _assert_close(actual, wanted)
@@ -296,7 +296,7 @@ class TestFitGmm:
         def starve_component_one(phi, weights, means, factors):
             calls.append(means.copy())
             log_joint = _log_joint(phi, weights, means, factors)
-            log_joint[:, 1] = -np.inf
+            log_joint[1] = -np.inf
             return log_joint
 
         monkeypatch.setattr(gmm, "_log_joint", starve_component_one)
@@ -316,7 +316,7 @@ class TestFitGmm:
         def starve_once(phi, weights, means, factors):
             log_joint = _log_joint(phi, weights, means, factors)
             if not calls:
-                log_joint[:, 1] = -np.inf
+                log_joint[1] = -np.inf
             calls.append(1)
             return log_joint
 
@@ -338,11 +338,10 @@ class TestFitGmm:
         def starve_restart_one(phi, weights, means, factors):
             log_joint = _log_joint(phi, weights, means, factors)
             if len(calls) == 6:
-                # columns run over components, then over running restarts
-                k = log_joint.shape[1] // n_components
+                # rows run over components, then over running restarts
+                k = log_joint.shape[0] // n_components
                 assert k == 3
-                log_joint.reshape(len(phi), n_components, k)[:, 1, 1] = \
-                    -np.inf
+                log_joint.reshape(n_components, k, len(phi))[1, 1] = -np.inf
             calls.append(1)
             return log_joint
 
@@ -376,9 +375,9 @@ class TestFitGmm:
 
         def starve_restart_one(phi, weights, means, factors):
             log_joint = _log_joint(phi, weights, means, factors)
-            k = log_joint.shape[1] // 2
+            k = log_joint.shape[0] // 2
             if k == 3:
-                log_joint.reshape(len(phi), 2, k)[:, 0, 1] = -np.inf
+                log_joint.reshape(2, k, len(phi))[0, 1] = -np.inf
             running.append(k)
             return log_joint
 
