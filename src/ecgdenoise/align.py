@@ -22,13 +22,9 @@ SLOPE_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class Delineation:
-    """Per-beat fiducial sample indices; only R is required."""
+    """The sample index of each beat's R peak."""
 
     r: np.ndarray
-    p: np.ndarray | None = None
-    q: np.ndarray | None = None
-    s: np.ndarray | None = None
-    t: np.ndarray | None = None
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.int64)

@@ -6,8 +6,8 @@ configured estimators (optionally against estimated rather than true noise
 parameters), and aggregates squared reconstruction error per estimator.
 
 Error is reported in the summed convention (squared error totaled over the
-d coordinates, averaged over samples): the per-coordinate :func:`mse`
-divides by d. Everything is deterministic given the config seed; cells
+d coordinates, averaged over samples); ``mse_per_coordinate`` divides it
+by d. Everything is deterministic given the config seed; cells
 draw from independently spawned seed streams so results do not depend on
 execution order.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -35,7 +36,6 @@ from .estimators import (
 from .noise import (
     CovarianceMatrix,
     EcgSample,
-    NoisePrecision,
     estimate_noise,
     matern_covariance,
     whiten,
@@ -45,7 +45,6 @@ from .simulate import (
     BACKEND,
     DEFAULT_FS,
     DEFAULT_PARAMS,
-    ThetaBeat,
     check_window,
     extract_canonical_beats,
     jitter_population,
@@ -77,24 +76,6 @@ DEFAULT_LATENT_DIM = 7
 
 ESTIMATOR_KINDS = ("mle", "oracle_bayes", "fa", "mog_fa")
 NOISE_MODES = ("truth", "estimated")
-
-
-def mse(estimate, truth) -> float:
-    """Per-coordinate mean squared error between two equal-length vectors."""
-    estimate = np.asarray(estimate, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if estimate.shape != truth.shape:
-        raise ValueError("estimate and truth must have equal length")
-    return float(np.mean((estimate - truth) ** 2))
-
-
-def sum_squared_error(estimate, truth) -> float:
-    """Squared error summed over coordinates (the reported convention)."""
-    estimate = np.asarray(estimate, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if estimate.shape != truth.shape:
-        raise ValueError("estimate and truth must have equal length")
-    return float(np.sum((estimate - truth) ** 2))
 
 
 def _known_keys(cls, data: dict) -> dict:
@@ -252,6 +233,21 @@ _DEFAULT_ESTIMATORS = (
 )
 
 
+_INTEGER = ("an integer", numbers.Integral)
+_NUMBER = ("a number", numbers.Real)
+_LIST = ("a list", (list, tuple))
+
+#: What :meth:`BenchmarkConfig.from_dict` accepts for each field.
+_FIELD_TYPES = {
+    "seed": _INTEGER, "n_samples": _INTEGER, "d": _INTEGER,
+    "r_offset": _INTEGER, "mog_components": _INTEGER,
+    "fs": _NUMBER, "jitter_fraction": _NUMBER, "amplitude_gain": _NUMBER,
+    "lengthscale": _NUMBER, "smoothness": _NUMBER,
+    "n_beats_grid": _LIST, "tau_regimes": _LIST, "estimators": _LIST,
+    "latent_dim": ("an object", (dict, LatentDimRule)),
+}
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Everything a benchmark run depends on; the seed is mandatory."""
@@ -316,7 +312,14 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkConfig":
+        """The config that :meth:`to_dict` (or a JSON config file) gives;
+        an unknown key or a field of the wrong type raises ValueError."""
         data = dict(_known_keys(cls, data))
+        for name, value in data.items():
+            kind, types = _FIELD_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"BenchmarkConfig field {name!r} must be "
+                                 f"{kind}, not {value!r}")
         if "tau_regimes" in data:
             data["tau_regimes"] = tuple(
                 TauRegime.from_dict(r) if isinstance(r, dict)
@@ -327,8 +330,8 @@ class BenchmarkConfig:
             data["n_beats_grid"] = tuple(int(b) for b in data["n_beats_grid"])
         if "estimators" in data:
             data["estimators"] = tuple(
-                EstimatorSpec.parse(e) if isinstance(e, str)
-                else EstimatorSpec(**_known_keys(EstimatorSpec, e))
+                EstimatorSpec(**_known_keys(EstimatorSpec, e))
+                if isinstance(e, dict) else EstimatorSpec.parse(e)
                 for e in data["estimators"]
             )
         if "latent_dim" in data and isinstance(data["latent_dim"], dict):
@@ -399,16 +402,11 @@ def make_samples(beats: np.ndarray, thetas=None, taus=None, fs=DEFAULT_FS,
     """Wrap a beats array (N, B, d) into EcgSample objects."""
     n = beats.shape[0]
     width = max(5, len(str(n - 1)))
-    samples = []
-    for i in range(n):
-        theta = None
-        if thetas is not None:
-            r_idx = int(np.argmax(thetas[i])) if r_offset is None else int(r_offset)
-            theta = ThetaBeat(values=thetas[i], r_index=r_idx, fs=fs)
-        tau = NoisePrecision(float(taus[i])) if taus is not None else None
-        samples.append(EcgSample(sample_id=f"s{i:0{width}d}", beats=beats[i],
-                                 theta=theta, tau=tau))
-    return samples
+    return [EcgSample.from_arrays(f"s{i:0{width}d}", beats[i],
+                                  None if thetas is None else thetas[i],
+                                  None if taus is None else taus[i],
+                                  fs=fs, r_offset=r_offset)
+            for i in range(n)]
 
 
 def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
@@ -623,8 +621,8 @@ def emit_plot_data(obj, kind: str, path, reconstruction=None,
     """Write long-format (series, x, y) CSV for external plotting.
 
     Kinds: ``beats-overlay`` (an EcgSample, optionally with a
-    reconstruction vector), ``tau-hist`` and ``beat-count-hist`` (a sample
-    collection or array), ``mse-table`` (a BenchmarkReport).
+    reconstruction vector), ``tau-hist`` and ``beat-count-hist`` (a list
+    of EcgSample), ``mse-table`` (a BenchmarkReport).
     """
     rows = []
     if kind == "beats-overlay":
@@ -668,17 +666,8 @@ def emit_plot_data(obj, kind: str, path, reconstruction=None,
     _write_series_csv(path, rows)
 
 
-def _collect_taus(obj) -> np.ndarray:
-    if isinstance(obj, EcgSample):
-        obj = [obj]
-    taus = []
-    for item in obj:
-        if isinstance(item, EcgSample):
-            if item.tau is None:
-                continue
-            taus.append(float(item.tau))
-        else:
-            taus.append(float(item))
+def _collect_taus(samples) -> np.ndarray:
+    taus = [float(s.tau) for s in samples if s.tau is not None]
     if not taus:
         raise EmptyInputError("no tau values available")
     return np.asarray(taus)

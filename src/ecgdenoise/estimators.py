@@ -93,10 +93,6 @@ class AtomPrior:
         if not np.all(np.isfinite(self.atoms)):
             raise ValueError("atoms must be finite")
 
-    @property
-    def n_atoms(self) -> int:
-        return self.atoms.shape[0]
-
 
 @dataclass(frozen=True)
 class FaModel:
@@ -408,7 +404,8 @@ def _standard_prior(p: int):
     return np.ones(1), np.zeros((1, p)), np.eye(p)[None]
 
 
-def _fit_loadings(xw, psi, loadings, prior, max_iter, tol):
+def _fit_loadings(xw, psi, loadings, prior, max_iter=EM_MAX_ITER,
+                  tol=EM_TOL):
     """EM fit of the loadings under a fixed latent ``(weights, means,
     covs)`` prior, accelerated by :func:`_squarem`."""
     x2 = _row_energies(xw)
@@ -419,8 +416,7 @@ def _fit_loadings(xw, psi, loadings, prior, max_iter, tol):
 
 
 def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
-                        p: int, n_beats=1, max_iter: int = EM_MAX_ITER,
-                        tol: float = EM_TOL) -> FaModel:
+                        p: int, n_beats=1) -> FaModel:
     """Fit loadings by EM on whitened rows with known per-row noise.
 
     ``beats`` is an (N, d) matrix of per-recording beat averages; row i has
@@ -441,8 +437,7 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
     mean = beats.mean(axis=0)
     xw = (beats - mean) @ K.inv_sqrt
     loadings, trace, converged = _fit_loadings(
-        xw, psi, _spectral_start(xw, psi, p), _standard_prior(p), max_iter,
-        tol)
+        xw, psi, _spectral_start(xw, psi, p), _standard_prior(p))
     return FaModel(mean=mean, loadings=loadings, loglik_trace=trace,
                    converged=converged)
 
@@ -509,9 +504,7 @@ def select_latent_dim(eigenvalues, slope_cutoff: float = DEFAULT_SLOPE_CUTOFF) -
 
 def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
                n_components: int = DEFAULT_N_COMPONENTS, n_beats=1,
-               rng_seed=0, max_iter: int = EM_MAX_ITER, tol: float = EM_TOL,
-               gmm_restarts: int = 10,
-               stage1: FaModel | None = None) -> MogFaModel:
+               rng_seed=0, stage1: FaModel | None = None) -> MogFaModel:
     """Three-stage empirical-Bayes mixture factor analysis.
 
     1. Plain FA on the whitened rows gives loadings and latent posterior
@@ -529,11 +522,8 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
     n = beats.shape[0]
     if not 1 <= int(n_components) <= n:
         raise ValueError("need N >= n_components >= 1")
-    if int(gmm_restarts) < 1:
-        raise ValueError("gmm_restarts must be at least 1")
     if stage1 is None:
-        stage1 = fit_factor_analysis(beats, K, taus, p, n_beats=n_beats,
-                                     max_iter=max_iter, tol=tol)
+        stage1 = fit_factor_analysis(beats, K, taus, p, n_beats=n_beats)
     elif (stage1.d, stage1.latent_dim) != (beats.shape[1], int(p)):
         raise ValueError(
             f"stage1 has d={stage1.d} and p={stage1.latent_dim}; these "
@@ -544,16 +534,30 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
     psi = _effective_psi(taus, n_beats, n)
     xw = (beats - stage1.mean) @ K.inv_sqrt
     latents = _posterior_latents(stage1.loadings, xw, psi)
-    mixture = fit_gmm(latents, n_components, rng_seed,
-                      n_restarts=gmm_restarts)
+    mixture = fit_gmm(latents, n_components, rng_seed)
     prior = (mixture.weights, mixture.means, mixture.covariances)
     loadings, trace, converged = _fit_loadings(xw, psi, stage1.loadings,
-                                               prior, max_iter, tol)
+                                               prior)
     fa = FaModel(mean=stage1.mean, loadings=loadings, loglik_trace=trace,
                  converged=converged)
     return MogFaModel(fa=fa, weights=mixture.weights,
                       comp_means=mixture.means,
                       comp_covs=mixture.covariances, mixture_fit=mixture)
+
+
+def _mog_fa_posterior(model: MogFaModel, means: np.ndarray,
+                      K: CovarianceMatrix, taus, n_beats=1):
+    """Responsibilities p(c | x) (N, C) and each component's posterior
+    latent means (C, N, p) for the rows of ``means``."""
+    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
+    psi = _effective_psi(taus, n_beats, means.shape[0])
+    xw = (means - model.fa.mean) @ K.inv_sqrt
+    log_joint, latent_means, _ = _mog_component_terms(
+        model.fa.loadings, model.weights, model.comp_means, model.comp_covs,
+        xw, psi,
+    )
+    resp = np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])
+    return resp, latent_means
 
 
 def mog_fa_posterior_mean_batch(model: MogFaModel, means: np.ndarray,
@@ -564,14 +568,7 @@ def mog_fa_posterior_mean_batch(model: MogFaModel, means: np.ndarray,
     Component contributions are weighted by posterior responsibilities
     p(c | x).
     """
-    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-    psi = _effective_psi(taus, n_beats, means.shape[0])
-    xw = (means - model.fa.mean) @ K.inv_sqrt
-    log_joint, latent_means, _ = _mog_component_terms(
-        model.fa.loadings, model.weights, model.comp_means, model.comp_covs,
-        xw, psi,
-    )
-    resp = np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])
+    resp, latent_means = _mog_fa_posterior(model, means, K, taus, n_beats)
     combined = np.einsum("nc,cnp->np", resp, latent_means)
     return model.fa.mean + combined @ (model.fa.loadings.T @ K.sqrt)
 
@@ -583,16 +580,3 @@ def mog_fa_posterior_mean(model: MogFaModel, sample: EcgSample,
     return mog_fa_posterior_mean_batch(
         model, sample.beat_mean[None, :], K, tau, sample.n_beats,
     )[0]
-
-
-def mog_fa_responsibilities(model: MogFaModel, sample: EcgSample,
-                            K: CovarianceMatrix, tau) -> np.ndarray:
-    """Posterior component probabilities for one recording; sums to 1."""
-    tau = _as_tau(tau)
-    psi = _effective_psi(tau, sample.n_beats, 1)
-    xw = (sample.beat_mean[None, :] - model.fa.mean) @ K.inv_sqrt
-    log_joint, _, _ = _mog_component_terms(
-        model.fa.loadings, model.weights, model.comp_means, model.comp_covs,
-        xw, psi,
-    )
-    return np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])[0]

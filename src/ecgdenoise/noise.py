@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientReplicatesError, ZeroNoiseError
-from .simulate import ThetaBeat
+from .simulate import DEFAULT_FS, ThetaBeat
 
 #: Matern defaults used by the simulation benchmarks (20 ms at 500 Hz).
 DEFAULT_LENGTHSCALE = 0.02
@@ -59,12 +59,9 @@ class CovarianceMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, matrix, normalize: bool = True) -> "CovarianceMatrix":
-        """Validate and decompose a covariance matrix.
-
-        ``normalize=True`` rescales so the trace equals d; with
-        ``normalize=False`` the trace must already be d to 1e-8.
-        """
+    def from_matrix(cls, matrix) -> "CovarianceMatrix":
+        """Validate and decompose a covariance matrix, rescaled so its
+        trace equals d."""
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance must be a square matrix")
@@ -76,10 +73,7 @@ class CovarianceMatrix:
         trace = float(np.trace(m))
         if not trace > 0:
             raise ValueError("covariance trace must be positive")
-        if normalize:
-            m = m * (d / trace)
-        elif abs(trace - d) > 1e-8 * d:
-            raise ValueError("trace must equal d (or pass normalize=True)")
+        m = m * (d / trace)
         vals, vecs = np.linalg.eigh(m)
         if vals.min() < -1e-10 * max(1.0, vals.max()):
             raise ValueError("covariance is not positive semi-definite")
@@ -98,7 +92,7 @@ class CovarianceMatrix:
 
     @classmethod
     def identity(cls, d: int) -> "CovarianceMatrix":
-        return cls.from_matrix(np.eye(d), normalize=False)
+        return cls.from_matrix(np.eye(d))
 
 
 @dataclass(frozen=True)
@@ -144,6 +138,20 @@ class EcgSample:
         if self.theta is not None and self.theta.d != self.beats.shape[1]:
             raise ValueError("ground-truth beat length does not match beats")
 
+    @classmethod
+    def from_arrays(cls, sample_id: str, beats, theta=None, tau=None, *,
+                    fs: float = DEFAULT_FS,
+                    r_offset: int | None = None) -> "EcgSample":
+        """A sample from plain values: ``theta`` the ground-truth beat,
+        whose R index is ``r_offset`` or, when that is None, its argmax;
+        ``tau`` the noise precision. Either may be None."""
+        if theta is not None:
+            r_index = int(np.argmax(theta)) if r_offset is None else int(r_offset)
+            theta = ThetaBeat(values=theta, r_index=r_index, fs=fs)
+        if tau is not None:
+            tau = NoisePrecision(float(tau))
+        return cls(sample_id=sample_id, beats=beats, theta=theta, tau=tau)
+
     @property
     def n_beats(self) -> int:
         return self.beats.shape[0]
@@ -186,7 +194,7 @@ def matern_covariance(d: int, fs: float, lengthscale: float = DEFAULT_LENGTHSCAL
     else:
         s = math.sqrt(5.0) * r
         kernel = (1.0 + s + (5.0 / 3.0) * r * r) * np.exp(-s)
-    return CovarianceMatrix.from_matrix(kernel, normalize=True)
+    return CovarianceMatrix.from_matrix(kernel)
 
 
 def sample_noise_beats(K: CovarianceMatrix, tau, B: int, rng_seed) -> np.ndarray:
@@ -288,7 +296,7 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
         raise ZeroNoiseError(
             "all beat replicates are identical; cannot estimate noise"
         )
-    k_hat = CovarianceMatrix.from_matrix(total * (d / s_hat), normalize=True)
+    k_hat = CovarianceMatrix.from_matrix(total * (d / s_hat))
 
     # r K^{-1} r^T is the squared norm of r V / sqrt(lambda + ridge)
     white = k_hat.eigenvectors / np.sqrt(k_hat.eigenvalues + INVERSE_RIDGE)

@@ -4,9 +4,9 @@ Matrices handed to the user are CSV with a ``row_id`` first column.
 Datasets are a directory with a ``manifest.json`` plus float64 ``.npy``
 arrays: ``beats.npy`` holds every recording's beats stacked in manifest
 order, split by the manifest's ``beat_counts``; ``thetas.npy`` (N, d) and
-``taus.npy`` (N,) hold the ground truth when simulated. Reports and fitted
-models are JSON documents carrying a ``schema_version`` field. Writes are
-atomic (temp file + rename).
+``taus.npy`` (N,) hold the ground truth when simulated. Benchmark reports
+are JSON documents carrying a ``schema_version`` field. Writes are atomic
+(temp file + rename).
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInputError, InvalidSampleIdError
-from .estimators import FaModel, MogFaModel
-from .noise import EcgSample, NoisePrecision
-from .simulate import DEFAULT_FS, ThetaBeat
+from .noise import EcgSample
+from .simulate import DEFAULT_FS
 
 SCHEMA_VERSION = 1
 
@@ -94,8 +93,14 @@ def save_json(path, document: dict) -> None:
 
 
 def load_json(path) -> dict:
+    """A JSON object read from ``path``; any other top level raises
+    ``ValueError`` naming the path."""
     with open(path) as handle:
-        return json.load(handle)
+        document = json.load(handle)
+    if not isinstance(document, dict):
+        raise ValueError(f"{path}: expected a JSON object, found "
+                         f"{type(document).__name__}")
+    return document
 
 
 # ---------------------------------------------------------------------------
@@ -255,80 +260,11 @@ def load_dataset(directory):
     ends = np.cumsum(counts)
     samples = []
     for i, sid in enumerate(sample_ids):
-        theta = None
-        if thetas is not None:
-            r_idx = int(np.argmax(thetas[i])) if r_offset is None else int(r_offset)
-            theta = ThetaBeat(values=thetas[i], r_index=r_idx, fs=fs)
-        tau = NoisePrecision(float(taus[i])) if taus is not None else None
         try:
-            samples.append(EcgSample(sample_id=sid,
-                                     beats=beats[ends[i] - counts[i]:ends[i]],
-                                     theta=theta, tau=tau))
+            samples.append(EcgSample.from_arrays(
+                sid, beats[ends[i] - counts[i]:ends[i]],
+                None if thetas is None else thetas[i],
+                None if taus is None else taus[i], fs=fs, r_offset=r_offset))
         except ValueError as exc:
             raise ValueError(f"{beats_path}: {exc}") from exc
     return samples, manifest
-
-
-# ---------------------------------------------------------------------------
-# fitted models
-# ---------------------------------------------------------------------------
-
-def _fa_payload(model: FaModel) -> dict:
-    return {
-        "mean": model.mean.tolist(),
-        "loadings": model.loadings.tolist(),
-        "loglik_trace": model.loglik_trace.tolist(),
-        "converged": bool(model.converged),
-        "latent_dim": model.latent_dim,
-        "n_iter": model.n_iter,
-    }
-
-
-def _fa_from_payload(payload: dict) -> FaModel:
-    """Keys other than the model's fields, such as the all-ones noise
-    diagonal that older documents carry, are ignored."""
-    return FaModel(
-        mean=np.asarray(payload["mean"]),
-        loadings=np.asarray(payload["loadings"]),
-        loglik_trace=np.asarray(payload["loglik_trace"]),
-        converged=bool(payload["converged"]),
-    )
-
-
-def save_model(path, model) -> None:
-    """Serialize a fitted FA or mixture-FA model to a JSON document."""
-    if isinstance(model, MogFaModel):
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "mog_fa",
-            "fa": _fa_payload(model.fa),
-            "weights": model.weights.tolist(),
-            "comp_means": model.comp_means.tolist(),
-            "comp_covs": model.comp_covs.tolist(),
-        }
-    elif isinstance(model, FaModel):
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "fa",
-            "fa": _fa_payload(model),
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    save_json(path, document)
-
-
-def load_model(path):
-    document = load_json(path)
-    if document.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema version")
-    fa = _fa_from_payload(document["fa"])
-    if document["kind"] == "fa":
-        return fa
-    if document["kind"] == "mog_fa":
-        return MogFaModel(
-            fa=fa,
-            weights=np.asarray(document["weights"]),
-            comp_means=np.asarray(document["comp_means"]),
-            comp_covs=np.asarray(document["comp_covs"]),
-        )
-    raise ValueError(f"{path}: unknown model kind {document['kind']!r}")

@@ -20,8 +20,6 @@ import numpy as np
 from .errors import (IntegrationDivergedError, InvalidJitterError,
                      OffGridRateError, WindowTooLongError)
 
-WAVE_NAMES = ("P", "Q", "R", "S", "T")
-
 _TWO_PI = 2.0 * math.pi
 
 #: Steps per output sample (h = 1 / (STRIDE * fs)).

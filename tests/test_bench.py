@@ -12,9 +12,7 @@ from ecgdenoise.bench import (
     TauRegime,
     denoise,
     emit_plot_data,
-    mse,
     run_benchmark,
-    sum_squared_error,
 )
 from ecgdenoise.errors import (
     EcgDenoiseError,
@@ -41,21 +39,6 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return BenchmarkConfig(**defaults)
-
-
-class TestMse:
-    def test_identical_vectors(self):
-        x = np.arange(5.0)
-        assert mse(x, x) == 0.0
-
-    def test_offset_by_one(self):
-        x = np.arange(5.0)
-        assert mse(x + 1.0, x) == 1.0
-        assert sum_squared_error(x + 1.0, x) == 5.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mse(np.zeros(3), np.zeros(4))
 
 
 class TestTauRegime:

@@ -252,15 +252,25 @@ class TestBenchmark:
 
     def test_bad_config_value_is_json_error(self, tmp_path, capsys):
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({"seed": 1, "mog_components": 0}))
-        code, payload = run_json(capsys, [
-            "benchmark", "--config", str(config_path),
-            "--out", str(tmp_path / "r.json"),
-        ])
-        assert code == 1
-        assert payload["error"]["type"] == "ValueError"
-        assert "mog_components" in payload["error"]["message"]
-        assert not (tmp_path / "r.json").exists()
+        for document, match in [
+            ({"seed": 1, "mog_components": 0}, "mog_components"),
+            ([1, 2], f"{config_path}: expected a JSON object"),
+            ({"seed": 1, "n_samples": "5"},
+             "'n_samples' must be an integer, not '5'"),
+            ({"seed": 1, "tau_regimes": 5}, "'tau_regimes' must be a list"),
+            ({"seed": 1, "fs": True}, "'fs' must be a number"),
+            ({"seed": 1, "latent_dim": "3"}, "'latent_dim' must be an object"),
+            ({"seed": 1, "estimators": [5]}, "unknown estimator '5'"),
+        ]:
+            config_path.write_text(json.dumps(document))
+            code, payload = run_json(capsys, [
+                "benchmark", "--config", str(config_path),
+                "--out", str(tmp_path / "r.json"),
+            ])
+            assert code == 1
+            assert payload["error"]["type"] == "ValueError"
+            assert match in payload["error"]["message"]
+            assert not (tmp_path / "r.json").exists()
 
     def test_missing_seed_is_error(self, tmp_path, capsys):
         code, payload = run_json(capsys, [
@@ -340,6 +350,20 @@ class TestPlotData:
         ])
         assert code == 0
         assert "mle|B=2" in out.read_text()
+
+    def test_report_that_is_not_an_object_is_json_error(self, tmp_path,
+                                                          capsys):
+        report = tmp_path / "report.json"
+        report.write_text("[]")
+        code, payload = run_json(capsys, [
+            "plot-data", "--kind", "mse-table", "--report", str(report),
+            "--out", str(tmp_path / "table.csv"),
+        ])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": f"{report}: expected a JSON object, found list"}
+        assert not (tmp_path / "table.csv").exists()
 
 
 class TestErrorHandling:
@@ -425,6 +449,16 @@ class TestDatasetChecks:
         error = self.estimate_noise_error(capsys, copy)
         assert error["type"] == "InvalidSampleIdError"
         assert "sample id ' s00001'" in error["message"]
+
+    def test_manifest_that_is_not_an_object_is_json_error(self, copy,
+                                                           capsys):
+        manifest = load_json(copy / "manifest.json")
+        (copy / "manifest.json").write_text(json.dumps([manifest]))
+        error = self.estimate_noise_error(capsys, copy)
+        assert error == {
+            "type": "ValueError",
+            "message": f"{copy / 'manifest.json'}: expected a JSON object, "
+                       f"found list"}
 
     def test_old_layout_is_json_error(self, copy, capsys):
         (copy / "beats.npy").unlink()

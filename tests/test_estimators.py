@@ -25,7 +25,6 @@ from ecgdenoise.estimators import (
     mle_average,
     mog_fa_posterior_mean,
     mog_fa_posterior_mean_batch,
-    mog_fa_responsibilities,
     oracle_bayes,
     select_latent_dim,
 )
@@ -105,7 +104,7 @@ class TestOracleBayes:
 
     def test_whitened_metric_decides(self):
         # a two-atom case where whitened and raw distances disagree
-        k = CovarianceMatrix.from_matrix(np.diag([1.95, 0.05]), normalize=False)
+        k = CovarianceMatrix.from_matrix(np.diag([1.95, 0.05]))
         atoms = np.array([[1.0, 0.0], [0.0, 0.35]])
         x = np.zeros(2)
         # raw distances: 1.0 vs 0.35 -> atom 1; whitened: 1/sqrt(1.95)=0.716
@@ -275,13 +274,9 @@ class TestMogFa:
         means = _observe(k_mod, thetas, 5.0, 4, seed=34)
         model = fit_mog_fa(means, k_mod, taus=5.0, p=2, n_components=2,
                            n_beats=4, rng_seed=35)
-        predicted = np.empty(n, dtype=int)
-        for i in range(n):
-            sample = EcgSample(sample_id=str(i), beats=means[i][None, :])
-            resp = mog_fa_responsibilities(
-                model, sample, k_mod, tau=5.0 * 2.0
-            )
-            predicted[i] = int(np.argmax(resp))
+        resp, _ = estimators._mog_fa_posterior(model, means, k_mod,
+                                               5.0 * 2.0)
+        predicted = np.argmax(resp, axis=1)
         accuracy = max(np.mean(predicted == labels),
                        np.mean(predicted == 1 - labels))
         assert accuracy >= 0.95
@@ -300,8 +295,8 @@ class TestMogFa:
         z_true = comp_means[1] + rng.standard_normal(2) * 0.3
         x_beat = unwhiten(k_mod, loadings @ z_true)
         sample = EcgSample(sample_id="s", beats=x_beat[None, :])
-        resp = mog_fa_responsibilities(mog, sample, k_mod, tau)
-        assert resp[1] > 1.0 - 1e-6
+        resp, _ = estimators._mog_fa_posterior(mog, x_beat, k_mod, tau)
+        assert resp[0, 1] > 1.0 - 1e-6
         # independent computation of the single-component posterior mean
         xw = x_beat @ k_mod.inv_sqrt
         cov_x = loadings @ loadings.T + psi * np.eye(D)
@@ -316,11 +311,9 @@ class TestMogFa:
         beats = rng.standard_normal((50, D))
         model = fit_mog_fa(beats, k_mod, taus=2.0, p=2, n_components=3,
                            rng_seed=37)
-        for i in range(5):
-            sample = EcgSample(sample_id=str(i), beats=beats[i][None, :])
-            resp = mog_fa_responsibilities(model, sample, k_mod, tau=2.0)
-            assert resp.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(resp >= 0)
+        resp, _ = estimators._mog_fa_posterior(model, beats[:5], k_mod, 2.0)
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        assert np.all(resp >= 0)
 
     def test_stage3_loglik_monotone(self, k_mod):
         rng = np.random.default_rng(38)

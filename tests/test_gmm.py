@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ecgdenoise import gmm
 from ecgdenoise.errors import FitDivergedError
-from ecgdenoise.estimators import fit_mog_fa
 from ecgdenoise.gmm import (
     REINIT_RETRIES,
     _features,
@@ -21,7 +20,6 @@ from ecgdenoise.gmm import (
     _ridge,
     fit_gmm,
 )
-from ecgdenoise.noise import matern_covariance
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -404,9 +402,3 @@ class TestFitGmm:
     def test_rejects_no_restarts_or_iterations(self, name):
         with pytest.raises(ValueError, match=name):
             fit_gmm(_clustered(8), 2, rng_seed=0, **{name: 0})
-
-    def test_mog_fa_rejects_no_restarts(self, rng):
-        means = rng.standard_normal((20, 6))
-        K, taus = matern_covariance(6, 500.0), np.full(20, 2.0)
-        with pytest.raises(ValueError, match="gmm_restarts"):
-            fit_mog_fa(means, K, taus, 2, n_components=2, gmm_restarts=0)

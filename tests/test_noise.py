@@ -45,7 +45,7 @@ class TestCovarianceMatrix:
 
     def test_trace_normalized(self, rng):
         a = rng.standard_normal((12, 12))
-        k = CovarianceMatrix.from_matrix(a @ a.T, normalize=True)
+        k = CovarianceMatrix.from_matrix(a @ a.T)
         assert np.trace(k.matrix) == pytest.approx(12.0, abs=1e-9)
 
     def test_whitening_contract(self, small_k):
@@ -59,7 +59,7 @@ class TestCovarianceMatrix:
         # directions (the sandwich identity itself is limited to
         # eps * lam_max / floor there)
         v = np.arange(1.0, 7.0)
-        k = CovarianceMatrix.from_matrix(np.outer(v, v), normalize=True)
+        k = CovarianceMatrix.from_matrix(np.outer(v, v))
         assert np.all(k.eigenvalues > 0)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(6)
@@ -231,7 +231,7 @@ def _loop_estimate_noise(beat_sets):
     for resid in residuals:
         total += (resid.T @ resid) / (resid.shape[0] - 1)
     k_hat = CovarianceMatrix.from_matrix(
-        total * (d / float(np.trace(total))), normalize=True)
+        total * (d / float(np.trace(total))))
     vals = k_hat.eigenvalues + INVERSE_RIDGE
     k_inv = (k_hat.eigenvectors / vals) @ k_hat.eigenvectors.T
     taus = np.empty(len(residuals))

@@ -1,4 +1,4 @@
-"""File formats: CSV matrices, dataset directories, model documents."""
+"""File formats: CSV matrices, dataset directories, JSON documents."""
 import re
 import tempfile
 from pathlib import Path
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ecgdenoise.errors import EmptyInputError, InvalidSampleIdError
-from ecgdenoise.estimators import FaModel, MogFaModel, fit_factor_analysis, fit_mog_fa
-from ecgdenoise.noise import EcgSample, NoisePrecision, matern_covariance
+from ecgdenoise.noise import EcgSample, NoisePrecision
 from ecgdenoise.serialize import (
     load_dataset,
     load_json,
@@ -19,8 +18,6 @@ from ecgdenoise.serialize import (
     save_dataset,
     save_json,
     save_matrix_csv,
-    load_model,
-    save_model,
 )
 from ecgdenoise.simulate import DEFAULT_FS
 
@@ -251,63 +248,14 @@ class TestDataset:
             load_dataset(tmp_path / "ds")
 
 
-@pytest.fixture(scope="module")
-def k_small():
-    return matern_covariance(d=24, fs=500.0, lengthscale=0.004,
-                             smoothness=1.5)
-
-
-class TestModelDocuments:
-    def test_fa_round_trip(self, tmp_path, k_small, rng):
-        beats = rng.standard_normal((30, 24))
-        model = fit_factor_analysis(beats, k_small, taus=2.0, p=3)
-        path = tmp_path / "fa.json"
-        save_model(path, model)
-        loaded = load_model(path)
-        assert isinstance(loaded, FaModel)
-        np.testing.assert_array_equal(loaded.loadings, model.loadings)
-        np.testing.assert_array_equal(loaded.mean, model.mean)
-        assert loaded.converged == model.converged
-        assert loaded.n_iter == model.n_iter
-
-    def test_older_fa_document_loads(self, tmp_path, k_small, rng):
-        model = fit_factor_analysis(rng.standard_normal((30, 24)), k_small,
-                                    taus=2.0, p=3)
-        path = tmp_path / "fa.json"
-        save_model(path, model)
-        document = load_json(path)
-        document["fa"]["noise_diag"] = [1.0] * 24  # as older documents have
-        save_json(path, document)
-        loaded = load_model(path)
-        for name in ("mean", "loadings", "loglik_trace"):
-            np.testing.assert_array_equal(getattr(loaded, name),
-                                          getattr(model, name))
-        assert loaded.converged == model.converged
-
-    def test_mog_round_trip(self, tmp_path, k_small, rng):
-        beats = rng.standard_normal((30, 24))
-        model = fit_mog_fa(beats, k_small, taus=2.0, p=2, n_components=2,
-                           rng_seed=0)
-        path = tmp_path / "mog.json"
-        save_model(path, model)
-        loaded = load_model(path)
-        assert isinstance(loaded, MogFaModel)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.comp_covs, model.comp_covs)
-        np.testing.assert_array_equal(loaded.fa.loadings, model.fa.loadings)
-
-    def test_schema_version_checked(self, tmp_path):
-        save_json(tmp_path / "m.json", {"schema_version": 99, "kind": "fa"})
-        with pytest.raises(ValueError, match="schema"):
-            load_model(tmp_path / "m.json")
-
-    def test_unknown_payload_type(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_model(tmp_path / "m.json", object())
-
+class TestJsonDocuments:
     def test_json_helpers(self, tmp_path):
         save_json(tmp_path / "x.json", {"b": 1, "a": [1, 2]})
         assert load_json(tmp_path / "x.json") == {"b": 1, "a": [1, 2]}
+        (tmp_path / "list.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'list.json'}: expected a JSON object")):
+            load_json(tmp_path / "list.json")
 
 
 # ---------------------------------------------------------------------------
@@ -344,32 +292,6 @@ def datasets(draw):
     return ids, beats, thetas, taus, r_offset, fs
 
 
-@st.composite
-def fa_models(draw, d=None, p=None):
-    d = d or draw(st.integers(1, 6))
-    p = p or draw(st.integers(1, d))
-    trace = np.sort(draw(hnp.arrays(np.float64, draw(st.integers(1, 5)),
-                                    elements=FINITE)))
-    return FaModel(mean=draw(finite_arrays((d,))),
-                   loadings=draw(finite_arrays((d, p))),
-                   loglik_trace=trace, converged=draw(st.booleans()))
-
-
-@st.composite
-def mog_fa_models(draw):
-    d = draw(st.integers(1, 6))
-    p = draw(st.integers(1, d))
-    c = draw(st.integers(1, 4))
-    weights = draw(hnp.arrays(np.float64, c, elements=st.floats(0.01, 1.0)))
-    factors = draw(hnp.arrays(np.float64, (c, p, p),
-                              elements=st.floats(-10.0, 10.0)))
-    covs = factors @ factors.transpose(0, 2, 1) + np.eye(p)
-    return MogFaModel(fa=draw(fa_models(d=d, p=p)),
-                      weights=weights / weights.sum(),
-                      comp_means=draw(finite_arrays((c, p))),
-                      comp_covs=0.5 * (covs + covs.transpose(0, 2, 1)))
-
-
 class TestRoundTripProperties:
     @settings(max_examples=60, deadline=None)
     @given(datasets())
@@ -397,27 +319,3 @@ class TestRoundTripProperties:
                 assert sample.tau is None
             else:
                 assert_same(float(sample.tau), taus[i])
-
-    @settings(max_examples=40, deadline=None)
-    @given(fa_models())
-    def test_fa_document_round_trips_exactly(self, model):
-        with tempfile.TemporaryDirectory() as tmp:
-            save_model(Path(tmp) / "fa.json", model)
-            loaded = load_model(Path(tmp) / "fa.json")
-        assert isinstance(loaded, FaModel)
-        for name in ("mean", "loadings", "loglik_trace"):
-            assert_same(getattr(loaded, name), getattr(model, name))
-        assert loaded.converged == model.converged
-
-    @settings(max_examples=40, deadline=None)
-    @given(mog_fa_models())
-    def test_mog_fa_document_round_trips_exactly(self, model):
-        with tempfile.TemporaryDirectory() as tmp:
-            save_model(Path(tmp) / "mog.json", model)
-            loaded = load_model(Path(tmp) / "mog.json")
-        assert isinstance(loaded, MogFaModel)
-        for name in ("weights", "comp_means", "comp_covs"):
-            assert_same(getattr(loaded, name), getattr(model, name))
-        for name in ("mean", "loadings", "loglik_trace"):
-            assert_same(getattr(loaded.fa, name), getattr(model.fa, name))
-        assert loaded.fa.converged == model.fa.converged
