@@ -201,16 +201,19 @@ class LatentDimRule:
             return cls("scree", float(cutoff) if cutoff else DEFAULT_SLOPE_CUTOFF)
         return cls("fixed", int(text))
 
-    def choose(self, whitened_means) -> int:
-        """p for these whitened means (unread, and may be None, when
-        fixed)."""
+    def choose(self, shape, whitened_means=None) -> int:
+        """p for N means of width d, ``shape`` = (N, d): the fixed value or
+        the scree pick on ``whitened_means`` (unread when fixed), capped at
+        min(d, N - 1), the rank of N centred rows."""
+        n, d = shape
         if self.mode == "fixed":
-            return int(self.value)
-        cov = np.cov(whitened_means.T, ddof=1)
-        eigs = np.linalg.eigvalsh(np.atleast_2d(cov))[::-1]
-        eigs = np.maximum(eigs, 0.0)
-        p = select_latent_dim(eigs, slope_cutoff=self.value)
-        return min(p, whitened_means.shape[1], whitened_means.shape[0] - 1)
+            p = int(self.value)
+        else:
+            cov = np.cov(whitened_means.T, ddof=1)
+            eigs = np.linalg.eigvalsh(np.atleast_2d(cov))[::-1]
+            eigs = np.maximum(eigs, 0.0)
+            p = select_latent_dim(eigs, slope_cutoff=self.value)
+        return min(p, d, n - 1)
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "value": self.value}
@@ -246,6 +249,19 @@ _FIELD_TYPES = {
     "n_beats_grid": _LIST, "tau_regimes": _LIST, "estimators": _LIST,
     "latent_dim": ("an object", (dict, LatentDimRule)),
 }
+
+#: What it accepts inside them: each item of a list, each key of an object.
+_ITEM_TYPES = {"n_beats_grid": _INTEGER}
+_KEY_TYPES = {
+    "tau_regimes": {"value": _NUMBER, "lo": _NUMBER, "hi": _NUMBER},
+    "latent_dim": {"value": _NUMBER},
+}
+
+
+def _check_type(where: str, value, kind_types) -> None:
+    kind, types = kind_types
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{where} must be {kind}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -316,10 +332,19 @@ class BenchmarkConfig:
         an unknown key or a field of the wrong type raises ValueError."""
         data = dict(_known_keys(cls, data))
         for name, value in data.items():
-            kind, types = _FIELD_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"BenchmarkConfig field {name!r} must be "
-                                 f"{kind}, not {value!r}")
+            where = f"BenchmarkConfig field {name!r}"
+            _check_type(where, value, _FIELD_TYPES[name])
+            items = [(where, value)]
+            if isinstance(value, (list, tuple)):
+                items = [(f"{where} item {i}", v) for i, v in enumerate(value)]
+            for at, item in items:
+                if name in _ITEM_TYPES:
+                    _check_type(at, item, _ITEM_TYPES[name])
+                if isinstance(item, dict):
+                    for key, kind_types in _KEY_TYPES.get(name, {}).items():
+                        if item.get(key) is not None:
+                            _check_type(f"{at} key {key!r}", item[key],
+                                        kind_types)
         if "tau_regimes" in data:
             data["tau_regimes"] = tuple(
                 TauRegime.from_dict(r) if isinstance(r, dict)
@@ -327,7 +352,7 @@ class BenchmarkConfig:
                 for r in data["tau_regimes"]
             )
         if "n_beats_grid" in data:
-            data["n_beats_grid"] = tuple(int(b) for b in data["n_beats_grid"])
+            data["n_beats_grid"] = tuple(data["n_beats_grid"])
         if "estimators" in data:
             data["estimators"] = tuple(
                 EstimatorSpec(**_known_keys(EstimatorSpec, e))
@@ -449,7 +474,7 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
     whitened = None
     if latent_dim.mode == "scree":
         whitened = whiten(K, means, means.mean(axis=0))
-    p = latent_dim.choose(whitened)
+    p = latent_dim.choose(means.shape, whitened)
     extra["latent_dim"] = p
     key = (spec.noise, p)
     if fa_fits is None:

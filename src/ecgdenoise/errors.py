@@ -45,6 +45,11 @@ class FitDivergedError(EcgDenoiseError):
     """An EM fit produced a non-finite log-likelihood or collapsed."""
 
 
+class NonMonotoneFitError(EcgDenoiseError, ValueError):
+    """An EM fit's recorded log-likelihood fell between kept points; the
+    message names the fit."""
+
+
 class EmptyInputError(EcgDenoiseError, ValueError):
     """An operation received an empty report or sample set."""
 

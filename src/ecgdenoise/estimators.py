@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitDivergedError
+from .errors import FitDivergedError, NonMonotoneFitError
 from .gmm import CANCELLATION_LIMIT, GaussianMixture, fit_gmm, logsumexp
 from .noise import CovarianceMatrix, EcgSample, _as_tau
 
@@ -64,14 +64,22 @@ DEFAULT_SLOPE_CUTOFF = -0.8
 DEFAULT_N_COMPONENTS = 5
 
 
-def _check_loglik_trace(trace: np.ndarray) -> None:
+def _check_loglik_trace(trace: np.ndarray, fit: str = "FA model") -> None:
+    """Refuse a log-likelihood trace that is not finite or that falls by
+    more than ``LOGLIK_SLACK`` (relative) anywhere; ``fit`` names the fit
+    that recorded it."""
     if trace.size and not np.all(np.isfinite(trace)):
         raise ValueError("log-likelihood trace must be finite")
     if trace.size >= 2:
         diffs = np.diff(trace)
         slack = LOGLIK_SLACK * (1.0 + np.abs(trace[:-1]))
-        if np.any(diffs < -slack):
-            raise ValueError("log-likelihood trace must be non-decreasing")
+        falls = np.flatnonzero(diffs < -slack)
+        if falls.size:
+            k = int(falls[0])
+            raise NonMonotoneFitError(
+                f"{fit}: log-likelihood trace must be non-decreasing, but "
+                f"point {k + 1} of {trace.size} is {-diffs[k]:.3g} below "
+                f"point {k}")
 
 
 def _readonly(arr) -> np.ndarray:
@@ -204,6 +212,13 @@ def oracle_bayes_batch(means: np.ndarray, atoms, K: CovarianceMatrix):
         - 2.0 * (xw @ aw.T)
         + np.sum(xw * xw, axis=1)[:, None]
     )
+    # BLAS may round equal columns of the product differently, so equal
+    # atoms (which have equal sums) take the distance of their first copy
+    sums = atoms_matrix.sum(axis=1)
+    if np.unique(sums).size < sums.size:
+        _, first, copy_of = np.unique(atoms_matrix, axis=0,
+                                      return_index=True, return_inverse=True)
+        d2 = d2[:, first[copy_of.reshape(-1)]]
     idx = np.argmin(d2, axis=1)
     return atoms_matrix[idx].copy(), idx
 
@@ -438,6 +453,7 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
     xw = (beats - mean) @ K.inv_sqrt
     loadings, trace, converged = _fit_loadings(
         xw, psi, _spectral_start(xw, psi, p), _standard_prior(p))
+    _check_loglik_trace(trace, "FA fit")
     return FaModel(mean=mean, loadings=loadings, loglik_trace=trace,
                    converged=converged)
 
@@ -538,6 +554,7 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
     prior = (mixture.weights, mixture.means, mixture.covariances)
     loadings, trace, converged = _fit_loadings(xw, psi, stage1.loadings,
                                                prior)
+    _check_loglik_trace(trace, "mixture FA fit, stage 3")
     fa = FaModel(mean=stage1.mean, loadings=loadings, loglik_trace=trace,
                  converged=converged)
     return MogFaModel(fa=fa, weights=mixture.weights,

@@ -4,11 +4,17 @@ Beats within a recording share a global temporal covariance K (trace
 normalized to d for identifiability) scaled per recording by 1 / tau^2.
 Estimation pools residual scatter across recordings for K and reads the
 per-recording scale off the whitened residual energy.
+
+A :class:`CovarianceMatrix` holds K's floored eigenpairs and builds K,
+K^{1/2} and K^{-1/2} from them only when they are first read. A Matern K
+is a symmetric Toeplitz matrix, whose eigenpairs come from two
+eigenproblems of half its size.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,23 +46,39 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """A d x d PSD covariance with cached symmetric square roots.
+    """A d x d PSD covariance, held as its floored eigenpairs.
 
-    Instances are built through :meth:`from_matrix`, which symmetrizes,
-    rescales the trace to d, floors the spectrum and reconstructs, so the
-    stored ``matrix``, ``sqrt`` and ``inv_sqrt`` share one eigenbasis and
-    satisfy ``inv_sqrt @ matrix @ inv_sqrt == I`` to float precision.
+    Instances come from :meth:`from_matrix`, which symmetrizes, rescales
+    the trace to d and decomposes any valid input, or from
+    :func:`matern_covariance`; both floor the spectrum and restore the
+    trace. ``matrix``, ``sqrt`` and ``inv_sqrt`` are rebuilt from the
+    eigenpairs on first read, once each, read-only. They share one
+    eigenbasis and satisfy ``inv_sqrt @ matrix @ inv_sqrt == I`` to float
+    precision.
     """
 
-    matrix: np.ndarray
-    sqrt: np.ndarray
-    inv_sqrt: np.ndarray
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
 
     @property
     def d(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvalues.size
+
+    def _symmetric(self, scaled_vecs) -> np.ndarray:
+        product = scaled_vecs @ self.eigenvectors.T
+        return _readonly(0.5 * (product + product.T))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self._symmetric(self.eigenvectors * self.eigenvalues)
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        return self._symmetric(self.eigenvectors * np.sqrt(self.eigenvalues))
+
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray:
+        return self._symmetric(self.eigenvectors / np.sqrt(self.eigenvalues))
 
     @classmethod
     def from_matrix(cls, matrix) -> "CovarianceMatrix":
@@ -73,22 +95,17 @@ class CovarianceMatrix:
         trace = float(np.trace(m))
         if not trace > 0:
             raise ValueError("covariance trace must be positive")
-        m = m * (d / trace)
-        vals, vecs = np.linalg.eigh(m)
+        return cls._floored(*np.linalg.eigh(m * (d / trace)))
+
+    @classmethod
+    def _floored(cls, vals, vecs) -> "CovarianceMatrix":
+        """The covariance of eigenpairs with trace d: refused unless PSD,
+        then floored at ``EIGENVALUE_FLOOR`` and rescaled to trace d."""
         if vals.min() < -1e-10 * max(1.0, vals.max()):
             raise ValueError("covariance is not positive semi-definite")
         vals = np.maximum(vals, EIGENVALUE_FLOOR)
-        vals *= d / vals.sum()  # restore exact trace after flooring
-        mat = (vecs * vals) @ vecs.T
-        sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-        return cls(
-            matrix=_readonly(0.5 * (mat + mat.T)),
-            sqrt=_readonly(0.5 * (sqrt + sqrt.T)),
-            inv_sqrt=_readonly(0.5 * (inv_sqrt + inv_sqrt.T)),
-            eigenvalues=_readonly(vals),
-            eigenvectors=_readonly(vecs),
-        )
+        vals *= vals.size / vals.sum()  # restore exact trace after flooring
+        return cls(eigenvalues=_readonly(vals), eigenvectors=_readonly(vecs))
 
     @classmethod
     def identity(cls, d: int) -> "CovarianceMatrix":
@@ -165,12 +182,55 @@ class EcgSample:
         return self.beats.mean(axis=0)
 
 
+def _toeplitz_eigh(row: np.ndarray):
+    """Eigenpairs, ascending, of the symmetric Toeplitz matrix T with
+    first row ``row``, from two eigenproblems of about half its size.
+
+    T is centrosymmetric (J T J = T, J the exchange matrix), so each
+    eigenvector is symmetric, [y; J y] / sqrt 2, or skew, [y; -J y] /
+    sqrt 2, with y an eigenvector of A + B J or A - B J, where A and B are
+    T's upper-left and upper-right m x m blocks (Cantoni & Butler 1976,
+    Linear Algebra Appl. 13:275). For odd d = 2m + 1 the symmetric half
+    gains the middle row and column, scaled by sqrt 2 to stay symmetric,
+    and its vectors carry the middle entry unscaled.
+    """
+    d = row.size
+    m = d // 2
+    i = np.arange(m)
+    near = row[np.abs(i[:, None] - i)]  # A
+    far = row[d - 1 - i[:, None] - i]  # B J: entry (i, j) is T[i, d-1-j]
+    sym = near + far
+    if d % 2:
+        middle = math.sqrt(2.0) * row[m - i]  # T[i, m], scaled
+        sym = np.block([[sym, middle[:, None]], [middle, row[:1]]])
+    sym_vals, sym_vecs = np.linalg.eigh(sym)
+    skew_vals, skew_vecs = np.linalg.eigh(near - far)
+
+    vals = np.concatenate([sym_vals, skew_vals])
+    order = np.argsort(vals, kind="stable")
+    column = np.empty(d, dtype=np.intp)
+    column[order] = np.arange(d)
+    sym_cols, skew_cols = column[:sym_vals.size], column[sym_vals.size:]
+    half = 1.0 / math.sqrt(2.0)
+    vecs = np.zeros((d, d))
+    vecs[:m, sym_cols] = half * sym_vecs[:m]
+    vecs[d - m:, sym_cols] = half * sym_vecs[:m][::-1]
+    if d % 2:
+        vecs[m, sym_cols] = sym_vecs[m]
+    vecs[:m, skew_cols] = half * skew_vecs
+    vecs[d - m:, skew_cols] = -half * skew_vecs[::-1]
+    return vals[order], vecs
+
+
 def matern_covariance(d: int, fs: float, lengthscale: float = DEFAULT_LENGTHSCALE,
                       smoothness: float = DEFAULT_SMOOTHNESS) -> CovarianceMatrix:
     """Trace-normalized Matern covariance over a d-sample window at ``fs``.
 
     Entry (s, t) is the Matern kernel at lag |s - t| / fs. Supported
-    smoothness values are 1/2, 3/2 and 5/2 (the closed-form family).
+    smoothness values are 1/2, 3/2 and 5/2 (the closed-form family). The
+    kernel is 1 at lag 0, so the trace is d already; the matrix is
+    Toeplitz, and its eigenpairs come from two half-size eigenproblems
+    (:func:`_toeplitz_eigh`).
     """
     d = int(d)
     if d < 1:
@@ -184,8 +244,7 @@ def matern_covariance(d: int, fs: float, lengthscale: float = DEFAULT_LENGTHSCAL
             f"smoothness {smoothness} unsupported; choose one of "
             f"{SUPPORTED_SMOOTHNESS}"
         )
-    lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) / fs
-    r = lags / lengthscale
+    r = np.arange(d) / fs / lengthscale
     if smoothness == 0.5:
         kernel = np.exp(-r)
     elif smoothness == 1.5:
@@ -194,7 +253,7 @@ def matern_covariance(d: int, fs: float, lengthscale: float = DEFAULT_LENGTHSCAL
     else:
         s = math.sqrt(5.0) * r
         kernel = (1.0 + s + (5.0 / 3.0) * r * r) * np.exp(-s)
-    return CovarianceMatrix.from_matrix(kernel)
+    return CovarianceMatrix._floored(*_toeplitz_eigh(kernel))
 
 
 def sample_noise_beats(K: CovarianceMatrix, tau, B: int, rng_seed) -> np.ndarray:

@@ -1,6 +1,7 @@
 """File formats: headered CSV matrices, dataset directories, JSON documents.
 
-Matrices handed to the user are CSV with a ``row_id`` first column.
+Matrices handed to the user are CSV with a ``row_id`` first column and
+each value as ``%.17g``, which round-trips float64 exactly.
 Datasets are a directory with a ``manifest.json`` plus float64 ``.npy``
 arrays: ``beats.npy`` holds every recording's beats stacked in manifest
 order, split by the manifest's ``beat_counts``; ``thetas.npy`` (N, d) and
@@ -50,7 +51,8 @@ def _atomic_write(path, text: str) -> None:
 
 
 def save_matrix_csv(path, matrix, row_ids=None) -> None:
-    """Write a matrix as headered CSV, first column the row id."""
+    """Write a matrix as headered CSV, first column the row id; each value
+    is ``%.17g``, one format operation per row."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     n, d = matrix.shape
     if row_ids is None:
@@ -58,8 +60,9 @@ def save_matrix_csv(path, matrix, row_ids=None) -> None:
     if len(row_ids) != n:
         raise ValueError("row_ids length does not match the matrix")
     lines = ["row_id," + ",".join(f"c{j}" for j in range(d))]
+    row_format = ",".join([_FLOAT_FMT] * d)
     for rid, row in zip(row_ids, matrix):
-        lines.append(str(rid) + "," + ",".join(_FLOAT_FMT % v for v in row))
+        lines.append(str(rid) + "," + row_format % tuple(row.tolist()))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

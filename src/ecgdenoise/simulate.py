@@ -7,7 +7,10 @@ step h = 1 / (4 fs), so every fourth state lands on the output grid.
 
 (u, v) depends neither on x nor on the wave parameters, so traces sharing
 ``omega`` and a start share one phase path, stepped once; dx/dt is linear
-in x, so each RK4 step on x is an affine map x -> rho x + c_k.
+in x, so each RK4 step on x is an affine map x -> rho x + c_k. The batch's
+forcing, and from it c_k, is evaluated a chunk of steps at a time in three
+buffers of about ``FORCING_CHUNK`` values each, reused for every chunk, so
+no array is as large as (steps, traces).
 """
 from __future__ import annotations
 
@@ -34,9 +37,19 @@ JITTER_MAX_RETRIES = 100
 #: Name of the integrator, recorded in benchmark reports and records.
 BACKEND = "python"
 
-#: Traces whose forcing is evaluated together. Each (4 steps, traces)
-#: temporary of one cycle at 500 Hz then holds about 2 MB.
-TRACE_BLOCK = 32
+#: (stage, trace) forcing values evaluated per chunk of RK4 steps: a chunk
+#: is as many steps as fill this many, so each of the integrator's three
+#: buffers holds about 512 kB whether the batch is one trace or 500.
+FORCING_CHUNK = 1 << 16
+
+#: Batches of up to this many traces take the step x -> c_k + rho x on
+#: Python floats, one trace at a time (about 0.1 us a step); larger ones
+#: take it on NumPy rows, all traces at once (about 3 us a step).
+SCALAR_STEP_TRACES = 8
+
+#: A stage phase this far inside (-pi, pi) of every trace's wave position
+#: skips the wrap of ``phase - theta_i``; it covers the rounding there.
+_WRAP_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -204,34 +217,79 @@ def _phase_path(omega: float, u: float, v: float, h: float, n_steps: int):
     return np.frombuffer(states).reshape(-1, 2), phases
 
 
-def _baseline_minus_waves(phases, a, b, theta, x0) -> np.ndarray:
-    """``x0 - sum_i a_i dth_i exp(-dth_i^2 / (2 b_i^2))``, shape (phases,
-    traces), with ``dth_i`` the phase minus ``theta_i`` wrapped into
-    (-pi, pi]. Elementwise only, so no trace depends on its block."""
-    total = np.zeros((phases.size, a.shape[0]))
-    for i in range(a.shape[1]):
-        dth = phases[:, None] - theta[:, i]
-        turns = dth + math.pi
-        turns /= _TWO_PI
-        np.floor(turns, out=turns)
-        turns *= _TWO_PI
-        dth -= turns
-        dth[dth == -math.pi] = math.pi
-        g = np.multiply(dth, dth, out=turns)
-        g /= -(2.0 * b[:, i] * b[:, i])
+def _wrap_runs(phases, theta) -> list:
+    """Per wave i, the runs ``(start, stop)`` of stage phases at which some
+    trace's ``phase - theta_i`` may leave [-pi, pi); the bounds come from
+    the batch's least and greatest theta_i. At every other phase the wrap
+    into (-pi, pi] leaves the difference as it is."""
+    lo, hi = theta.min(axis=0), theta.max(axis=0)
+    runs = []
+    for i in range(theta.shape[1]):
+        rows = np.flatnonzero((phases - hi[i] < _WRAP_MARGIN - math.pi)
+                              | (phases - lo[i] >= math.pi - _WRAP_MARGIN))
+        ends = np.flatnonzero(np.diff(rows) > 1)
+        runs.append(list(zip(rows[np.r_[0, ends + 1]].tolist(),
+                             (rows[np.r_[ends, -1]] + 1).tolist()))
+                    if rows.size else [])
+    return runs
+
+
+def _baseline_minus_waves(phases, first, waves, runs, total, dth, g) -> None:
+    """Write ``x0 - sum_i a_i dth_i exp(-dth_i^2 / (2 b_i^2))`` into
+    ``total``, shape (phases, traces), with ``dth_i`` the phase minus
+    ``theta_i`` wrapped into (-pi, pi] on the row runs ``runs[i]`` (the
+    rows that need it, counted from ``first``, the index of ``phases[0]``
+    in the runs). ``waves`` is ``(a, -2 b^2, theta, x0)`` with one row per
+    wave; ``dth`` and ``g`` are scratch buffers of ``total``'s shape.
+    Elementwise only, so no trace depends on the others."""
+    a, neg_two_b_sq, theta, x0 = waves
+    total.fill(0.0)
+    for i in range(a.shape[0]):
+        np.subtract(phases[:, None], theta[i], out=dth)
+        for start, stop in runs[i]:
+            start, stop = max(start - first, 0), min(stop - first, len(dth))
+            if start >= stop:
+                continue
+            part, turns = dth[start:stop], g[start:stop]
+            np.add(part, math.pi, out=turns)
+            turns /= _TWO_PI
+            np.floor(turns, out=turns)
+            turns *= _TWO_PI
+            part -= turns
+            part[part == -math.pi] = math.pi
+        np.multiply(dth, dth, out=g)
+        g /= neg_two_b_sq[i]
         np.exp(g, out=g)
-        dth *= a[:, i]
+        dth *= a[i]
         g *= dth
         total += g
-    return np.subtract(x0, total, out=total)
+    np.subtract(x0, total, out=total)
 
 
-def _divergence_steps(path: np.ndarray) -> np.ndarray:
-    """First step after which each column of ``path`` (row k: the state
-    after step k) is non-finite; ``len(path)`` where none is."""
-    bad = ~np.isfinite(path)
-    first = np.where(bad.any(axis=0), bad.argmax(axis=0), len(path))
-    return np.maximum(first, 1)
+def _first_nonfinite(rows: np.ndarray) -> np.ndarray:
+    """Index of each column's first non-finite row; ``len(rows)`` where
+    none is."""
+    bad = ~np.isfinite(rows)
+    return np.where(bad.any(axis=0), bad.argmax(axis=0), len(rows))
+
+
+def _affine_steps(path, state, rho: float) -> None:
+    """Overwrite row k of ``path`` (c_k) with x_{k+1} = c_k + rho x_k, from
+    x_0 = ``state``, and leave the last row in ``state``."""
+    if path.shape[1] > SCALAR_STEP_TRACES:
+        previous = state
+        for row in path:
+            row += rho * previous
+            previous = row
+        state[:] = previous
+        return
+    for j, x in enumerate(state.tolist()):
+        column = path[:, j].tolist()
+        for k, c in enumerate(column):
+            x = c + rho * x
+            column[k] = x
+        path[:, j] = column
+        state[j] = x
 
 
 def _rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
@@ -243,8 +301,10 @@ def _rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
     voltages ``x`` (n, m) at every ``stride``-th step, m = n_steps // stride
     + 1. With the forcing g fixed at the four stage phases, an RK4 step on
     dx/dt = g - x is x -> rho x + c_k, c_k a weighted sum of those four g.
-    Raises :class:`IntegrationDivergedError` naming the first non-finite
-    step and trace.
+    The batch is stepped a chunk of steps at a time (``FORCING_CHUNK``),
+    in three buffers reused for every chunk. Raises
+    :class:`IntegrationDivergedError` naming the first non-finite step and
+    trace.
     """
     if stride < 1 or n_steps < 0 or n_steps % stride != 0:
         raise ValueError("n_steps must be a non-negative multiple of stride")
@@ -257,22 +317,43 @@ def _rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
     w2 = h6 * (2.0 - h + h * h / 2.0)
     w3 = h6 * (2.0 - h)
     n = len(xinit)
+    waves = (np.ascontiguousarray(a.T), -(2.0 * b.T * b.T),
+             np.ascontiguousarray(theta.T), x0)
+    wrap = _wrap_runs(phases, theta)
+    chunk = max(stride, min(n_steps, FORCING_CHUNK // (4 * n))
+                // stride * stride)
+    total, dth, g = (np.empty((4 * chunk, n)) for _ in range(3))
+
     x = np.empty((n, n_steps // stride + 1))
-    diverged = np.full(n, _divergence_steps(states).min())
-    for lo in range(0, n, TRACE_BLOCK):
-        block = slice(lo, lo + TRACE_BLOCK)
-        g = _baseline_minus_waves(phases, a[block], b[block], theta[block],
-                                  x0[block]).reshape(n_steps, 4, -1)
-        path = np.empty((n_steps + 1, g.shape[2]))
-        path[0] = xinit[block]
-        path[1:] = w1 * g[:, 0] + w2 * g[:, 1] + w3 * g[:, 2] + h6 * g[:, 3]
-        for k in range(n_steps):
-            path[k + 1] += rho * path[k]
-        x[block] = path[::stride].T
-        diverged[block] = np.minimum(diverged[block], _divergence_steps(path))
-    if diverged.min() <= n_steps:
-        trace = int(np.argmin(diverged))
-        raise IntegrationDivergedError(int(diverged[trace]), trace)
+    x[:, 0] = xinit
+    state = np.array(xinit, dtype=np.float64)
+    # row k of ``states`` is the phase after step k; a non-finite start
+    # counts as step 1
+    phase_diverged = max(int(_first_nonfinite(states).min()), 1)
+    for first in range(0, n_steps, chunk):
+        steps = min(chunk, n_steps - first)
+        rows = 4 * steps
+        _baseline_minus_waves(phases[4 * first:4 * first + rows], 4 * first,
+                              waves, wrap, total[:rows], dth[:rows],
+                              g[:rows])
+        forcing = total[:rows].reshape(steps, 4, n)
+        # c_k, then x_{k+1} = c_k + rho x_k in place of c_k
+        path = np.multiply(forcing[:, 0], w1, out=dth[:steps])
+        term = g[:steps]
+        for k, weight in ((1, w2), (2, w3), (3, h6)):
+            path += np.multiply(forcing[:, k], weight, out=term)
+        _affine_steps(path, state, rho)
+        x[:, first // stride + 1:(first + steps) // stride + 1] = \
+            path[stride - 1::stride].T
+        if not np.isfinite(state).all():
+            # a voltage that turns non-finite stays so, so this is the
+            # first chunk with a non-finite step and it holds the earliest
+            diverged = np.minimum(phase_diverged,
+                                  first + 1 + _first_nonfinite(path))
+            trace = int(np.argmin(diverged))
+            raise IntegrationDivergedError(int(diverged[trace]), trace)
+    if phase_diverged <= n_steps:
+        raise IntegrationDivergedError(phase_diverged, 0)
     return states[::stride, 0], states[::stride, 1], x
 
 

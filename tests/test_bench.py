@@ -105,8 +105,14 @@ class TestLatentDimRule:
 
     def test_fixed_choose(self):
         rule = LatentDimRule("fixed", 4)
-        assert rule.choose(np.zeros((10, 8))) == 4
-        assert LatentDimRule("fixed", 4.0).choose(None) == 4
+        assert rule.choose((10, 8), np.zeros((10, 8))) == 4
+        assert LatentDimRule("fixed", 4.0).choose((10, 8)) == 4
+
+    @pytest.mark.parametrize("shape, p", [((4, 80), 3), ((10, 2), 2),
+                                          ((8, 80), 7)])
+    def test_fixed_capped_at_rank(self, shape, p):
+        # N centred rows of width d have rank at most min(d, N - 1)
+        assert LatentDimRule("fixed", 7).choose(shape) == p
 
     @pytest.mark.parametrize("value", [7.9, 0.5, True, np.bool_(True),
                                        np.inf, np.nan])
@@ -121,7 +127,7 @@ class TestLatentDimRule:
         rule = LatentDimRule("scree", -0.8)
         data = rng.standard_normal((5, 20)) * 1e-3
         data[:, 0] += np.array([10.0, -10.0, 10.0, -10.0, 10.0])
-        assert 1 <= rule.choose(data) <= 4
+        assert 1 <= rule.choose(data.shape, data) <= 4
 
 
 class TestDenoise:

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ecgdenoise import bench, cli
+from ecgdenoise import bench, cli, estimators
 from ecgdenoise.cli import _true_covariance, main
 from ecgdenoise.noise import EcgSample, matern_covariance
 from ecgdenoise.serialize import (
@@ -196,6 +196,49 @@ class TestDenoise:
         assert payload["error"]["type"] == "EcgDenoiseError"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_fixed_latent_dim_capped_at_rank(self, tmp_path, capsys):
+        # 4 centred rows have rank 3, below the default p = 7
+        ds = tmp_path / "ds"
+        for argv in (["simulate", "-n", "4", "-B", "3", "--d", "80",
+                      "--fs", "200", "--r-offset", "26", "--seed", "1",
+                      "--out", str(ds)],
+                     ["estimate-noise", "--dataset", str(ds),
+                      "--out", str(tmp_path / "noise")]):
+            code, _ = run_json(capsys, argv)
+            assert code == 0
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(ds), "--estimator", "fa:estimated",
+            "--out", str(tmp_path / "estimates.csv"),
+        ])
+        assert code == 0
+        assert payload["latent_dim"] == 3
+        estimates, _ = load_matrix_csv(tmp_path / "estimates.csv")
+        assert estimates.shape == (4, 80)
+
+    @pytest.mark.parametrize("estimator, fit", [
+        ("fa:truth", "FA fit"), ("mog_fa:truth", "mixture FA fit, stage 3")])
+    def test_falling_loglik_is_json_error(self, dataset, tmp_path, capsys,
+                                          monkeypatch, estimator, fit):
+        fit_loadings = estimators._fit_loadings
+
+        def falling(xw, psi, loadings, prior, *args):
+            loadings, trace, converged = fit_loadings(xw, psi, loadings,
+                                                      prior, *args)
+            if estimator.startswith("mog_fa") and len(prior[0]) == 1:
+                return loadings, trace, converged  # stage 1 stays as it was
+            return loadings, np.append(trace, trace[-1] - 1.0), converged
+
+        monkeypatch.setattr(estimators, "_fit_loadings", falling)
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(dataset), "--estimator", estimator,
+            "--latent-dim", "3", "--components", "2",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "NonMonotoneFitError"
+        assert payload["error"]["message"].startswith(f"{fit}: ")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestBenchmark:
     def test_small_grid(self, tmp_path, capsys):
@@ -250,7 +293,12 @@ class TestBenchmark:
         assert code == 1
         assert "oracle_bayes" in payload["error"]["message"]
 
-    def test_bad_config_value_is_json_error(self, tmp_path, capsys):
+    def test_bad_config_value_is_json_error(self, tmp_path, capsys,
+                                            monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a population")
+
+        monkeypatch.setattr(bench, "simulate_population", refuse)
         config_path = tmp_path / "c.json"
         for document, match in [
             ({"seed": 1, "mog_components": 0}, "mog_components"),
@@ -261,6 +309,14 @@ class TestBenchmark:
             ({"seed": 1, "fs": True}, "'fs' must be a number"),
             ({"seed": 1, "latent_dim": "3"}, "'latent_dim' must be an object"),
             ({"seed": 1, "estimators": [5]}, "unknown estimator '5'"),
+            ({"seed": 1, "tau_regimes": [{"kind": "fixed", "value": "2"}]},
+             "'tau_regimes' item 0 key 'value' must be a number, not '2'"),
+            ({"seed": 1, "n_beats_grid": [None]},
+             "'n_beats_grid' item 0 must be an integer, not None"),
+            ({"seed": 1, "n_beats_grid": [20, 2.7]},
+             "'n_beats_grid' item 1 must be an integer, not 2.7"),
+            ({"seed": 1, "latent_dim": {"mode": "scree", "value": "x"}},
+             "'latent_dim' key 'value' must be a number, not 'x'"),
         ]:
             config_path.write_text(json.dumps(document))
             code, payload = run_json(capsys, [

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecgdenoise import estimators
+from ecgdenoise.errors import EcgDenoiseError, NonMonotoneFitError
 from ecgdenoise.bench import (
     BenchmarkConfig,
     TauRegime,
@@ -585,6 +586,37 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="non-decreasing"):
             FaModel(mean=np.zeros(4), loadings=np.zeros((4, 1)),
                     loglik_trace=np.array([0.0, -1.0]))
+
+    def test_falling_trace_is_typed_and_names_the_fit(self):
+        trace = np.array([-10.0, -5.0, -5.5, -4.0])
+        with pytest.raises(NonMonotoneFitError,
+                           match=r"^stage 3: .* point 2 of 4 is 0\.5 below"):
+            estimators._check_loglik_trace(trace, "stage 3")
+        assert issubclass(NonMonotoneFitError, EcgDenoiseError)
+        # a fall within LOGLIK_SLACK (relative) passes
+        estimators._check_loglik_trace(
+            np.array([-10.0, -10.0 - 5.0 * LOGLIK_SLACK]), "stage 3")
+
+    @pytest.mark.parametrize("mixture", [False, True], ids=["fa", "mog_fa"])
+    def test_fits_name_themselves(self, monkeypatch, rng, k_mod, mixture):
+        fit_loadings = estimators._fit_loadings
+
+        def falling(xw, psi, loadings, prior, *args):
+            loadings, trace, converged = fit_loadings(xw, psi, loadings,
+                                                      prior, *args)
+            if mixture and len(prior[0]) == 1:
+                return loadings, trace, converged  # stage 1 as it was
+            return loadings, np.append(trace, trace[-1] - 1.0), converged
+
+        monkeypatch.setattr(estimators, "_fit_loadings", falling)
+        means = rng.standard_normal((30, D))
+        if mixture:
+            with pytest.raises(NonMonotoneFitError,
+                               match="^mixture FA fit, stage 3: "):
+                fit_mog_fa(means, k_mod, np.full(30, 5.0), 2, n_components=2)
+        else:
+            with pytest.raises(NonMonotoneFitError, match="^FA fit: "):
+                fit_factor_analysis(means, k_mod, np.full(30, 5.0), 2)
 
     def test_mog_model_rejects_bad_weights(self):
         fa = FaModel(mean=np.zeros(4), loadings=np.zeros((4, 2)),

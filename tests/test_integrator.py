@@ -1,26 +1,41 @@
-"""Shared-phase RK4 integrator against a plain reference stepper.
+"""Shared-phase RK4 integrator against two reference steppers.
 
 ``rk4_mcsharry`` below steps every trace's full (u, v, x) state with
 classical RK4 and evaluates the forcing at each stage, one step at a time.
-``four_cycle_extract`` builds beats on it without reading modulo the
-cycle: one calibration cycle, then three more cycles sampled on the output
-grid, with the R peak searched in the second.
+``block_rk4_mcsharry`` is the earlier form of the shared-phase kernel: the
+forcing of 32 traces at a time over every step, wrapped on every row, then
+the affine recurrence over the whole (steps, traces) path. The chunked
+kernel must match it bit for bit. ``four_cycle_extract`` builds beats on
+the plain stepper without reading modulo the cycle: one calibration cycle,
+then three more cycles sampled on the output grid, with the R peak
+searched in the second.
 """
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ecgdenoise import simulate
 from ecgdenoise.errors import IntegrationDivergedError
 from ecgdenoise.simulate import (
     DEFAULT_PARAMS,
+    FORCING_CHUNK,
+    SCALAR_STEP_TRACES,
     STRIDE,
-    TRACE_BLOCK,
+    _phase_path,
     _rk4_mcsharry,
+    _rk4_rho,
+    _shared,
     extract_canonical_beat,
     extract_canonical_beats,
     jitter_population,
 )
+
+#: More traces than take the scalar step; with these, 2400 steps span
+#: several forcing chunks.
+N_ROWS = SCALAR_STEP_TRACES + 27
 
 _TWO_PI = 2.0 * np.pi
 
@@ -120,6 +135,65 @@ def rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
     return out_u, out_v, out_x
 
 
+BLOCK = 32
+
+
+def _block_forcing(phases, a, b, theta, x0):
+    total = np.zeros((phases.size, a.shape[0]))
+    for i in range(a.shape[1]):
+        dth = phases[:, None] - theta[:, i]
+        turns = dth + math.pi
+        turns /= _TWO_PI
+        np.floor(turns, out=turns)
+        turns *= _TWO_PI
+        dth -= turns
+        dth[dth == -math.pi] = math.pi
+        g = np.multiply(dth, dth, out=turns)
+        g /= -(2.0 * b[:, i] * b[:, i])
+        np.exp(g, out=g)
+        dth *= a[:, i]
+        g *= dth
+        total += g
+    return np.subtract(x0, total, out=total)
+
+
+def _block_divergence_steps(path):
+    bad = ~np.isfinite(path)
+    first = np.where(bad.any(axis=0), bad.argmax(axis=0), len(path))
+    return np.maximum(first, 1)
+
+
+def block_rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps,
+                       stride):
+    """The shared-phase kernel in blocks of ``BLOCK`` traces."""
+    states, phases = _phase_path(_shared(omega, "omega"), _shared(u0, "u0"),
+                                 _shared(v0, "v0"), h, n_steps)
+    rho = _rk4_rho(h)
+    h6 = h / 6.0
+    w1 = h6 * (1.0 - h + h * h / 2.0 - h ** 3 / 4.0)
+    w2 = h6 * (2.0 - h + h * h / 2.0)
+    w3 = h6 * (2.0 - h)
+    n = len(xinit)
+    x = np.empty((n, n_steps // stride + 1))
+    diverged = np.full(n, _block_divergence_steps(states).min())
+    for lo in range(0, n, BLOCK):
+        block = slice(lo, lo + BLOCK)
+        g = _block_forcing(phases, a[block], b[block], theta[block],
+                           x0[block]).reshape(n_steps, 4, -1)
+        path = np.empty((n_steps + 1, g.shape[2]))
+        path[0] = xinit[block]
+        path[1:] = w1 * g[:, 0] + w2 * g[:, 1] + w3 * g[:, 2] + h6 * g[:, 3]
+        for k in range(n_steps):
+            path[k + 1] += rho * path[k]
+        x[block] = path[::stride].T
+        diverged[block] = np.minimum(diverged[block],
+                                     _block_divergence_steps(path))
+    if diverged.min() <= n_steps:
+        trace = int(np.argmin(diverged))
+        raise IntegrationDivergedError(int(diverged[trace]), trace)
+    return states[::stride, 0], states[::stride, 1], x
+
+
 def four_cycle_extract(params_batch, fs, d, r_offset):
     """Beats from one calibration cycle plus three sampled cycles."""
     n = len(params_batch)
@@ -175,8 +249,8 @@ def _run_both(params_batch, xinit, start, h, n_steps, stride):
 class TestAgainstReference:
     @pytest.mark.parametrize("start", [(-1.0, 0.0), (0.8, 0.1), (0.3, -1.4)])
     def test_batch_matches_reference(self, start):
-        # more traces than one block, each with its own waves and start
-        n = TRACE_BLOCK + 3
+        # several chunks of row steps, each trace with its own waves
+        n = N_ROWS
         xinit = np.random.default_rng(3).uniform(-1.0, 1.0, n)
         pop = _population(n)
         (u, v, x), (ref_u, ref_v, ref_x) = _run_both(
@@ -225,16 +299,15 @@ class TestDivergence:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("poison", ["xinit", "amplitude", "phase"])
     def test_error_names_the_reference_step_and_trace(self, poison):
-        # the poisoned trace sits in the second block
-        n = TRACE_BLOCK + 3
+        # the poisoned traces are not the first
+        n = N_ROWS
         pop = _population(n)
         xinit = np.zeros(n)
         start = (-1.0, 0.0)
         if poison == "xinit":
-            xinit[TRACE_BLOCK + 1] = np.inf
+            xinit[n - 2] = np.inf
         elif poison == "amplitude":
-            pop[TRACE_BLOCK + 2] = replace(pop[TRACE_BLOCK + 2],
-                                           a=(1.0, 1.0, 1e308, 1.0, 1.0))
+            pop[n - 1] = replace(pop[n - 1], a=(1.0, 1.0, 1e308, 1.0, 1.0))
         else:
             start = (1e200, 1e200)
         a, b, theta, x0, xinit = _batch(pop, xinit)
@@ -268,9 +341,112 @@ class TestCanonicalBeats:
         assert np.abs(got - want).max() <= 1e-9 * scale
 
     def test_batch_across_blocks_matches_single(self):
-        pop = _population(TRACE_BLOCK + 2, seed=5)
+        # row steps for the batch, scalar steps for each beat alone
+        pop = _population(N_ROWS, seed=5)
         batch = extract_canonical_beats(pop, fs=250.0, d=200, r_offset=66)
         for row, params in zip(batch, pop):
             single = extract_canonical_beat(params, fs=250.0, d=200,
                                             r_offset=66)
             np.testing.assert_array_equal(row, single.values)
+
+
+def _run_block(params_batch, xinit, start, h, n_steps, stride, theta=None):
+    """The chunked kernel and the block kernel on one batch."""
+    a, b, theta_batch, x0, xinit = _batch(params_batch, xinit)
+    if theta is not None:
+        theta_batch = theta
+    args = (a, b, theta_batch, x0, params_batch[0].omega, start[0], start[1],
+            xinit, h, n_steps, stride)
+    return _rk4_mcsharry(*args), block_rk4_mcsharry(*args)
+
+
+def _assert_bit_equal(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.fixture(params=[FORCING_CHUNK, 4 * N_ROWS * STRIDE],
+                ids=["chunk-default", "chunk-one-stride"])
+def chunk_budget(request, monkeypatch):
+    monkeypatch.setattr(simulate, "FORCING_CHUNK", request.param)
+    return request.param
+
+
+class TestAgainstBlockKernel:
+    """Bit equality with the block kernel, on the sizes the package runs."""
+
+    @pytest.mark.parametrize("n", [300, 500], ids=["pipeline", "grid"])
+    def test_population_cycle(self, n):
+        # one cycle at 500 Hz from phase pi, as extract_canonical_beats runs
+        pop = _population(n, seed=n)
+        _assert_bit_equal(*_run_block(pop, np.zeros(n), (-1.0, 0.0),
+                                      1.0 / 2000.0, 2000, 4))
+
+    @pytest.mark.parametrize("n", [3, N_ROWS], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("start", [(-1.0, 0.0), (-1.0, -0.0), (0.8, 0.1)])
+    def test_phase_minus_theta_on_pi(self, n, start, chunk_budget):
+        # (-1, +-0) starts at phase +-pi, where theta_R = 0 gives dth = +-pi;
+        # two more traces put an R wave exactly pi from a later stage phase
+        pop = _population(n, seed=2)
+        h, n_steps = 1.0 / 2000.0, 400
+        _, phases = _phase_path(pop[0].omega, *start, h, n_steps)
+        theta = np.stack([p.theta for p in pop])
+        hits = {}
+        for phase in phases[7::13]:
+            for sign in (1.0, -1.0):
+                shifted = phase - sign * math.pi
+                if phase - shifted == sign * math.pi:
+                    hits.setdefault(sign, shifted)
+        assert set(hits) == {1.0, -1.0}
+        theta[0, 2], theta[1, 2] = hits[1.0], hits[-1.0]
+        xinit = np.random.default_rng(4).uniform(-1.0, 1.0, n)
+        _assert_bit_equal(*_run_block(pop, xinit, start, h, n_steps, 4,
+                                      theta=theta))
+
+    def test_forty_second_trace(self):
+        (pop_params,) = _population(1, seed=203)
+        _assert_bit_equal(*_run_block([pop_params], [0.0], (-1.0, 0.0),
+                                      1.0 / 2000.0, 80000, STRIDE))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n", [3, N_ROWS], ids=["scalar", "rows"])
+    @pytest.mark.parametrize("poison", ["xinit", "amplitude", "late",
+                                        "phase"])
+    def test_divergence_step_and_trace(self, n, poison, chunk_budget):
+        pop = _population(n, seed=9)
+        xinit = np.zeros(n)
+        start = (-1.0, 0.0)
+        if poison == "xinit":
+            xinit[n - 2] = np.nan
+        elif poison == "amplitude":
+            pop[1] = replace(pop[1], a=(1.0, 1.0, 1e308, 1.0, 1.0))
+        elif poison == "late":
+            # the T wave's bump overflows only once the phase nears it
+            pop[n - 1] = replace(pop[n - 1], a=(1.0, 1.0, 1.0, 1.0, 1e308))
+        else:
+            start = (1e200, 1e200)
+        with pytest.raises(IntegrationDivergedError) as want:
+            _run_block(pop, xinit, start, 1.0 / 2000.0, 400, 4)
+        a, b, theta, x0, xinit = _batch(pop, xinit)
+        with pytest.raises(IntegrationDivergedError) as got:
+            _rk4_mcsharry(a, b, theta, x0, pop[0].omega, start[0], start[1],
+                          xinit, 1.0 / 2000.0, 400, 4)
+        assert (got.value.step, got.value.trace_index) == \
+            (want.value.step, want.value.trace_index)
+
+    def test_no_steps_by_traces_array(self):
+        # 500 traces over one 500 Hz cycle: a (steps, traces) array would
+        # take 8 MB; the kernel holds its output, three chunk buffers and
+        # the phase path (about 0.2 MB)
+        n, n_steps = 500, 2000
+        a, b, theta, x0, xinit = _batch(_population(n), np.zeros(n))
+        tracemalloc.start()
+        try:
+            _rk4_mcsharry(a, b, theta, x0, DEFAULT_PARAMS.omega, -1.0, 0.0,
+                          xinit, 1.0 / 2000.0, n_steps, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = n * (n_steps // 4 + 1) * 8
+        assert peak < output + 3 * FORCING_CHUNK * 8 + 2**20

@@ -98,6 +98,80 @@ class TestMaternCovariance:
         np.testing.assert_allclose(np.diag(k.matrix), 1.0, rtol=1e-10)
 
 
+def _kernel(d, fs, lengthscale, smoothness):
+    """The Matern kernel matrix, built entry by entry from the lags."""
+    r = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) / fs
+    r = r / lengthscale
+    if smoothness == 0.5:
+        return np.exp(-r)
+    s = math.sqrt(2.0 * smoothness) * r
+    if smoothness == 1.5:
+        return (1.0 + s) * np.exp(-s)
+    return (1.0 + s + (5.0 / 3.0) * r * r) * np.exp(-s)
+
+
+class TestMaternHalves:
+    """The two centrosymmetric half problems against one full ``eigh``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 80, 493])
+    @pytest.mark.parametrize("smoothness", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("lengthscale", [5e-4, 0.02])
+    def test_matches_full_eigh(self, lengthscale, smoothness, d):
+        # the benchmark's 0.5 ms noise and the module default 20 ms, 500 Hz
+        k = matern_covariance(d, 500.0, lengthscale, smoothness)
+        kernel = _kernel(d, 500.0, lengthscale, smoothness)
+        full = CovarianceMatrix.from_matrix(kernel)
+        vecs = k.eigenvectors
+        assert np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-14
+        assert np.all(np.diff(k.eigenvalues) >= 0)
+        np.testing.assert_allclose(k.eigenvalues, full.eigenvalues,
+                                   rtol=0, atol=1e-13)
+        # A perturbation of eps |K| in an eigenvalue lam moves sqrt(lam)
+        # by eps |K| / (2 sqrt(lam)): 2e-12 for the 20 ms nu = 5/2 kernel
+        # (lam_min 6e-6), where the two square roots differ by 1.7e-13.
+        lam = full.eigenvalues
+        bound = max(1e-13, np.finfo(float).eps * lam.max()
+                    / math.sqrt(lam.min()))
+        assert np.abs(k.sqrt - full.sqrt).max() <= bound
+        assert np.abs(k.sqrt @ k.sqrt - kernel).max() <= 1e-14 * d
+
+
+class TestLazyFactors:
+    def _eager(self, k):
+        """The factors as built before they became lazy."""
+        vals, vecs = k.eigenvalues, k.eigenvectors
+        mat = (vecs * vals) @ vecs.T
+        sqrt = (vecs * np.sqrt(vals)) @ vecs.T
+        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+        return {"matrix": 0.5 * (mat + mat.T),
+                "sqrt": 0.5 * (sqrt + sqrt.T),
+                "inv_sqrt": 0.5 * (inv_sqrt + inv_sqrt.T)}
+
+    @pytest.mark.parametrize("build", [
+        lambda: matern_covariance(80, 200.0, 5e-4, 0.5),
+        lambda: CovarianceMatrix.from_matrix(_kernel(30, 500.0, 0.02, 2.5)),
+    ], ids=["matern", "from_matrix"])
+    def test_bit_equal_read_only_and_built_once(self, build):
+        k = build()
+        assert not {"matrix", "sqrt", "inv_sqrt"} & vars(k).keys()
+        for name, want in self._eager(k).items():
+            got = getattr(k, name)
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+            assert getattr(k, name) is got
+        with pytest.raises(ValueError):
+            k.sqrt[0, 0] = 1.0
+
+    def test_unread_factors_are_not_built(self):
+        k = matern_covariance(40, 200.0, 5e-4, 0.5)
+        with mock.patch.object(CovarianceMatrix, "_symmetric",
+                               wraps=k._symmetric) as build:
+            sample_noise_beats(k, tau=2.0, B=3, rng_seed=1)
+            sample_noise_beats(k, tau=3.0, B=3, rng_seed=2)
+        assert build.call_count == 1
+        assert set(vars(k)) & {"matrix", "inv_sqrt"} == set()
+
+
 class TestSampleNoiseBeats:
     def test_vanishing_noise(self, small_k):
         beats = sample_noise_beats(small_k, tau=1e9, B=5, rng_seed=1)

@@ -62,6 +62,50 @@ class TestMatrixCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
+def per_value_csv(matrix, row_ids) -> str:
+    """The CSV text written one ``%.17g`` per value."""
+    n, d = matrix.shape
+    lines = ["row_id," + ",".join(f"c{j}" for j in range(d))]
+    for rid, row in zip(row_ids, matrix):
+        lines.append(str(rid) + "," + ",".join("%.17g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e308, -1e308, np.finfo(float).max, 0.1, -1.0 / 3.0]
+
+
+@st.composite
+def csv_matrices(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 7))
+    value = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False,
+                                                     allow_infinity=False)
+    return draw(hnp.arrays(np.float64, (n, d), elements=value))
+
+
+class TestCsvText:
+    @settings(max_examples=80, deadline=None)
+    @given(csv_matrices())
+    def test_bytes_equal_per_value_format(self, matrix):
+        row_ids = [f"r{i}" for i in range(matrix.shape[0])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            save_matrix_csv(path, matrix, row_ids)
+            text = path.read_bytes()
+        assert text == per_value_csv(matrix, row_ids).encode()
+
+    @pytest.mark.parametrize("values", [
+        np.array(EDGE_VALUES)[None], np.array(EDGE_VALUES)[:, None],
+        np.array([[-0.0]])], ids=["one-row", "one-column", "one-value"])
+    def test_edge_values_in_one_row_and_one_column(self, tmp_path, values):
+        save_matrix_csv(tmp_path / "m.csv", values)
+        row_ids = [str(i) for i in range(values.shape[0])]
+        assert (tmp_path / "m.csv").read_text() == \
+            per_value_csv(values, row_ids)
+        assert_same(load_matrix_csv(tmp_path / "m.csv")[0], values)
+
+
 class TestDataset:
     def test_round_trip(self, tmp_path, rng):
         d = 40
