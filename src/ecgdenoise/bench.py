@@ -63,9 +63,7 @@ DEFAULT_JITTER = 0.3
 
 #: Matern parameters of the benchmark's noise process. Calibrated jointly
 #: with the gain/jitter defaults so the estimator error table spans the
-#: regimes of interest (see the project README); the noise module's own
-#: matern defaults (20 ms, nu = 3/2) describe a more strongly correlated
-#: process used for the estimation-fidelity checks.
+#: regimes of interest (see the project README).
 DEFAULT_NOISE_LENGTHSCALE = 5e-4
 DEFAULT_NOISE_SMOOTHNESS = 0.5
 
@@ -422,16 +420,12 @@ def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
     return beats
 
 
-def make_samples(beats: np.ndarray, thetas=None, taus=None, fs=DEFAULT_FS,
-                 r_offset=None) -> list:
-    """Wrap a beats array (N, B, d) into EcgSample objects."""
+def make_samples(beats: np.ndarray) -> list:
+    """Wrap a beats array (N, B, d) into EcgSample objects, ids s00000...,
+    without ground truth (``save_dataset`` takes that as arrays)."""
     n = beats.shape[0]
     width = max(5, len(str(n - 1)))
-    return [EcgSample.from_arrays(f"s{i:0{width}d}", beats[i],
-                                  None if thetas is None else thetas[i],
-                                  None if taus is None else taus[i],
-                                  fs=fs, r_offset=r_offset)
-            for i in range(n)]
+    return [EcgSample(f"s{i:0{width}d}", beats[i]) for i in range(n)]
 
 
 def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
@@ -692,7 +686,7 @@ def emit_plot_data(obj, kind: str, path, reconstruction=None,
 
 
 def _collect_taus(samples) -> np.ndarray:
-    taus = [float(s.tau) for s in samples if s.tau is not None]
+    taus = [s.tau for s in samples if s.tau is not None]
     if not taus:
         raise EmptyInputError("no tau values available")
     return np.asarray(taus)

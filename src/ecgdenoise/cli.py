@@ -90,7 +90,7 @@ def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
                         default=DEFAULT_NOISE_SMOOTHNESS)
 
 
-def _simulation_config(args, estimators=()) -> BenchmarkConfig:
+def _simulation_config(args) -> BenchmarkConfig:
     return BenchmarkConfig(
         seed=args.seed,
         n_samples=args.n_samples,
@@ -103,7 +103,7 @@ def _simulation_config(args, estimators=()) -> BenchmarkConfig:
         amplitude_gain=args.gain,
         lengthscale=args.lengthscale,
         smoothness=args.smoothness,
-        estimators=estimators or (EstimatorSpec("mle"),),
+        estimators=(EstimatorSpec("mle"),),
     )
 
 
@@ -117,8 +117,7 @@ def _cmd_simulate(args) -> int:
                           config.smoothness)
     taus = regime.draw(config.n_samples, np.random.default_rng(tau_seed))
     beats = simulate_cell_beats(thetas, K, taus, args.beats, noise_seed)
-    samples = make_samples(beats, thetas, taus, fs=config.fs,
-                           r_offset=config.r_offset)
+    samples = make_samples(beats)
     out = _resolve_out(args.out, f"dataset-seed{args.seed}")
     save_dataset(
         out, samples,
@@ -144,7 +143,7 @@ def _dataset_truth(samples):
     """The true taus and thetas, each None unless every sample has it."""
     taus = thetas = None
     if all(s.tau is not None for s in samples):
-        taus = np.array([float(s.tau) for s in samples])
+        taus = np.array([s.tau for s in samples])
     if all(s.theta is not None for s in samples):
         thetas = np.stack([s.theta.values for s in samples])
     return taus, thetas

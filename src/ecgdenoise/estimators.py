@@ -1,13 +1,16 @@
 """Denoisers for canonical ECG beats.
 
-Four estimators share one interface (a d-vector estimate per recording):
+Each estimator maps an (N, d) matrix of per-recording beat averages to N
+estimates of the clean beats. The beat average itself is the maximum
+likelihood estimate and needs no code here; the others are:
 
-* ``mle_average`` -- the per-recording beat mean.
-* ``oracle_bayes`` -- nearest ground-truth atom in whitened distance; an
-  idealized upper bound on performance.
-* factor analysis -- EM fit of low-rank structure on whitened beats with
-  known per-row noise scale, denoising via the latent posterior mean.
-* mixture-of-Gaussians factor analysis -- same likelihood with an
+* ``oracle_bayes_batch`` -- nearest ground-truth atom in whitened
+  distance; an idealized upper bound on performance.
+* factor analysis (``fit_factor_analysis``, ``fa_posterior_mean_batch``)
+  -- EM fit of low-rank structure on whitened beats with known per-row
+  noise scale, denoising via the latent posterior mean.
+* mixture-of-Gaussians factor analysis (``fit_mog_fa``,
+  ``mog_fa_posterior_mean_batch``) -- same likelihood with an
   empirical-Bayes Gaussian-mixture prior fitted to the latent scores.
 
 The factor models operate in whitened coordinates (noise becomes
@@ -48,7 +51,8 @@ import numpy as np
 
 from .errors import FitDivergedError, NonMonotoneFitError
 from .gmm import CANCELLATION_LIMIT, GaussianMixture, fit_gmm, logsumexp
-from .noise import CovarianceMatrix, EcgSample, _as_tau
+from .noise import CovarianceMatrix
+from .simulate import _readonly
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -80,26 +84,6 @@ def _check_loglik_trace(trace: np.ndarray, fit: str = "FA model") -> None:
                 f"{fit}: log-likelihood trace must be non-decreasing, but "
                 f"point {k + 1} of {trace.size} is {-diffs[k]:.3g} below "
                 f"point {k}")
-
-
-def _readonly(arr) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class AtomPrior:
-    """The ground-truth beats available to the oracle, one per row."""
-
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _readonly(self.atoms))
-        if self.atoms.ndim != 2 or self.atoms.shape[0] < 1:
-            raise ValueError("atoms must be a non-empty (N, d) matrix")
-        if not np.all(np.isfinite(self.atoms)):
-            raise ValueError("atoms must be finite")
 
 
 @dataclass(frozen=True)
@@ -188,20 +172,18 @@ class MogFaModel:
 
 
 # ---------------------------------------------------------------------------
-# simple estimators
+# oracle
 # ---------------------------------------------------------------------------
 
-def mle_average(sample: EcgSample) -> np.ndarray:
-    """Arithmetic mean of the sample's beats (the MLE under the model)."""
-    return sample.beat_mean
-
-
-def oracle_bayes_batch(means: np.ndarray, atoms, K: CovarianceMatrix):
-    """Nearest atom in whitened distance for each row of ``means``.
+def oracle_bayes_batch(means: np.ndarray, atoms: np.ndarray,
+                       K: CovarianceMatrix):
+    """MAP estimate of each row of ``means`` under the discrete prior over
+    the (N, d) ``atoms``, the true beats: the nearest atom in whitened
+    distance.
 
     Returns ``(estimates, indices)``; ties go to the lowest atom index.
     """
-    atoms_matrix = atoms.atoms if isinstance(atoms, AtomPrior) else np.asarray(atoms)
+    atoms_matrix = np.asarray(atoms)
     if atoms_matrix.ndim != 2 or atoms_matrix.shape[0] < 1:
         raise ValueError("atoms must be a non-empty (N, d) matrix")
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
@@ -221,16 +203,6 @@ def oracle_bayes_batch(means: np.ndarray, atoms, K: CovarianceMatrix):
         d2 = d2[:, first[copy_of.reshape(-1)]]
     idx = np.argmin(d2, axis=1)
     return atoms_matrix[idx].copy(), idx
-
-
-def oracle_bayes(sample: EcgSample, atoms, K: CovarianceMatrix) -> np.ndarray:
-    """MAP estimate under the discrete prior over the true beats.
-
-    Whitens the per-sample beat average and returns the closest atom in
-    Euclidean distance; deterministic (ties broken by lowest index).
-    """
-    estimates, _ = oracle_bayes_batch(sample.beat_mean[None, :], atoms, K)
-    return estimates[0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,36 +430,20 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
                    converged=converged)
 
 
-def fa_latent_means(model: FaModel, beats: np.ndarray, K: CovarianceMatrix,
-                    taus, n_beats=1) -> np.ndarray:
-    """Posterior latent means for rows of ``beats`` under a fitted model."""
-    beats = np.atleast_2d(np.asarray(beats, dtype=np.float64))
-    psi = _effective_psi(taus, n_beats, beats.shape[0])
-    return _posterior_latents(model.loadings, beats - model.mean, psi,
-                              K.inv_sqrt)
-
-
 def fa_posterior_mean_batch(model: FaModel, means: np.ndarray,
                             K: CovarianceMatrix, taus, n_beats=1) -> np.ndarray:
-    """Posterior-mean denoising of each row of ``means``."""
-    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-    latents = fa_latent_means(model, means, K, taus, n_beats)
-    return model.mean + latents @ (model.loadings.T @ K.sqrt)
+    """Factor-analysis posterior-mean denoising of each row of ``means``.
 
-
-def fa_posterior_mean(model: FaModel, sample: EcgSample, K: CovarianceMatrix,
-                      tau) -> np.ndarray:
-    """Denoise one recording with the factor-analysis posterior mean.
-
-    The B beats enter through their average, whose whitened noise variance
-    is 1 / (tau^2 B); the estimate is mean + K^{1/2} L E[z | x]. As
+    Row i averages ``n_beats[i]`` beats, so its whitened noise variance is
+    1 / (tau_i^2 B_i); its estimate is mean + K^{1/2} L E[z | x_i]. As
     tau sqrt(B) grows the estimate approaches the beat average (projected
     on the factor subspace); as tau -> 0 it approaches the global mean.
     """
-    tau = _as_tau(tau)
-    return fa_posterior_mean_batch(
-        model, sample.beat_mean[None, :], K, tau, sample.n_beats
-    )[0]
+    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
+    psi = _effective_psi(taus, n_beats, means.shape[0])
+    latents = _posterior_latents(model.loadings, means - model.mean, psi,
+                                 K.inv_sqrt)
+    return model.mean + latents @ (model.loadings.T @ K.sqrt)
 
 
 def select_latent_dim(eigenvalues, slope_cutoff: float = DEFAULT_SLOPE_CUTOFF) -> int:
@@ -588,12 +544,3 @@ def mog_fa_posterior_mean_batch(model: MogFaModel, means: np.ndarray,
     resp, latent_means = _mog_fa_posterior(model, means, K, taus, n_beats)
     combined = np.einsum("nc,cnp->np", resp, latent_means)
     return model.fa.mean + combined @ (model.fa.loadings.T @ K.sqrt)
-
-
-def mog_fa_posterior_mean(model: MogFaModel, sample: EcgSample,
-                          K: CovarianceMatrix, tau) -> np.ndarray:
-    """Denoise one recording with the mixture-prior posterior mean."""
-    tau = _as_tau(tau)
-    return mog_fa_posterior_mean_batch(
-        model, sample.beat_mean[None, :], K, tau, sample.n_beats,
-    )[0]

@@ -78,10 +78,6 @@ class GaussianMixture:
     restart_logliks: np.ndarray
     reseeds: int
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.size
-
 
 @lru_cache(maxsize=None)
 def _upper(p: int):

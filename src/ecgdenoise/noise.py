@@ -19,11 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientReplicatesError, ZeroNoiseError
-from .simulate import DEFAULT_FS, ThetaBeat
-
-#: Matern defaults used by the simulation benchmarks (20 ms at 500 Hz).
-DEFAULT_LENGTHSCALE = 0.02
-DEFAULT_SMOOTHNESS = 1.5
+from .simulate import DEFAULT_FS, ThetaBeat, _readonly
 
 SUPPORTED_SMOOTHNESS = (0.5, 1.5, 2.5)
 
@@ -36,12 +32,6 @@ INVERSE_RIDGE = 1e-8
 #: Residual rows :func:`estimate_noise` stacks per GEMM; bounds its working
 #: set to about this many rows of d floats, whatever the number of samples.
 RESIDUAL_BLOCK_ROWS = 1024
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -112,24 +102,6 @@ class CovarianceMatrix:
         return cls.from_matrix(np.eye(d))
 
 
-@dataclass(frozen=True)
-class NoisePrecision:
-    """Per-recording noise precision tau (noise scale sigma = 1 / tau)."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be finite and strictly positive")
-
-    @property
-    def sigma(self) -> float:
-        return 1.0 / self.tau
-
-    def __float__(self) -> float:
-        return self.tau
-
-
 def _as_tau(tau) -> float:
     value = float(tau)
     if not (math.isfinite(value) and value > 0):
@@ -139,12 +111,14 @@ def _as_tau(tau) -> float:
 
 @dataclass(frozen=True)
 class EcgSample:
-    """One recording: B aligned beats, plus ground truth when simulated."""
+    """One recording: B aligned beats, plus ground truth when simulated:
+    the clean beat ``theta`` and the noise precision ``tau`` (the noise
+    scale is 1 / tau)."""
 
     sample_id: str
     beats: np.ndarray
     theta: ThetaBeat | None = None
-    tau: NoisePrecision | None = None
+    tau: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "beats", _readonly(self.beats))
@@ -154,6 +128,8 @@ class EcgSample:
             raise ValueError("beats must be finite")
         if self.theta is not None and self.theta.d != self.beats.shape[1]:
             raise ValueError("ground-truth beat length does not match beats")
+        if self.tau is not None:
+            object.__setattr__(self, "tau", _as_tau(self.tau))
 
     @classmethod
     def from_arrays(cls, sample_id: str, beats, theta=None, tau=None, *,
@@ -165,8 +141,6 @@ class EcgSample:
         if theta is not None:
             r_index = int(np.argmax(theta)) if r_offset is None else int(r_offset)
             theta = ThetaBeat(values=theta, r_index=r_index, fs=fs)
-        if tau is not None:
-            tau = NoisePrecision(float(tau))
         return cls(sample_id=sample_id, beats=beats, theta=theta, tau=tau)
 
     @property
@@ -222,8 +196,8 @@ def _toeplitz_eigh(row: np.ndarray):
     return vals[order], vecs
 
 
-def matern_covariance(d: int, fs: float, lengthscale: float = DEFAULT_LENGTHSCALE,
-                      smoothness: float = DEFAULT_SMOOTHNESS) -> CovarianceMatrix:
+def matern_covariance(d: int, fs: float, lengthscale: float,
+                      smoothness: float) -> CovarianceMatrix:
     """Trace-normalized Matern covariance over a d-sample window at ``fs``.
 
     Entry (s, t) is the Matern kernel at lag |s - t| / fs. Supported

@@ -123,9 +123,11 @@ DEFAULT_PARAMS = OdeParams(
 
 
 def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+    """A read-only float64 view of ``values``: no copy where they are
+    float64 already, and the caller's array stays writable."""
+    view = np.asarray(values, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -146,10 +148,6 @@ class RawTrace:
 
     def __len__(self) -> int:
         return self.values.size
-
-    @property
-    def duration(self) -> float:
-        return (self.values.size - 1) / self.fs
 
 
 @dataclass(frozen=True)

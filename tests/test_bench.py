@@ -20,7 +20,7 @@ from ecgdenoise.errors import (
     InsufficientReplicatesError,
 )
 from ecgdenoise.estimators import fit_factor_analysis, fit_mog_fa
-from ecgdenoise.noise import EcgSample, NoisePrecision, matern_covariance
+from ecgdenoise.noise import EcgSample, matern_covariance
 
 
 def small_config(**overrides):
@@ -149,14 +149,14 @@ class TestDenoise:
             run("fa:truth")
         with pytest.raises(InsufficientReplicatesError, match="B >= 2"):
             run("mog_fa:estimated")
-        truth = (matern_covariance(4, 500.0), np.ones(3))
+        truth = (matern_covariance(4, 500.0, 0.02, 1.5), np.ones(3))
         with pytest.raises(EcgDenoiseError, match="oracle_bayes needs the"):
             run("oracle_bayes", truth=truth)
 
     @pytest.mark.parametrize("kind", ["fa", "mog_fa"])
     def test_fit_diagnostics(self, rng, kind):
         means = rng.standard_normal((30, 6))
-        K, taus = matern_covariance(6, 500.0), np.full(30, 2.0)
+        K, taus = matern_covariance(6, 500.0, 0.02, 1.5), np.full(30, 2.0)
         _, extra = denoise(EstimatorSpec(kind, "truth"), means, 1,
                            truth=(K, taus), estimate=None, thetas=None,
                            latent_dim=LatentDimRule("fixed", 2),
@@ -175,7 +175,7 @@ class TestDenoise:
         # restart's convergence, the best and worst of the 10 restarts'
         # final log-likelihoods and the re-seeds over all of them
         means = rng.standard_normal((30, 6))
-        K, taus = matern_covariance(6, 500.0), np.full(30, 2.0)
+        K, taus = matern_covariance(6, 500.0, 0.02, 1.5), np.full(30, 2.0)
         _, extra = denoise(EstimatorSpec("mog_fa", "truth"), means, 1,
                            truth=(K, taus), estimate=None, thetas=None,
                            latent_dim=LatentDimRule("fixed", 2),
@@ -221,7 +221,7 @@ class TestSharedFaFit:
 
     def test_shared_fit_matches_a_separate_one(self, rng):
         means = rng.standard_normal((30, 6))
-        K, taus = matern_covariance(6, 500.0), np.full(30, 2.0)
+        K, taus = matern_covariance(6, 500.0, 0.02, 1.5), np.full(30, 2.0)
         kwargs = dict(truth=(K, taus), estimate=None, thetas=None,
                       latent_dim=LatentDimRule("fixed", 2), n_components=2,
                       fit_seed=3)
@@ -392,10 +392,7 @@ class TestRunBenchmark:
 class TestEmitPlotData:
     def _sample(self, rng, tau=None):
         beats = rng.standard_normal((4, 30))
-        return EcgSample(
-            sample_id="s0", beats=beats,
-            tau=NoisePrecision(tau) if tau else None,
-        )
+        return EcgSample(sample_id="s0", beats=beats, tau=tau)
 
     def test_beats_overlay(self, tmp_path, rng):
         path = tmp_path / "overlay.csv"
@@ -409,7 +406,7 @@ class TestEmitPlotData:
     def test_tau_hist_conserves_counts(self, tmp_path, rng):
         samples = [
             EcgSample(sample_id=str(i), beats=rng.standard_normal((2, 8)),
-                      tau=NoisePrecision(float(t)))
+                      tau=t)
             for i, t in enumerate(rng.uniform(2, 20, 50))
         ]
         path = tmp_path / "tau.csv"

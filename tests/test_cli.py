@@ -476,6 +476,21 @@ class TestDatasetChecks:
         error = self.estimate_noise_error(capsys, copy)
         assert f"{beats}: ground-truth beat length" in error["message"]
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+    def test_invalid_true_tau_is_json_error(self, copy, capsys, bad):
+        taus = np.load(copy / "taus.npy")
+        taus[3] = bad
+        np.save(copy / "taus.npy", taus)
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(copy), "--estimator", "fa:truth",
+            "--out", str(copy / "estimates.csv"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith(
+            f"{copy / 'beats.npy'}: tau must be finite and strictly positive")
+        assert not (copy / "estimates.csv").exists()
+
     @pytest.mark.parametrize("damage", ["truncated", "object"])
     def test_bad_beats_file_is_json_error(self, copy, capsys, damage):
         beats = copy / "beats.npy"

@@ -8,7 +8,10 @@ from ecgdenoise import estimators
 from ecgdenoise.errors import EcgDenoiseError, NonMonotoneFitError
 from ecgdenoise.bench import (
     BenchmarkConfig,
+    EstimatorSpec,
+    LatentDimRule,
     TauRegime,
+    denoise,
     simulate_cell_beats,
     simulate_population,
 )
@@ -16,17 +19,13 @@ from ecgdenoise.estimators import (
     EM_MAX_ITER,
     EM_TOL,
     LOGLIK_SLACK,
-    AtomPrior,
     FaModel,
     MogFaModel,
-    fa_posterior_mean,
     fa_posterior_mean_batch,
     fit_factor_analysis,
     fit_mog_fa,
-    mle_average,
-    mog_fa_posterior_mean,
     mog_fa_posterior_mean_batch,
-    oracle_bayes,
+    oracle_bayes_batch,
     select_latent_dim,
 )
 from ecgdenoise.noise import (
@@ -73,7 +72,11 @@ class TestMleAverage:
     def test_single_beat_identity(self):
         beat = np.linspace(-1, 1, 10)
         sample = EcgSample(sample_id="s", beats=beat[None, :])
-        np.testing.assert_array_equal(mle_average(sample), beat)
+        estimates, _ = denoise(
+            EstimatorSpec("mle"), sample.beat_mean[None, :], sample.n_beats,
+            truth=None, estimate=None, thetas=None,
+            latent_dim=LatentDimRule(), n_components=1, fit_seed=0)
+        np.testing.assert_array_equal(estimates[0], beat)
 
     def test_mse_matches_analytic(self, k_mod):
         # summed squared error of the B-beat mean is tr(K) / (tau^2 B)
@@ -98,10 +101,11 @@ class TestMleAverage:
 
 class TestOracleBayes:
     def test_exact_atom_returned(self, k_mod, rng):
-        atoms = AtomPrior(atoms=rng.standard_normal((20, D)))
-        sample = EcgSample(sample_id="s", beats=atoms.atoms[7][None, :])
-        estimate = oracle_bayes(sample, atoms, k_mod)
-        np.testing.assert_array_equal(estimate, atoms.atoms[7])
+        atoms = rng.standard_normal((20, D))
+        sample = EcgSample(sample_id="s", beats=atoms[7][None, :])
+        estimates, _ = oracle_bayes_batch(sample.beat_mean[None, :], atoms,
+                                          k_mod)
+        np.testing.assert_array_equal(estimates[0], atoms[7])
 
     def test_whitened_metric_decides(self):
         # a two-atom case where whitened and raw distances disagree
@@ -111,15 +115,12 @@ class TestOracleBayes:
         # raw distances: 1.0 vs 0.35 -> atom 1; whitened: 1/sqrt(1.95)=0.716
         # vs 0.35/sqrt(0.05)=1.565 -> atom 0
         sample = EcgSample(sample_id="s", beats=x[None, :])
-        estimate = oracle_bayes(sample, atoms, k)
-        np.testing.assert_array_equal(estimate, atoms[0])
+        estimates, _ = oracle_bayes_batch(sample.beat_mean[None, :], atoms, k)
+        np.testing.assert_array_equal(estimates[0], atoms[0])
 
     def test_tie_breaks_to_lowest_index(self, k_mod):
         row = np.linspace(0, 1, D)
         atoms = np.stack([row, row + 1.0, row])  # atoms 0 and 2 identical
-        sample = EcgSample(sample_id="s", beats=row[None, :])
-        from ecgdenoise.estimators import oracle_bayes_batch
-
         _, idx = oracle_bayes_batch(row[None, :], atoms, k_mod)
         assert idx[0] == 0
 
@@ -184,7 +185,8 @@ class TestFactorAnalysis:
         beats = rng.standard_normal((30, D))
         model = fit_factor_analysis(beats, k_mod, taus=2.0, p=2)
         sample = EcgSample(sample_id="s", beats=np.tile(model.mean, (3, 1)))
-        estimate = fa_posterior_mean(model, sample, k_mod, tau=2.0)
+        estimate = fa_posterior_mean_batch(
+            model, sample.beat_mean[None, :], k_mod, 2.0, sample.n_beats)[0]
         np.testing.assert_allclose(estimate, model.mean, atol=1e-10)
 
     def test_vanishing_noise_limit_equals_mle(self, k_mod):
@@ -204,7 +206,8 @@ class TestFactorAnalysis:
         beats = rng.standard_normal((30, 8))
         model = fit_factor_analysis(beats, k, taus=1e6, p=8)
         sample = EcgSample(sample_id="s", beats=beats[3][None, :])
-        estimate = fa_posterior_mean(model, sample, k, tau=1e6)
+        estimate = fa_posterior_mean_batch(
+            model, sample.beat_mean[None, :], k, 1e6, sample.n_beats)[0]
         np.testing.assert_allclose(estimate, beats[3], atol=1e-3)
 
     def test_shrinkage_in_whitened_space(self, k_mod):
@@ -259,7 +262,9 @@ class TestMogFa:
         fa_est = fa_posterior_mean_batch(fa, means, k_mod, 2.0, 4)
         for i in (0, 5, 11):
             sample = EcgSample(sample_id=str(i), beats=means[i][None, :])
-            mog_est = mog_fa_posterior_mean(mog, sample, k_mod, tau=4.0)
+            mog_est = mog_fa_posterior_mean_batch(
+                mog, sample.beat_mean[None, :], k_mod, 4.0,
+                sample.n_beats)[0]
             rms = np.sqrt(np.mean((mog_est - fa_est[i]) ** 2))
             assert rms < 1e-6
 
@@ -305,7 +310,8 @@ class TestMogFa:
             cov_x, xw - loadings @ comp_means[1]
         )
         want = unwhiten(k_mod, loadings @ m)
-        got = mog_fa_posterior_mean(mog, sample, k_mod, tau)
+        got = mog_fa_posterior_mean_batch(
+            mog, sample.beat_mean[None, :], k_mod, tau, sample.n_beats)[0]
         assert np.sqrt(np.mean((got - want) ** 2)) < 1e-4
 
     def test_responsibilities_sum_to_one(self, k_mod, rng):

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from ecgdenoise import noise
 from ecgdenoise.errors import InsufficientReplicatesError, ZeroNoiseError
+from ecgdenoise.estimators import FaModel, MogFaModel
 from ecgdenoise.noise import (
     INVERSE_RIDGE,
     CovarianceMatrix,
     EcgSample,
-    NoisePrecision,
     estimate_noise,
     matern_covariance,
     sample_noise_beats,
     unwhiten,
     whiten,
 )
+from ecgdenoise.simulate import RawTrace, ThetaBeat
 
 
 class TestCovarianceMatrix:
@@ -193,10 +194,48 @@ class TestSampleNoiseBeats:
         b = sample_noise_beats(small_k, tau=4.0, B=3, rng_seed=7)
         np.testing.assert_allclose(a / 4.0, b, rtol=1e-12)
 
-    def test_precision_type(self):
-        with pytest.raises(ValueError):
-            NoisePrecision(0.0)
-        assert NoisePrecision(4.0).sigma == 0.25
+    def test_precision_type(self, small_k):
+        # one scalar tau check: a sample's true tau and the sampler's tau
+        beats = np.zeros((2, small_k.d))
+        for bad in (0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                EcgSample("s", beats, tau=bad)
+            with pytest.raises(ValueError, match="tau must be finite"):
+                sample_noise_beats(small_k, bad, 2, rng_seed=0)
+        sample = EcgSample("s", beats, tau=4)
+        assert type(sample.tau) is float and sample.tau == 4.0
+        assert type(EcgSample("s", beats, tau=np.float64(2.5)).tau) is float
+        assert EcgSample("s", beats).tau is None
+
+
+class TestReadOnlyViews:
+    def test_caller_arrays_stay_writable(self, rng):
+        # frozen objects hold read-only views of the arrays they are given:
+        # no copy, and the caller's arrays are not frozen with them
+        beats = rng.standard_normal((3, 5))
+        theta = np.array([0.0, 1.0, 3.0, 2.0, 0.5])
+        values = rng.standard_normal(40)
+        mean, loadings = rng.standard_normal(5), rng.standard_normal((5, 2))
+        loglik = np.array([-3.0, -2.0])
+        weights, comp_means = np.ones(1), np.zeros((1, 2))
+        comp_covs = np.eye(2)[None].copy()
+        sample = EcgSample("x", beats, theta=ThetaBeat(theta, 2, 500.0))
+        trace = RawTrace(fs=500.0, values=values)
+        fa = FaModel(mean=mean, loadings=loadings, loglik_trace=loglik)
+        mog = MogFaModel(fa=fa, weights=weights, comp_means=comp_means,
+                         comp_covs=comp_covs)
+        held = [(sample.beats, beats), (sample.theta.values, theta),
+                (trace.values, values), (fa.mean, mean),
+                (fa.loadings, loadings), (fa.loglik_trace, loglik),
+                (mog.weights, weights), (mog.comp_means, comp_means),
+                (mog.comp_covs, comp_covs)]
+        for frozen, given in held:
+            assert np.shares_memory(frozen, given)
+            assert not frozen.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                frozen.flat[0] = 1.0
+            assert given.flags.writeable
+            given.flat[0] = 1.0
 
 
 class TestWhiten:

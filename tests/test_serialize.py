@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ecgdenoise.errors import EmptyInputError, InvalidSampleIdError
-from ecgdenoise.noise import EcgSample, NoisePrecision
+from ecgdenoise.noise import EcgSample
 from ecgdenoise.serialize import (
     load_dataset,
     load_json,
@@ -115,7 +115,7 @@ class TestDataset:
         samples = [
             EcgSample(sample_id=f"s{i}", beats=thetas[i] + 0.01 *
                       rng.standard_normal((4, d)),
-                      tau=NoisePrecision(taus[i]))
+                      tau=taus[i])
             for i in range(3)
         ]
         save_dataset(tmp_path / "ds", samples,
@@ -164,6 +164,16 @@ class TestDataset:
         with pytest.raises(ValueError,
                            match=f"{name}: 2 rows, but the manifest has 3 "):
             load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+    def test_invalid_true_tau_is_named(self, tmp_path, rng, bad):
+        self._write(tmp_path / "ds", rng)
+        np.save(tmp_path / "ds" / "taus.npy", np.array([2.0, bad, 4.0]))
+        beats = tmp_path / "ds" / "beats.npy"
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path / "ds")
+        assert str(info.value).startswith(
+            f"{beats}: tau must be finite and strictly positive")
 
     def test_narrow_beats_file_is_named(self, tmp_path, rng):
         self._write(tmp_path / "ds", rng)
