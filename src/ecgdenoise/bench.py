@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -528,17 +529,141 @@ class _Clock:
         return elapsed
 
 
+#: Environment variables that set how many threads a BLAS call may use.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+def _cell_workers(n_cells: int) -> int:
+    """How many processes run the grid's cells: one per ``blas_threads``
+    CPUs this process may use, at most one per cell and at least one.
+
+    ``blas_threads`` is the largest positive integer among the BLAS
+    thread variables that are set, or the CPU count when none is, as
+    that is OpenBLAS's default: workers that each run a BLAS call on
+    every CPU only contend. The cells run here, one after another, where
+    ``fork`` is not available (spawned workers would re-run the caller's
+    ``__main__``).
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    counts = []
+    for var in _BLAS_THREAD_VARS:
+        try:
+            counts.append(int(os.environ.get(var, "")))
+        except ValueError:
+            pass
+    blas_threads = max((c for c in counts if c > 0), default=cpus)
+    return max(1, min(n_cells, cpus // blas_threads))
+
+
+def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats,
+              cell_seed):
+    """One grid cell: its noise draw, noise estimate and entries.
+
+    Returns the report's cell and its timings, from a clock of its own,
+    so that a cell gives the same result in a worker process as here.
+    """
+    clock = _Clock()
+    tau_seed, noise_seed, fit_seed = cell_seed.spawn(3)
+    taus = regime.draw(config.n_samples, np.random.default_rng(tau_seed))
+    beats = simulate_cell_beats(thetas, K, taus, n_beats, noise_seed)
+    means = beats.mean(axis=1)
+    cell_timings = {"tau_label": regime.label, "n_beats": n_beats,
+                    "sampling_s": clock.lap()}
+
+    estimate = None
+    if any(spec.needs_estimation for spec in config.estimators) \
+            and n_beats >= 2:
+        estimate = estimate_noise(beats)
+    cell_timings["noise_s"] = clock.lap()
+    cell_timings["denoise_s"] = {}
+
+    results = {}
+    fa_fits = {}
+    for spec in config.estimators:
+        label = f"{regime.label}, B={n_beats}, {spec.name}"
+        try:
+            estimates, extra = denoise(
+                spec, means, n_beats, truth=(K, taus), estimate=estimate,
+                thetas=thetas, latent_dim=config.latent_dim,
+                n_components=config.mog_components, fit_seed=fit_seed,
+                fa_fits=fa_fits,
+            )
+            errors = np.sum((estimates - thetas) ** 2, axis=1)
+            results[spec.name] = {
+                "status": "ok",
+                "mse": float(errors.mean()),
+                "se": float(errors.std(ddof=1)
+                            / np.sqrt(len(errors))) if len(errors) > 1
+                else 0.0,
+                "mse_per_coordinate": float(errors.mean() / config.d),
+                **extra,
+            }
+            log.info("%s: mse=%.4g", label, errors.mean())
+        except _ENTRY_ERRORS as exc:
+            results[spec.name] = {
+                "status": "failed",
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+            log.warning("%s failed: %s", label, exc)
+        cell_timings["denoise_s"][spec.name] = clock.lap()
+    cell = {
+        "tau_regime": regime.to_dict(),
+        "tau_label": regime.label,
+        "n_beats": n_beats,
+        "n_samples": config.n_samples,
+        "estimators": results,
+    }
+    return cell, cell_timings
+
+
+def _run_cells(config, thetas, K, cells: list, workers: int) -> list:
+    """``_run_cell`` for each (regime, n_beats, cell_seed) of ``cells``,
+    in that order.
+
+    One worker runs the cells here, one after another. More run them in a
+    pool of forked processes, which inherit the caller's modules as they
+    are; the cells with the most beats, the slowest, go first.
+    """
+    if workers == 1:
+        return [_run_cell(config, thetas, K, *cell) for cell in cells]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    order = sorted(range(len(cells)), key=lambda i: cells[i][1],
+                   reverse=True)
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = {i: pool.submit(_run_cell, config, thetas, K, *cells[i])
+                   for i in order}
+        try:
+            return [futures[i].result() for i in range(len(cells))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
     """Run the full grid; a failing estimator marks its cell entry failed.
 
     Deterministic given ``config.seed`` (cells use independently spawned
-    seed streams keyed by position). When ``out_path`` is given the report
-    is also written there atomically.
+    seed streams keyed by position), whether the cells run here or in
+    ``meta["workers"]`` worker processes (see ``_cell_workers``). When
+    ``out_path`` is given the report is also written there atomically.
 
     ``meta["timings"]`` says where the wall-clock time went: the
-    population and K, then per cell its noise sampling, its noise
-    estimation and each entry's ``denoise`` and scoring. A factor-analysis
-    fit that entries of a cell share counts toward the first of them.
+    population and K, the cell stage as a whole (``cells_s``), and per
+    cell its noise sampling, its noise estimation and each entry's
+    ``denoise`` and scoring. A factor-analysis fit that entries of a cell
+    share counts toward the first of them. With more than one worker the
+    cells overlap, so their times add up to more than ``cells_s``.
     """
     t_start = time.perf_counter()
     cells_spec = list(itertools.product(config.tau_regimes,
@@ -554,67 +679,22 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
     K = matern_covariance(config.d, config.fs, config.lengthscale,
                           config.smoothness)
     timings["covariance_s"] = clock.lap()
-    timings["cells"] = []
 
-    cells = []
-    for (regime, n_beats), cell_seed in zip(cells_spec, cell_seeds):
-        tau_seed, noise_seed, fit_seed = cell_seed.spawn(3)
-        taus = regime.draw(config.n_samples, np.random.default_rng(tau_seed))
-        beats = simulate_cell_beats(thetas, K, taus, n_beats, noise_seed)
-        means = beats.mean(axis=1)
-        cell_timings = {"tau_label": regime.label, "n_beats": n_beats,
-                        "sampling_s": clock.lap()}
-
-        estimate = None
-        if any(spec.needs_estimation for spec in config.estimators) \
-                and n_beats >= 2:
-            estimate = estimate_noise(beats)
-        cell_timings["noise_s"] = clock.lap()
-        cell_timings["denoise_s"] = {}
-
-        results = {}
-        fa_fits = {}
-        for spec in config.estimators:
-            label = f"{regime.label}, B={n_beats}, {spec.name}"
-            try:
-                estimates, extra = denoise(
-                    spec, means, n_beats, truth=(K, taus), estimate=estimate,
-                    thetas=thetas, latent_dim=config.latent_dim,
-                    n_components=config.mog_components, fit_seed=fit_seed,
-                    fa_fits=fa_fits,
-                )
-                errors = np.sum((estimates - thetas) ** 2, axis=1)
-                results[spec.name] = {
-                    "status": "ok",
-                    "mse": float(errors.mean()),
-                    "se": float(errors.std(ddof=1)
-                                / np.sqrt(len(errors))) if len(errors) > 1
-                    else 0.0,
-                    "mse_per_coordinate": float(errors.mean() / config.d),
-                    **extra,
-                }
-                log.info("%s: mse=%.4g", label, errors.mean())
-            except _ENTRY_ERRORS as exc:
-                results[spec.name] = {
-                    "status": "failed",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-                log.warning("%s failed: %s", label, exc)
-            cell_timings["denoise_s"][spec.name] = clock.lap()
-        timings["cells"].append(cell_timings)
-        cells.append({
-            "tau_regime": regime.to_dict(),
-            "tau_label": regime.label,
-            "n_beats": n_beats,
-            "n_samples": config.n_samples,
-            "estimators": results,
-        })
+    workers = _cell_workers(len(cells_spec))
+    log.info("running %d cells on %d worker process(es)", len(cells_spec),
+             workers)
+    cells = [(regime, n_beats, cell_seed)
+             for (regime, n_beats), cell_seed in zip(cells_spec, cell_seeds)]
+    done = _run_cells(config, thetas, K, cells, workers)
+    timings["cells_s"] = clock.lap()
+    timings["cells"] = [cell_timings for _, cell_timings in done]
 
     report = BenchmarkReport(
         config=config.to_dict(),
-        cells=tuple(cells),
+        cells=tuple(cell for cell, _ in done),
         meta={
             "wall_clock_s": time.perf_counter() - t_start,
+            "workers": workers,
             "timings": timings,
             "library_version": __version__,
             "backend": BACKEND,

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InsufficientReplicatesError, ZeroNoiseError
-from .simulate import DEFAULT_FS, ThetaBeat, _readonly
+from .simulate import ThetaBeat, _readonly
 
 SUPPORTED_SMOOTHNESS = (0.5, 1.5, 2.5)
 
@@ -130,18 +130,6 @@ class EcgSample:
             raise ValueError("ground-truth beat length does not match beats")
         if self.tau is not None:
             object.__setattr__(self, "tau", _as_tau(self.tau))
-
-    @classmethod
-    def from_arrays(cls, sample_id: str, beats, theta=None, tau=None, *,
-                    fs: float = DEFAULT_FS,
-                    r_offset: int | None = None) -> "EcgSample":
-        """A sample from plain values: ``theta`` the ground-truth beat,
-        whose R index is ``r_offset`` or, when that is None, its argmax;
-        ``tau`` the noise precision. Either may be None."""
-        if theta is not None:
-            r_index = int(np.argmax(theta)) if r_offset is None else int(r_offset)
-            theta = ThetaBeat(values=theta, r_index=r_index, fs=fs)
-        return cls(sample_id=sample_id, beats=beats, theta=theta, tau=tau)
 
     @property
     def n_beats(self) -> int:

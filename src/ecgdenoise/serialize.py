@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInputError, InvalidSampleIdError
-from .noise import EcgSample
-from .simulate import DEFAULT_FS
+from .noise import EcgSample, _as_tau
+from .simulate import DEFAULT_FS, ThetaBeat
 
 SCHEMA_VERSION = 1
 
@@ -233,8 +233,11 @@ def load_dataset(directory):
     """Read a dataset directory; returns ``(samples, manifest)``.
 
     Each sample's beats are a read-only row slice of ``beats.npy``. Truth
-    arrays hold one row per manifest sample id, in order. The returned
-    manifest's ``fs`` is ``DEFAULT_FS`` where the file has none.
+    arrays hold one row per manifest sample id, in order; a theta's R
+    index is the manifest's ``r_offset`` or, where that is null, the
+    theta's argmax. A bad value raises ValueError naming its file and
+    sample id. The returned manifest's ``fs`` is ``DEFAULT_FS`` where the
+    file has none.
     """
     directory = Path(directory)
     manifest = load_json(directory / "manifest.json")
@@ -253,21 +256,34 @@ def load_dataset(directory):
     beats = _load_npy(beats_path, 2, n_beats,
                       f"the manifest's beat_counts sum to {n_beats}")
     per_sample = f"the manifest has {n} sample_ids"
+    thetas_path, taus_path = directory / THETAS_FILE, directory / TAUS_FILE
     thetas = taus = None
     if manifest.get("has_ground_truth"):
-        thetas = _load_npy(directory / THETAS_FILE, 2, n, per_sample)
+        thetas = _load_npy(thetas_path, 2, n, per_sample)
     if manifest.get("has_true_taus"):
-        taus = _load_npy(directory / TAUS_FILE, 1, n, per_sample)
+        taus = _load_npy(taus_path, 1, n, per_sample)
     fs = manifest["fs"] = manifest.get("fs") or DEFAULT_FS
     r_offset = manifest.get("r_offset")
+    if thetas is not None and thetas.shape[1] != beats.shape[1]:
+        raise ValueError(f"{beats_path}: ground-truth beat length "
+                         f"{thetas.shape[1]} in {THETAS_FILE} does not match "
+                         f"the beats' {beats.shape[1]}")
     ends = np.cumsum(counts)
     samples = []
     for i, sid in enumerate(sample_ids):
-        try:
-            samples.append(EcgSample.from_arrays(
-                sid, beats[ends[i] - counts[i]:ends[i]],
-                None if thetas is None else thetas[i],
-                None if taus is None else taus[i], fs=fs, r_offset=r_offset))
+        theta = tau = None
+        try:  # ``source`` names the file of the value being checked
+            if thetas is not None:
+                source = thetas_path
+                r_index = int(np.argmax(thetas[i])) if r_offset is None \
+                    else int(r_offset)
+                theta = ThetaBeat(values=thetas[i], r_index=r_index, fs=fs)
+            if taus is not None:
+                source = taus_path
+                tau = _as_tau(taus[i])
+            source = beats_path
+            samples.append(EcgSample(sid, beats[ends[i] - counts[i]:ends[i]],
+                                     theta, tau))
         except ValueError as exc:
-            raise ValueError(f"{beats_path}: {exc}") from exc
+            raise ValueError(f"{source}: sample {sid!r}: {exc}") from exc
     return samples, manifest

@@ -1,5 +1,7 @@
 """Benchmark harness: config plumbing, determinism, error marking, plots."""
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ from ecgdenoise.errors import (
 )
 from ecgdenoise.estimators import fit_factor_analysis, fit_mog_fa
 from ecgdenoise.noise import EcgSample, matern_covariance
+
+
+def one_worker(monkeypatch):
+    """Run the grid's cells in this process, where a monkeypatched
+    function can count its calls."""
+    monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: 1)
 
 
 def small_config(**overrides):
@@ -213,6 +221,7 @@ class TestSharedFaFit:
         config = small_config(n_beats_grid=(1, 20),
                               estimators=BenchmarkConfig(seed=0).estimators)
         assert len(config.estimators) == 5
+        one_worker(monkeypatch)
         want = run_benchmark(config)
         calls = _counting_fa_fits(monkeypatch)
         got = run_benchmark(config)
@@ -239,6 +248,7 @@ class TestSharedFaFit:
     def test_failed_fit_fails_every_entry_that_needs_it(self, monkeypatch):
         # one sample: the factor-analysis fit is refused, once per cell,
         # and both entries built on it carry its error
+        one_worker(monkeypatch)
         calls = _counting_fa_fits(monkeypatch)
         config = small_config(
             n_samples=1, n_beats_grid=(1,), tau_regimes=(TauRegime.fixed(4),),
@@ -312,6 +322,11 @@ class TestBenchmarkConfig:
                 "seed": 1, "estimators": [{"kind": "mle", "mode": "x"}]})
 
 
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the cell pool forks its workers")
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_benchmark(small_config())
@@ -365,12 +380,28 @@ class TestRunBenchmark:
         assert "timings" not in json.dumps(report.body())
         assert [(c["tau_label"], c["n_beats"]) for c in timings["cells"]] \
             == [(c["tau_label"], c["n_beats"]) for c in report.cells]
-        total = timings["population_s"] + timings["covariance_s"]
-        for cell, entries in zip(timings["cells"], report.cells):
-            assert set(cell["denoise_s"]) == set(entries["estimators"])
-            total += cell["sampling_s"] + cell["noise_s"] \
-                + sum(cell["denoise_s"].values())
         wall = report.meta["wall_clock_s"]
+        stages = timings["population_s"] + timings["covariance_s"]
+        assert abs(stages + timings["cells_s"] - wall) <= 0.05 * wall
+        if report.meta["workers"] == 1:
+            total = stages
+            for cell, entries in zip(timings["cells"], report.cells):
+                assert set(cell["denoise_s"]) == set(entries["estimators"])
+                total += cell["sampling_s"] + cell["noise_s"] \
+                    + sum(cell["denoise_s"].values())
+            assert abs(total - wall) <= 0.05 * wall
+
+    @fork_only
+    def test_pool_timings_cover_the_run(self, monkeypatch, report):
+        monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: 2)
+        pooled = run_benchmark(small_config())
+        assert pooled.meta["workers"] == 2
+        timings = pooled.meta["timings"]
+        assert [(c["tau_label"], c["n_beats"]) for c in timings["cells"]] \
+            == [(c["tau_label"], c["n_beats"]) for c in report.cells]
+        wall = pooled.meta["wall_clock_s"]
+        total = timings["population_s"] + timings["covariance_s"] \
+            + timings["cells_s"]
         assert abs(total - wall) <= 0.05 * wall
 
     def test_seed_changes_results(self, report):
@@ -387,6 +418,91 @@ class TestRunBenchmark:
         assert document["schema_version"] == 1
         assert document["mse_convention"] == "summed"
         assert not list(out.parent.glob("*.tmp"))
+
+
+def _blas_env(monkeypatch, env):
+    """Set exactly the BLAS thread variables of ``env``, with fork
+    available."""
+    for var in bench._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["fork", "spawn"])
+
+
+class TestCellPool:
+    @fork_only
+    @pytest.mark.parametrize("config", [
+        small_config(seed=5),
+        small_config(seed=6, n_beats_grid=(1, 2, 4)),
+        small_config(seed=7, estimators=BenchmarkConfig(seed=0).estimators),
+        # the one-sample config whose factor-analysis fits fail
+        small_config(
+            n_samples=1, n_beats_grid=(1,), tau_regimes=(TauRegime.fixed(4),),
+            estimators=(EstimatorSpec("mle"), EstimatorSpec("fa", "truth"),
+                        EstimatorSpec("mog_fa", "truth"))),
+    ], ids=["seed5", "seed6", "seed7", "one-sample"])
+    def test_pool_body_matches_serial(self, monkeypatch, config):
+        one_worker(monkeypatch)
+        serial = run_benchmark(config)
+        monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: 2)
+        pooled = run_benchmark(config)
+        assert (serial.meta["workers"], pooled.meta["workers"]) == (1, 2)
+        assert json.dumps(pooled.body()) == json.dumps(serial.body())
+        if config.n_samples > 1:  # B = 1 cells refuse fa_estimated
+            assert pooled.result("tau=4", 1, "fa_estimated")["status"] \
+                == "failed"
+
+    @pytest.mark.parametrize("env, cpus, n_cells, want", [
+        ({}, 4, 4, 1),  # unset: OpenBLAS takes every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 5, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 4, 2),
+        ({"MKL_NUM_THREADS": "1"}, 4, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "two"}, 4, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "1"}, 4, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 4, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 4, 4, 1),
+    ])
+    def test_cell_workers(self, monkeypatch, env, cpus, n_cells, want):
+        _blas_env(monkeypatch, env)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert bench._cell_workers(n_cells) == want
+
+    def test_cell_workers_without_affinity_or_fork(self, monkeypatch):
+        _blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert bench._cell_workers(4) == 3
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert bench._cell_workers(4) == 1
+
+    @fork_only
+    def test_no_process_outlives_the_run(self, monkeypatch):
+        monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: 2)
+        run_benchmark(small_config(n_samples=10))
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_cell_error_reaches_the_caller(self, monkeypatch):
+        sample = bench.simulate_cell_beats
+
+        def fail_one_cell(thetas, K, taus, n_beats, seed):
+            if n_beats == 4 and taus[0] != taus[-1]:  # the U(2, 20) cell
+                raise RuntimeError("cell failed")
+            return sample(thetas, K, taus, n_beats, seed)
+
+        monkeypatch.setattr(bench, "simulate_cell_beats", fail_one_cell)
+        monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: 2)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_benchmark(small_config(n_samples=10))
+        assert multiprocessing.active_children() == []
 
 
 class TestEmitPlotData:

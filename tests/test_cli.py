@@ -488,7 +488,8 @@ class TestDatasetChecks:
         assert code == 1
         assert payload["error"]["type"] == "ValueError"
         assert payload["error"]["message"].startswith(
-            f"{copy / 'beats.npy'}: tau must be finite and strictly positive")
+            f"{copy / 'taus.npy'}: sample 's00003': tau must be finite and "
+            f"strictly positive")
         assert not (copy / "estimates.csv").exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "object"])

@@ -9,3 +9,11 @@ def test_every_export_exists():
     namespace = {}
     exec("from ecgdenoise import *", namespace)
     assert set(ecgdenoise.__all__) <= set(namespace)
+
+
+def test_the_fits_come_with_their_denoisers():
+    # a fit from the package root can be applied from the package root
+    for name in ("fit_factor_analysis", "fit_mog_fa",
+                 "fa_posterior_mean_batch", "mog_fa_posterior_mean_batch",
+                 "oracle_bayes_batch"):
+        assert name in ecgdenoise.__all__

@@ -1,4 +1,5 @@
 """File formats: CSV matrices, dataset directories, JSON documents."""
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -168,12 +169,30 @@ class TestDataset:
     @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
     def test_invalid_true_tau_is_named(self, tmp_path, rng, bad):
         self._write(tmp_path / "ds", rng)
-        np.save(tmp_path / "ds" / "taus.npy", np.array([2.0, bad, 4.0]))
-        beats = tmp_path / "ds" / "beats.npy"
+        taus = tmp_path / "ds" / "taus.npy"
+        np.save(taus, np.array([2.0, bad, 4.0]))
         with pytest.raises(ValueError) as info:
             load_dataset(tmp_path / "ds")
         assert str(info.value).startswith(
-            f"{beats}: tau must be finite and strictly positive")
+            f"{taus}: sample 's1': tau must be finite and strictly positive")
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.inf, "beat values must be finite"),
+        (-50.0, "r_index must be the global argmax of the beat"),
+    ], ids=["inf", "r-index"])
+    def test_invalid_theta_is_named(self, tmp_path, rng, bad, message):
+        self._write(tmp_path / "ds", rng)
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        manifest["r_offset"] = 0
+        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
+        thetas = tmp_path / "ds" / "thetas.npy"
+        values = np.zeros((3, 8))
+        values[:, 0] = 1.0  # the argmax is the manifest's r_offset...
+        values[2, 0] = bad  # ...except in s2
+        np.save(thetas, values)
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path / "ds")
+        assert str(info.value) == f"{thetas}: sample 's2': {message}"
 
     def test_narrow_beats_file_is_named(self, tmp_path, rng):
         self._write(tmp_path / "ds", rng)
