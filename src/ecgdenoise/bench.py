@@ -157,6 +157,9 @@ class EstimatorSpec:
             raise ValueError(f"unknown estimator {self.kind!r}")
         if self.noise not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.noise!r}")
+        if self.kind in ("mle", "oracle_bayes") and self.noise != "truth":
+            raise ValueError(f"{self.kind} has no {self.noise!r} noise mode: "
+                             f"it runs only as {self.kind}:truth")
 
     @classmethod
     def parse(cls, text: str) -> "EstimatorSpec":
@@ -421,6 +424,26 @@ def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
     return beats
 
 
+def grid_seeds(config: BenchmarkConfig):
+    """The population's seed and the (tau regime, beat count, cell seed) of
+    each cell in ``config`` order: the root seed spawns one stream for the
+    population, then one per cell."""
+    cells = list(itertools.product(config.tau_regimes, config.n_beats_grid))
+    root = np.random.SeedSequence(config.seed)
+    population_seed, *cell_seeds = root.spawn(1 + len(cells))
+    return population_seed, [(*c, s) for c, s in zip(cells, cell_seeds)]
+
+
+def draw_cell(thetas, K, regime: TauRegime, n_beats: int, cell_seed):
+    """A cell's noisy beats (N, B, d), their true taus and its fit seed.
+    Only this function spawns from ``cell_seed``, as a second ``spawn`` on
+    one ``SeedSequence`` gives other children."""
+    tau_seed, noise_seed, fit_seed = cell_seed.spawn(3)
+    taus = regime.draw(len(thetas), np.random.default_rng(tau_seed))
+    beats = simulate_cell_beats(thetas, K, taus, n_beats, noise_seed)
+    return beats, taus, fit_seed
+
+
 def make_samples(beats: np.ndarray) -> list:
     """Wrap a beats array (N, B, d) into EcgSample objects, ids s00000...,
     without ground truth (``save_dataset`` takes that as arrays)."""
@@ -456,8 +479,10 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
             )
         K, taus = estimate
     elif truth is None:
-        raise EcgDenoiseError(f"{spec.name} needs the true noise (K, taus); "
-                              f"use {spec.kind}:estimated")
+        hint = "" if spec.kind == "oracle_bayes" else \
+            f"; use {spec.kind}:estimated"
+        raise EcgDenoiseError(
+            f"{spec.name} needs the true noise (K, taus){hint}")
     else:
         K, taus = truth
     if spec.kind == "oracle_bayes":
@@ -571,9 +596,7 @@ def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats,
     so that a cell gives the same result in a worker process as here.
     """
     clock = _Clock()
-    tau_seed, noise_seed, fit_seed = cell_seed.spawn(3)
-    taus = regime.draw(config.n_samples, np.random.default_rng(tau_seed))
-    beats = simulate_cell_beats(thetas, K, taus, n_beats, noise_seed)
+    beats, taus, fit_seed = draw_cell(thetas, K, regime, n_beats, cell_seed)
     means = beats.mean(axis=1)
     cell_timings = {"tau_label": regime.label, "n_beats": n_beats,
                     "sampling_s": clock.lap()}
@@ -666,10 +689,7 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
     cells overlap, so their times add up to more than ``cells_s``.
     """
     t_start = time.perf_counter()
-    cells_spec = list(itertools.product(config.tau_regimes,
-                                        config.n_beats_grid))
-    root = np.random.SeedSequence(config.seed)
-    population_seed, *cell_seeds = root.spawn(1 + len(cells_spec))
+    population_seed, cells = grid_seeds(config)
 
     log.info("simulating population of %d beats (d=%d, backend=%s)",
              config.n_samples, config.d, BACKEND)
@@ -680,11 +700,8 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
                           config.smoothness)
     timings["covariance_s"] = clock.lap()
 
-    workers = _cell_workers(len(cells_spec))
-    log.info("running %d cells on %d worker process(es)", len(cells_spec),
-             workers)
-    cells = [(regime, n_beats, cell_seed)
-             for (regime, n_beats), cell_seed in zip(cells_spec, cell_seeds)]
+    workers = _cell_workers(len(cells))
+    log.info("running %d cells on %d worker process(es)", len(cells), workers)
     done = _run_cells(config, thetas, K, cells, workers)
     timings["cells_s"] = clock.lap()
     timings["cells"] = [cell_timings for _, cell_timings in done]

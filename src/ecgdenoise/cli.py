@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -33,25 +34,25 @@ from .bench import (
     BenchmarkReport,
     EstimatorSpec,
     LatentDimRule,
-    TauRegime,
     denoise,
+    draw_cell,
     emit_plot_data,
+    grid_seeds,
     make_samples,
     run_benchmark,
-    simulate_cell_beats,
     simulate_population,
 )
 from .errors import EcgDenoiseError
-# whiten and the estimators go unused: perfbench/tracing.py wraps them here.
-from .estimators import (  # noqa: F401
-    fa_posterior_mean_batch,
-    fit_factor_analysis,
-    fit_mog_fa,
-    mog_fa_posterior_mean_batch,
-    oracle_bayes_batch,
-)
-from .noise import estimate_noise, matern_covariance, whiten  # noqa: F401
+from .noise import estimate_noise, matern_covariance
 from .serialize import load_dataset, load_json, save_dataset, save_matrix_csv
+
+# Unused here, but perfbench/tracing.py wraps these names in this module:
+# simulate_cell_beats, whiten and the five estimator functions.
+from .bench import simulate_cell_beats  # noqa: F401
+from .estimators import (  # noqa: F401
+    fa_posterior_mean_batch, fit_factor_analysis, fit_mog_fa,
+    mog_fa_posterior_mean_batch, oracle_bayes_batch)
+from .noise import whiten  # noqa: F401
 
 log = logging.getLogger("ecgdenoise")
 
@@ -72,67 +73,47 @@ def _emit(document: dict) -> None:
     sys.stdout.write("\n")
 
 
+_SIMULATION_FIELDS = ("seed", "n_samples", "d", "fs", "r_offset",
+                      "jitter_fraction", "amplitude_gain", "lengthscale",
+                      "smoothness")
+
+
 def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-samples", "-n", type=int, default=100,
                         help="number of recordings")
-    parser.add_argument("--beats", "-B", type=int, default=20,
-                        help="beats per recording")
-    parser.add_argument("--tau", default="uniform:2,20",
-                        help="noise precision: a number or 'uniform:LO,HI'")
     parser.add_argument("--d", type=int, default=DEFAULT_D)
     parser.add_argument("--fs", type=float, default=DEFAULT_FS)
     parser.add_argument("--r-offset", type=int, default=DEFAULT_R_OFFSET)
-    parser.add_argument("--jitter", type=float, default=DEFAULT_JITTER)
-    parser.add_argument("--gain", type=float, default=DEFAULT_AMPLITUDE_GAIN)
+    parser.add_argument("--jitter", dest="jitter_fraction", type=float,
+                        default=DEFAULT_JITTER)
+    parser.add_argument("--gain", dest="amplitude_gain", type=float,
+                        default=DEFAULT_AMPLITUDE_GAIN)
     parser.add_argument("--lengthscale", type=float,
                         default=DEFAULT_NOISE_LENGTHSCALE)
     parser.add_argument("--smoothness", type=float,
                         default=DEFAULT_NOISE_SMOOTHNESS)
 
 
-def _simulation_config(args) -> BenchmarkConfig:
-    return BenchmarkConfig(
-        seed=args.seed,
-        n_samples=args.n_samples,
-        n_beats_grid=(args.beats,),
-        tau_regimes=(TauRegime.parse(args.tau),),
-        d=args.d,
-        fs=args.fs,
-        r_offset=args.r_offset,
-        jitter_fraction=args.jitter,
-        amplitude_gain=args.gain,
-        lengthscale=args.lengthscale,
-        smoothness=args.smoothness,
-        estimators=(EstimatorSpec("mle"),),
-    )
+def _config_dict(args, **grid) -> dict:
+    """The ``BenchmarkConfig.from_dict`` input that the simulation flags
+    (``_SIMULATION_FIELDS``) give, plus the calling command's ``grid``."""
+    return {**{name: getattr(args, name) for name in _SIMULATION_FIELDS},
+            **grid}
 
 
 def _cmd_simulate(args) -> int:
-    config = _simulation_config(args)
-    regime = config.tau_regimes[0]
-    root = np.random.SeedSequence(config.seed)
-    population_seed, tau_seed, noise_seed = root.spawn(3)
+    """A dataset that is the one cell of the grid its manifest records."""
+    config = BenchmarkConfig.from_dict(_config_dict(
+        args, n_beats_grid=[args.beats], tau_regimes=[args.tau]))
+    population_seed, [cell] = grid_seeds(config)
     thetas = simulate_population(config, population_seed)
     K = matern_covariance(config.d, config.fs, config.lengthscale,
                           config.smoothness)
-    taus = regime.draw(config.n_samples, np.random.default_rng(tau_seed))
-    beats = simulate_cell_beats(thetas, K, taus, args.beats, noise_seed)
-    samples = make_samples(beats)
+    beats, taus, _ = draw_cell(thetas, K, *cell)
     out = _resolve_out(args.out, f"dataset-seed{args.seed}")
-    save_dataset(
-        out, samples,
-        manifest_extra={
-            "n_beats": args.beats,
-            "d": config.d,
-            "seed": config.seed,
-            "jitter_fraction": config.jitter_fraction,
-            "amplitude_gain": config.amplitude_gain,
-            "tau_regime": regime.to_dict(),
-            "matern": {"lengthscale": config.lengthscale,
-                       "smoothness": config.smoothness},
-        },
-        thetas=thetas, taus=taus, r_offset=config.r_offset, fs=config.fs,
-    )
+    save_dataset(out, make_samples(beats),
+                 manifest_extra={"config": config.to_dict()},
+                 thetas=thetas, taus=taus, r_offset=config.r_offset)
     log.info("wrote dataset to %s", out)
     _emit({"dataset": str(out), "n_samples": config.n_samples,
            "n_beats": args.beats, "d": config.d})
@@ -149,31 +130,43 @@ def _dataset_truth(samples):
     return taus, thetas
 
 
-def _true_covariance(manifest, d: int):
-    """The dataset's Matern K on ``d`` samples at the manifest's fs."""
-    matern = manifest.get("matern") or {}
-    return matern_covariance(
-        d, manifest["fs"],
-        matern.get("lengthscale", DEFAULT_NOISE_LENGTHSCALE),
-        matern.get("smoothness", DEFAULT_NOISE_SMOOTHNESS),
-    )
+def _true_covariance(manifest, d: int, dataset):
+    """The Matern K that drew ``dataset``, for beats of width ``d``, from
+    the config its ``manifest`` records. That must be complete, as
+    ``from_dict`` would fill a gap with a default."""
+    where = Path(dataset) / "manifest.json"
+    record = manifest.get("config")
+    if "matern" in manifest:  # the record of an earlier simulate
+        raise EcgDenoiseError(f"{where} has a noise-model record that is no "
+                              f"longer read; re-run `ecgdenoise simulate`")
+    if not isinstance(record, dict):
+        raise EcgDenoiseError(f"{where} records no config and so no noise "
+                              f"model; use an :estimated estimator")
+    missing = sorted({f.name for f in fields(BenchmarkConfig)} - set(record))
+    if missing:
+        raise EcgDenoiseError(f"{where}: the recorded config lacks {missing}")
+    config = BenchmarkConfig.from_dict(record)
+    if config.d != d:
+        raise EcgDenoiseError(f"{where}: the recorded config has d="
+                              f"{config.d}, the beats have width {d}")
+    return matern_covariance(d, config.fs, config.lengthscale,
+                             config.smoothness)
 
 
-def _denoise_dataset(spec, samples, manifest, latent_dim: str,
+def _denoise_dataset(spec, dataset, samples, manifest, latent_dim: str,
                      n_components=DEFAULT_N_COMPONENTS, fit_seed=0):
-    """``bench.denoise`` on a loaded dataset: (estimates, extra, thetas).
+    """``bench.denoise`` on ``dataset`` as loaded: (estimates, extra, thetas).
 
-    Noise is estimated for an ``:estimated`` spec; otherwise the true K is
-    built only when the dataset has true taus to pair it with.
-    """
+    Noise is estimated for ``:estimated`` specs; other specs but ``mle``
+    get the true K (``_true_covariance``) where there are true taus."""
     means = np.stack([s.beat_mean for s in samples])
     n_beats = np.array([s.n_beats for s in samples], dtype=float)
     taus, thetas = _dataset_truth(samples)
     truth = estimate = None
     if spec.needs_estimation:
         estimate = estimate_noise(samples)
-    elif taus is not None:
-        truth = (_true_covariance(manifest, means.shape[1]), taus)
+    elif spec.kind != "mle" and taus is not None:
+        truth = (_true_covariance(manifest, means.shape[1], dataset), taus)
     estimates, extra = denoise(
         spec, means, n_beats, truth=truth, estimate=estimate, thetas=thetas,
         latent_dim=LatentDimRule.parse(latent_dim),
@@ -208,7 +201,7 @@ def _cmd_denoise(args) -> int:
     samples, manifest = load_dataset(args.dataset)
     spec = EstimatorSpec.parse(args.estimator)
     estimates, extra, thetas = _denoise_dataset(
-        spec, samples, manifest, args.latent_dim,
+        spec, args.dataset, samples, manifest, args.latent_dim,
         n_components=args.components, fit_seed=args.seed,
     )
     out = _resolve_out(args.out, f"denoised-{spec.name}.csv")
@@ -222,27 +215,15 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = load_json(args.config)
-    base = {
-        "seed": args.seed,
-        "n_samples": args.n_samples,
-        "n_beats_grid": [int(b) for b in args.beats_grid.split(",")],
-        "tau_regimes": [t.strip() for t in args.taus.split(";")],
-        "d": args.d,
-        "fs": args.fs,
-        "r_offset": args.r_offset,
-        "jitter_fraction": args.jitter,
-        "amplitude_gain": args.gain,
-        "lengthscale": args.lengthscale,
-        "smoothness": args.smoothness,
-        "latent_dim": LatentDimRule.parse(args.latent_dim).to_dict(),
-        "mog_components": args.components,
-    }
+    base = _config_dict(
+        args, n_beats_grid=[int(b) for b in args.beats_grid.split(",")],
+        tau_regimes=[t.strip() for t in args.taus.split(";")],
+        latent_dim=LatentDimRule.parse(args.latent_dim).to_dict(),
+        mog_components=args.components)
     if args.estimator:  # else BenchmarkConfig's default estimators apply
         base["estimators"] = args.estimator
-    base.update(overrides)  # config file wins over flags
+    if args.config:  # the config file wins over flags
+        base.update(load_json(args.config))
     if base.get("seed") is None:
         raise EcgDenoiseError("a seed is required (flag --seed or config)")
     config = BenchmarkConfig.from_dict(base)
@@ -277,8 +258,8 @@ def _cmd_plot_data(args) -> int:
             reconstruction = None
             if args.estimator:
                 estimates, _, _ = _denoise_dataset(
-                    EstimatorSpec.parse(args.estimator), samples, manifest,
-                    args.latent_dim,
+                    EstimatorSpec.parse(args.estimator), args.dataset,
+                    samples, manifest, args.latent_dim,
                 )
                 reconstruction = estimates[row]
             emit_plot_data(samples[row], args.kind, out,
@@ -302,6 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="write a simulated dataset")
     _add_simulation_flags(p)
+    p.add_argument("--beats", "-B", type=int, default=20,
+                   help="beats per recording")
+    p.add_argument("--tau", default="uniform:2,20",
+                   help="noise precision: a number or 'uniform:LO,HI'")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="dataset directory")
     p.set_defaults(func=_cmd_simulate)
@@ -323,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="estimates CSV path")
     p.set_defaults(func=_cmd_denoise)
 
-    p = sub.add_parser("benchmark", help="run the full estimator grid")
+    # no abbreviations: simulate's --beats and --tau would pass for
+    # --beats-grid and --taus here
+    p = sub.add_parser("benchmark", help="run the full estimator grid",
+                       allow_abbrev=False)
     _add_simulation_flags(p)
     p.set_defaults(n_samples=1000)
     p.add_argument("--seed", type=int, default=None)

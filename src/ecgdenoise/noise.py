@@ -285,7 +285,8 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     canonical-beat outer product, and the (B - 1) divisor absorbs the
     1 - 1/B deflation of mean-centered residuals, so C_i is unbiased for
     K / tau_i^2. Then S = tr(sum C_i), K = (d / S) sum C_i (trace exactly
-    d) and sigma_i^2 = tr(K^{-1} C_i) / d with a small ridge on K.
+    d) and sigma_i^2 = tr(K^{-1} C_i) / d with a small ridge on K, or
+    tr(C_i) / d if sum (B_i - 1) <= d, where the former is (B_i - 1) S / d^2.
 
     ``samples`` is a sequence of :class:`EcgSample` or (B, d) matrices (B
     may differ between samples) or an (N, B, d) array. Residuals are
@@ -320,7 +321,8 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     k_hat = CovarianceMatrix.from_matrix(total * (d / s_hat))
 
     # r K^{-1} r^T is the squared norm of r V / sqrt(lambda + ridge)
-    white = k_hat.eigenvectors / np.sqrt(k_hat.eigenvalues + INVERSE_RIDGE)
+    white = np.eye(d) if (counts - 1).sum() <= d else \
+        k_hat.eigenvectors / np.sqrt(k_hat.eigenvalues + INVERSE_RIDGE)
     sigma_sq = np.empty(len(beat_sets))
     for first, stop, resid in _residual_blocks(beat_sets, counts, d):
         rows = resid @ white

@@ -5,9 +5,9 @@ each value as ``%.17g``, which round-trips float64 exactly.
 Datasets are a directory with a ``manifest.json`` plus float64 ``.npy``
 arrays: ``beats.npy`` holds every recording's beats stacked in manifest
 order, split by the manifest's ``beat_counts``; ``thetas.npy`` (N, d) and
-``taus.npy`` (N,) hold the ground truth when simulated. Benchmark reports
-are JSON documents carrying a ``schema_version`` field. Writes are atomic
-(temp file + rename).
+``taus.npy`` (N,) hold the ground truth when simulated, and the manifest's
+``config`` the ``BenchmarkConfig`` that drew it. Benchmark reports are JSON
+documents with a ``schema_version`` field. Writes are atomic (temp + rename).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidSampleIdError
 from .noise import EcgSample, _as_tau
-from .simulate import DEFAULT_FS, ThetaBeat
+from .simulate import ThetaBeat
 
 SCHEMA_VERSION = 1
 
@@ -179,9 +179,8 @@ def _load_npy(path, ndim: int, n_rows: int, rows_from: str) -> np.ndarray:
     return array
 
 
-def save_dataset(directory, samples, manifest_extra: dict,
-                 thetas=None, taus=None, r_offset: int | None = None,
-                 fs: float | None = None) -> None:
+def save_dataset(directory, samples, manifest_extra: dict, thetas=None,
+                 taus=None, r_offset: int | None = None) -> None:
     """Write samples (and ground truth when given) under ``directory``.
 
     The beats of all samples must share one width. The manifest is
@@ -223,7 +222,6 @@ def save_dataset(directory, samples, manifest_extra: dict,
         "has_ground_truth": thetas is not None,
         "has_true_taus": taus is not None,
         "r_offset": r_offset,
-        "fs": fs,
     }
     manifest.update(manifest_extra)
     save_json(directory / "manifest.json", manifest)
@@ -236,8 +234,7 @@ def load_dataset(directory):
     arrays hold one row per manifest sample id, in order; a theta's R
     index is the manifest's ``r_offset`` or, where that is null, the
     theta's argmax. A bad value raises ValueError naming its file and
-    sample id. The returned manifest's ``fs`` is ``DEFAULT_FS`` where the
-    file has none.
+    sample id.
     """
     directory = Path(directory)
     manifest = load_json(directory / "manifest.json")
@@ -262,7 +259,6 @@ def load_dataset(directory):
         thetas = _load_npy(thetas_path, 2, n, per_sample)
     if manifest.get("has_true_taus"):
         taus = _load_npy(taus_path, 1, n, per_sample)
-    fs = manifest["fs"] = manifest.get("fs") or DEFAULT_FS
     r_offset = manifest.get("r_offset")
     if thetas is not None and thetas.shape[1] != beats.shape[1]:
         raise ValueError(f"{beats_path}: ground-truth beat length "
@@ -277,7 +273,7 @@ def load_dataset(directory):
                 source = thetas_path
                 r_index = int(np.argmax(thetas[i])) if r_offset is None \
                     else int(r_offset)
-                theta = ThetaBeat(values=thetas[i], r_index=r_index, fs=fs)
+                theta = ThetaBeat(values=thetas[i], r_index=r_index)
             if taus is not None:
                 source = taus_path
                 tau = _as_tau(taus[i])

@@ -156,7 +156,6 @@ class ThetaBeat:
 
     values: np.ndarray
     r_index: int
-    fs: float
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -164,8 +163,6 @@ class ThetaBeat:
             raise ValueError("beat must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("beat values must be finite")
-        if not self.fs > 0:
-            raise ValueError("fs must be positive")
         if not 0 <= self.r_index < self.values.size:
             raise ValueError("r_index out of range")
         if int(np.argmax(self.values)) != self.r_index:
@@ -529,4 +526,4 @@ def extract_canonical_beat(params: OdeParams, fs: float, d: int,
     if r_offset is None:
         r_offset = int(d) // 3
     beats = extract_canonical_beats([params], fs, d, r_offset)
-    return ThetaBeat(values=beats[0], r_index=int(r_offset), fs=fs)
+    return ThetaBeat(values=beats[0], r_index=int(r_offset))

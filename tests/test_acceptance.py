@@ -26,8 +26,9 @@ from ecgdenoise.bench import (
     EstimatorSpec,
     LatentDimRule,
     TauRegime,
+    draw_cell,
+    grid_seeds,
     run_benchmark,
-    simulate_cell_beats,
     simulate_population,
 )
 from ecgdenoise.estimators import (
@@ -200,12 +201,10 @@ class TestCriterion5NoiseEstimation:
             lengthscale=0.04, smoothness=1.5,
             estimators=(EstimatorSpec("mle"),),
         )
-        population_seed, cell_seed = np.random.SeedSequence(17).spawn(2)
+        population_seed, [cell] = grid_seeds(config)
         thetas = simulate_population(config, population_seed)
         K = matern_covariance(config.d, config.fs, 0.04, 1.5)
-        tau_seed, noise_seed, _ = cell_seed.spawn(3)
-        taus = np.random.default_rng(tau_seed).uniform(2, 20, 500)
-        beats = simulate_cell_beats(thetas, K, taus, 20, noise_seed)
+        beats, taus, _ = draw_cell(thetas, K, *cell)
         k_hat, tau_hat = estimate_noise(beats)
 
         trace_exact = abs(np.trace(k_hat.matrix) - config.d) < 1e-9 * config.d

@@ -2,6 +2,7 @@
 import json
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ class TestEstimatorSpec:
         with pytest.raises(ValueError):
             EstimatorSpec.parse("vae")
 
+    @pytest.mark.parametrize("kind", ["mle", "oracle_bayes"])
+    def test_truth_only_kinds_refuse_estimated_noise(self, kind):
+        # neither reads an estimate, so an entry named plain ``kind`` would
+        # report what the truth mode gives
+        with pytest.raises(ValueError, match=f"^{kind} has no 'estimated' "
+                                             f"noise mode"):
+            EstimatorSpec.parse(f"{kind}:estimated")
+        assert EstimatorSpec.parse(f"{kind}:truth") == EstimatorSpec(kind)
+
 
 class TestLatentDimRule:
     def test_parse_fixed(self):
@@ -153,8 +163,14 @@ class TestDenoise:
         estimates, extra = run("mle")  # needs no noise and no ground truth
         np.testing.assert_array_equal(estimates, means)
         assert extra == {}
-        with pytest.raises(EcgDenoiseError, match="fa_truth needs the true"):
+        with pytest.raises(EcgDenoiseError, match=re.escape(
+                "fa_truth needs the true noise (K, taus); use "
+                "fa:estimated")):
             run("fa:truth")
+        # oracle_bayes has no estimated mode to point to
+        with pytest.raises(EcgDenoiseError, match=re.escape(
+                "oracle_bayes needs the true noise (K, taus)") + "$"):
+            run("oracle_bayes")
         with pytest.raises(InsufficientReplicatesError, match="B >= 2"):
             run("mog_fa:estimated")
         truth = (matern_covariance(4, 500.0, 0.02, 1.5), np.ones(3))
@@ -286,12 +302,12 @@ class TestBenchmarkConfig:
         assert config.estimators[1].needs_estimation
 
     def test_duplicate_report_names_rejected(self):
-        # mle and oracle_bayes are named without their noise mode, so these
-        # two specs would share one report entry
-        with pytest.raises(ValueError, match="oracle_bayes"):
-            small_config(estimators=(EstimatorSpec("oracle_bayes", "truth"),
-                                     EstimatorSpec("oracle_bayes",
-                                                   "estimated")))
+        # mle is named without its noise mode, so these two specs would
+        # share one report entry
+        with pytest.raises(ValueError,
+                           match=re.escape("share report name(s) ['mle']")):
+            BenchmarkConfig.from_dict({
+                "seed": 1, "estimators": ["mle", "mle:truth"]})
         with pytest.raises(ValueError, match="fa_truth"):
             BenchmarkConfig.from_dict({
                 "seed": 1, "estimators": ["mle", "fa:truth", "fa"]})

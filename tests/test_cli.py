@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ecgdenoise import bench, cli, estimators
-from ecgdenoise.cli import _true_covariance, main
-from ecgdenoise.noise import EcgSample, matern_covariance
+from ecgdenoise.bench import BenchmarkConfig, run_benchmark
+from ecgdenoise.cli import main
+from ecgdenoise.noise import EcgSample
 from ecgdenoise.serialize import (
     load_dataset,
     load_json,
@@ -30,13 +31,36 @@ def dataset(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def dataset60(tmp_path_factory):
+    """The 60-recording draw that the grid-match test compares."""
+    out = tmp_path_factory.mktemp("cli") / "ds60"
+    flags = list(SIM_FLAGS)
+    flags[flags.index("--n-samples") + 1] = "60"
+    assert main(["simulate", *flags, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def unlabelled(dataset, tmp_path_factory):
     """The same recordings saved with no true thetas or taus."""
     samples, manifest = load_dataset(dataset)
     out = tmp_path_factory.mktemp("cli") / "unlabelled"
     save_dataset(out, [EcgSample(sample_id=s.sample_id, beats=s.beats)
-                       for s in samples],
-                 manifest_extra={"d": manifest["d"]}, fs=manifest["fs"])
+                       for s in samples], manifest_extra={})
+    return out
+
+
+@pytest.fixture(scope="module")
+def configless(dataset, tmp_path_factory):
+    """The same recordings and ground truth saved with no config, so with
+    no record of the noise model that drew them."""
+    samples, manifest = load_dataset(dataset)
+    out = tmp_path_factory.mktemp("cli") / "configless"
+    save_dataset(out, [EcgSample(sample_id=s.sample_id, beats=s.beats)
+                       for s in samples], manifest_extra={},
+                 thetas=[s.theta.values for s in samples],
+                 taus=[s.tau for s in samples],
+                 r_offset=manifest["r_offset"])
     return out
 
 
@@ -80,6 +104,25 @@ class TestSimulate:
         files_b = {p.name: p.read_bytes() for p in b.iterdir()}
         assert len(files_a) == 4
         assert files_a == files_b
+
+    def test_dataset_is_its_recorded_grid_cell(self, dataset60, tmp_path,
+                                               capsys):
+        # the grid that the manifest's config describes has one cell,
+        # drawn from the same seeds as the dataset, so denoise reports the
+        # grid's errors exactly; mog_fa is left out, as its fit seed is
+        # the cell's in the grid and --seed in denoise
+        record = load_json(dataset60 / "manifest.json")["config"]
+        config = BenchmarkConfig.from_dict(record)
+        assert config.to_dict() == record
+        [cell] = run_benchmark(config).cells
+        for estimator in ("mle", "oracle_bayes", "fa:truth", "fa:estimated"):
+            code, payload = run_json(capsys, [
+                "denoise", "--dataset", str(dataset60),
+                "--estimator", estimator, "--out", str(tmp_path / "x.csv"),
+            ])
+            assert code == 0
+            entry = cell["estimators"][payload["estimator"]]
+            assert payload["mse"] == entry["mse"], estimator
 
     def test_off_grid_rate_is_json_error(self, tmp_path, capsys):
         flags = list(SIM_FLAGS)
@@ -196,6 +239,51 @@ class TestDenoise:
         assert payload["error"]["type"] == "EcgDenoiseError"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("estimator",
+                             ["fa:truth", "mog_fa:truth", "oracle_bayes"])
+    def test_configless_dataset_refuses_truth(self, configless, tmp_path,
+                                              capsys, estimator):
+        out = tmp_path / "x.csv"
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(configless), "--estimator", estimator,
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "EcgDenoiseError",
+            "message": f"{configless / 'manifest.json'} records no config "
+                       f"and so no noise model; use an :estimated "
+                       f"estimator"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["mle", "fa:estimated"])
+    def test_configless_dataset_runs_without_truth(self, dataset, configless,
+                                                   tmp_path, capsys,
+                                                   estimator):
+        for name, source in (("a.csv", dataset), ("b.csv", configless)):
+            code, _ = run_json(capsys, [
+                "denoise", "--dataset", str(source), "--estimator", estimator,
+                "--latent-dim", "3", "--out", str(tmp_path / name),
+            ])
+            assert code == 0
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["mle", "oracle_bayes"])
+    def test_truth_only_kind_with_estimated_noise_is_json_error(
+            self, dataset, tmp_path, capsys, kind):
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(dataset),
+            "--estimator", f"{kind}:estimated",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": f"{kind} has no 'estimated' noise mode: it runs only "
+                       f"as {kind}:truth"}
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fixed_latent_dim_capped_at_rank(self, tmp_path, capsys):
         # 4 centred rows have rank 3, below the default p = 7
         ds = tmp_path / "ds"
@@ -286,12 +374,21 @@ class TestBenchmark:
 
     def test_duplicate_estimator_names_is_json_error(self, tmp_path, capsys):
         code, payload = run_json(capsys, [
-            "benchmark", "--seed", "1", "--estimator", "oracle_bayes:truth",
-            "--estimator", "oracle_bayes:estimated",
-            "--out", str(tmp_path / "r.json"),
+            "benchmark", "--seed", "1", "--estimator", "mle:truth",
+            "--estimator", "mle", "--out", str(tmp_path / "r.json"),
         ])
         assert code == 1
-        assert "oracle_bayes" in payload["error"]["message"]
+        assert "share report name(s) ['mle']" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("flag", ["-B", "--beats", "--tau"])
+    def test_simulate_only_flags_are_refused(self, tmp_path, capsys, flag):
+        # the grid's beat counts and tau regimes are --beats-grid and --taus
+        with pytest.raises(SystemExit) as exit_info:
+            main(["benchmark", "--seed", "1", flag, "3",
+                  "--out", str(tmp_path / "r.json")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_config_value_is_json_error(self, tmp_path, capsys,
                                             monkeypatch):
@@ -540,34 +637,45 @@ class TestDatasetChecks:
         assert f"{copy / 'beats.npy'} is missing" in error["message"]
         assert "re-run `ecgdenoise simulate`" in error["message"]
 
-    @pytest.mark.parametrize("estimator", ["fa:estimated", "fa:truth"])
-    def test_manifest_without_d(self, dataset, copy, tmp_path, capsys,
-                                estimator):
+    def test_older_noise_model_record_is_json_error(self, copy, capsys):
+        # an earlier simulate recorded the noise model as loose keys
         manifest = load_json(copy / "manifest.json")
-        del manifest["d"]
+        config = manifest.pop("config")
+        manifest.update(n_beats=6, d=config["d"], seed=config["seed"],
+                        matern={"lengthscale": config["lengthscale"],
+                                "smoothness": config["smoothness"]})
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        code, _ = run_json(capsys, [
-            "estimate-noise", "--dataset", str(copy),
-            "--out", str(copy / "noise"),
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(copy), "--estimator", "fa:truth",
+            "--out", str(copy / "estimates.csv"),
         ])
-        assert code == 0
-        for name, source in (("a.csv", dataset), ("b.csv", copy)):
-            code, _ = run_json(capsys, [
-                "denoise", "--dataset", str(source), "--estimator", estimator,
-                "--latent-dim", "3", "--out", str(tmp_path / name),
-            ])
-            assert code == 0
-        assert (tmp_path / "a.csv").read_bytes() == \
-            (tmp_path / "b.csv").read_bytes()
+        assert code == 1
+        assert payload["error"] == {
+            "type": "EcgDenoiseError",
+            "message": f"{copy / 'manifest.json'} has a noise-model record "
+                       f"that is no longer read; re-run `ecgdenoise "
+                       f"simulate`"}
+        assert not (copy / "estimates.csv").exists()
 
-    def test_missing_fs_is_resolved_once(self, copy):
+    @pytest.mark.parametrize("edit, problem", [
+        ({"d": 81}, "the recorded config has d=81, the beats have width 80"),
+        ({"lengthscale": None}, "the recorded config lacks ['lengthscale']"),
+    ], ids=["other-width", "incomplete"])
+    def test_config_that_cannot_give_k_is_json_error(self, copy, capsys,
+                                                      edit, problem):
         manifest = load_json(copy / "manifest.json")
-        manifest["fs"] = None
+        for key, value in edit.items():
+            if value is None:
+                del manifest["config"][key]
+            else:
+                manifest["config"][key] = value
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        samples, loaded = load_dataset(copy)
-        K = _true_covariance(loaded, manifest["d"])
-        assert samples[0].theta.fs == loaded["fs"] == 500.0
-        expected = matern_covariance(
-            manifest["d"], 500.0, manifest["matern"]["lengthscale"],
-            manifest["matern"]["smoothness"])
-        np.testing.assert_array_equal(K.matrix, expected.matrix)
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(copy), "--estimator", "fa:truth",
+            "--out", str(copy / "estimates.csv"),
+        ])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "EcgDenoiseError",
+            "message": f"{copy / 'manifest.json'}: {problem}"}
+        assert not (copy / "estimates.csv").exists()

@@ -12,7 +12,8 @@ from ecgdenoise.bench import (
     LatentDimRule,
     TauRegime,
     denoise,
-    simulate_cell_beats,
+    draw_cell,
+    grid_seeds,
     simulate_population,
 )
 from ecgdenoise.estimators import (
@@ -562,15 +563,13 @@ class TestEmPaths:
         # 300 ECG beats at fs 250 with tau ~ U(2, 20), B = 20 and estimated
         # noise: plain EM is still climbing after EM_MAX_ITER steps
         config = BenchmarkConfig(seed=0, n_samples=300, fs=250.0, d=246,
-                                 n_beats_grid=(20,))
-        population_seed, cell_seed = np.random.SeedSequence(0).spawn(2)
+                                 n_beats_grid=(20,),
+                                 tau_regimes=(TauRegime.uniform(2, 20),))
+        population_seed, [cell] = grid_seeds(config)
         thetas = simulate_population(config, population_seed)
         K = matern_covariance(config.d, config.fs, config.lengthscale,
                               config.smoothness)
-        tau_seed, noise_seed, _ = cell_seed.spawn(3)
-        taus = TauRegime.uniform(2, 20).draw(
-            300, np.random.default_rng(tau_seed))
-        beats = simulate_cell_beats(thetas, K, taus, 20, noise_seed)
+        beats, _, _ = draw_cell(thetas, K, *cell)
         means = beats.mean(axis=1)
         K_hat, tau_hat = estimate_noise(beats)
         model = fit_factor_analysis(means, K_hat, tau_hat, p=7, n_beats=20)

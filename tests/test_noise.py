@@ -219,7 +219,7 @@ class TestReadOnlyViews:
         loglik = np.array([-3.0, -2.0])
         weights, comp_means = np.ones(1), np.zeros((1, 2))
         comp_covs = np.eye(2)[None].copy()
-        sample = EcgSample("x", beats, theta=ThetaBeat(theta, 2, 500.0))
+        sample = EcgSample("x", beats, theta=ThetaBeat(theta, 2))
         trace = RawTrace(fs=500.0, values=values)
         fa = FaModel(mean=mean, loadings=loadings, loglik_trace=loglik)
         mog = MogFaModel(fa=fa, weights=weights, comp_means=comp_means,
@@ -300,6 +300,23 @@ class TestEstimateNoise:
         assert k_err < 0.10
         rel = np.abs(tau_hat - taus) / taus
         assert np.median(rel) < 0.10
+
+    def test_few_residual_rows_read_taus_unwhitened(self, small_k, rng):
+        # 16 samples of B = 5 leave 64 = d residual degrees of freedom, so
+        # tr(K_hat^{-1} C_i) would be the same for every sample; the taus
+        # come from tr(C_i) / d, noisier than whitened energies when the
+        # noise is this correlated, but not constant
+        n, B = 16, 5
+        taus = rng.uniform(2.0, 20.0, n)
+        theta = rng.standard_normal((n, small_k.d)) * 0.5
+        samples = _simulate_samples(small_k, taus, theta, B=B, seed=4)
+        _, tau_hat = estimate_noise(samples)
+        energy = np.array([np.sum((s.beats - s.beats.mean(axis=0)) ** 2)
+                           for s in samples])
+        np.testing.assert_allclose(
+            tau_hat, 1.0 / np.sqrt(energy / ((B - 1) * small_k.d)),
+            rtol=1e-12)
+        assert np.median(np.abs(tau_hat - taus) / taus) < 0.25
 
     def test_sigma_fixed_point(self, small_k):
         # if the scatter equals sigma^2 K exactly, tr(K^{-1} C) / d = sigma^2

@@ -20,7 +20,6 @@ from ecgdenoise.serialize import (
     save_json,
     save_matrix_csv,
 )
-from ecgdenoise.simulate import DEFAULT_FS
 
 
 def assert_same(a, b):
@@ -121,7 +120,7 @@ class TestDataset:
         ]
         save_dataset(tmp_path / "ds", samples,
                      manifest_extra={"d": d, "seed": 1},
-                     thetas=thetas, taus=taus, r_offset=None, fs=100.0)
+                     thetas=thetas, taus=taus, r_offset=None)
         loaded, manifest = load_dataset(tmp_path / "ds")
         assert manifest["n_samples"] == 3
         assert manifest["beat_counts"] == [4, 4, 4]
@@ -149,13 +148,12 @@ class TestDataset:
             ["beats.npy", "manifest.json"]
 
     @staticmethod
-    def _write(directory, rng, fs=100.0):
+    def _write(directory, rng):
         thetas = rng.standard_normal((3, 8))
         samples = [EcgSample(sample_id=f"s{i}", beats=np.zeros((2, 8)))
                    for i in range(3)]
         save_dataset(directory, samples, manifest_extra={"d": 8},
-                     thetas=thetas, taus=[2.0, 3.0, 4.0], r_offset=None,
-                     fs=fs)
+                     thetas=thetas, taus=[2.0, 3.0, 4.0], r_offset=None)
 
     @pytest.mark.parametrize("name", ["thetas.npy", "taus.npy"])
     def test_truth_rows_match_manifest(self, tmp_path, rng, name):
@@ -308,12 +306,13 @@ class TestDataset:
             save_dataset(tmp_path / "ds", [], manifest_extra={})
         assert not (tmp_path / "ds").exists()  # nothing was written
 
-    def test_missing_fs_defaults_to_500_hz(self, tmp_path, rng):
-        self._write(tmp_path / "ds", rng, fs=None)
-        assert load_json(tmp_path / "ds" / "manifest.json")["fs"] is None
-        samples, manifest = load_dataset(tmp_path / "ds")
-        assert manifest["fs"] == 500.0
-        assert all(s.theta.fs == 500.0 for s in samples)
+    def test_manifest_is_returned_as_written(self, tmp_path, rng):
+        # nothing is filled in: a simulated dataset's rate is the one in
+        # the config its manifest records
+        self._write(tmp_path / "ds", rng)
+        _, manifest = load_dataset(tmp_path / "ds")
+        assert manifest == load_json(tmp_path / "ds" / "manifest.json")
+        assert "fs" not in manifest
 
     def test_rejects_non_dataset(self, tmp_path):
         save_json(tmp_path / "ds" / "manifest.json", {"kind": "other"})
@@ -361,23 +360,20 @@ def datasets(draw):
         thetas[:, r_offset] = thetas.max(axis=1) + 1.0
     taus = draw(st.none() | hnp.arrays(
         np.float64, (n,), elements=st.floats(min_value=1e-3, max_value=1e3)))
-    fs = draw(st.none() | st.floats(min_value=1.0, max_value=2000.0))
-    return ids, beats, thetas, taus, r_offset, fs
+    return ids, beats, thetas, taus, r_offset
 
 
 class TestRoundTripProperties:
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_dataset_round_trips_exactly(self, case):
-        ids, beats, thetas, taus, r_offset, fs = case
+        ids, beats, thetas, taus, r_offset = case
         samples = [EcgSample(sample_id=sid, beats=b)
                    for sid, b in zip(ids, beats)]
         with tempfile.TemporaryDirectory() as tmp:
             save_dataset(Path(tmp) / "ds", samples, manifest_extra={},
-                         thetas=thetas, taus=taus, r_offset=r_offset, fs=fs)
-            loaded, manifest = load_dataset(Path(tmp) / "ds")
-        expected_fs = fs or DEFAULT_FS
-        assert manifest["fs"] == expected_fs
+                         thetas=thetas, taus=taus, r_offset=r_offset)
+            loaded, _ = load_dataset(Path(tmp) / "ds")
         assert [s.sample_id for s in loaded] == ids
         for i, sample in enumerate(loaded):
             assert_same(sample.beats, beats[i])
@@ -387,7 +383,6 @@ class TestRoundTripProperties:
                 assert_same(sample.theta.values, thetas[i])
                 assert sample.theta.r_index == (
                     np.argmax(thetas[i]) if r_offset is None else r_offset)
-                assert sample.theta.fs == expected_fs
             if taus is None:
                 assert sample.tau is None
             else:
