@@ -119,10 +119,16 @@ class TauRegime:
     @classmethod
     def parse(cls, text: str) -> "TauRegime":
         text = str(text).strip()
-        if text.startswith("uniform:"):
-            lo, hi = text.split(":", 1)[1].split(",")
-            return cls.uniform(float(lo), float(hi))
-        return cls.fixed(float(text))
+        try:
+            if text.startswith("uniform:"):
+                lo, hi = map(float, text.split(":", 1)[1].split(","))
+                regime = {"kind": "uniform", "lo": lo, "hi": hi}
+            else:
+                regime = {"kind": "fixed", "value": float(text)}
+        except ValueError:
+            raise ValueError(f"tau regime {text!r} is neither a number nor "
+                             f"of the form 'uniform:LO,HI'") from None
+        return cls(**regime)
 
     def draw(self, n: int, rng) -> np.ndarray:
         if self.kind == "fixed":
@@ -302,13 +308,17 @@ class BenchmarkConfig:
             raise ValueError("mog_components must be >= 1")
         # omega is never jittered, so every beat shares the default period
         check_window(self.d, self.r_offset, self.fs, DEFAULT_PARAMS.period)
-        names = [spec.name for spec in self.estimators]
-        duplicates = sorted({n for n in names if names.count(n) > 1})
-        if duplicates:
-            raise ValueError(
-                f"estimators share report name(s) {duplicates}; each "
-                f"report entry is keyed by name, so one would be dropped"
-            )
+        for what, keys in (
+                ("estimators share report name(s)",
+                 [spec.name for spec in self.estimators]),
+                ("repeated tau regime(s)",
+                 [regime.label for regime in self.tau_regimes]),
+                ("repeated beat count(s)", list(self.n_beats_grid))):
+            repeats = sorted({k for k in keys if keys.count(k) > 1})
+            if repeats:
+                raise ValueError(
+                    f"{what} {repeats}; report entries are keyed by name "
+                    f"and cells by tau label and B, so one would be dropped")
 
     def to_dict(self) -> dict:
         return {
@@ -425,20 +435,21 @@ def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
 
 
 def grid_seeds(config: BenchmarkConfig):
-    """The population's seed and the (tau regime, beat count, cell seed) of
+    """The population's seed and the (tau regime, beat count, seeds) of
     each cell in ``config`` order: the root seed spawns one stream for the
-    population, then one per cell."""
+    population, then one per cell, which spawns the cell's (tau, noise,
+    fit) ``seeds``. Only this function spawns, as a second ``spawn`` on one
+    ``SeedSequence`` gives other children."""
     cells = list(itertools.product(config.tau_regimes, config.n_beats_grid))
     root = np.random.SeedSequence(config.seed)
     population_seed, *cell_seeds = root.spawn(1 + len(cells))
-    return population_seed, [(*c, s) for c, s in zip(cells, cell_seeds)]
+    seeds = [s.spawn(3) for s in cell_seeds]
+    return population_seed, [(*c, s) for c, s in zip(cells, seeds)]
 
 
-def draw_cell(thetas, K, regime: TauRegime, n_beats: int, cell_seed):
-    """A cell's noisy beats (N, B, d), their true taus and its fit seed.
-    Only this function spawns from ``cell_seed``, as a second ``spawn`` on
-    one ``SeedSequence`` gives other children."""
-    tau_seed, noise_seed, fit_seed = cell_seed.spawn(3)
+def draw_cell(thetas, K, regime: TauRegime, n_beats: int, seeds):
+    """A cell's noisy beats (N, B, d), their true taus and its fit seed."""
+    tau_seed, noise_seed, fit_seed = seeds
     taus = regime.draw(len(thetas), np.random.default_rng(tau_seed))
     beats = simulate_cell_beats(thetas, K, taus, n_beats, noise_seed)
     return beats, taus, fit_seed
@@ -463,6 +474,7 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
     beats (the oracle's atoms) or None. ``mle`` needs none of them. A
     ``:truth`` spec without ``truth``, an ``:estimated`` one without
     ``estimate`` and ``oracle_bayes`` without ``thetas`` are refused.
+    With ``thetas``, the dict also holds the estimates' error (``_scored``).
 
     ``fa`` and stage 1 of ``mog_fa`` are one factor-analysis fit. Calls
     that pass the same ``fa_fits`` dict (one per set of means) share it:
@@ -471,7 +483,7 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
     """
     extra = {}
     if spec.kind == "mle":
-        return means.copy(), extra
+        return _scored(means.copy(), extra, thetas)
     if spec.needs_estimation:
         if estimate is None:
             raise InsufficientReplicatesError(
@@ -490,7 +502,7 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
             raise EcgDenoiseError("oracle_bayes needs the ground-truth beats")
         estimates, idx = oracle_bayes_batch(means, thetas, K)
         extra["atom_accuracy"] = float(np.mean(idx == np.arange(len(means))))
-        return estimates, extra
+        return _scored(estimates, extra, thetas)
     whitened = None
     if latent_dim.mode == "scree":
         whitened = whiten(K, means, means.mean(axis=0))
@@ -510,7 +522,8 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
     if spec.kind == "fa":
         model = fa_fits[key]
         extra.update(_fit_facts(model))
-        return fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
+        return _scored(fa_posterior_mean_batch(model, means, K, taus,
+                                               n_beats), extra, thetas)
     model = fit_mog_fa(means, K, taus, p,
                        n_components=min(n_components, len(means)),
                        n_beats=n_beats, rng_seed=fit_seed,
@@ -518,7 +531,22 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
     extra.update(_fit_facts(model.fa))
     extra["n_components"] = int(model.n_components)
     extra.update(_mixture_facts(model.mixture_fit))
-    return mog_fa_posterior_mean_batch(model, means, K, taus, n_beats), extra
+    return _scored(mog_fa_posterior_mean_batch(model, means, K, taus,
+                                               n_beats), extra, thetas)
+
+
+def _scored(estimates, extra: dict, thetas):
+    """``(estimates, extra)`` with, where there are ``thetas``, the error
+    fields of a report entry added to ``extra``: ``mse`` in the summed
+    convention, its standard error ``se`` and ``mse_per_coordinate``."""
+    if thetas is not None:
+        errors = np.sum((estimates - thetas) ** 2, axis=1)
+        n, d = thetas.shape
+        extra.update(
+            mse=float(errors.mean()),
+            se=float(errors.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+            mse_per_coordinate=float(errors.mean() / d))
+    return estimates, extra
 
 
 #: What a failing estimator raises; the grid marks its entry failed.
@@ -588,15 +616,14 @@ def _cell_workers(n_cells: int) -> int:
     return max(1, min(n_cells, cpus // blas_threads))
 
 
-def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats,
-              cell_seed):
+def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats, seeds):
     """One grid cell: its noise draw, noise estimate and entries.
 
     Returns the report's cell and its timings, from a clock of its own,
     so that a cell gives the same result in a worker process as here.
     """
     clock = _Clock()
-    beats, taus, fit_seed = draw_cell(thetas, K, regime, n_beats, cell_seed)
+    beats, taus, fit_seed = draw_cell(thetas, K, regime, n_beats, seeds)
     means = beats.mean(axis=1)
     cell_timings = {"tau_label": regime.label, "n_beats": n_beats,
                     "sampling_s": clock.lap()}
@@ -613,23 +640,14 @@ def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats,
     for spec in config.estimators:
         label = f"{regime.label}, B={n_beats}, {spec.name}"
         try:
-            estimates, extra = denoise(
+            _, extra = denoise(
                 spec, means, n_beats, truth=(K, taus), estimate=estimate,
                 thetas=thetas, latent_dim=config.latent_dim,
                 n_components=config.mog_components, fit_seed=fit_seed,
                 fa_fits=fa_fits,
             )
-            errors = np.sum((estimates - thetas) ** 2, axis=1)
-            results[spec.name] = {
-                "status": "ok",
-                "mse": float(errors.mean()),
-                "se": float(errors.std(ddof=1)
-                            / np.sqrt(len(errors))) if len(errors) > 1
-                else 0.0,
-                "mse_per_coordinate": float(errors.mean() / config.d),
-                **extra,
-            }
-            log.info("%s: mse=%.4g", label, errors.mean())
+            results[spec.name] = {"status": "ok", **extra}
+            log.info("%s: mse=%.4g", label, extra["mse"])
         except _ENTRY_ERRORS as exc:
             results[spec.name] = {
                 "status": "failed",
@@ -648,7 +666,7 @@ def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats,
 
 
 def _run_cells(config, thetas, K, cells: list, workers: int) -> list:
-    """``_run_cell`` for each (regime, n_beats, cell_seed) of ``cells``,
+    """``_run_cell`` for each (regime, n_beats, seeds) of ``cells``,
     in that order.
 
     One worker runs the cells here, one after another. More run them in a
@@ -738,7 +756,7 @@ def emit_plot_data(obj, kind: str, path, reconstruction=None,
 
     Kinds: ``beats-overlay`` (an EcgSample, optionally with a
     reconstruction vector), ``tau-hist`` and ``beat-count-hist`` (a list
-    of EcgSample), ``mse-table`` (a BenchmarkReport).
+    of EcgSample), ``mse-table`` (a report's ``cells``).
     """
     rows = []
     if kind == "beats-overlay":
@@ -751,23 +769,21 @@ def emit_plot_data(obj, kind: str, path, reconstruction=None,
             rows += [("reconstruction", float(j), float(v))
                      for j, v in enumerate(np.asarray(reconstruction))]
     elif kind == "tau-hist":
-        taus = _collect_taus(obj)
+        taus = [s.tau for s in obj if s.tau is not None]
+        if not taus:
+            raise EmptyInputError("no tau values available")
         counts, edges = np.histogram(taus, bins=bins)
         rows += [("tau_count", float(0.5 * (edges[i] + edges[i + 1])),
                   float(c)) for i, c in enumerate(counts)]
         rows += [("tau_bin_edge", float(i), float(e))
                  for i, e in enumerate(edges)]
     elif kind == "beat-count-hist":
-        counts = _collect_beat_counts(obj)
+        counts = [s.n_beats for s in obj if isinstance(s, EcgSample)]
         values, freq = np.unique(counts, return_counts=True)
         rows += [("beat_count", float(v), float(c))
                  for v, c in zip(values, freq)]
     elif kind == "mse-table":
-        if not isinstance(obj, BenchmarkReport):
-            raise ValueError("mse-table needs a BenchmarkReport")
-        if not obj.cells:
-            raise EmptyInputError("report has no cells")
-        for cell in obj.cells:
+        for cell in obj:
             regime = TauRegime.from_dict(cell["tau_regime"])
             x = regime.value if regime.kind == "fixed" \
                 else 0.5 * (regime.lo + regime.hi)
@@ -780,17 +796,3 @@ def emit_plot_data(obj, kind: str, path, reconstruction=None,
     if not rows:
         raise EmptyInputError(f"nothing to write for kind {kind!r}")
     _write_series_csv(path, rows)
-
-
-def _collect_taus(samples) -> np.ndarray:
-    taus = [s.tau for s in samples if s.tau is not None]
-    if not taus:
-        raise EmptyInputError("no tau values available")
-    return np.asarray(taus)
-
-
-def _collect_beat_counts(obj) -> np.ndarray:
-    counts = [s.n_beats for s in obj if isinstance(s, EcgSample)]
-    if not counts:
-        raise EmptyInputError("no samples available")
-    return np.asarray(counts)

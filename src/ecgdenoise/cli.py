@@ -31,7 +31,6 @@ from .bench import (
     DEFAULT_NOISE_SMOOTHNESS,
     DEFAULT_R_OFFSET,
     BenchmarkConfig,
-    BenchmarkReport,
     EstimatorSpec,
     LatentDimRule,
     denoise,
@@ -44,7 +43,8 @@ from .bench import (
 )
 from .errors import EcgDenoiseError
 from .noise import estimate_noise, matern_covariance
-from .serialize import load_dataset, load_json, save_dataset, save_matrix_csv
+from .serialize import (load_dataset, load_json, load_matrix_csv,
+                        save_dataset, save_matrix_csv)
 
 # Unused here, but perfbench/tracing.py wraps these names in this module:
 # simulate_cell_beats, whiten and the five estimator functions.
@@ -130,12 +130,16 @@ def _dataset_truth(samples):
     return taus, thetas
 
 
-def _true_covariance(manifest, d: int, dataset):
-    """The Matern K that drew ``dataset``, for beats of width ``d``, from
-    the config its ``manifest`` records. That must be complete, as
-    ``from_dict`` would fill a gap with a default."""
-    where = Path(dataset) / "manifest.json"
+def _recorded_cell(manifest, d: int, where, needs_k: bool):
+    """The one-cell config that ``manifest``, read from ``where``, records
+    for beats of width ``d``, and its cell's fit settings for ``denoise``. A
+    record must be complete, as ``from_dict`` would fill a gap with a
+    default. Without one, a caller that ``needs_k`` is refused; others get
+    None and ``benchmark``'s defaults, with fit seed 0."""
     record = manifest.get("config")
+    if record is None and not needs_k:
+        return None, {"latent_dim": LatentDimRule("fixed", DEFAULT_LATENT_DIM),
+                      "n_components": DEFAULT_N_COMPONENTS, "fit_seed": 0}
     if "matern" in manifest:  # the record of an earlier simulate
         raise EcgDenoiseError(f"{where} has a noise-model record that is no "
                               f"longer read; re-run `ecgdenoise simulate`")
@@ -145,34 +149,21 @@ def _true_covariance(manifest, d: int, dataset):
     missing = sorted({f.name for f in fields(BenchmarkConfig)} - set(record))
     if missing:
         raise EcgDenoiseError(f"{where}: the recorded config lacks {missing}")
-    config = BenchmarkConfig.from_dict(record)
+    try:
+        config = BenchmarkConfig.from_dict(record)
+    except ValueError as exc:
+        raise EcgDenoiseError(f"{where}: the recorded config: {exc}") from None
+    _, cells = grid_seeds(config)
+    if len(cells) != 1:
+        raise EcgDenoiseError(f"{where}: the recorded config has {len(cells)} "
+                              f"grid cells; a dataset is one")
     if config.d != d:
         raise EcgDenoiseError(f"{where}: the recorded config has d="
                               f"{config.d}, the beats have width {d}")
-    return matern_covariance(d, config.fs, config.lengthscale,
-                             config.smoothness)
-
-
-def _denoise_dataset(spec, dataset, samples, manifest, latent_dim: str,
-                     n_components=DEFAULT_N_COMPONENTS, fit_seed=0):
-    """``bench.denoise`` on ``dataset`` as loaded: (estimates, extra, thetas).
-
-    Noise is estimated for ``:estimated`` specs; other specs but ``mle``
-    get the true K (``_true_covariance``) where there are true taus."""
-    means = np.stack([s.beat_mean for s in samples])
-    n_beats = np.array([s.n_beats for s in samples], dtype=float)
-    taus, thetas = _dataset_truth(samples)
-    truth = estimate = None
-    if spec.needs_estimation:
-        estimate = estimate_noise(samples)
-    elif spec.kind != "mle" and taus is not None:
-        truth = (_true_covariance(manifest, means.shape[1], dataset), taus)
-    estimates, extra = denoise(
-        spec, means, n_beats, truth=truth, estimate=estimate, thetas=thetas,
-        latent_dim=LatentDimRule.parse(latent_dim),
-        n_components=n_components, fit_seed=fit_seed,
-    )
-    return estimates, extra, thetas
+    [(_, _, (_, _, fit_seed))] = cells
+    return config, {"latent_dim": config.latent_dim,
+                    "n_components": config.mog_components,
+                    "fit_seed": fit_seed}
 
 
 def _cmd_estimate_noise(args) -> int:
@@ -198,19 +189,29 @@ def _cmd_estimate_noise(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    """``bench.denoise`` on the dataset as loaded, with the fit settings of
+    its recorded grid cell. Noise is estimated for ``:estimated`` specs;
+    other specs but ``mle`` get the recorded K where there are true taus."""
     samples, manifest = load_dataset(args.dataset)
     spec = EstimatorSpec.parse(args.estimator)
-    estimates, extra, thetas = _denoise_dataset(
-        spec, args.dataset, samples, manifest, args.latent_dim,
-        n_components=args.components, fit_seed=args.seed,
-    )
+    means = np.stack([s.beat_mean for s in samples])
+    n_beats = np.array([s.n_beats for s in samples], dtype=float)
+    taus, thetas = _dataset_truth(samples)
+    needs_k = spec.kind != "mle" and not spec.needs_estimation \
+        and taus is not None
+    config, fit = _recorded_cell(manifest, means.shape[1],
+                                 Path(args.dataset) / "manifest.json", needs_k)
+    truth = estimate = None
+    if spec.needs_estimation:
+        estimate = estimate_noise(samples)
+    elif needs_k:
+        truth = (matern_covariance(config.d, config.fs, config.lengthscale,
+                                   config.smoothness), taus)
+    estimates, extra = denoise(spec, means, n_beats, truth=truth,
+                               estimate=estimate, thetas=thetas, **fit)
     out = _resolve_out(args.out, f"denoised-{spec.name}.csv")
     save_matrix_csv(out, estimates, [s.sample_id for s in samples])
-    summary = {"estimates": str(out), "estimator": spec.name, **extra}
-    if thetas is not None:
-        errors = np.sum((estimates - thetas) ** 2, axis=1)
-        summary["mse"] = float(errors.mean())
-    _emit(summary)
+    _emit({"estimates": str(out), "estimator": spec.name, **extra})
     return 0
 
 
@@ -240,15 +241,15 @@ def _cmd_plot_data(args) -> int:
     if args.kind == "mse-table":
         if not args.report:
             raise EcgDenoiseError("mse-table needs --report")
-        document = load_json(args.report)
-        report = BenchmarkReport(config=document["config"],
-                                 cells=tuple(document["cells"]),
-                                 meta=document.get("meta", {}))
-        emit_plot_data(report, args.kind, out)
+        try:
+            emit_plot_data(load_json(args.report)["cells"], args.kind, out)
+        except KeyError as exc:
+            raise EcgDenoiseError(f"{args.report}: the key {exc.args[0]!r} "
+                                  f"is missing") from None
     else:
         if not args.dataset:
             raise EcgDenoiseError(f"{args.kind} needs --dataset")
-        samples, manifest = load_dataset(args.dataset)
+        samples, _ = load_dataset(args.dataset)
         if args.kind == "beats-overlay":
             wanted = args.sample or samples[0].sample_id
             ids = [s.sample_id for s in samples]
@@ -256,11 +257,13 @@ def _cmd_plot_data(args) -> int:
                 raise EcgDenoiseError(f"sample {wanted!r} not in dataset")
             row = ids.index(wanted)
             reconstruction = None
-            if args.estimator:
-                estimates, _, _ = _denoise_dataset(
-                    EstimatorSpec.parse(args.estimator), args.dataset,
-                    samples, manifest, args.latent_dim,
-                )
+            if args.estimates:
+                estimates, row_ids = load_matrix_csv(args.estimates)
+                if row_ids != ids or estimates.shape[1] != samples[0].d:
+                    raise EcgDenoiseError(
+                        f"{args.estimates} is not what denoise writes for "
+                        f"this dataset: one row per sample id, in order, "
+                        f"of width {samples[0].d}")
                 reconstruction = estimates[row]
             emit_plot_data(samples[row], args.kind, out,
                            reconstruction=reconstruction)
@@ -301,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--estimator", default="fa:truth",
                    help="mle | oracle_bayes | fa[:truth|:estimated] | mog_fa[...]")
-    p.add_argument("--latent-dim", default=str(DEFAULT_LATENT_DIM),
-                   help="a fixed integer or 'scree[:cutoff]'")
-    p.add_argument("--components", type=int, default=DEFAULT_N_COMPONENTS)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="estimates CSV path")
     p.set_defaults(func=_cmd_denoise)
 
@@ -335,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset")
     p.add_argument("--report")
     p.add_argument("--sample", help="sample id for beats-overlay")
-    p.add_argument("--estimator",
-                   help="add a reconstruction series (beats-overlay)")
-    p.add_argument("--latent-dim", default=str(DEFAULT_LATENT_DIM))
+    p.add_argument("--estimates", help="denoise's CSV (beats-overlay)")
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--out", help="CSV path")
     p.set_defaults(func=_cmd_plot_data)

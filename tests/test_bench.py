@@ -66,6 +66,14 @@ class TestTauRegime:
         regime = TauRegime.uniform(2, 20)
         assert TauRegime.from_dict(regime.to_dict()) == regime
 
+    @pytest.mark.parametrize("text", ["uniform:2", "uniform:2,5,9",
+                                      "uniform:a,b", "two", ""])
+    def test_malformed_text_names_the_form(self, text):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tau regime {text!r} is neither a number nor of the form "
+                f"'uniform:LO,HI'")):
+            TauRegime.parse(text)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TauRegime.fixed(-1.0)
@@ -176,6 +184,18 @@ class TestDenoise:
         truth = (matern_covariance(4, 500.0, 0.02, 1.5), np.ones(3))
         with pytest.raises(EcgDenoiseError, match="oracle_bayes needs the"):
             run("oracle_bayes", truth=truth)
+
+    def test_scored_against_thetas(self, rng):
+        # the error fields of a report entry, in the summed convention
+        means, thetas = rng.standard_normal((2, 5, 4))
+        _, extra = denoise(EstimatorSpec("mle"), means, np.ones(5),
+                           truth=None, estimate=None, thetas=thetas,
+                           latent_dim=LatentDimRule("fixed", 1),
+                           n_components=1, fit_seed=0)
+        errors = np.sum((means - thetas) ** 2, axis=1)
+        assert extra == {"mse": errors.mean(),
+                         "se": errors.std(ddof=1) / np.sqrt(5),
+                         "mse_per_coordinate": errors.mean() / 4}
 
     @pytest.mark.parametrize("kind", ["fa", "mog_fa"])
     def test_fit_diagnostics(self, rng, kind):
@@ -311,6 +331,17 @@ class TestBenchmarkConfig:
         with pytest.raises(ValueError, match="fa_truth"):
             BenchmarkConfig.from_dict({
                 "seed": 1, "estimators": ["mle", "fa:truth", "fa"]})
+
+    @pytest.mark.parametrize("grid, repeats", [
+        ({"tau_regimes": ["2", "2"]}, "repeated tau regime(s) ['tau=2']"),
+        ({"tau_regimes": ["2", "uniform:2,20", "2.0"]}, "['tau=2']"),
+        ({"n_beats_grid": [20, 1, 20, 1]}, "repeated beat count(s) [1, 20]"),
+    ], ids=["tau", "tau-same-label", "beats"])
+    def test_duplicate_cells_rejected(self, grid, repeats):
+        # report cells are keyed by (tau label, B): a repeat would write
+        # cells that BenchmarkReport.cell and mse-table cannot tell apart
+        with pytest.raises(ValueError, match=re.escape(repeats)):
+            BenchmarkConfig.from_dict({"seed": 1, **grid})
 
     @pytest.mark.parametrize("overrides, match", [
         ({"mog_components": 0}, "mog_components"),
@@ -567,7 +598,7 @@ class TestEmitPlotData:
             tau_regimes=(TauRegime.fixed(4),),
             estimators=(EstimatorSpec("mle"),)))
         path = tmp_path / "table.csv"
-        emit_plot_data(report, "mse-table", path)
+        emit_plot_data(report.cells, "mse-table", path)
         body = path.read_text()
         assert "mle|B=2" in body
 

@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 from ecgdenoise import bench, cli, estimators
-from ecgdenoise.bench import BenchmarkConfig, run_benchmark
+from ecgdenoise.bench import (
+    DEFAULT_LATENT_DIM,
+    DEFAULT_N_COMPONENTS,
+    BenchmarkConfig,
+    EstimatorSpec,
+    LatentDimRule,
+    run_benchmark,
+)
 from ecgdenoise.cli import main
-from ecgdenoise.noise import EcgSample
+from ecgdenoise.noise import EcgSample, estimate_noise
 from ecgdenoise.serialize import (
     load_dataset,
     load_json,
     load_matrix_csv,
     save_dataset,
+    save_matrix_csv,
 )
 
 SIM_FLAGS = [
@@ -40,13 +48,28 @@ def dataset60(tmp_path_factory):
     return out
 
 
+#: Fit settings recorded in the small fixtures: p = 3, 2 mixture components.
+SMALL_FIT = {"latent_dim": {"mode": "fixed", "value": 3}, "mog_components": 2}
+
+
 @pytest.fixture(scope="module")
-def unlabelled(dataset, tmp_path_factory):
-    """The same recordings saved with no true thetas or taus."""
-    samples, manifest = load_dataset(dataset)
+def small_fit(dataset, tmp_path_factory):
+    """The dataset with ``SMALL_FIT`` in its recorded config."""
+    out = shutil.copytree(dataset, tmp_path_factory.mktemp("cli") / "small")
+    manifest = load_json(out / "manifest.json")
+    manifest["config"].update(SMALL_FIT)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return out
+
+
+@pytest.fixture(scope="module")
+def unlabelled(small_fit, tmp_path_factory):
+    """The same recordings and record saved with no true thetas or taus."""
+    samples, manifest = load_dataset(small_fit)
     out = tmp_path_factory.mktemp("cli") / "unlabelled"
     save_dataset(out, [EcgSample(sample_id=s.sample_id, beats=s.beats)
-                       for s in samples], manifest_extra={})
+                       for s in samples],
+                 manifest_extra={"config": manifest["config"]})
     return out
 
 
@@ -68,6 +91,17 @@ def run_json(capsys, argv):
     code = main(argv)
     payload = json.loads(capsys.readouterr().out)
     return code, payload
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    """A one-cell benchmark report of mle."""
+    out = tmp_path_factory.mktemp("cli") / "report.json"
+    assert main(["benchmark", "--seed", "3", "--n-samples", "8", "--d", "80",
+                 "--fs", "200", "--r-offset", "26", "--taus", "4",
+                 "--beats-grid", "2", "--estimator", "mle",
+                 "--out", str(out)]) == 0
+    return out
 
 
 def overlay_reconstruction(path):
@@ -108,21 +142,38 @@ class TestSimulate:
     def test_dataset_is_its_recorded_grid_cell(self, dataset60, tmp_path,
                                                capsys):
         # the grid that the manifest's config describes has one cell,
-        # drawn from the same seeds as the dataset, so denoise reports the
-        # grid's errors exactly; mog_fa is left out, as its fit seed is
-        # the cell's in the grid and --seed in denoise
+        # drawn from the same seeds as the dataset and fitted with the same
+        # settings and fit seed, so denoise reports the grid's entries
         record = load_json(dataset60 / "manifest.json")["config"]
         config = BenchmarkConfig.from_dict(record)
         assert config.to_dict() == record
+        estimators = ["mle:truth", "oracle_bayes:truth", "fa:truth",
+                      "fa:estimated", "mog_fa:truth"]
+        assert record["estimators"] == estimators  # the five defaults
         [cell] = run_benchmark(config).cells
-        for estimator in ("mle", "oracle_bayes", "fa:truth", "fa:estimated"):
+        out = tmp_path / "x.csv"
+        for estimator in estimators:
             code, payload = run_json(capsys, [
                 "denoise", "--dataset", str(dataset60),
-                "--estimator", estimator, "--out", str(tmp_path / "x.csv"),
+                "--estimator", estimator, "--out", str(out),
             ])
             assert code == 0
-            entry = cell["estimators"][payload["estimator"]]
-            assert payload["mse"] == entry["mse"], estimator
+            entry = dict(cell["estimators"][payload["estimator"]])
+            assert entry.pop("status") == "ok"
+            assert payload == {"estimates": str(out),
+                               "estimator": payload["estimator"], **entry}
+
+    def test_malformed_tau_is_json_error(self, tmp_path, capsys):
+        flags = list(SIM_FLAGS)
+        flags[flags.index("--tau") + 1] = "uniform:2"
+        code, payload = run_json(capsys, ["simulate", *flags,
+                                          "--out", str(tmp_path / "ds")])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "tau regime 'uniform:2' is neither a number nor of "
+                       "the form 'uniform:LO,HI'"}
+        assert not (tmp_path / "ds").exists()
 
     def test_off_grid_rate_is_json_error(self, tmp_path, capsys):
         flags = list(SIM_FLAGS)
@@ -186,17 +237,19 @@ class TestEstimateNoise:
 class TestDenoise:
     @pytest.mark.parametrize("estimator", ["mle", "oracle_bayes",
                                            "fa:truth", "fa:estimated"])
-    def test_estimators(self, dataset, tmp_path, capsys, estimator):
+    def test_estimators(self, small_fit, tmp_path, capsys, estimator):
         out = tmp_path / f"{estimator.replace(':', '_')}.csv"
         code, payload = run_json(capsys, [
-            "denoise", "--dataset", str(dataset), "--estimator", estimator,
-            "--latent-dim", "3", "--out", str(out),
+            "denoise", "--dataset", str(small_fit), "--estimator", estimator,
+            "--out", str(out),
         ])
         assert code == 0
         estimates, row_ids = load_matrix_csv(out)
         assert estimates.shape == (12, 80)
         assert row_ids[0] == "s00000"
         assert payload["mse"] >= 0.0
+        if estimator.startswith("fa"):  # p as the record sets it
+            assert payload["latent_dim"] == 3
 
     def test_oracle_beats_mle(self, dataset, tmp_path, capsys):
         _, mle = run_json(capsys, [
@@ -216,10 +269,11 @@ class TestDenoise:
         out = tmp_path / "est.csv"
         code, payload = run_json(capsys, [
             "denoise", "--dataset", str(unlabelled), "--estimator", estimator,
-            "--latent-dim", "3", "--out", str(out),
+            "--out", str(out),
         ])
         assert code == 0
         assert "mse" not in payload
+        assert payload.get("latent_dim", 3) == 3
         estimates, _ = load_matrix_csv(out)
         assert estimates.shape == (12, 80)
         if estimator == "mle":
@@ -260,14 +314,46 @@ class TestDenoise:
     def test_configless_dataset_runs_without_truth(self, dataset, configless,
                                                    tmp_path, capsys,
                                                    estimator):
+        # simulate records benchmark's default fit settings, which are
+        # those of a dataset with no record
         for name, source in (("a.csv", dataset), ("b.csv", configless)):
             code, _ = run_json(capsys, [
                 "denoise", "--dataset", str(source), "--estimator", estimator,
-                "--latent-dim", "3", "--out", str(tmp_path / name),
+                "--out", str(tmp_path / name),
             ])
             assert code == 0
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
+
+    def test_configless_dataset_fits_with_benchmark_defaults(
+            self, configless, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, payload = run_json(capsys, [
+            "denoise", "--dataset", str(configless),
+            "--estimator", "mog_fa:estimated", "--out", str(out),
+        ])
+        assert code == 0
+        samples, _ = load_dataset(configless)
+        _, extra = bench.denoise(
+            EstimatorSpec("mog_fa", "estimated"),
+            np.stack([s.beat_mean for s in samples]), np.full(12, 6.0),
+            truth=None, estimate=estimate_noise(samples),
+            thetas=np.stack([s.theta.values for s in samples]),
+            latent_dim=LatentDimRule("fixed", DEFAULT_LATENT_DIM),
+            n_components=DEFAULT_N_COMPONENTS, fit_seed=0)
+        assert payload == {"estimates": str(out),
+                           "estimator": "mog_fa_estimated", **extra}
+
+    @pytest.mark.parametrize("flag", ["--latent-dim 3", "--components 2",
+                                      "--seed 0"])
+    def test_fit_flags_are_refused(self, small_fit, tmp_path, capsys, flag):
+        # the fit settings come from the dataset's record
+        with pytest.raises(SystemExit) as exit_info:
+            main(["denoise", "--dataset", str(small_fit), *flag.split(),
+                  "--out", str(tmp_path / "x.csv")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("kind", ["mle", "oracle_bayes"])
     def test_truth_only_kind_with_estimated_noise_is_json_error(
@@ -305,7 +391,7 @@ class TestDenoise:
 
     @pytest.mark.parametrize("estimator, fit", [
         ("fa:truth", "FA fit"), ("mog_fa:truth", "mixture FA fit, stage 3")])
-    def test_falling_loglik_is_json_error(self, dataset, tmp_path, capsys,
+    def test_falling_loglik_is_json_error(self, small_fit, tmp_path, capsys,
                                           monkeypatch, estimator, fit):
         fit_loadings = estimators._fit_loadings
 
@@ -318,8 +404,7 @@ class TestDenoise:
 
         monkeypatch.setattr(estimators, "_fit_loadings", falling)
         code, payload = run_json(capsys, [
-            "denoise", "--dataset", str(dataset), "--estimator", estimator,
-            "--latent-dim", "3", "--components", "2",
+            "denoise", "--dataset", str(small_fit), "--estimator", estimator,
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 1
@@ -342,6 +427,32 @@ class TestBenchmark:
         document = load_json(out)
         assert len(document["cells"]) == 4
         assert payload["cells"] == 4
+
+    @pytest.mark.parametrize("grid, repeats", [
+        (["--taus", "2;2.0"], "tau regime(s) ['tau=2']"),
+        (["--beats-grid", "2,2"], "beat count(s) [2]"),
+    ], ids=["taus", "beats-grid"])
+    def test_repeated_cells_is_json_error(self, tmp_path, capsys, grid,
+                                          repeats):
+        code, payload = run_json(capsys, [
+            "benchmark", "--seed", "1", *grid, "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert repeats in payload["error"]["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_malformed_taus_is_json_error(self, tmp_path, capsys):
+        code, payload = run_json(capsys, [
+            "benchmark", "--seed", "1", "--taus", "2;uniform:2",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "tau regime 'uniform:2' is neither a number nor of "
+                       "the form 'uniform:LO,HI'"}
+        assert not (tmp_path / "r.json").exists()
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -434,12 +545,17 @@ class TestBenchmark:
 
 
 class TestPlotData:
-    def test_beats_overlay_with_reconstruction(self, dataset, tmp_path, capsys):
+    def test_beats_overlay_with_reconstruction(self, small_fit, tmp_path,
+                                               capsys):
+        csv = tmp_path / "denoised.csv"
+        code, _ = run_json(capsys, ["denoise", "--dataset", str(small_fit),
+                                    "--estimator", "fa:truth",
+                                    "--out", str(csv)])
+        assert code == 0
         out = tmp_path / "overlay.csv"
         code, _ = run_json(capsys, [
-            "plot-data", "--kind", "beats-overlay", "--dataset", str(dataset),
-            "--sample", "s00002", "--estimator", "fa:truth",
-            "--latent-dim", "3", "--out", str(out),
+            "plot-data", "--kind", "beats-overlay", "--dataset", str(small_fit),
+            "--sample", "s00002", "--estimates", str(csv), "--out", str(out),
         ])
         assert code == 0
         text = out.read_text()
@@ -447,34 +563,57 @@ class TestPlotData:
 
     @pytest.mark.parametrize("estimator", ["mle", "oracle_bayes", "fa:truth",
                                            "mog_fa:truth"])
-    def test_reconstruction_is_the_denoise_row(self, dataset, tmp_path,
+    def test_reconstruction_is_the_denoise_row(self, small_fit, tmp_path,
                                                capsys, estimator):
         csv = tmp_path / "denoised.csv"
         code, _ = run_json(capsys, [
-            "denoise", "--dataset", str(dataset), "--estimator", estimator,
-            "--latent-dim", "3", "--out", str(csv),
+            "denoise", "--dataset", str(small_fit), "--estimator", estimator,
+            "--out", str(csv),
         ])
         assert code == 0
         overlay = tmp_path / "overlay.csv"
         code, _ = run_json(capsys, [
-            "plot-data", "--kind", "beats-overlay", "--dataset", str(dataset),
-            "--sample", "s00002", "--estimator", estimator,
-            "--latent-dim", "3", "--out", str(overlay),
+            "plot-data", "--kind", "beats-overlay", "--dataset",
+            str(small_fit), "--sample", "s00002", "--estimates", str(csv),
+            "--out", str(overlay),
         ])
         assert code == 0
         estimates, row_ids = load_matrix_csv(csv)
         np.testing.assert_array_equal(overlay_reconstruction(overlay),
                                       estimates[row_ids.index("s00002")])
 
-    def test_truth_spec_without_truth_is_json_error(self, unlabelled,
-                                                    tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--estimator fa:truth",
+                                      "--latent-dim 3"])
+    def test_fit_flags_are_refused(self, dataset, tmp_path, capsys, flag):
+        # plot-data runs no estimator; --estimates takes denoise's CSV
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plot-data", "--kind", "beats-overlay", "--dataset",
+                  str(dataset), *flag.split(),
+                  "--out", str(tmp_path / "overlay.csv")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "overlay.csv").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda m, ids: (m[::-1], ids[::-1]),
+        lambda m, ids: (m[1:], ids[1:]),
+        lambda m, ids: (m[:, :-1], ids),
+    ], ids=["other-order", "missing-row", "other-width"])
+    def test_estimates_of_other_data_is_json_error(self, dataset, tmp_path,
+                                                   capsys, edit):
+        samples, _ = load_dataset(dataset)
+        csv = tmp_path / "estimates.csv"
+        save_matrix_csv(csv, *edit(np.stack([s.beat_mean for s in samples]),
+                                   [s.sample_id for s in samples]))
         code, payload = run_json(capsys, [
-            "plot-data", "--kind", "beats-overlay",
-            "--dataset", str(unlabelled), "--estimator", "fa:truth",
-            "--out", str(tmp_path / "overlay.csv"),
+            "plot-data", "--kind", "beats-overlay", "--dataset", str(dataset),
+            "--estimates", str(csv), "--out", str(tmp_path / "overlay.csv"),
         ])
         assert code == 1
-        assert payload["error"]["type"] == "EcgDenoiseError"
+        assert payload["error"] == {
+            "type": "EcgDenoiseError",
+            "message": f"{csv} is not what denoise writes for this dataset: "
+                       f"one row per sample id, in order, of width 80"}
         assert not (tmp_path / "overlay.csv").exists()
 
     def test_tau_hist(self, dataset, tmp_path, capsys):
@@ -489,13 +628,7 @@ class TestPlotData:
                      if r.startswith("tau_count"))
         assert counts == 12
 
-    def test_mse_table(self, tmp_path, capsys):
-        report = tmp_path / "report.json"
-        main(["benchmark", "--seed", "3", "--n-samples", "8",
-              "--d", "80", "--fs", "200", "--r-offset", "26",
-              "--taus", "4", "--beats-grid", "2",
-              "--estimator", "mle", "--out", str(report)])
-        capsys.readouterr()
+    def test_mse_table(self, report, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code, _ = run_json(capsys, [
             "plot-data", "--kind", "mse-table", "--report", str(report),
@@ -503,6 +636,34 @@ class TestPlotData:
         ])
         assert code == 0
         assert "mle|B=2" in out.read_text()
+        # the table reads only the report's cells
+        cells_only = tmp_path / "cells.json"
+        cells_only.write_text(json.dumps({"cells": load_json(report)["cells"]}))
+        code, _ = run_json(capsys, [
+            "plot-data", "--kind", "mse-table", "--report", str(cells_only),
+            "--out", str(tmp_path / "again.csv"),
+        ])
+        assert code == 0
+        assert (tmp_path / "again.csv").read_text() == out.read_text()
+
+    @pytest.mark.parametrize("key", ["cells", "tau_regime", "status"])
+    def test_report_without_a_key_is_json_error(self, report, tmp_path,
+                                                capsys, key):
+        document = load_json(report)
+        [cell] = document["cells"]
+        for holder in (document, cell, cell["estimators"]["mle"]):
+            holder.pop(key, None)
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(json.dumps(document))
+        code, payload = run_json(capsys, [
+            "plot-data", "--kind", "mse-table", "--report", str(damaged),
+            "--out", str(tmp_path / "table.csv"),
+        ])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "EcgDenoiseError",
+            "message": f"{damaged}: the key {key!r} is missing"}
+        assert not (tmp_path / "table.csv").exists()
 
     def test_report_that_is_not_an_object_is_json_error(self, tmp_path,
                                                           capsys):
@@ -660,9 +821,15 @@ class TestDatasetChecks:
     @pytest.mark.parametrize("edit, problem", [
         ({"d": 81}, "the recorded config has d=81, the beats have width 80"),
         ({"lengthscale": None}, "the recorded config lacks ['lengthscale']"),
-    ], ids=["other-width", "incomplete"])
+        ({"n_beats_grid": [6, 20]},
+         "the recorded config has 2 grid cells; a dataset is one"),
+        ({"mog_components": 0},
+         "the recorded config: mog_components must be >= 1"),
+    ], ids=["other-width", "incomplete", "two-cells", "bad-value"])
     def test_config_that_cannot_give_k_is_json_error(self, copy, capsys,
                                                       edit, problem):
+        # the record gives K and the fit settings, so it is checked on
+        # every run, mle's too
         manifest = load_json(copy / "manifest.json")
         for key, value in edit.items():
             if value is None:
@@ -670,12 +837,13 @@ class TestDatasetChecks:
             else:
                 manifest["config"][key] = value
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        code, payload = run_json(capsys, [
-            "denoise", "--dataset", str(copy), "--estimator", "fa:truth",
-            "--out", str(copy / "estimates.csv"),
-        ])
-        assert code == 1
-        assert payload["error"] == {
-            "type": "EcgDenoiseError",
-            "message": f"{copy / 'manifest.json'}: {problem}"}
-        assert not (copy / "estimates.csv").exists()
+        for estimator in ("fa:truth", "mle"):
+            code, payload = run_json(capsys, [
+                "denoise", "--dataset", str(copy), "--estimator", estimator,
+                "--out", str(copy / "estimates.csv"),
+            ])
+            assert code == 1
+            assert payload["error"] == {
+                "type": "EcgDenoiseError",
+                "message": f"{copy / 'manifest.json'}: {problem}"}
+            assert not (copy / "estimates.csv").exists()
