@@ -18,12 +18,12 @@ import logging
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .errors import EcgDenoiseError, EmptyInputError, InsufficientReplicatesError
+from .errors import EcgDenoiseError, InsufficientReplicatesError
 from .estimators import (
     DEFAULT_N_COMPONENTS,
     DEFAULT_SLOPE_CUTOFF,
@@ -41,7 +41,7 @@ from .noise import (
     matern_covariance,
     whiten,
 )
-from .serialize import SCHEMA_VERSION, _atomic_write, save_json
+from .serialize import SCHEMA_VERSION, save_json
 from .simulate import (
     BACKEND,
     DEFAULT_FS,
@@ -78,10 +78,15 @@ NOISE_MODES = ("truth", "estimated")
 
 
 def _known_keys(cls, data: dict) -> dict:
-    """``data`` unchanged, or a ValueError naming keys ``cls`` lacks."""
+    """``data`` unchanged, or a ValueError naming keys ``cls`` lacks or
+    fields without a default that ``data`` lacks."""
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} key(s): {missing}")
     return data
 
 
@@ -187,8 +192,8 @@ class EstimatorSpec:
 class LatentDimRule:
     """Latent dimension policy: a fixed p or the scree slope cutoff."""
 
-    mode: str = "scree"
-    value: float = DEFAULT_SLOPE_CUTOFF
+    mode: str
+    value: float
 
     def __post_init__(self):
         if self.mode not in ("scree", "fixed"):
@@ -341,7 +346,8 @@ class BenchmarkConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkConfig":
         """The config that :meth:`to_dict` (or a JSON config file) gives;
-        an unknown key or a field of the wrong type raises ValueError."""
+        an unknown key, a missing seed or nested key, or a value of the
+        wrong type raises ValueError."""
         data = dict(_known_keys(cls, data))
         for name, value in data.items():
             where = f"BenchmarkConfig field {name!r}"
@@ -738,61 +744,3 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
     if out_path is not None:
         save_json(out_path, report.to_dict())
     return report
-
-
-# ---------------------------------------------------------------------------
-# plot data
-# ---------------------------------------------------------------------------
-
-def _write_series_csv(path, rows) -> None:
-    lines = ["series,x,y"]
-    lines += [f"{series},{x:.17g},{y:.17g}" for series, x, y in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def emit_plot_data(obj, kind: str, path, reconstruction=None,
-                   bins: int = 20) -> None:
-    """Write long-format (series, x, y) CSV for external plotting.
-
-    Kinds: ``beats-overlay`` (an EcgSample, optionally with a
-    reconstruction vector), ``tau-hist`` and ``beat-count-hist`` (a list
-    of EcgSample), ``mse-table`` (a report's ``cells``).
-    """
-    rows = []
-    if kind == "beats-overlay":
-        if not isinstance(obj, EcgSample):
-            raise ValueError("beats-overlay needs an EcgSample")
-        for b, beat in enumerate(obj.beats):
-            rows += [(f"beat_{b:02d}", float(j), float(v))
-                     for j, v in enumerate(beat)]
-        if reconstruction is not None:
-            rows += [("reconstruction", float(j), float(v))
-                     for j, v in enumerate(np.asarray(reconstruction))]
-    elif kind == "tau-hist":
-        taus = [s.tau for s in obj if s.tau is not None]
-        if not taus:
-            raise EmptyInputError("no tau values available")
-        counts, edges = np.histogram(taus, bins=bins)
-        rows += [("tau_count", float(0.5 * (edges[i] + edges[i + 1])),
-                  float(c)) for i, c in enumerate(counts)]
-        rows += [("tau_bin_edge", float(i), float(e))
-                 for i, e in enumerate(edges)]
-    elif kind == "beat-count-hist":
-        counts = [s.n_beats for s in obj if isinstance(s, EcgSample)]
-        values, freq = np.unique(counts, return_counts=True)
-        rows += [("beat_count", float(v), float(c))
-                 for v, c in zip(values, freq)]
-    elif kind == "mse-table":
-        for cell in obj:
-            regime = TauRegime.from_dict(cell["tau_regime"])
-            x = regime.value if regime.kind == "fixed" \
-                else 0.5 * (regime.lo + regime.hi)
-            for name, result in cell["estimators"].items():
-                if result["status"] == "ok":
-                    rows.append((f"{name}|B={cell['n_beats']}", float(x),
-                                 float(result["mse"])))
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    if not rows:
-        raise EmptyInputError(f"nothing to write for kind {kind!r}")
-    _write_series_csv(path, rows)

@@ -21,30 +21,22 @@ import numpy as np
 
 from . import __version__
 from .bench import (
-    DEFAULT_AMPLITUDE_GAIN,
-    DEFAULT_D,
-    DEFAULT_FS,
-    DEFAULT_JITTER,
-    DEFAULT_LATENT_DIM,
-    DEFAULT_N_COMPONENTS,
-    DEFAULT_NOISE_LENGTHSCALE,
-    DEFAULT_NOISE_SMOOTHNESS,
-    DEFAULT_R_OFFSET,
     BenchmarkConfig,
     EstimatorSpec,
     LatentDimRule,
+    TauRegime,
     denoise,
     draw_cell,
-    emit_plot_data,
     grid_seeds,
     make_samples,
     run_benchmark,
     simulate_population,
 )
-from .errors import EcgDenoiseError
+from .errors import EcgDenoiseError, EmptyInputError
 from .noise import estimate_noise, matern_covariance
 from .serialize import (load_dataset, load_json, load_matrix_csv,
-                        save_dataset, save_matrix_csv)
+                        save_dataset, save_matrix_csv, save_npy,
+                        save_series_csv)
 
 # Unused here, but perfbench/tracing.py wraps these names in this module:
 # simulate_cell_beats, whiten and the five estimator functions.
@@ -73,32 +65,29 @@ def _emit(document: dict) -> None:
     sys.stdout.write("\n")
 
 
-_SIMULATION_FIELDS = ("seed", "n_samples", "d", "fs", "r_offset",
-                      "jitter_fraction", "amplitude_gain", "lengthscale",
-                      "smoothness")
-
-
 def _add_simulation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-samples", "-n", type=int, default=100,
+    """Flags of ``BenchmarkConfig``'s simulation fields. The parser leaves
+    out a flag that is not given (``argument_default=SUPPRESS``), so the
+    field keeps ``BenchmarkConfig``'s default."""
+    parser.add_argument("--n-samples", "-n", type=int,
                         help="number of recordings")
-    parser.add_argument("--d", type=int, default=DEFAULT_D)
-    parser.add_argument("--fs", type=float, default=DEFAULT_FS)
-    parser.add_argument("--r-offset", type=int, default=DEFAULT_R_OFFSET)
-    parser.add_argument("--jitter", dest="jitter_fraction", type=float,
-                        default=DEFAULT_JITTER)
-    parser.add_argument("--gain", dest="amplitude_gain", type=float,
-                        default=DEFAULT_AMPLITUDE_GAIN)
-    parser.add_argument("--lengthscale", type=float,
-                        default=DEFAULT_NOISE_LENGTHSCALE)
-    parser.add_argument("--smoothness", type=float,
-                        default=DEFAULT_NOISE_SMOOTHNESS)
+    parser.add_argument("--d", type=int)
+    parser.add_argument("--fs", type=float)
+    parser.add_argument("--r-offset", type=int)
+    parser.add_argument("--jitter", dest="jitter_fraction", type=float)
+    parser.add_argument("--gain", dest="amplitude_gain", type=float)
+    parser.add_argument("--lengthscale", type=float)
+    parser.add_argument("--smoothness", type=float)
+
+
+_CONFIG_FIELDS = {f.name for f in fields(BenchmarkConfig)}
 
 
 def _config_dict(args, **grid) -> dict:
-    """The ``BenchmarkConfig.from_dict`` input that the simulation flags
-    (``_SIMULATION_FIELDS``) give, plus the calling command's ``grid``."""
-    return {**{name: getattr(args, name) for name in _SIMULATION_FIELDS},
-            **grid}
+    """The ``BenchmarkConfig.from_dict`` input of the parsed flags named
+    after a config field, plus the calling command's ``grid``."""
+    return {**{name: value for name, value in vars(args).items()
+               if name in _CONFIG_FIELDS}, **grid}
 
 
 def _cmd_simulate(args) -> int:
@@ -130,23 +119,23 @@ def _dataset_truth(samples):
     return taus, thetas
 
 
-def _recorded_cell(manifest, d: int, where, needs_k: bool):
+def _recorded_cell(manifest, samples, where, needs_k: bool):
     """The one-cell config that ``manifest``, read from ``where``, records
-    for beats of width ``d``, and its cell's fit settings for ``denoise``. A
-    record must be complete, as ``from_dict`` would fill a gap with a
-    default. Without one, a caller that ``needs_k`` is refused; others get
-    None and ``benchmark``'s defaults, with fit seed 0."""
+    for ``samples``, and its cell's fit seed. A record must be complete, as
+    ``from_dict`` would fill a gap with a default, and must describe
+    ``samples``. Without one, a caller that ``needs_k`` is refused; others
+    get ``BenchmarkConfig``'s defaults, for its fit settings alone, and fit
+    seed 0."""
     record = manifest.get("config")
     if record is None and not needs_k:
-        return None, {"latent_dim": LatentDimRule("fixed", DEFAULT_LATENT_DIM),
-                      "n_components": DEFAULT_N_COMPONENTS, "fit_seed": 0}
+        return BenchmarkConfig(seed=0), 0
     if "matern" in manifest:  # the record of an earlier simulate
         raise EcgDenoiseError(f"{where} has a noise-model record that is no "
                               f"longer read; re-run `ecgdenoise simulate`")
     if not isinstance(record, dict):
         raise EcgDenoiseError(f"{where} records no config and so no noise "
                               f"model; use an :estimated estimator")
-    missing = sorted({f.name for f in fields(BenchmarkConfig)} - set(record))
+    missing = sorted(_CONFIG_FIELDS - set(record))
     if missing:
         raise EcgDenoiseError(f"{where}: the recorded config lacks {missing}")
     try:
@@ -157,13 +146,18 @@ def _recorded_cell(manifest, d: int, where, needs_k: bool):
     if len(cells) != 1:
         raise EcgDenoiseError(f"{where}: the recorded config has {len(cells)} "
                               f"grid cells; a dataset is one")
-    if config.d != d:
+    if config.d != samples[0].d:
         raise EcgDenoiseError(f"{where}: the recorded config has d="
-                              f"{config.d}, the beats have width {d}")
-    [(_, _, (_, _, fit_seed))] = cells
-    return config, {"latent_dim": config.latent_dim,
-                    "n_components": config.mog_components,
-                    "fit_seed": fit_seed}
+                              f"{config.d}, the beats have width "
+                              f"{samples[0].d}")
+    [(_, n_beats, (_, _, fit_seed))] = cells
+    counts = sorted({s.n_beats for s in samples})
+    if (config.n_samples, [n_beats]) != (len(samples), counts):
+        raise EcgDenoiseError(
+            f"{where}: the recorded config has {config.n_samples} recordings "
+            f"of {n_beats} beats, the data has {len(samples)} of "
+            f"{' or '.join(map(str, counts))}")
+    return config, fit_seed
 
 
 def _cmd_estimate_noise(args) -> int:
@@ -171,11 +165,11 @@ def _cmd_estimate_noise(args) -> int:
     k_hat, tau_hat = estimate_noise(samples)
     out = _resolve_out(args.out, Path(args.dataset).name + "-noise")
     out.mkdir(parents=True, exist_ok=True)
-    save_matrix_csv(out / "k_hat.csv", k_hat.matrix)
+    save_npy(out / "k_hat.npy", [k_hat.matrix], k_hat.matrix.shape)
     save_matrix_csv(out / "tau_hat.csv", tau_hat[:, None],
                     [s.sample_id for s in samples])
     summary = {
-        "k_hat": str(out / "k_hat.csv"),
+        "k_hat": str(out / "k_hat.npy"),
         "tau_hat": str(out / "tau_hat.csv"),
         "trace": float(np.trace(k_hat.matrix)),
         "tau_hat_median": float(np.median(tau_hat)),
@@ -199,34 +193,41 @@ def _cmd_denoise(args) -> int:
     taus, thetas = _dataset_truth(samples)
     needs_k = spec.kind != "mle" and not spec.needs_estimation \
         and taus is not None
-    config, fit = _recorded_cell(manifest, means.shape[1],
-                                 Path(args.dataset) / "manifest.json", needs_k)
+    config, fit_seed = _recorded_cell(
+        manifest, samples, Path(args.dataset) / "manifest.json", needs_k)
     truth = estimate = None
     if spec.needs_estimation:
         estimate = estimate_noise(samples)
     elif needs_k:
         truth = (matern_covariance(config.d, config.fs, config.lengthscale,
                                    config.smoothness), taus)
-    estimates, extra = denoise(spec, means, n_beats, truth=truth,
-                               estimate=estimate, thetas=thetas, **fit)
+    estimates, extra = denoise(
+        spec, means, n_beats, truth=truth, estimate=estimate, thetas=thetas,
+        latent_dim=config.latent_dim, n_components=config.mog_components,
+        fit_seed=fit_seed)
     out = _resolve_out(args.out, f"denoised-{spec.name}.csv")
     save_matrix_csv(out, estimates, [s.sample_id for s in samples])
     _emit({"estimates": str(out), "estimator": spec.name, **extra})
     return 0
 
 
+#: How ``benchmark`` reads the text of a grid flag, by its config field.
+_GRID_FLAGS = {
+    "n_beats_grid": lambda text: [int(b) for b in text.split(",")],
+    "tau_regimes": lambda text: text.split(";"),
+    "latent_dim": LatentDimRule.parse,
+}
+
+
 def _cmd_benchmark(args) -> int:
-    base = _config_dict(
-        args, n_beats_grid=[int(b) for b in args.beats_grid.split(",")],
-        tau_regimes=[t.strip() for t in args.taus.split(";")],
-        latent_dim=LatentDimRule.parse(args.latent_dim).to_dict(),
-        mog_components=args.components)
-    if args.estimator:  # else BenchmarkConfig's default estimators apply
-        base["estimators"] = args.estimator
+    """The grid of the config file, over the flags given, over
+    ``BenchmarkConfig``'s defaults."""
+    base = _config_dict(args)
+    for name, parse in _GRID_FLAGS.items():
+        if name in base:
+            base[name] = parse(base[name])
     if args.config:  # the config file wins over flags
         base.update(load_json(args.config))
-    if base.get("seed") is None:
-        raise EcgDenoiseError("a seed is required (flag --seed or config)")
     config = BenchmarkConfig.from_dict(base)
     out = _resolve_out(args.out, f"benchmark-seed{config.seed}.json")
     report = run_benchmark(config, out_path=out)
@@ -236,16 +237,40 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
+def _mse_table_rows(report) -> list:
+    """A (``estimator|B=n``, tau, mse) row per ok entry of ``report``'s
+    cells, at a fixed tau or a uniform regime's midpoint. Anything but a
+    benchmark report's shape raises an EcgDenoiseError naming ``report``,
+    and a report without an ok entry an EmptyInputError."""
+    if not report:
+        raise EcgDenoiseError("mse-table needs --report")
+    document = load_json(report)
+    rows = []
+    try:
+        for cell in document["cells"]:
+            regime = TauRegime.from_dict(cell["tau_regime"])
+            x = regime.value if regime.kind == "fixed" \
+                else 0.5 * (regime.lo + regime.hi)
+            for name, result in cell["estimators"].items():
+                if result["status"] == "ok":
+                    rows.append((f"{name}|B={cell['n_beats']}", float(x),
+                                 float(result["mse"])))
+    except KeyError as exc:
+        raise EcgDenoiseError(f"{report}: the key {exc.args[0]!r} "
+                              f"is missing") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise EcgDenoiseError(f"{report}: not a benchmark report: "
+                              f"{exc}") from None
+    if not rows:
+        raise EmptyInputError("nothing to write for kind 'mse-table'")
+    return rows
+
+
 def _cmd_plot_data(args) -> int:
+    """Long-format (series, x, y) rows of one plot kind, written as CSV."""
     out = _resolve_out(args.out, f"plot-{args.kind}.csv")
     if args.kind == "mse-table":
-        if not args.report:
-            raise EcgDenoiseError("mse-table needs --report")
-        try:
-            emit_plot_data(load_json(args.report)["cells"], args.kind, out)
-        except KeyError as exc:
-            raise EcgDenoiseError(f"{args.report}: the key {exc.args[0]!r} "
-                                  f"is missing") from None
+        rows = _mse_table_rows(args.report)
     else:
         if not args.dataset:
             raise EcgDenoiseError(f"{args.kind} needs --dataset")
@@ -256,7 +281,9 @@ def _cmd_plot_data(args) -> int:
             if wanted not in ids:
                 raise EcgDenoiseError(f"sample {wanted!r} not in dataset")
             row = ids.index(wanted)
-            reconstruction = None
+            rows = [(f"beat_{b:02d}", float(j), float(v))
+                    for b, beat in enumerate(samples[row].beats)
+                    for j, v in enumerate(beat)]
             if args.estimates:
                 estimates, row_ids = load_matrix_csv(args.estimates)
                 if row_ids != ids or estimates.shape[1] != samples[0].d:
@@ -264,11 +291,23 @@ def _cmd_plot_data(args) -> int:
                         f"{args.estimates} is not what denoise writes for "
                         f"this dataset: one row per sample id, in order, "
                         f"of width {samples[0].d}")
-                reconstruction = estimates[row]
-            emit_plot_data(samples[row], args.kind, out,
-                           reconstruction=reconstruction)
-        else:
-            emit_plot_data(samples, args.kind, out, bins=args.bins)
+                rows += [("reconstruction", float(j), float(v))
+                         for j, v in enumerate(estimates[row])]
+        elif args.kind == "tau-hist":
+            taus, _ = _dataset_truth(samples)
+            if taus is None:
+                raise EmptyInputError("no tau values available")
+            counts, edges = np.histogram(taus, bins=args.bins)
+            rows = [("tau_count", float(0.5 * (edges[i] + edges[i + 1])),
+                     float(c)) for i, c in enumerate(counts)]
+            rows += [("tau_bin_edge", float(i), float(e))
+                     for i, e in enumerate(edges)]
+        else:  # beat-count-hist
+            values, freq = np.unique([s.n_beats for s in samples],
+                                     return_counts=True)
+            rows = [("beat_count", float(v), float(c))
+                    for v, c in zip(values, freq)]
+    save_series_csv(out, rows)
     _emit({"plot_data": str(out), "kind": args.kind})
     return 0
 
@@ -284,15 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="write a simulated dataset")
+    p = sub.add_parser("simulate", help="write a simulated dataset",
+                       argument_default=argparse.SUPPRESS)
     _add_simulation_flags(p)
     p.add_argument("--beats", "-B", type=int, default=20,
                    help="beats per recording")
     p.add_argument("--tau", default="uniform:2,20",
                    help="noise precision: a number or 'uniform:LO,HI'")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", help="dataset directory")
-    p.set_defaults(func=_cmd_simulate)
+    p.add_argument("--out", default=None, help="dataset directory")
+    p.set_defaults(func=_cmd_simulate, n_samples=100)
 
     p = sub.add_parser("estimate-noise",
                        help="estimate K and per-sample tau from a dataset")
@@ -308,23 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_denoise)
 
     # no abbreviations: simulate's --beats and --tau would pass for
-    # --beats-grid and --taus here
+    # --beats-grid and --taus here. Each grid flag is stored under its
+    # config field, and is absent when not given (see _add_simulation_flags)
     p = sub.add_parser("benchmark", help="run the full estimator grid",
-                       allow_abbrev=False)
+                       allow_abbrev=False, argument_default=argparse.SUPPRESS)
     _add_simulation_flags(p)
-    p.set_defaults(n_samples=1000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--taus", default="2;5;10;15;20;uniform:2,20",
+    p.add_argument("--seed", type=int)
+    p.add_argument("--taus", dest="tau_regimes",
                    help="semicolon-separated tau regimes")
-    p.add_argument("--beats-grid", default="1,20",
+    p.add_argument("--beats-grid", dest="n_beats_grid",
                    help="comma-separated beat counts")
-    p.add_argument("--estimator", action="append",
-                   default=None,
+    p.add_argument("--estimator", dest="estimators", action="append",
                    help="repeatable: KIND[:truth|:estimated]")
-    p.add_argument("--latent-dim", default=str(DEFAULT_LATENT_DIM))
-    p.add_argument("--components", type=int, default=DEFAULT_N_COMPONENTS)
-    p.add_argument("--config", help="JSON config file (overrides flags)")
-    p.add_argument("--out", help="report path")
+    p.add_argument("--latent-dim", help="a fixed p or 'scree[:CUTOFF]'")
+    p.add_argument("--components", dest="mog_components", type=int)
+    p.add_argument("--config", default=None,
+                   help="JSON config file (overrides flags)")
+    p.add_argument("--out", default=None, help="report path")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("plot-data", help="long-format CSV for plotting")

@@ -1,7 +1,8 @@
-"""File formats: headered CSV matrices, dataset directories, JSON documents.
+"""File formats: headered CSV matrices and plot series, datasets, JSON.
 
-Matrices handed to the user are CSV with a ``row_id`` first column and
-each value as ``%.17g``, which round-trips float64 exactly.
+Per-sample matrices are CSV with a ``row_id`` first column and each
+value as ``%.17g``, which round-trips float64 exactly; plot series are
+``series,x,y`` CSV rows.
 Datasets are a directory with a ``manifest.json`` plus float64 ``.npy``
 arrays: ``beats.npy`` holds every recording's beats stacked in manifest
 order, split by the manifest's ``beat_counts``; ``thetas.npy`` (N, d) and
@@ -50,13 +51,11 @@ def _atomic_write(path, text: str) -> None:
         handle.write(text)
 
 
-def save_matrix_csv(path, matrix, row_ids=None) -> None:
+def save_matrix_csv(path, matrix, row_ids) -> None:
     """Write a matrix as headered CSV, first column the row id; each value
     is ``%.17g``, one format operation per row."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     n, d = matrix.shape
-    if row_ids is None:
-        row_ids = [str(i) for i in range(n)]
     if len(row_ids) != n:
         raise ValueError("row_ids length does not match the matrix")
     lines = ["row_id," + ",".join(f"c{j}" for j in range(d))]
@@ -89,6 +88,14 @@ def load_matrix_csv(path):
             row_ids.append(cells[0])
             rows.append([float(v) for v in cells[1:]])
     return np.asarray(rows, dtype=np.float64), row_ids
+
+
+def save_series_csv(path, rows) -> None:
+    """Write long-format ``series,x,y`` CSV, one line per (series, x, y)
+    row; x and y are ``%.17g``."""
+    lines = ["series,x,y"]
+    lines += [f"{series},{x:.17g},{y:.17g}" for series, x, y in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def save_json(path, document: dict) -> None:
@@ -150,7 +157,7 @@ def _check_manifest(manifest: dict, where) -> list:
     return counts
 
 
-def _save_npy(path, blocks, shape) -> None:
+def save_npy(path, blocks, shape) -> None:
     """Write ``blocks`` in order as one little-endian float64 ``.npy`` array
     of ``shape``, streaming each block rather than concatenating them."""
     header = {"descr": "<f8", "fortran_order": False, "shape": tuple(shape)}
@@ -207,12 +214,12 @@ def save_dataset(directory, samples, manifest_extra: dict, thetas=None,
             raise ValueError(f"{directory}: taus have shape {taus.shape}, "
                              f"the samples need {(len(samples),)}")
     beat_counts = [s.n_beats for s in samples]
-    _save_npy(directory / BEATS_FILE, (s.beats for s in samples),
-              (sum(beat_counts), d))
+    save_npy(directory / BEATS_FILE, (s.beats for s in samples),
+             (sum(beat_counts), d))
     if thetas is not None:
-        _save_npy(directory / THETAS_FILE, [thetas], thetas.shape)
+        save_npy(directory / THETAS_FILE, [thetas], thetas.shape)
     if taus is not None:
-        _save_npy(directory / TAUS_FILE, [taus], taus.shape)
+        save_npy(directory / TAUS_FILE, [taus], taus.shape)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "ecgdenoise-dataset",

@@ -28,7 +28,7 @@ _TWO_PI = 2.0 * math.pi
 #: Steps per output sample (h = 1 / (STRIDE * fs)).
 STRIDE = 4
 
-#: Sampling rate (Hz) of the benchmark, and of datasets that do not state one.
+#: Sampling rate (Hz) of the benchmark.
 DEFAULT_FS = 500.0
 
 #: Retry budget when jittered positions violate the wave ordering.

@@ -1,4 +1,4 @@
-"""Benchmark harness: config plumbing, determinism, error marking, plots."""
+"""Benchmark harness: config plumbing, determinism, error marking."""
 import json
 import multiprocessing
 import os
@@ -14,16 +14,14 @@ from ecgdenoise.bench import (
     LatentDimRule,
     TauRegime,
     denoise,
-    emit_plot_data,
     run_benchmark,
 )
 from ecgdenoise.errors import (
     EcgDenoiseError,
-    EmptyInputError,
     InsufficientReplicatesError,
 )
 from ecgdenoise.estimators import fit_factor_analysis, fit_mog_fa
-from ecgdenoise.noise import EcgSample, matern_covariance
+from ecgdenoise.noise import matern_covariance
 
 
 def one_worker(monkeypatch):
@@ -305,6 +303,9 @@ class TestBenchmarkConfig:
             BenchmarkConfig()
         with pytest.raises(ValueError):
             BenchmarkConfig(seed=None)
+        with pytest.raises(ValueError, match=re.escape(
+                "missing BenchmarkConfig key(s): ['seed']")):
+            BenchmarkConfig.from_dict({"n_samples": 5})
 
     def test_dict_round_trip(self):
         config = small_config()
@@ -550,65 +551,3 @@ class TestCellPool:
         with pytest.raises(RuntimeError, match="cell failed"):
             run_benchmark(small_config(n_samples=10))
         assert multiprocessing.active_children() == []
-
-
-class TestEmitPlotData:
-    def _sample(self, rng, tau=None):
-        beats = rng.standard_normal((4, 30))
-        return EcgSample(sample_id="s0", beats=beats, tau=tau)
-
-    def test_beats_overlay(self, tmp_path, rng):
-        path = tmp_path / "overlay.csv"
-        emit_plot_data(self._sample(rng), "beats-overlay", path,
-                       reconstruction=np.zeros(30))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "series,x,y"
-        series = {line.split(",")[0] for line in lines[1:]}
-        assert series == {f"beat_{i:02d}" for i in range(4)} | {"reconstruction"}
-
-    def test_tau_hist_conserves_counts(self, tmp_path, rng):
-        samples = [
-            EcgSample(sample_id=str(i), beats=rng.standard_normal((2, 8)),
-                      tau=t)
-            for i, t in enumerate(rng.uniform(2, 20, 50))
-        ]
-        path = tmp_path / "tau.csv"
-        emit_plot_data(samples, "tau-hist", path, bins=7)
-        rows = [line.split(",") for line in
-                path.read_text().strip().splitlines()[1:]]
-        counts = [float(y) for series, _, y in rows if series == "tau_count"]
-        assert sum(counts) == 50
-        edges = [float(y) for series, _, y in rows if series == "tau_bin_edge"]
-        assert len(edges) == 8
-
-    def test_beat_count_hist(self, tmp_path, rng):
-        samples = [
-            EcgSample(sample_id=str(i), beats=rng.standard_normal((b, 8)))
-            for i, b in enumerate([3, 3, 5])
-        ]
-        path = tmp_path / "counts.csv"
-        emit_plot_data(samples, "beat-count-hist", path)
-        rows = [line.split(",") for line in
-                path.read_text().strip().splitlines()[1:]]
-        assert [(float(x), float(y)) for _, x, y in rows] == [(3.0, 2.0), (5.0, 1.0)]
-
-    def test_mse_table_from_report(self, tmp_path):
-        report = run_benchmark(small_config(
-            n_samples=10, n_beats_grid=(2,),
-            tau_regimes=(TauRegime.fixed(4),),
-            estimators=(EstimatorSpec("mle"),)))
-        path = tmp_path / "table.csv"
-        emit_plot_data(report.cells, "mse-table", path)
-        body = path.read_text()
-        assert "mle|B=2" in body
-
-    def test_empty_inputs_error(self, tmp_path, rng):
-        with pytest.raises(EmptyInputError):
-            emit_plot_data([], "tau-hist", tmp_path / "x.csv")
-        with pytest.raises(EmptyInputError):
-            emit_plot_data([self._sample(rng)], "tau-hist",
-                           tmp_path / "y.csv")  # no tau values
-
-    def test_unknown_kind(self, tmp_path, rng):
-        with pytest.raises(ValueError, match="kind"):
-            emit_plot_data(self._sample(rng), "spectrogram", tmp_path / "z.csv")

@@ -7,11 +7,9 @@ import pytest
 
 from ecgdenoise import bench, cli, estimators
 from ecgdenoise.bench import (
-    DEFAULT_LATENT_DIM,
-    DEFAULT_N_COMPONENTS,
     BenchmarkConfig,
     EstimatorSpec,
-    LatentDimRule,
+    TauRegime,
     run_benchmark,
 )
 from ecgdenoise.cli import main
@@ -104,6 +102,18 @@ def report(tmp_path_factory):
     return out
 
 
+class Captured(Exception):
+    """Raised by a stand-in with the config that a command built."""
+
+
+def capture_config(monkeypatch, name):
+    """Replace ``cli.<name>`` by a stand-in that raises ``Captured``."""
+    def capture(config, *args, **kwargs):
+        raise Captured(config)
+
+    monkeypatch.setattr(cli, name, capture)
+
+
 def overlay_reconstruction(path):
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     return np.array([float(y) for series, _, y in rows
@@ -162,6 +172,15 @@ class TestSimulate:
             assert entry.pop("status") == "ok"
             assert payload == {"estimates": str(out),
                                "estimator": payload["estimator"], **entry}
+
+    def test_unset_flags_take_config_defaults(self, monkeypatch):
+        # simulate states only its own -n, -B and --tau defaults
+        capture_config(monkeypatch, "simulate_population")
+        with pytest.raises(Captured) as info:
+            main(["simulate", "--seed", "5"])
+        assert info.value.args[0] == BenchmarkConfig(
+            seed=5, n_samples=100, n_beats_grid=(20,),
+            tau_regimes=(TauRegime.uniform(2, 20),))
 
     def test_malformed_tau_is_json_error(self, tmp_path, capsys):
         flags = list(SIM_FLAGS)
@@ -228,8 +247,13 @@ class TestEstimateNoise:
             "estimate-noise", "--dataset", str(dataset), "--out", str(out)
         ])
         assert code == 0
-        k_hat, _ = load_matrix_csv(out / "k_hat.csv")
-        assert k_hat.shape == (80, 80)
+        assert sorted(p.name for p in out.iterdir()) == ["k_hat.npy",
+                                                         "tau_hat.csv"]
+        assert payload["k_hat"] == str(out / "k_hat.npy")
+        k_hat = np.load(out / "k_hat.npy", allow_pickle=False)
+        assert (k_hat.shape, k_hat.dtype) == ((80, 80), np.float64)
+        np.testing.assert_array_equal(k_hat, k_hat.T)
+        assert np.trace(k_hat) == payload["trace"]
         assert payload["trace"] == pytest.approx(80.0, abs=1e-6)
         assert payload["tau_median_relative_error"] < 0.5
 
@@ -334,13 +358,14 @@ class TestDenoise:
         ])
         assert code == 0
         samples, _ = load_dataset(configless)
+        defaults = BenchmarkConfig(seed=0)
         _, extra = bench.denoise(
             EstimatorSpec("mog_fa", "estimated"),
             np.stack([s.beat_mean for s in samples]), np.full(12, 6.0),
             truth=None, estimate=estimate_noise(samples),
             thetas=np.stack([s.theta.values for s in samples]),
-            latent_dim=LatentDimRule("fixed", DEFAULT_LATENT_DIM),
-            n_components=DEFAULT_N_COMPONENTS, fit_seed=0)
+            latent_dim=defaults.latent_dim,
+            n_components=defaults.mog_components, fit_seed=0)
         assert payload == {"estimates": str(out),
                            "estimator": "mog_fa_estimated", **extra}
 
@@ -427,6 +452,12 @@ class TestBenchmark:
         document = load_json(out)
         assert len(document["cells"]) == 4
         assert payload["cells"] == 4
+
+    def test_unset_flags_take_config_defaults(self, monkeypatch):
+        capture_config(monkeypatch, "run_benchmark")
+        with pytest.raises(Captured) as info:
+            main(["benchmark", "--seed", "5"])
+        assert info.value.args[0] == BenchmarkConfig(seed=5)
 
     @pytest.mark.parametrize("grid, repeats", [
         (["--taus", "2;2.0"], "tau regime(s) ['tau=2']"),
@@ -525,6 +556,14 @@ class TestBenchmark:
              "'n_beats_grid' item 1 must be an integer, not 2.7"),
             ({"seed": 1, "latent_dim": {"mode": "scree", "value": "x"}},
              "'latent_dim' key 'value' must be a number, not 'x'"),
+            ({"seed": 1, "tau_regimes": [{"value": 2}]},
+             "missing TauRegime key(s): ['kind']"),
+            ({"seed": 1, "estimators": [{}]},
+             "missing EstimatorSpec key(s): ['kind']"),
+            ({"seed": 1, "latent_dim": {"value": 3}},
+             "missing LatentDimRule key(s): ['mode']"),
+            ({"seed": 1, "latent_dim": {"mode": "fixed"}},
+             "missing LatentDimRule key(s): ['value']"),
         ]:
             config_path.write_text(json.dumps(document))
             code, payload = run_json(capsys, [
@@ -545,6 +584,24 @@ class TestBenchmark:
 
 
 class TestPlotData:
+    def test_beats_overlay(self, dataset, tmp_path, capsys):
+        # without --sample and --estimates: the first sample's beats
+        out = tmp_path / "overlay.csv"
+        code, _ = run_json(capsys, [
+            "plot-data", "--kind", "beats-overlay", "--dataset", str(dataset),
+            "--out", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "series,x,y"
+        rows = [line.split(",") for line in lines[1:]]
+        assert {series for series, _, _ in rows} == {
+            f"beat_{b:02d}" for b in range(6)}
+        samples, _ = load_dataset(dataset)
+        np.testing.assert_array_equal(
+            np.array([float(y) for _, _, y in rows]).reshape(6, 80),
+            samples[0].beats)
+
     def test_beats_overlay_with_reconstruction(self, small_fit, tmp_path,
                                                capsys):
         csv = tmp_path / "denoised.csv"
@@ -628,6 +685,56 @@ class TestPlotData:
                      if r.startswith("tau_count"))
         assert counts == 12
 
+    def test_tau_hist_conserves_counts(self, dataset, tmp_path, capsys):
+        out = tmp_path / "tau.csv"
+        code, _ = run_json(capsys, [
+            "plot-data", "--kind", "tau-hist", "--dataset", str(dataset),
+            "--bins", "7", "--out", str(out),
+        ])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        counts = [float(y) for series, _, y in rows if series == "tau_count"]
+        edges = [float(y) for series, _, y in rows if series == "tau_bin_edge"]
+        assert (len(counts), sum(counts), len(edges)) == (7, 12, 8)
+
+    def test_beat_count_hist(self, tmp_path, capsys, rng):
+        samples = [EcgSample(str(i), rng.standard_normal((b, 8)))
+                   for i, b in enumerate([3, 3, 5])]
+        save_dataset(tmp_path / "ds", samples, manifest_extra={})
+        out = tmp_path / "counts.csv"
+        code, _ = run_json(capsys, [
+            "plot-data", "--kind", "beat-count-hist", "--dataset",
+            str(tmp_path / "ds"), "--out", str(out),
+        ])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(float(x), float(y)) for _, x, y in rows] == [(3.0, 2.0),
+                                                              (5.0, 1.0)]
+
+    def test_empty_inputs_error(self, unlabelled, tmp_path, capsys):
+        # no true taus give no histogram, and no ok entry no table
+        no_cells = tmp_path / "no-cells.json"
+        no_cells.write_text(json.dumps({"cells": []}))
+        for source, message in [
+                (["--kind", "tau-hist", "--dataset", str(unlabelled)],
+                 "no tau values available"),
+                (["--kind", "mse-table", "--report", str(no_cells)],
+                 "nothing to write for kind 'mse-table'")]:
+            code, payload = run_json(capsys, [
+                "plot-data", *source, "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            assert payload["error"] == {"type": "EmptyInputError",
+                                        "message": message}
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_unknown_kind(self, dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plot-data", "--kind", "spectrogram", "--dataset",
+                  str(dataset), "--out", str(tmp_path / "x.csv")])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'spectrogram'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_mse_table(self, report, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code, _ = run_json(capsys, [
@@ -646,6 +753,21 @@ class TestPlotData:
         assert code == 0
         assert (tmp_path / "again.csv").read_text() == out.read_text()
 
+    def test_mse_table_from_report(self, tmp_path, capsys):
+        # a report that the library's run_benchmark wrote
+        report = tmp_path / "report.json"
+        run_benchmark(BenchmarkConfig(
+            seed=5, n_samples=10, d=100, fs=500.0, r_offset=33,
+            n_beats_grid=(2,), tau_regimes=(TauRegime.fixed(4),),
+            estimators=(EstimatorSpec("mle"),)), out_path=report)
+        out = tmp_path / "table.csv"
+        code, _ = run_json(capsys, [
+            "plot-data", "--kind", "mse-table", "--report", str(report),
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert "mle|B=2" in out.read_text()
+
     @pytest.mark.parametrize("key", ["cells", "tau_regime", "status"])
     def test_report_without_a_key_is_json_error(self, report, tmp_path,
                                                 capsys, key):
@@ -663,6 +785,28 @@ class TestPlotData:
         assert payload["error"] == {
             "type": "EcgDenoiseError",
             "message": f"{damaged}: the key {key!r} is missing"}
+        assert not (tmp_path / "table.csv").exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda document: document.update(cells=5),
+        lambda document: document.update(cells=[5]),
+        lambda document: document["cells"][0].update(tau_regime=5),
+        lambda document: document["cells"][0]["estimators"].update(mle=3),
+    ], ids=["cells", "cell", "tau-regime", "entry"])
+    def test_malformed_report_is_json_error(self, report, tmp_path, capsys,
+                                            damage):
+        document = load_json(report)
+        damage(document)
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(json.dumps(document))
+        code, payload = run_json(capsys, [
+            "plot-data", "--kind", "mse-table", "--report", str(damaged),
+            "--out", str(tmp_path / "table.csv"),
+        ])
+        assert code == 1
+        assert payload["error"]["type"] == "EcgDenoiseError"
+        assert payload["error"]["message"].startswith(
+            f"{damaged}: not a benchmark report: ")
         assert not (tmp_path / "table.csv").exists()
 
     def test_report_that_is_not_an_object_is_json_error(self, tmp_path,
@@ -825,7 +969,12 @@ class TestDatasetChecks:
          "the recorded config has 2 grid cells; a dataset is one"),
         ({"mog_components": 0},
          "the recorded config: mog_components must be >= 1"),
-    ], ids=["other-width", "incomplete", "two-cells", "bad-value"])
+        ({"n_samples": 13}, "the recorded config has 13 recordings of 6 "
+                            "beats, the data has 12 of 6"),
+        ({"n_beats_grid": [20]}, "the recorded config has 12 recordings of "
+                                 "20 beats, the data has 12 of 6"),
+    ], ids=["other-width", "incomplete", "two-cells", "bad-value",
+            "other-count", "other-beats"])
     def test_config_that_cannot_give_k_is_json_error(self, copy, capsys,
                                                       edit, problem):
         # the record gives K and the fit settings, so it is checked on

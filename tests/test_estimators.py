@@ -76,7 +76,8 @@ class TestMleAverage:
         estimates, _ = denoise(
             EstimatorSpec("mle"), sample.beat_mean[None, :], sample.n_beats,
             truth=None, estimate=None, thetas=None,
-            latent_dim=LatentDimRule(), n_components=1, fit_seed=0)
+            latent_dim=LatentDimRule("fixed", 1), n_components=1,
+            fit_seed=0)
         np.testing.assert_array_equal(estimates[0], beat)
 
     def test_mse_matches_analytic(self, k_mod):

@@ -58,7 +58,7 @@ class TestMatrixCsv:
             save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2)), row_ids=["a"])
 
     def test_no_temp_files_left(self, tmp_path):
-        save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2)))
+        save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2)), ["a", "b"])
         assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
@@ -99,8 +99,8 @@ class TestCsvText:
         np.array(EDGE_VALUES)[None], np.array(EDGE_VALUES)[:, None],
         np.array([[-0.0]])], ids=["one-row", "one-column", "one-value"])
     def test_edge_values_in_one_row_and_one_column(self, tmp_path, values):
-        save_matrix_csv(tmp_path / "m.csv", values)
         row_ids = [str(i) for i in range(values.shape[0])]
+        save_matrix_csv(tmp_path / "m.csv", values, row_ids)
         assert (tmp_path / "m.csv").read_text() == \
             per_value_csv(values, row_ids)
         assert_same(load_matrix_csv(tmp_path / "m.csv")[0], values)
@@ -236,7 +236,8 @@ class TestDataset:
 
     def test_old_layout_is_refused(self, tmp_path):
         directory = tmp_path / "ds"
-        save_matrix_csv(directory / "beats" / "s0.csv", np.zeros((2, 8)))
+        save_matrix_csv(directory / "beats" / "s0.csv", np.zeros((2, 8)),
+                        ["0", "1"])
         save_json(directory / "manifest.json", {
             "schema_version": 1, "kind": "ecgdenoise-dataset",
             "n_samples": 1, "sample_ids": ["s0"], "has_ground_truth": False,
