@@ -46,6 +46,7 @@ from .simulate import (
     BACKEND,
     DEFAULT_FS,
     DEFAULT_PARAMS,
+    ThetaBeat,
     check_window,
     extract_canonical_beats,
     jitter_population,
@@ -54,7 +55,7 @@ from .simulate import (
 log = logging.getLogger("ecgdenoise")
 
 DEFAULT_D = 493
-DEFAULT_R_OFFSET = 164
+DEFAULT_R_OFFSET = DEFAULT_D // 3  # extract_canonical_beat's default
 
 #: Wave-amplitude gain applied to the base parameters so simulated beats sit
 #: on a millivolt scale comparable to the unit-diagonal noise model.
@@ -90,6 +91,31 @@ def _known_keys(cls, data: dict) -> dict:
     return data
 
 
+_INTEGER = ("an integer", numbers.Integral, int)
+_NUMBER = ("a number", numbers.Real, float)
+_LIST = ("a list", (list, tuple), tuple)
+
+
+def _typed(where: str, value, kind_types):
+    """``value`` as it is stored, or a ValueError naming ``where``.
+    ``kind_types`` is (what the value must be, the types that pass, what
+    stores one)."""
+    kind, types, stored = kind_types
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, types):
+        raise ValueError(f"{where} must be {kind}, not {value!r}")
+    return stored(value)
+
+
+def _built(cls):
+    """What stores a ``cls`` given as one, as a dict of its fields or as
+    text for ``cls.parse``."""
+    def build(value):
+        if isinstance(value, dict):
+            return cls(**_known_keys(cls, value))
+        return value if isinstance(value, cls) else cls.parse(value)
+    return build
+
+
 @dataclass(frozen=True)
 class TauRegime:
     """Noise precision regime: a fixed value or Uniform(lo, hi)."""
@@ -100,6 +126,10 @@ class TauRegime:
     hi: float | None = None
 
     def __post_init__(self):
+        for key in ("value", "lo", "hi"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _typed(
+                    f"TauRegime key {key!r}", getattr(self, key), _NUMBER))
         if self.kind == "fixed":
             if self.value is None or not 0 < self.value < np.inf:
                 raise ValueError(f"fixed tau regime needs finite value > 0, "
@@ -115,11 +145,11 @@ class TauRegime:
 
     @classmethod
     def fixed(cls, value: float) -> "TauRegime":
-        return cls(kind="fixed", value=float(value))
+        return cls(kind="fixed", value=value)
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "TauRegime":
-        return cls(kind="uniform", lo=float(lo), hi=float(hi))
+        return cls(kind="uniform", lo=lo, hi=hi)
 
     @classmethod
     def parse(cls, text: str) -> "TauRegime":
@@ -190,27 +220,33 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class LatentDimRule:
-    """Latent dimension policy: a fixed p or the scree slope cutoff."""
+    """Latent dimension policy: a fixed p (an int) or the scree slope
+    cutoff (a float)."""
 
     mode: str
     value: float
 
     def __post_init__(self):
-        if self.mode not in ("scree", "fixed"):
-            raise ValueError(f"unknown latent-dim mode {self.mode!r}")
-        if self.mode == "fixed":
+        if self.mode == "scree":
+            value = _typed("LatentDimRule key 'value'", self.value, _NUMBER)
+        elif self.mode == "fixed":
             if isinstance(self.value, (bool, np.bool_)) \
+                    or not isinstance(self.value, numbers.Real) \
                     or not float(self.value).is_integer():
                 raise ValueError(f"fixed latent dimension must be an "
                                  f"integer, not {self.value!r}")
-            if int(self.value) < 1:
+            value = int(self.value)
+            if value < 1:
                 raise ValueError("fixed latent dimension must be >= 1")
+        else:
+            raise ValueError(f"unknown latent-dim mode {self.mode!r}")
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def parse(cls, text: str) -> "LatentDimRule":
         text = str(text).strip()
-        if text.startswith("scree"):
-            _, _, cutoff = text.partition(":")
+        mode, _, cutoff = text.partition(":")
+        if mode == "scree":
             return cls("scree", float(cutoff) if cutoff else DEFAULT_SLOPE_CUTOFF)
         return cls("fixed", int(text))
 
@@ -231,10 +267,6 @@ class LatentDimRule:
     def to_dict(self) -> dict:
         return {"mode": self.mode, "value": self.value}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatentDimRule":
-        return cls(**_known_keys(cls, data))
-
 
 _DEFAULT_REGIMES = (
     TauRegime.fixed(2), TauRegime.fixed(5), TauRegime.fixed(10),
@@ -249,37 +281,36 @@ _DEFAULT_ESTIMATORS = (
 )
 
 
-_INTEGER = ("an integer", numbers.Integral)
-_NUMBER = ("a number", numbers.Real)
-_LIST = ("a list", (list, tuple))
-
-#: What :meth:`BenchmarkConfig.from_dict` accepts for each field.
+#: The type of each :class:`BenchmarkConfig` field, as ``_typed`` reads it.
+#: Nested objects may also be given as dicts, and tau regimes and
+#: estimators as text.
 _FIELD_TYPES = {
     "seed": _INTEGER, "n_samples": _INTEGER, "d": _INTEGER,
     "r_offset": _INTEGER, "mog_components": _INTEGER,
     "fs": _NUMBER, "jitter_fraction": _NUMBER, "amplitude_gain": _NUMBER,
     "lengthscale": _NUMBER, "smoothness": _NUMBER,
     "n_beats_grid": _LIST, "tau_regimes": _LIST, "estimators": _LIST,
-    "latent_dim": ("an object", (dict, LatentDimRule)),
+    "latent_dim": ("an object", (dict, LatentDimRule),
+                   _built(LatentDimRule)),
 }
 
-#: What it accepts inside them: each item of a list, each key of an object.
-_ITEM_TYPES = {"n_beats_grid": _INTEGER}
-_KEY_TYPES = {
-    "tau_regimes": {"value": _NUMBER, "lo": _NUMBER, "hi": _NUMBER},
-    "latent_dim": {"value": _NUMBER},
+#: The type of each item of a list field.
+_ITEM_TYPES = {
+    "n_beats_grid": _INTEGER,
+    "tau_regimes": ("a tau regime", object, _built(TauRegime)),
+    "estimators": ("an estimator", object, _built(EstimatorSpec)),
 }
-
-
-def _check_type(where: str, value, kind_types) -> None:
-    kind, types = kind_types
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{where} must be {kind}, not {value!r}")
 
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Everything a benchmark run depends on; the seed is mandatory."""
+    """Everything a benchmark run depends on; the seed is mandatory.
+
+    Each field is stored as the type ``_FIELD_TYPES`` gives it (int or
+    float, lists as tuples, nested objects built), so equal values give
+    equal reports; a value of another kind raises ValueError naming the
+    field.
+    """
 
     seed: int
     n_samples: int = 1000
@@ -299,8 +330,14 @@ class BenchmarkConfig:
     mog_components: int = DEFAULT_N_COMPONENTS
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ValueError("a seed is mandatory (reproducibility)")
+        for name, kind_types in _FIELD_TYPES.items():
+            where = f"BenchmarkConfig field {name!r}"
+            value = _typed(where, getattr(self, name), kind_types)
+            if name in _ITEM_TYPES:
+                value = tuple(_typed(f"{where} item {i}", item,
+                                     _ITEM_TYPES[name])
+                              for i, item in enumerate(value))
+            object.__setattr__(self, name, value)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if any(b < 1 for b in self.n_beats_grid):
@@ -346,40 +383,9 @@ class BenchmarkConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "BenchmarkConfig":
         """The config that :meth:`to_dict` (or a JSON config file) gives;
-        an unknown key, a missing seed or nested key, or a value of the
-        wrong type raises ValueError."""
-        data = dict(_known_keys(cls, data))
-        for name, value in data.items():
-            where = f"BenchmarkConfig field {name!r}"
-            _check_type(where, value, _FIELD_TYPES[name])
-            items = [(where, value)]
-            if isinstance(value, (list, tuple)):
-                items = [(f"{where} item {i}", v) for i, v in enumerate(value)]
-            for at, item in items:
-                if name in _ITEM_TYPES:
-                    _check_type(at, item, _ITEM_TYPES[name])
-                if isinstance(item, dict):
-                    for key, kind_types in _KEY_TYPES.get(name, {}).items():
-                        if item.get(key) is not None:
-                            _check_type(f"{at} key {key!r}", item[key],
-                                        kind_types)
-        if "tau_regimes" in data:
-            data["tau_regimes"] = tuple(
-                TauRegime.from_dict(r) if isinstance(r, dict)
-                else TauRegime.parse(r)
-                for r in data["tau_regimes"]
-            )
-        if "n_beats_grid" in data:
-            data["n_beats_grid"] = tuple(data["n_beats_grid"])
-        if "estimators" in data:
-            data["estimators"] = tuple(
-                EstimatorSpec(**_known_keys(EstimatorSpec, e))
-                if isinstance(e, dict) else EstimatorSpec.parse(e)
-                for e in data["estimators"]
-            )
-        if "latent_dim" in data and isinstance(data["latent_dim"], dict):
-            data["latent_dim"] = LatentDimRule.from_dict(data["latent_dim"])
-        return cls(**data)
+        an unknown key or a missing seed raises ValueError, as does any
+        value the constructor refuses."""
+        return cls(**_known_keys(cls, data))
 
 
 @dataclass(frozen=True)
@@ -425,11 +431,16 @@ def simulate_population(config: BenchmarkConfig, seed) -> np.ndarray:
 
 def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
                         taus: np.ndarray, n_beats: int, seed) -> np.ndarray:
-    """Corrupt each row of ``thetas`` with ``n_beats`` structured-noise beats.
+    """The package's one noise sampler: (N, B, d) beats, row i ``thetas[i]``
+    plus ``n_beats`` draws from N(0, K / taus[i]^2).
 
     The draws are coloured into one new buffer and then scaled and shifted
     in place, so at most two (N, B, d) arrays are alive at once.
     """
+    if n_beats < 1:
+        raise ValueError(f"n_beats must be at least 1, not {n_beats}")
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ValueError("tau must be finite and strictly positive")
     n, d = thetas.shape
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n * n_beats, d))
@@ -461,12 +472,16 @@ def draw_cell(thetas, K, regime: TauRegime, n_beats: int, seeds):
     return beats, taus, fit_seed
 
 
-def make_samples(beats: np.ndarray) -> list:
-    """Wrap a beats array (N, B, d) into EcgSample objects, ids s00000...,
-    without ground truth (``save_dataset`` takes that as arrays)."""
+def make_samples(beats: np.ndarray, thetas=None, taus=None) -> list:
+    """Wrap a beats array (N, B, d) into EcgSample objects, ids s00000...;
+    sample i carries row i of ``thetas`` (N, d) and ``taus`` (N,) where
+    they are given."""
     n = beats.shape[0]
     width = max(5, len(str(n - 1)))
-    return [EcgSample(f"s{i:0{width}d}", beats[i]) for i in range(n)]
+    return [EcgSample(f"s{i:0{width}d}", beats[i],
+                      None if thetas is None else ThetaBeat(thetas[i]),
+                      None if taus is None else taus[i])
+            for i in range(n)]
 
 
 def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,

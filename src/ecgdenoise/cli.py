@@ -100,9 +100,8 @@ def _cmd_simulate(args) -> int:
                           config.smoothness)
     beats, taus, _ = draw_cell(thetas, K, *cell)
     out = _resolve_out(args.out, f"dataset-seed{args.seed}")
-    save_dataset(out, make_samples(beats),
-                 manifest_extra={"config": config.to_dict()},
-                 thetas=thetas, taus=taus, r_offset=config.r_offset)
+    save_dataset(out, make_samples(beats, thetas, taus),
+                 manifest_extra={"config": config.to_dict()})
     log.info("wrote dataset to %s", out)
     _emit({"dataset": str(out), "n_samples": config.n_samples,
            "n_beats": args.beats, "d": config.d})
@@ -211,11 +210,15 @@ def _cmd_denoise(args) -> int:
     return 0
 
 
-#: How ``benchmark`` reads the text of a grid flag, by its config field.
+#: ``benchmark``'s grid flags by config field: the flag, the form of its
+#: text and how that text is read.
 _GRID_FLAGS = {
-    "n_beats_grid": lambda text: [int(b) for b in text.split(",")],
-    "tau_regimes": lambda text: text.split(";"),
-    "latent_dim": LatentDimRule.parse,
+    "n_beats_grid": ("--beats-grid", "comma-separated integers",
+                     lambda text: [int(b) for b in text.split(",")]),
+    "tau_regimes": ("--taus", "semicolon-separated tau regimes",
+                    lambda text: text.split(";")),
+    "latent_dim": ("--latent-dim", "a positive integer or 'scree[:CUTOFF]'",
+                   LatentDimRule.parse),
 }
 
 
@@ -223,9 +226,13 @@ def _cmd_benchmark(args) -> int:
     """The grid of the config file, over the flags given, over
     ``BenchmarkConfig``'s defaults."""
     base = _config_dict(args)
-    for name, parse in _GRID_FLAGS.items():
+    for name, (flag, form, parse) in _GRID_FLAGS.items():
         if name in base:
-            base[name] = parse(base[name])
+            try:
+                base[name] = parse(base[name])
+            except ValueError:
+                raise ValueError(f"{flag} takes {form}, not "
+                                 f"{base[name]!r}") from None
     if args.config:  # the config file wins over flags
         base.update(load_json(args.config))
     config = BenchmarkConfig.from_dict(base)
@@ -240,8 +247,9 @@ def _cmd_benchmark(args) -> int:
 def _mse_table_rows(report) -> list:
     """A (``estimator|B=n``, tau, mse) row per ok entry of ``report``'s
     cells, at a fixed tau or a uniform regime's midpoint. Anything but a
-    benchmark report's shape raises an EcgDenoiseError naming ``report``,
-    and a report without an ok entry an EmptyInputError."""
+    benchmark report's shape, an ``mse`` that is not a number included,
+    raises an EcgDenoiseError naming ``report``, and a report without an
+    ok entry an EmptyInputError."""
     if not report:
         raise EcgDenoiseError("mse-table needs --report")
     document = load_json(report)
@@ -253,8 +261,11 @@ def _mse_table_rows(report) -> list:
                 else 0.5 * (regime.lo + regime.hi)
             for name, result in cell["estimators"].items():
                 if result["status"] == "ok":
-                    rows.append((f"{name}|B={cell['n_beats']}", float(x),
-                                 float(result["mse"])))
+                    mse = result["mse"]
+                    if type(mse) not in (int, float):  # JSON's numbers
+                        raise ValueError(f"mse {mse!r} is not a number")
+                    rows.append((f"{name}|B={cell['n_beats']}", x,
+                                 float(mse)))
     except KeyError as exc:
         raise EcgDenoiseError(f"{report}: the key {exc.args[0]!r} "
                               f"is missing") from None

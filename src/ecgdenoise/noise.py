@@ -1,4 +1,4 @@
-"""Structured noise: Matern covariance, sampling, whitening and estimation.
+"""Structured noise: Matern covariance, whitening and estimation.
 
 Beats within a recording share a global temporal covariance K (trace
 normalized to d for identifiability) scaled per recording by 1 / tau^2.
@@ -126,8 +126,9 @@ class EcgSample:
             raise ValueError("beats must be a non-empty (B, d) matrix")
         if not np.all(np.isfinite(self.beats)):
             raise ValueError("beats must be finite")
-        if self.theta is not None and self.theta.d != self.beats.shape[1]:
-            raise ValueError("ground-truth beat length does not match beats")
+        if self.theta is not None and self.theta.d != self.d:
+            raise ValueError(f"ground-truth beat length {self.theta.d} does "
+                             f"not match the beats' {self.d}")
         if self.tau is not None:
             object.__setattr__(self, "tau", _as_tau(self.tau))
 
@@ -216,20 +217,6 @@ def matern_covariance(d: int, fs: float, lengthscale: float,
         s = math.sqrt(5.0) * r
         kernel = (1.0 + s + (5.0 / 3.0) * r * r) * np.exp(-s)
     return CovarianceMatrix._floored(*_toeplitz_eigh(kernel))
-
-
-def sample_noise_beats(K: CovarianceMatrix, tau, B: int, rng_seed) -> np.ndarray:
-    """Draw B i.i.d. noise beats from N(0, K / tau^2); rows are beats.
-
-    Deterministic given the seed.
-    """
-    tau = _as_tau(tau)
-    B = int(B)
-    if B < 1:
-        raise ValueError("B must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    z = rng.standard_normal((B, K.d))
-    return (z @ K.sqrt) / tau
 
 
 def whiten(K: CovarianceMatrix, x: np.ndarray, mu=None) -> np.ndarray:

@@ -6,9 +6,10 @@ value as ``%.17g``, which round-trips float64 exactly; plot series are
 Datasets are a directory with a ``manifest.json`` plus float64 ``.npy``
 arrays: ``beats.npy`` holds every recording's beats stacked in manifest
 order, split by the manifest's ``beat_counts``; ``thetas.npy`` (N, d) and
-``taus.npy`` (N,) hold the ground truth when simulated, and the manifest's
-``config`` the ``BenchmarkConfig`` that drew it. Benchmark reports are JSON
-documents with a ``schema_version`` field. Writes are atomic (temp + rename).
+``taus.npy`` (N,) hold the ground truth the samples carry, and a simulated
+dataset's manifest holds the ``BenchmarkConfig`` that drew it under
+``config``. Benchmark reports are JSON documents with a ``schema_version``
+field. Writes are atomic (temp + rename).
 """
 from __future__ import annotations
 
@@ -186,9 +187,11 @@ def _load_npy(path, ndim: int, n_rows: int, rows_from: str) -> np.ndarray:
     return array
 
 
-def save_dataset(directory, samples, manifest_extra: dict, thetas=None,
-                 taus=None, r_offset: int | None = None) -> None:
-    """Write samples (and ground truth when given) under ``directory``.
+def save_dataset(directory, samples, manifest_extra: dict) -> None:
+    """Write ``samples`` under ``directory``, with the ground truth they
+    carry: ``thetas.npy`` from their ``theta`` and ``taus.npy`` from their
+    ``tau``, each written when every sample has one. A list in which
+    only some samples have one is refused, naming the first without.
 
     The beats of all samples must share one width. The manifest is
     written last, once every array is in place.
@@ -198,37 +201,34 @@ def save_dataset(directory, samples, manifest_extra: dict, thetas=None,
         raise EmptyInputError("a dataset needs at least one sample")
     sample_ids = [s.sample_id for s in samples]
     _check_sample_ids(sample_ids, directory)
-    d = samples[0].d
+    n, d = len(samples), samples[0].d
     for sample in samples:
         if sample.d != d:
             raise ValueError(f"{directory}: sample {sample.sample_id!r} has "
                              f"beats of width {sample.d}, the first has {d}")
-    if thetas is not None:
-        thetas = np.asarray(thetas, dtype=np.float64)
-        if thetas.shape != (len(samples), d):
-            raise ValueError(f"{directory}: thetas have shape {thetas.shape}, "
-                             f"the beats need {(len(samples), d)}")
-    if taus is not None:
-        taus = np.asarray(taus, dtype=np.float64)
-        if taus.shape != (len(samples),):
-            raise ValueError(f"{directory}: taus have shape {taus.shape}, "
-                             f"the samples need {(len(samples),)}")
+    carried = {}
+    for name in ("theta", "tau"):
+        missing = [s.sample_id for s in samples if getattr(s, name) is None]
+        if 0 < len(missing) < n:
+            raise ValueError(f"{directory}: sample {missing[0]!r} has no "
+                             f"{name} but others have one")
+        carried[name] = not missing
     beat_counts = [s.n_beats for s in samples]
     save_npy(directory / BEATS_FILE, (s.beats for s in samples),
              (sum(beat_counts), d))
-    if thetas is not None:
-        save_npy(directory / THETAS_FILE, [thetas], thetas.shape)
-    if taus is not None:
-        save_npy(directory / TAUS_FILE, [taus], taus.shape)
+    if carried["theta"]:
+        save_npy(directory / THETAS_FILE,
+                 (s.theta.values for s in samples), (n, d))
+    if carried["tau"]:
+        save_npy(directory / TAUS_FILE, [[s.tau for s in samples]], (n,))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "kind": "ecgdenoise-dataset",
-        "n_samples": len(samples),
+        "n_samples": n,
         "sample_ids": sample_ids,
         "beat_counts": beat_counts,
-        "has_ground_truth": thetas is not None,
-        "has_true_taus": taus is not None,
-        "r_offset": r_offset,
+        "has_ground_truth": carried["theta"],
+        "has_true_taus": carried["tau"],
     }
     manifest.update(manifest_extra)
     save_json(directory / "manifest.json", manifest)
@@ -238,10 +238,9 @@ def load_dataset(directory):
     """Read a dataset directory; returns ``(samples, manifest)``.
 
     Each sample's beats are a read-only row slice of ``beats.npy``. Truth
-    arrays hold one row per manifest sample id, in order; a theta's R
-    index is the manifest's ``r_offset`` or, where that is null, the
-    theta's argmax. A bad value raises ValueError naming its file and
-    sample id.
+    arrays hold one row per manifest sample id, in order, and each row is
+    carried on its sample. A bad value raises ValueError naming its file
+    and sample id.
     """
     directory = Path(directory)
     manifest = load_json(directory / "manifest.json")
@@ -266,11 +265,6 @@ def load_dataset(directory):
         thetas = _load_npy(thetas_path, 2, n, per_sample)
     if manifest.get("has_true_taus"):
         taus = _load_npy(taus_path, 1, n, per_sample)
-    r_offset = manifest.get("r_offset")
-    if thetas is not None and thetas.shape[1] != beats.shape[1]:
-        raise ValueError(f"{beats_path}: ground-truth beat length "
-                         f"{thetas.shape[1]} in {THETAS_FILE} does not match "
-                         f"the beats' {beats.shape[1]}")
     ends = np.cumsum(counts)
     samples = []
     for i, sid in enumerate(sample_ids):
@@ -278,9 +272,7 @@ def load_dataset(directory):
         try:  # ``source`` names the file of the value being checked
             if thetas is not None:
                 source = thetas_path
-                r_index = int(np.argmax(thetas[i])) if r_offset is None \
-                    else int(r_offset)
-                theta = ThetaBeat(values=thetas[i], r_index=r_index)
+                theta = ThetaBeat(values=thetas[i])
             if taus is not None:
                 source = taus_path
                 tau = _as_tau(taus[i])

@@ -152,10 +152,10 @@ class RawTrace:
 
 @dataclass(frozen=True)
 class ThetaBeat:
-    """A canonical beat: d voltage samples with the R peak at ``r_index``."""
+    """A canonical beat: d finite voltage samples. Its R column is the
+    ``r_offset`` that :func:`extract_canonical_beats` cut it at."""
 
     values: np.ndarray
-    r_index: int
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -163,10 +163,6 @@ class ThetaBeat:
             raise ValueError("beat must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("beat values must be finite")
-        if not 0 <= self.r_index < self.values.size:
-            raise ValueError("r_index out of range")
-        if int(np.argmax(self.values)) != self.r_index:
-            raise ValueError("r_index must be the global argmax of the beat")
 
     @property
     def d(self) -> int:
@@ -523,7 +519,5 @@ def extract_canonical_beat(params: OdeParams, fs: float, d: int,
     ``d <= fs * 2 pi / omega``, i.e. the window must fit inside one cycle.
     Deterministic: repeated extractions return identical vectors.
     """
-    if r_offset is None:
-        r_offset = int(d) // 3
     beats = extract_canonical_beats([params], fs, d, r_offset)
-    return ThetaBeat(values=beats[0], r_index=int(r_offset))
+    return ThetaBeat(values=beats[0])

@@ -29,6 +29,7 @@ from ecgdenoise.bench import (
     draw_cell,
     grid_seeds,
     run_benchmark,
+    simulate_cell_beats,
     simulate_population,
 )
 from ecgdenoise.estimators import (
@@ -41,7 +42,6 @@ from ecgdenoise.estimators import (
 from ecgdenoise.noise import (
     estimate_noise,
     matern_covariance,
-    sample_noise_beats,
     unwhiten,
     whiten,
 )
@@ -238,7 +238,8 @@ class TestCriterion6Properties:
         loadings = q * np.array([3.0, 2.0, 1.0])
         thetas = unwhiten(k, rng.standard_normal((200, 3)) @ loadings.T)
         means = thetas + np.stack([
-            sample_noise_beats(k, 3.0, 4, rng_seed=(99, i)).mean(axis=0)
+            simulate_cell_beats(np.zeros((1, 48)), k, np.array([3.0]), 4,
+                                (99, i))[0].mean(axis=0)
             for i in range(200)
         ])
         fa = fit_factor_analysis(means, k, taus=3.0, p=3, n_beats=4)

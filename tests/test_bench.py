@@ -358,6 +358,63 @@ class TestBenchmarkConfig:
     def test_whole_cycle_window_accepted(self):
         assert small_config(d=200, fs=200.0, mog_components=1).d == 200
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", 80.0), ("seed", True), ("n_samples", 12.0), ("fs", "200"),
+        ("n_beats_grid", (1, 2.0)), ("latent_dim", "3"),
+    ])
+    def test_built_config_refused_as_from_dict_refuses(self, field, value):
+        # one type table: a config built in Python is refused with the
+        # message a config file with the same value gets
+        given = {"seed": 1, field: value}
+        with pytest.raises(ValueError) as built:
+            BenchmarkConfig(**given)
+        with pytest.raises(ValueError) as read:
+            BenchmarkConfig.from_dict(given)
+        assert str(built.value) == str(read.value)
+        assert str(built.value).startswith(
+            f"BenchmarkConfig field {field!r} ")
+
+    @pytest.mark.parametrize("given, canonical", [
+        ({"fs": 200}, {"fs": 200.0}),
+        ({"tau_regimes": [{"kind": "fixed", "value": 2}]},
+         {"tau_regimes": [{"kind": "fixed", "value": 2.0}]}),
+        ({"latent_dim": {"mode": "fixed", "value": 2.0}},
+         {"latent_dim": {"mode": "fixed", "value": 2}}),
+        ({"latent_dim": {"mode": "scree", "value": -1}},
+         {"latent_dim": {"mode": "scree", "value": -1.0}}),
+    ], ids=["fs", "tau", "fixed-latent-dim", "scree-cutoff"])
+    def test_equal_values_give_equal_bodies(self, given, canonical):
+        base = {"seed": 3, "n_samples": 6, "d": 40, "fs": 200.0,
+                "r_offset": 13, "n_beats_grid": [2], "tau_regimes": ["2"],
+                "estimators": ["mle", "fa:truth"]}
+        config = BenchmarkConfig.from_dict({**base, **given})
+        assert config == BenchmarkConfig.from_dict({**base, **canonical})
+        assert json.dumps(config.to_dict()) == json.dumps(
+            BenchmarkConfig.from_dict({**base, **canonical}).to_dict())
+        bodies = [json.dumps(run_benchmark(BenchmarkConfig.from_dict(
+            {**base, **overrides})).body(), sort_keys=True)
+            for overrides in (given, canonical)]
+        assert bodies[0] == bodies[1]
+
+    def test_fields_are_stored_as_their_types(self):
+        config = BenchmarkConfig(
+            seed=np.int64(1), fs=500, n_beats_grid=[2, np.int64(3)],
+            tau_regimes=[TauRegime("fixed", 2), TauRegime("uniform", lo=2,
+                                                           hi=20)],
+            latent_dim=LatentDimRule("fixed", 3.0))
+        assert type(config.seed) is int and type(config.fs) is float
+        assert config.n_beats_grid == (2, 3)
+        assert all(type(b) is int for b in config.n_beats_grid)
+        fixed, uniform = config.tau_regimes
+        assert [type(v) for v in (fixed.value, uniform.lo, uniform.hi)] == \
+            [float] * 3
+        assert type(config.latent_dim.value) is int
+        assert type(LatentDimRule("scree", -1).value) is float
+        assert config == BenchmarkConfig(
+            seed=1, fs=500.0, n_beats_grid=(2, 3),
+            tau_regimes=(TauRegime.fixed(2.0), TauRegime.uniform(2.0, 20.0)),
+            latent_dim=LatentDimRule("fixed", 3))
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match=r"\['bogus', 'extra'\]"):
             BenchmarkConfig.from_dict({"seed": 1, "bogus": 3, "extra": 0})

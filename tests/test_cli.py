@@ -75,13 +75,9 @@ def unlabelled(small_fit, tmp_path_factory):
 def configless(dataset, tmp_path_factory):
     """The same recordings and ground truth saved with no config, so with
     no record of the noise model that drew them."""
-    samples, manifest = load_dataset(dataset)
+    samples, _ = load_dataset(dataset)
     out = tmp_path_factory.mktemp("cli") / "configless"
-    save_dataset(out, [EcgSample(sample_id=s.sample_id, beats=s.beats)
-                       for s in samples], manifest_extra={},
-                 thetas=[s.theta.values for s in samples],
-                 taus=[s.tau for s in samples],
-                 r_offset=manifest["r_offset"])
+    save_dataset(out, samples, manifest_extra={})
     return out
 
 
@@ -473,6 +469,26 @@ class TestBenchmark:
         assert repeats in payload["error"]["message"]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("flag, text, form", [
+        ("--beats-grid", "1,x", "comma-separated integers"),
+        ("--latent-dim", "x", "a positive integer or 'scree[:CUTOFF]'"),
+        ("--latent-dim", "scree:x", "a positive integer or 'scree[:CUTOFF]'"),
+        ("--latent-dim", "0", "a positive integer or 'scree[:CUTOFF]'"),
+        ("--latent-dim", "screech", "a positive integer or 'scree[:CUTOFF]'"),
+    ], ids=["beats-grid", "latent-dim", "scree-cutoff", "latent-dim-zero",
+            "scree-prefix"])
+    def test_malformed_grid_flag_is_named(self, tmp_path, capsys, flag, text,
+                                          form):
+        code, payload = run_json(capsys, [
+            "benchmark", "--seed", "1", flag, text,
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": f"{flag} takes {form}, not {text!r}"}
+        assert not (tmp_path / "r.json").exists()
+
     def test_malformed_taus_is_json_error(self, tmp_path, capsys):
         code, payload = run_json(capsys, [
             "benchmark", "--seed", "1", "--taus", "2;uniform:2",
@@ -549,13 +565,13 @@ class TestBenchmark:
             ({"seed": 1, "latent_dim": "3"}, "'latent_dim' must be an object"),
             ({"seed": 1, "estimators": [5]}, "unknown estimator '5'"),
             ({"seed": 1, "tau_regimes": [{"kind": "fixed", "value": "2"}]},
-             "'tau_regimes' item 0 key 'value' must be a number, not '2'"),
+             "TauRegime key 'value' must be a number, not '2'"),
             ({"seed": 1, "n_beats_grid": [None]},
              "'n_beats_grid' item 0 must be an integer, not None"),
             ({"seed": 1, "n_beats_grid": [20, 2.7]},
              "'n_beats_grid' item 1 must be an integer, not 2.7"),
             ({"seed": 1, "latent_dim": {"mode": "scree", "value": "x"}},
-             "'latent_dim' key 'value' must be a number, not 'x'"),
+             "LatentDimRule key 'value' must be a number, not 'x'"),
             ({"seed": 1, "tau_regimes": [{"value": 2}]},
              "missing TauRegime key(s): ['kind']"),
             ({"seed": 1, "estimators": [{}]},
@@ -792,7 +808,11 @@ class TestPlotData:
         lambda document: document.update(cells=[5]),
         lambda document: document["cells"][0].update(tau_regime=5),
         lambda document: document["cells"][0]["estimators"].update(mle=3),
-    ], ids=["cells", "cell", "tau-regime", "entry"])
+        lambda document: document["cells"][0]["estimators"]["mle"].update(
+            mse="1.5"),
+        lambda document: document["cells"][0]["estimators"]["mle"].update(
+            mse=True),
+    ], ids=["cells", "cell", "tau-regime", "entry", "mse-text", "mse-bool"])
     def test_malformed_report_is_json_error(self, report, tmp_path, capsys,
                                             damage):
         document = load_json(report)
@@ -876,7 +896,9 @@ class TestDatasetChecks:
         beats = copy / "beats.npy"
         np.save(beats, np.load(beats)[:, :-1])
         error = self.estimate_noise_error(capsys, copy)
-        assert f"{beats}: ground-truth beat length" in error["message"]
+        assert error["message"] == (
+            f"{beats}: sample 's00000': ground-truth beat length 80 does not "
+            f"match the beats' 79")
 
     @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
     def test_invalid_true_tau_is_json_error(self, copy, capsys, bad):

@@ -14,6 +14,7 @@ from ecgdenoise.bench import (
     denoise,
     draw_cell,
     grid_seeds,
+    simulate_cell_beats,
     simulate_population,
 )
 from ecgdenoise.estimators import (
@@ -34,7 +35,6 @@ from ecgdenoise.noise import (
     EcgSample,
     estimate_noise,
     matern_covariance,
-    sample_noise_beats,
     unwhiten,
 )
 
@@ -61,10 +61,16 @@ def _fa_population(k, rng, n, loadings, mu=None):
     return thetas, z
 
 
+def _noise_beats(k, tau, n_beats, seed):
+    """``n_beats`` noise beats at precision ``tau``: a one-row cell."""
+    return simulate_cell_beats(np.zeros((1, k.d)), k, np.array([tau]),
+                               n_beats, seed)[0]
+
+
 def _observe(k, thetas, tau, n_beats, seed):
     means = np.empty_like(thetas)
     for i, theta in enumerate(thetas):
-        noise = sample_noise_beats(k, tau, n_beats, rng_seed=(seed, i))
+        noise = _noise_beats(k, tau, n_beats, (seed, i))
         means[i] = theta + noise.mean(axis=0)
     return means
 
@@ -85,7 +91,7 @@ class TestMleAverage:
         tau, n_beats, n = 2.0, 4, 2000
         errors = np.empty(n)
         for i in range(n):
-            noise = sample_noise_beats(k_mod, tau, n_beats, rng_seed=(10, i))
+            noise = _noise_beats(k_mod, tau, n_beats, (10, i))
             errors[i] = np.sum(noise.mean(axis=0) ** 2)
         analytic = D / (tau**2 * n_beats)
         assert abs(errors.mean() - analytic) / analytic < 0.05
@@ -240,7 +246,7 @@ class TestFactorAnalysis:
         thetas, _ = _fa_population(k_mod, rng, 500, loadings)
         tau = 2.0
         all_noise = np.stack([
-            sample_noise_beats(k_mod, tau, 16, rng_seed=(30, i))
+            _noise_beats(k_mod, tau, 16, (30, i))
             for i in range(500)
         ])
         mses = []

@@ -1,4 +1,5 @@
-"""Matern covariance, noise sampling, whitening, and K/tau estimation."""
+"""Matern covariance, noise sampling (``bench.simulate_cell_beats``),
+whitening, and K/tau estimation."""
 import math
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ecgdenoise import noise
+from ecgdenoise import noise, simulate_cell_beats
 from ecgdenoise.errors import InsufficientReplicatesError, ZeroNoiseError
 from ecgdenoise.estimators import FaModel, MogFaModel
 from ecgdenoise.noise import (
@@ -16,11 +17,17 @@ from ecgdenoise.noise import (
     EcgSample,
     estimate_noise,
     matern_covariance,
-    sample_noise_beats,
     unwhiten,
     whiten,
 )
 from ecgdenoise.simulate import RawTrace, ThetaBeat
+
+
+def noise_beats(k, tau, n_beats, seed):
+    """``n_beats`` noise beats of one recording at precision ``tau``: a
+    one-row cell of ``simulate_cell_beats``, the sampler the grid runs."""
+    return simulate_cell_beats(np.zeros((1, k.d)), k, np.array([tau]),
+                               n_beats, seed)[0]
 
 
 class TestCovarianceMatrix:
@@ -167,41 +174,74 @@ class TestLazyFactors:
         k = matern_covariance(40, 200.0, 5e-4, 0.5)
         with mock.patch.object(CovarianceMatrix, "_symmetric",
                                wraps=k._symmetric) as build:
-            sample_noise_beats(k, tau=2.0, B=3, rng_seed=1)
-            sample_noise_beats(k, tau=3.0, B=3, rng_seed=2)
+            noise_beats(k, 2.0, 3, seed=1)
+            noise_beats(k, 3.0, 3, seed=2)
         assert build.call_count == 1
         assert set(vars(k)) & {"matrix", "inv_sqrt"} == set()
 
 
 class TestSampleNoiseBeats:
+    """``simulate_cell_beats``: row i of a cell is ``thetas[i]`` plus B
+    draws from N(0, K / tau_i^2)."""
+
+    def test_one_row_is_a_plain_draw(self, small_k):
+        draws = np.random.default_rng(7).standard_normal((3, small_k.d))
+        np.testing.assert_array_equal(noise_beats(small_k, 2.0, 3, seed=7),
+                                      (draws @ small_k.sqrt) / 2.0)
+
     def test_vanishing_noise(self, small_k):
-        beats = sample_noise_beats(small_k, tau=1e9, B=5, rng_seed=1)
+        beats = noise_beats(small_k, 1e9, 5, seed=1)
         assert np.abs(beats).max() < 1e-6
 
+    def test_needs_a_beat(self, small_k):
+        with pytest.raises(ValueError, match="n_beats must be at least 1"):
+            noise_beats(small_k, 2.0, 0, seed=1)
+
     def test_monte_carlo_covariance(self, small_k):
-        draws = sample_noise_beats(small_k, tau=1.0, B=50_000, rng_seed=2)
+        draws = noise_beats(small_k, 1.0, 50_000, seed=2)
         emp = draws.T @ draws / draws.shape[0]
         rel = np.linalg.norm(emp - small_k.matrix) / np.linalg.norm(small_k.matrix)
         assert rel < 0.05
 
-    def test_deterministic(self, small_k):
-        a = sample_noise_beats(small_k, tau=2.0, B=3, rng_seed=7)
-        b = sample_noise_beats(small_k, tau=2.0, B=3, rng_seed=7)
+    def test_each_row_at_its_own_tau(self, small_k, rng):
+        # a multi-row cell: each row is centred on its theta, and its
+        # noise has covariance K / tau_i^2 at its own tau
+        thetas = rng.standard_normal((3, small_k.d))
+        taus = np.array([1.0, 2.0, 5.0])
+        n_beats = 20_000
+        beats = simulate_cell_beats(thetas, small_k, taus, n_beats, seed=5)
+        assert beats.shape == (3, n_beats, small_k.d)
+        for theta, tau, row in zip(thetas, taus, beats):
+            noise = row - theta
+            # the diagonal of K is 1: each mean is N(0, 1 / (tau^2 B))
+            assert np.abs(noise.mean(axis=0)).max() < \
+                5.0 / (tau * np.sqrt(n_beats))
+            emp = noise.T @ noise / n_beats
+            target = small_k.matrix / tau**2
+            assert np.linalg.norm(emp - target) / np.linalg.norm(target) \
+                < 0.05
+
+    def test_deterministic(self, small_k, rng):
+        thetas = rng.standard_normal((2, small_k.d))
+        taus = np.array([2.0, 3.0])
+        a = simulate_cell_beats(thetas, small_k, taus, 3, seed=7)
+        b = simulate_cell_beats(thetas, small_k, taus, 3, seed=7)
         np.testing.assert_array_equal(a, b)
 
     def test_tau_scaling(self, small_k):
-        a = sample_noise_beats(small_k, tau=1.0, B=3, rng_seed=7)
-        b = sample_noise_beats(small_k, tau=4.0, B=3, rng_seed=7)
+        a = noise_beats(small_k, 1.0, 3, seed=7)
+        b = noise_beats(small_k, 4.0, 3, seed=7)
         np.testing.assert_allclose(a / 4.0, b, rtol=1e-12)
 
     def test_precision_type(self, small_k):
-        # one scalar tau check: a sample's true tau and the sampler's tau
+        # one tau check: a sample's true tau and the sampler's taus
         beats = np.zeros((2, small_k.d))
         for bad in (0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="tau must be finite"):
                 EcgSample("s", beats, tau=bad)
             with pytest.raises(ValueError, match="tau must be finite"):
-                sample_noise_beats(small_k, bad, 2, rng_seed=0)
+                simulate_cell_beats(np.zeros((2, small_k.d)), small_k,
+                                    np.array([2.0, bad]), 2, seed=0)
         sample = EcgSample("s", beats, tau=4)
         assert type(sample.tau) is float and sample.tau == 4.0
         assert type(EcgSample("s", beats, tau=np.float64(2.5)).tau) is float
@@ -219,7 +259,7 @@ class TestReadOnlyViews:
         loglik = np.array([-3.0, -2.0])
         weights, comp_means = np.ones(1), np.zeros((1, 2))
         comp_covs = np.eye(2)[None].copy()
-        sample = EcgSample("x", beats, theta=ThetaBeat(theta, 2))
+        sample = EcgSample("x", beats, theta=ThetaBeat(theta))
         trace = RawTrace(fs=500.0, values=values)
         fa = FaModel(mean=mean, loadings=loadings, loglik_trace=loglik)
         mog = MogFaModel(fa=fa, weights=weights, comp_means=comp_means,
@@ -257,7 +297,7 @@ class TestWhiten:
         # d = 16 keeps the expected Monte Carlo error sqrt(d / n) ~ 2.8%
         k = matern_covariance(d=16, fs=500.0, lengthscale=0.02, smoothness=1.5)
         tau = 2.0
-        draws = sample_noise_beats(k, tau=tau, B=20_000, rng_seed=3)
+        draws = noise_beats(k, tau, 20_000, seed=3)
         white = whiten(k, draws)
         emp = white.T @ white / white.shape[0]
         target = np.eye(k.d) / tau**2
@@ -267,8 +307,9 @@ class TestWhiten:
 def _simulate_samples(k, taus, theta_rows, B, seed):
     samples = []
     for i, (tau, theta) in enumerate(zip(taus, theta_rows)):
-        noise = sample_noise_beats(k, tau, B, rng_seed=(seed, i))
-        samples.append(EcgSample(sample_id=f"s{i}", beats=theta + noise))
+        beats = simulate_cell_beats(theta[None], k, np.array([tau]), B,
+                                    (seed, i))[0]
+        samples.append(EcgSample(sample_id=f"s{i}", beats=beats))
     return samples
 
 

@@ -1,5 +1,4 @@
 """File formats: CSV matrices, dataset directories, JSON documents."""
-import json
 import re
 import tempfile
 from pathlib import Path
@@ -12,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from ecgdenoise.errors import EmptyInputError, InvalidSampleIdError
 from ecgdenoise.noise import EcgSample
+from ecgdenoise.simulate import ThetaBeat
 from ecgdenoise.serialize import (
     load_dataset,
     load_json,
@@ -110,26 +110,24 @@ class TestDataset:
     def test_round_trip(self, tmp_path, rng):
         d = 40
         thetas = rng.standard_normal((3, d))
-        peak = np.argmax(thetas, axis=1)
         taus = np.array([2.0, 5.0, 9.0])
         samples = [
             EcgSample(sample_id=f"s{i}", beats=thetas[i] + 0.01 *
                       rng.standard_normal((4, d)),
-                      tau=taus[i])
+                      theta=ThetaBeat(thetas[i]), tau=taus[i])
             for i in range(3)
         ]
         save_dataset(tmp_path / "ds", samples,
-                     manifest_extra={"d": d, "seed": 1},
-                     thetas=thetas, taus=taus, r_offset=None)
+                     manifest_extra={"d": d, "seed": 1})
         loaded, manifest = load_dataset(tmp_path / "ds")
         assert manifest["n_samples"] == 3
         assert manifest["beat_counts"] == [4, 4, 4]
-        assert manifest["has_ground_truth"]
+        assert manifest["has_ground_truth"] and manifest["has_true_taus"]
+        assert "r_offset" not in manifest
         for i, (sample, original) in enumerate(zip(loaded, samples)):
             np.testing.assert_array_equal(sample.beats, original.beats)
             np.testing.assert_array_equal(sample.theta.values, thetas[i])
             assert float(sample.tau) == taus[i]
-            assert sample.theta.r_index == peak[i]
         # every sample's beats are a view of the one loaded array
         stacked = loaded[0].beats.base
         assert stacked.size == 12 * d
@@ -150,10 +148,10 @@ class TestDataset:
     @staticmethod
     def _write(directory, rng):
         thetas = rng.standard_normal((3, 8))
-        samples = [EcgSample(sample_id=f"s{i}", beats=np.zeros((2, 8)))
+        samples = [EcgSample(sample_id=f"s{i}", beats=np.zeros((2, 8)),
+                             theta=ThetaBeat(thetas[i]), tau=i + 2.0)
                    for i in range(3)]
-        save_dataset(directory, samples, manifest_extra={"d": 8},
-                     thetas=thetas, taus=[2.0, 3.0, 4.0], r_offset=None)
+        save_dataset(directory, samples, manifest_extra={"d": 8})
 
     @pytest.mark.parametrize("name", ["thetas.npy", "taus.npy"])
     def test_truth_rows_match_manifest(self, tmp_path, rng, name):
@@ -176,27 +174,36 @@ class TestDataset:
 
     @pytest.mark.parametrize("bad, message", [
         (np.inf, "beat values must be finite"),
-        (-50.0, "r_index must be the global argmax of the beat"),
-    ], ids=["inf", "r-index"])
+    ], ids=["inf"])
     def test_invalid_theta_is_named(self, tmp_path, rng, bad, message):
         self._write(tmp_path / "ds", rng)
-        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-        manifest["r_offset"] = 0
-        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
         thetas = tmp_path / "ds" / "thetas.npy"
         values = np.zeros((3, 8))
-        values[:, 0] = 1.0  # the argmax is the manifest's r_offset...
-        values[2, 0] = bad  # ...except in s2
+        values[2, 0] = bad
         np.save(thetas, values)
         with pytest.raises(ValueError) as info:
             load_dataset(tmp_path / "ds")
         assert str(info.value) == f"{thetas}: sample 's2': {message}"
 
+    def test_manifest_r_offset_is_not_read(self, tmp_path, rng):
+        # a manifest of an earlier version has an r_offset key: it still
+        # loads, and the key decides nothing about the thetas
+        self._write(tmp_path / "ds", rng)
+        written, _ = load_dataset(tmp_path / "ds")
+        manifest = load_json(tmp_path / "ds" / "manifest.json")
+        manifest["r_offset"] = 5
+        save_json(tmp_path / "ds" / "manifest.json", manifest)
+        loaded, loaded_manifest = load_dataset(tmp_path / "ds")
+        assert loaded_manifest["r_offset"] == 5
+        for before, after in zip(written, loaded):
+            assert_same(after.theta.values, before.theta.values)
+
     def test_narrow_beats_file_is_named(self, tmp_path, rng):
         self._write(tmp_path / "ds", rng)
         path = tmp_path / "ds" / "beats.npy"
         np.save(path, np.zeros((6, 7)))  # thetas have 8 columns
-        message = re.escape(f"{path}: ground-truth beat length")
+        message = re.escape(f"{path}: sample 's0': ground-truth beat length "
+                            f"8 does not match the beats' 7")
         with pytest.raises(ValueError, match=message):
             load_dataset(tmp_path / "ds")
 
@@ -297,12 +304,18 @@ class TestDataset:
                    EcgSample(sample_id="b", beats=np.zeros((2, 4)))]
         with pytest.raises(ValueError, match="'b' has beats of width 4"):
             save_dataset(tmp_path / "ds", samples, manifest_extra={})
-        with pytest.raises(ValueError, match="thetas have shape"):
-            save_dataset(tmp_path / "ds", samples[:1], manifest_extra={},
-                         thetas=np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="taus have shape"):
-            save_dataset(tmp_path / "ds", samples[:1], manifest_extra={},
-                         taus=[1.0, 2.0])
+        # truth is saved for every sample or for none: the first sample
+        # without it is named
+        theta = ThetaBeat(np.ones(3))
+        mixed = [EcgSample("a", np.zeros((2, 3)), theta=theta, tau=2.0),
+                 EcgSample("b", np.zeros((2, 3)), tau=2.0),
+                 EcgSample("c", np.zeros((2, 3)), theta=theta)]
+        with pytest.raises(ValueError, match=re.escape(
+                "sample 'b' has no theta but others have one")):
+            save_dataset(tmp_path / "ds", mixed, manifest_extra={})
+        with pytest.raises(ValueError, match=re.escape(
+                "sample 'c' has no tau but others have one")):
+            save_dataset(tmp_path / "ds", mixed[::2], manifest_extra={})
         with pytest.raises(EmptyInputError):
             save_dataset(tmp_path / "ds", [], manifest_extra={})
         assert not (tmp_path / "ds").exists()  # nothing was written
@@ -348,32 +361,30 @@ def finite_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """Ragged samples with optional truth; an int ``r_offset`` is made
-    each theta's argmax, as ``ThetaBeat`` requires."""
+    """Ragged samples, each carrying a theta, a tau, both or neither, the
+    same for every sample; returns them with their parts."""
     n = draw(st.integers(1, 8))
     d = draw(st.integers(1, 9))
     counts = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     ids = draw(st.lists(SAMPLE_ID, min_size=n, max_size=n, unique=True))
     beats = [draw(finite_arrays((b, d))) for b in counts]
-    r_offset = draw(st.none() | st.integers(0, d - 1))
     thetas = draw(st.none() | finite_arrays((n, d)))
-    if thetas is not None and r_offset is not None:
-        thetas[:, r_offset] = thetas.max(axis=1) + 1.0
     taus = draw(st.none() | hnp.arrays(
         np.float64, (n,), elements=st.floats(min_value=1e-3, max_value=1e3)))
-    return ids, beats, thetas, taus, r_offset
+    samples = [EcgSample(sid, beats[i],
+                         None if thetas is None else ThetaBeat(thetas[i]),
+                         None if taus is None else taus[i])
+               for i, sid in enumerate(ids)]
+    return samples, (ids, beats, thetas, taus)
 
 
 class TestRoundTripProperties:
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_dataset_round_trips_exactly(self, case):
-        ids, beats, thetas, taus, r_offset = case
-        samples = [EcgSample(sample_id=sid, beats=b)
-                   for sid, b in zip(ids, beats)]
+        samples, (ids, beats, thetas, taus) = case
         with tempfile.TemporaryDirectory() as tmp:
-            save_dataset(Path(tmp) / "ds", samples, manifest_extra={},
-                         thetas=thetas, taus=taus, r_offset=r_offset)
+            save_dataset(Path(tmp) / "ds", samples, manifest_extra={})
             loaded, _ = load_dataset(Path(tmp) / "ds")
         assert [s.sample_id for s in loaded] == ids
         for i, sample in enumerate(loaded):
@@ -382,9 +393,25 @@ class TestRoundTripProperties:
                 assert sample.theta is None
             else:
                 assert_same(sample.theta.values, thetas[i])
-                assert sample.theta.r_index == (
-                    np.argmax(thetas[i]) if r_offset is None else r_offset)
             if taus is None:
                 assert sample.tau is None
             else:
                 assert_same(float(sample.tau), taus[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(datasets())
+    def test_loaded_samples_save_to_the_same_files(self, case):
+        # the samples as loaded carry everything the dataset holds: saved
+        # again, they give its arrays byte for byte and its manifest
+        samples, _ = case
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first", Path(tmp) / "second"
+            save_dataset(first, samples, manifest_extra={"x": 1})
+            loaded, manifest = load_dataset(first)
+            save_dataset(second, loaded, manifest_extra={"x": 1})
+            written = sorted(p.name for p in first.iterdir())
+            assert sorted(p.name for p in second.iterdir()) == written
+            for name in set(written) - {"manifest.json"}:
+                assert (first / name).read_bytes() == \
+                    (second / name).read_bytes()
+            assert load_json(second / "manifest.json") == manifest

@@ -246,7 +246,7 @@ class TestExtractCanonicalBeat:
     def test_default_window_peak_at_offset(self):
         beat = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=493)
         assert beat.d == 493
-        assert int(np.argmax(beat.values)) == 164 == beat.r_index
+        assert int(np.argmax(beat.values)) == 164
 
     def test_deterministic(self):
         a = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=400)
