@@ -400,9 +400,19 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
-    except (EcgDenoiseError, ValueError, OSError, KeyError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except (EcgDenoiseError, ValueError, OSError, KeyError) as exc:
+            _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+            code = 1
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone, so no document can reach it; point the
+        # descriptor at the null device so the exit flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

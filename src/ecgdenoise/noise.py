@@ -3,7 +3,7 @@
 Beats within a recording share a global temporal covariance K (trace
 normalized to d for identifiability) scaled per recording by 1 / tau^2.
 Estimation pools residual scatter across recordings for K and reads the
-per-recording scale off the whitened residual energy.
+per-recording scale off the residual energy, tr(C_i) / d.
 
 A :class:`CovarianceMatrix` holds K's floored eigenpairs and builds K,
 K^{1/2} and K^{-1/2} from them only when they are first read. A Matern K
@@ -25,9 +25,6 @@ SUPPORTED_SMOOTHNESS = (0.5, 1.5, 2.5)
 
 #: Relative eigenvalue floor applied before square roots and inverses.
 EIGENVALUE_FLOOR = 1e-10
-
-#: Relative ridge added to K before inversion during noise estimation.
-INVERSE_RIDGE = 1e-8
 
 #: Residual rows :func:`estimate_noise` stacks per GEMM; bounds its working
 #: set to about this many rows of d floats, whatever the number of samples.
@@ -272,14 +269,14 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     canonical-beat outer product, and the (B - 1) divisor absorbs the
     1 - 1/B deflation of mean-centered residuals, so C_i is unbiased for
     K / tau_i^2. Then S = tr(sum C_i), K = (d / S) sum C_i (trace exactly
-    d) and sigma_i^2 = tr(K^{-1} C_i) / d with a small ridge on K, or
-    tr(C_i) / d if sum (B_i - 1) <= d, where the former is (B_i - 1) S / d^2.
+    d) and sigma_i^2 = tr(C_i) / d, unbiased for 1 / tau_i^2 because the
+    model's K has trace d.
 
     ``samples`` is a sequence of :class:`EcgSample` or (B, d) matrices (B
     may differ between samples) or an (N, B, d) array. Residuals are
-    stacked in blocks of about ``RESIDUAL_BLOCK_ROWS`` rows: one GEMM per
-    block accumulates sum C_i, and a second pass reads the tau_i off the
-    row energies of the whitened blocks.
+    stacked in blocks of about ``RESIDUAL_BLOCK_ROWS`` rows, in one pass:
+    one GEMM per block accumulates sum C_i, and the block's row energies
+    give the sigma_i^2.
 
     Returns ``(K_hat, tau_hat)`` with ``tau_hat`` an array aligned with the
     sample order.
@@ -298,25 +295,14 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     counts = np.array([beats.shape[0] for beats in beat_sets])
 
     total = np.zeros((d, d))
-    for _, _, resid in _residual_blocks(beat_sets, counts, d):
-        total += resid.T @ resid
-    s_hat = float(np.trace(total))
-    if s_hat <= 0.0:
-        raise ZeroNoiseError(
-            "all beat replicates are identical; cannot estimate noise"
-        )
-    k_hat = CovarianceMatrix.from_matrix(total * (d / s_hat))
-
-    # r K^{-1} r^T is the squared norm of r V / sqrt(lambda + ridge)
-    white = np.eye(d) if (counts - 1).sum() <= d else \
-        k_hat.eigenvectors / np.sqrt(k_hat.eigenvalues + INVERSE_RIDGE)
     sigma_sq = np.empty(len(beat_sets))
     for first, stop, resid in _residual_blocks(beat_sets, counts, d):
-        rows = resid @ white
-        energy = np.einsum("ij,ij->i", rows, rows)
+        total += resid.T @ resid
+        energy = np.einsum("ij,ij->i", resid, resid)
         offsets = np.cumsum(counts[first:stop]) - counts[first:stop]
         sigma_sq[first:stop] = np.add.reduceat(energy, offsets) / d
     zero = np.flatnonzero(sigma_sq <= 0.0)
     if zero.size:
         raise ZeroNoiseError(f"sample {zero[0]} has zero residual energy")
+    k_hat = CovarianceMatrix.from_matrix(total * (d / float(np.trace(total))))
     return k_hat, 1.0 / np.sqrt(sigma_sq)

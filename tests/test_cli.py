@@ -1,6 +1,10 @@
 """End-to-end CLI: simulate, estimate-noise, denoise, benchmark, plot-data."""
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -861,6 +865,28 @@ class TestErrorHandling:
         ])
         assert code == 0
         assert (tmp_path / "relative.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "-n", "4", "-B", "3", "--d", "80", "--fs", "200",
+         "--r-offset", "26", "--seed", "1", "--out", "ds"],
+        ["estimate-noise", "--dataset", "nope", "--out", "noise"],
+    ], ids=["summary", "error-document"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, argv, unbuffered):
+        # the reader is gone before the command writes: a buffered stdout
+        # fails on the exit flush, an unbuffered one inside the write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=str(
+            Path(cli.__file__).resolve().parents[1]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ecgdenoise.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path,
+                env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestDatasetChecks:

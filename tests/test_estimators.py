@@ -567,9 +567,9 @@ class TestEmPaths:
         assert trace[-1] >= want[-1] - LOGLIK_SLACK * (1.0 + abs(want[-1]))
 
     def test_slow_ragged_fit_converges(self):
-        # 300 ECG beats at fs 250 with tau ~ U(2, 20), B = 20 and estimated
+        # 200 ECG beats at fs 250 with tau ~ U(2, 20), B = 20 and estimated
         # noise: plain EM is still climbing after EM_MAX_ITER steps
-        config = BenchmarkConfig(seed=0, n_samples=300, fs=250.0, d=246,
+        config = BenchmarkConfig(seed=0, n_samples=200, fs=250.0, d=246,
                                  n_beats_grid=(20,),
                                  tau_regimes=(TauRegime.uniform(2, 20),))
         population_seed, [cell] = grid_seeds(config)
@@ -583,7 +583,7 @@ class TestEmPaths:
         assert model.converged
         estimators._check_loglik_trace(model.loglik_trace)
 
-        psi = estimators._effective_psi(tau_hat, 20, 300)
+        psi = estimators._effective_psi(tau_hat, 20, 200)
         xw = (means - model.mean) @ K_hat.inv_sqrt
         start = estimators._spectral_start(xw, psi, 7)
         _, plain, plain_converged = _plain_em(
