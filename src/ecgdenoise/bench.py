@@ -23,7 +23,11 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .errors import EcgDenoiseError, InsufficientReplicatesError
+from .errors import (
+    EcgDenoiseError,
+    InsufficientReplicatesError,
+    WorkerDiedError,
+)
 from .estimators import (
     DEFAULT_N_COMPONENTS,
     DEFAULT_SLOPE_CUTOFF,
@@ -47,6 +51,7 @@ from .simulate import (
     DEFAULT_FS,
     DEFAULT_PARAMS,
     ThetaBeat,
+    _readonly,
     check_window,
     extract_canonical_beats,
     jitter_population,
@@ -686,27 +691,60 @@ def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats, seeds):
     return cell, cell_timings
 
 
+#: The run a pooled worker serves, ``(config, thetas, K, cells)``. Only
+#: ``_serve_run``, the pool's initializer, sets it, and only in a worker
+#: process; the calling process keeps None.
+_served_run = None
+
+
+def _serve_run(*run):
+    """Keep the run a forked worker inherited, for all of its cells: the
+    population and K are never pickled, and K's factors are built once per
+    worker."""
+    global _served_run
+    _served_run = run
+
+
+def _run_served_cell(i: int):
+    """``_run_cell`` for cell ``i`` of the run this worker serves."""
+    config, thetas, K, cells = _served_run
+    return _run_cell(config, thetas, K, *cells[i])
+
+
 def _run_cells(config, thetas, K, cells: list, workers: int) -> list:
     """``_run_cell`` for each (regime, n_beats, seeds) of ``cells``,
     in that order.
 
     One worker runs the cells here, one after another. More run them in a
     pool of forked processes, which inherit the caller's modules as they
-    are; the cells with the most beats, the slowest, go first.
+    are and the run itself, ``(config, thetas, K, cells)``, so a task
+    names only a cell's index; the cells with the most beats, the
+    slowest, go first. A worker that dies raises ``WorkerDiedError``
+    naming the cells that did not finish.
     """
     if workers == 1:
         return [_run_cell(config, thetas, K, *cell) for cell in cells]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     order = sorted(range(len(cells)), key=lambda i: cells[i][1],
                    reverse=True)
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        futures = {i: pool.submit(_run_cell, config, thetas, K, *cells[i])
-                   for i in order}
+    with ProcessPoolExecutor(workers, mp_context=context,
+                             initializer=_serve_run,
+                             initargs=(config, thetas, K, cells)) as pool:
+        futures = {i: pool.submit(_run_served_cell, i) for i in order}
         try:
             return [futures[i].result() for i in range(len(cells))]
+        except BrokenProcessPool as exc:
+            pool.shutdown()  # every future is settled once the pool is down
+            unfinished = [f"{cells[i][0].label}, B={cells[i][1]}"
+                          for i in range(len(cells))
+                          if futures[i].exception() is not None]
+            raise WorkerDiedError(
+                f"a cell worker process died; cells not finished: "
+                f"{'; '.join(unfinished)}") from exc
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -717,8 +755,11 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
 
     Deterministic given ``config.seed`` (cells use independently spawned
     seed streams keyed by position), whether the cells run here or in
-    ``meta["workers"]`` worker processes (see ``_cell_workers``). When
-    ``out_path`` is given the report is also written there atomically.
+    ``meta["workers"]`` worker processes (see ``_cell_workers``). Forked
+    workers inherit the population, read-only for every cell, and K, whose
+    factors each builds once; a worker that dies raises
+    ``WorkerDiedError``. When ``out_path`` is given the report is also
+    written there atomically.
 
     ``meta["timings"]`` says where the wall-clock time went: the
     population and K, the cell stage as a whole (``cells_s``), and per
@@ -733,7 +774,8 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
     log.info("simulating population of %d beats (d=%d, backend=%s)",
              config.n_samples, config.d, BACKEND)
     clock = _Clock()
-    thetas = simulate_population(config, population_seed)
+    # read-only, so no cell can change what a later cell reads
+    thetas = _readonly(simulate_population(config, population_seed))
     timings = {"population_s": clock.lap()}
     K = matern_covariance(config.d, config.fs, config.lengthscale,
                           config.smoothness)

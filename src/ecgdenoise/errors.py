@@ -57,3 +57,8 @@ class EmptyInputError(EcgDenoiseError, ValueError):
 class InvalidSampleIdError(EcgDenoiseError, ValueError):
     """A sample id cannot name a CSV row: empty, repeated, or holding a
     separator or leading or trailing whitespace."""
+
+
+class WorkerDiedError(EcgDenoiseError):
+    """A benchmark cell worker process ended before its cells finished;
+    the message names them."""

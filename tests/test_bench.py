@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from ecgdenoise import bench, estimators
+from ecgdenoise import bench, cli, estimators
 from ecgdenoise.bench import (
     BenchmarkConfig,
     EstimatorSpec,
@@ -21,7 +21,7 @@ from ecgdenoise.errors import (
     InsufficientReplicatesError,
 )
 from ecgdenoise.estimators import fit_factor_analysis, fit_mog_fa
-from ecgdenoise.noise import matern_covariance
+from ecgdenoise.noise import CovarianceMatrix, matern_covariance
 
 
 def one_worker(monkeypatch):
@@ -549,12 +549,23 @@ class TestCellPool:
                         EstimatorSpec("mog_fa", "truth"))),
     ], ids=["seed5", "seed6", "seed7", "one-sample"])
     def test_pool_body_matches_serial(self, monkeypatch, config):
+        # workers inherit K through the fork, so it is never pickled. The
+        # pickling is recorded, not refused: a pool whose task fails to
+        # pickle can hang instead of raising
+        pickled = []
+
+        def record(self, protocol):
+            pickled.append(self)
+            return object.__reduce_ex__(self, protocol)
+
+        monkeypatch.setattr(CovarianceMatrix, "__reduce_ex__", record)
         one_worker(monkeypatch)
         serial = run_benchmark(config)
         monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: 2)
         pooled = run_benchmark(config)
         assert (serial.meta["workers"], pooled.meta["workers"]) == (1, 2)
         assert json.dumps(pooled.body()) == json.dumps(serial.body())
+        assert pickled == []
         if config.n_samples > 1:  # B = 1 cells refuse fa_estimated
             assert pooled.result("tau=4", 1, "fa_estimated")["status"] \
                 == "failed"
@@ -606,5 +617,42 @@ class TestCellPool:
         monkeypatch.setattr(bench, "simulate_cell_beats", fail_one_cell)
         monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: 2)
         with pytest.raises(RuntimeError, match="cell failed"):
+            run_benchmark(small_config(n_samples=10))
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_dead_worker_is_a_json_error(self, monkeypatch, capfd):
+        sample = bench.simulate_cell_beats
+        caller = os.getpid()
+
+        def die_in_one_cell(thetas, K, taus, n_beats, seed):
+            if n_beats == 4 and taus[0] != taus[-1] and os.getpid() != caller:
+                os._exit(9)  # as the OOM killer would end it
+            return sample(thetas, K, taus, n_beats, seed)
+
+        monkeypatch.setattr(bench, "simulate_cell_beats", die_in_one_cell)
+        monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: 2)
+        code = cli.main([
+            "benchmark", "--seed", "5", "--n-samples", "10", "--d", "100",
+            "--fs", "500", "--r-offset", "33", "--taus", "4;uniform:2,20",
+            "--beats-grid", "1,4", "--estimator", "mle"])
+        out, err = capfd.readouterr()
+        assert (code, err) == (1, "")
+        error = json.loads(out)["error"]
+        assert error["type"] == "WorkerDiedError"
+        assert "tau~U(2,20), B=4" in error["message"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=fork_only)])
+    def test_population_is_read_only(self, monkeypatch, workers):
+        sample = bench.simulate_cell_beats
+
+        def write_population(thetas, K, taus, n_beats, seed):
+            thetas[0, 0] += 1.0
+            return sample(thetas, K, taus, n_beats, seed)
+
+        monkeypatch.setattr(bench, "simulate_cell_beats", write_population)
+        monkeypatch.setattr(bench, "_cell_workers", lambda n_cells: workers)
+        with pytest.raises(ValueError, match="read-only"):
             run_benchmark(small_config(n_samples=10))
         assert multiprocessing.active_children() == []
