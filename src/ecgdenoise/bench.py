@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import numbers
 import os
 import time
@@ -39,6 +40,7 @@ from .estimators import (
     select_latent_dim,
 )
 from .noise import (
+    RESIDUAL_BLOCK_ROWS,
     CovarianceMatrix,
     EcgSample,
     estimate_noise,
@@ -434,13 +436,29 @@ def simulate_population(config: BenchmarkConfig, seed) -> np.ndarray:
                                    config.r_offset)
 
 
+#: Block boundaries of :func:`simulate_cell_beats` fall on multiples of
+#: this many rows, a multiple of 4, 8, 12, 16 and 24. A GEMM computes its
+#: rows in tiles of a few rows (12 in the OpenBLAS 0.3.31 dgemm measured on
+#: an AVX-512 CPU), the rows past the last whole tile by other code, and a
+#: call of very few rows by other code again (GEMV for one row). So a block
+#: that starts on a tile boundary and holds hundreds of rows computes each
+#: row as one product of all the rows would: bit for bit at one BLAS thread.
+GEMM_ROW_ALIGN = 48
+
+
 def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
                         taus: np.ndarray, n_beats: int, seed) -> np.ndarray:
     """The package's one noise sampler: (N, B, d) beats, row i ``thetas[i]``
     plus ``n_beats`` draws from N(0, K / taus[i]^2).
 
-    The draws are coloured into one new buffer and then scaled and shifted
-    in place, so at most two (N, B, d) arrays are alive at once.
+    The result is allocated once. Its N B rows are coloured in the fewest
+    blocks of about ``RESIDUAL_BLOCK_ROWS`` rows, split at multiples of
+    ``GEMM_ROW_ALIGN``: each block's standard normals are drawn into one
+    reused buffer and multiplied by K^{1/2} into the block's rows. So
+    besides the result only one block of draws is alive. The draws are the
+    stream of one (N B, d) draw and, at one BLAS thread, the rows equal
+    that draw times K^{1/2} bit for bit. The rows are then scaled and
+    shifted in place.
     """
     if n_beats < 1:
         raise ValueError(f"n_beats must be at least 1, not {n_beats}")
@@ -448,9 +466,16 @@ def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
         raise ValueError("tau must be finite and strictly positive")
     n, d = thetas.shape
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n * n_beats, d))
-    beats = (z @ K.sqrt).reshape(n, n_beats, d)
-    del z
+    beats = np.empty((n, n_beats, d))
+    rows = beats.reshape(n * n_beats, d)
+    n_blocks = max(1, math.ceil(len(rows) / RESIDUAL_BLOCK_ROWS))
+    bounds = [GEMM_ROW_ALIGN * (k * len(rows) // (GEMM_ROW_ALIGN * n_blocks))
+              for k in range(n_blocks)] + [len(rows)]
+    z = np.empty((max(np.diff(bounds)), d))
+    for start, stop in zip(bounds, bounds[1:]):
+        draws = z[:stop - start]
+        rng.standard_normal(out=draws)
+        np.matmul(draws, K.sqrt, out=rows[start:stop])
     beats /= taus[:, None, None]
     beats += thetas[:, None, :]
     return beats

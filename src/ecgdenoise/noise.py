@@ -26,8 +26,10 @@ SUPPORTED_SMOOTHNESS = (0.5, 1.5, 2.5)
 #: Relative eigenvalue floor applied before square roots and inverses.
 EIGENVALUE_FLOOR = 1e-10
 
-#: Residual rows :func:`estimate_noise` stacks per GEMM; bounds its working
-#: set to about this many rows of d floats, whatever the number of samples.
+#: Rows per GEMM in the two passes over a cell's beats: the residual rows
+#: :func:`estimate_noise` stacks, and the draws ``bench.simulate_cell_beats``
+#: colours. Bounds each pass's working set to about this many rows of d
+#: floats beyond its input and output, whatever the number of samples.
 RESIDUAL_BLOCK_ROWS = 1024
 
 
@@ -70,7 +72,8 @@ class CovarianceMatrix:
     @classmethod
     def from_matrix(cls, matrix) -> "CovarianceMatrix":
         """Validate and decompose a covariance matrix, rescaled so its
-        trace equals d."""
+        trace equals d. The input is read, never written: it is symmetrized
+        into one new array, which is rescaled in place and decomposed."""
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance must be a square matrix")
@@ -78,11 +81,13 @@ class CovarianceMatrix:
         scale = max(1.0, float(np.abs(m).max()))
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * scale):
             raise ValueError("covariance must be symmetric to 1e-10")
-        m = 0.5 * (m + m.T)
-        trace = float(np.trace(m))
+        sym = m + m.T
+        sym *= 0.5
+        trace = float(np.trace(sym))
         if not trace > 0:
             raise ValueError("covariance trace must be positive")
-        return cls._floored(*np.linalg.eigh(m * (d / trace)))
+        sym *= d / trace
+        return cls._floored(*np.linalg.eigh(sym))
 
     @classmethod
     def _floored(cls, vals, vecs) -> "CovarianceMatrix":
@@ -276,7 +281,9 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     may differ between samples) or an (N, B, d) array. Residuals are
     stacked in blocks of about ``RESIDUAL_BLOCK_ROWS`` rows, in one pass:
     one GEMM per block accumulates sum C_i, and the block's row energies
-    give the sigma_i^2.
+    give the sigma_i^2. The sum is rescaled to trace d in place, and
+    :meth:`CovarianceMatrix.from_matrix` decomposes it from one symmetrized
+    copy, so no other d x d copy is made.
 
     Returns ``(K_hat, tau_hat)`` with ``tau_hat`` an array aligned with the
     sample order.
@@ -301,8 +308,10 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
         energy = np.einsum("ij,ij->i", resid, resid)
         offsets = np.cumsum(counts[first:stop]) - counts[first:stop]
         sigma_sq[first:stop] = np.add.reduceat(energy, offsets) / d
+    del resid  # the last view of the block buffer, freed before eigh
     zero = np.flatnonzero(sigma_sq <= 0.0)
     if zero.size:
         raise ZeroNoiseError(f"sample {zero[0]} has zero residual energy")
-    k_hat = CovarianceMatrix.from_matrix(total * (d / float(np.trace(total))))
+    total *= d / float(np.trace(total))
+    k_hat = CovarianceMatrix.from_matrix(total)
     return k_hat, 1.0 / np.sqrt(sigma_sq)

@@ -14,6 +14,7 @@ field. Writes are atomic (temp + rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -47,23 +48,20 @@ def _atomic_file(path, mode: str = "w"):
         raise
 
 
-def _atomic_write(path, text: str) -> None:
-    with _atomic_file(path) as handle:
-        handle.write(text)
-
-
 def save_matrix_csv(path, matrix, row_ids) -> None:
     """Write a matrix as headered CSV, first column the row id; each value
-    is ``%.17g``, one format operation per row."""
+    is ``%.17g``, one format operation per row, and each line goes to the
+    file as it is formatted."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     n, d = matrix.shape
     if len(row_ids) != n:
         raise ValueError("row_ids length does not match the matrix")
-    lines = ["row_id," + ",".join(f"c{j}" for j in range(d))]
     row_format = ",".join([_FLOAT_FMT] * d)
-    for rid, row in zip(row_ids, matrix):
-        lines.append(str(rid) + "," + row_format % tuple(row.tolist()))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    with _atomic_file(path) as handle:
+        handle.write("row_id," + ",".join(f"c{j}" for j in range(d)) + "\n")
+        for rid, row in zip(row_ids, matrix):
+            handle.write(str(rid) + "," + row_format % tuple(row.tolist())
+                         + "\n")
 
 
 def load_matrix_csv(path):
@@ -93,14 +91,17 @@ def load_matrix_csv(path):
 
 def save_series_csv(path, rows) -> None:
     """Write long-format ``series,x,y`` CSV, one line per (series, x, y)
-    row; x and y are ``%.17g``."""
-    lines = ["series,x,y"]
-    lines += [f"{series},{x:.17g},{y:.17g}" for series, x, y in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    row; x and y are ``%.17g``. Each line goes to the file as it is
+    formatted."""
+    with _atomic_file(path) as handle:
+        handle.write("series,x,y\n")
+        for series, x, y in rows:
+            handle.write(f"{series},{x:.17g},{y:.17g}\n")
 
 
 def save_json(path, document: dict) -> None:
-    _atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    with _atomic_file(path) as handle:
+        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path) -> dict:
@@ -160,12 +161,21 @@ def _check_manifest(manifest: dict, where) -> list:
 
 def save_npy(path, blocks, shape) -> None:
     """Write ``blocks`` in order as one little-endian float64 ``.npy`` array
-    of ``shape``, streaming each block rather than concatenating them."""
+    of ``shape``, streaming each block rather than concatenating them.
+    Blocks that hold more or fewer values than ``shape`` raise
+    ``ValueError``, and ``path`` is left as it was."""
     header = {"descr": "<f8", "fortran_order": False, "shape": tuple(shape)}
+    expected = math.prod(header["shape"])
     with _atomic_file(path, "wb") as handle:
         np.lib.format.write_array_header_1_0(handle, header)
+        written = 0
         for block in blocks:
-            handle.write(np.ascontiguousarray(block, dtype="<f8").data)
+            values = np.ascontiguousarray(block, dtype="<f8")
+            handle.write(values.data)
+            written += values.size
+        if written != expected:
+            raise ValueError(f"{path}: the blocks hold {written} values, "
+                             f"shape {header['shape']} needs {expected}")
 
 
 def _load_npy(path, ndim: int, n_rows: int, rows_from: str) -> np.ndarray:

@@ -1,6 +1,11 @@
 """Matern covariance, noise sampling (``bench.simulate_cell_beats``),
 whitening, and K/tau estimation."""
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecgdenoise
 from ecgdenoise import noise, simulate_cell_beats
 from ecgdenoise.bench import (
+    GEMM_ROW_ALIGN,
     BenchmarkConfig,
     TauRegime,
     draw_cell,
@@ -19,6 +26,7 @@ from ecgdenoise.bench import (
 from ecgdenoise.errors import InsufficientReplicatesError, ZeroNoiseError
 from ecgdenoise.estimators import FaModel, MogFaModel
 from ecgdenoise.noise import (
+    RESIDUAL_BLOCK_ROWS,
     CovarianceMatrix,
     EcgSample,
     estimate_noise,
@@ -56,6 +64,20 @@ class TestCovarianceMatrix:
     def test_rejects_nonpositive_trace(self):
         with pytest.raises(ValueError, match="trace"):
             CovarianceMatrix.from_matrix(np.diag([1.0, -1.0]))
+
+    def test_input_is_not_written(self, rng):
+        # off trace d and off symmetric by less than the tolerance, so
+        # symmetrizing or rescaling in place would show in the input
+        a = rng.standard_normal((6, 6))
+        m = 3.0 * (a @ a.T)
+        m[0, 1] += 1e-12
+        expected = m.copy()
+        k = CovarianceMatrix.from_matrix(m)
+        np.testing.assert_array_equal(m, expected)
+        m.flags.writeable = False
+        again = CovarianceMatrix.from_matrix(m)
+        np.testing.assert_array_equal(m, expected)
+        np.testing.assert_array_equal(again.eigenvalues, k.eigenvalues)
 
     def test_trace_normalized(self, rng):
         a = rng.standard_normal((12, 12))
@@ -462,3 +484,105 @@ class TestEstimateNoiseParity:
             estimate_noise([good, good[:, :5]])
         with pytest.raises(ValueError, match="non-empty"):
             estimate_noise([])
+
+
+#: (N, B) cells across the sampler's blocks of about
+#: ``RESIDUAL_BLOCK_ROWS`` rows: below one block, exactly one, ragged,
+#: one block and one row, B larger than a block, and N=1.
+BLOCK_SHAPES = [(5, 20), (64, 16), (100, 15), (41, 25), (2, 1500), (1, 7)]
+
+def _cell_and_reference(d, n, n_beats):
+    """A cell from the sampler, and its reference: one (N B, d) draw times
+    K^{1/2}, scaled by 1 / tau and shifted by theta."""
+    K = matern_covariance(d, 500.0, 0.0005, 0.5)
+    rng = np.random.default_rng(n * n_beats)
+    thetas = rng.standard_normal((n, d))
+    taus = rng.uniform(2.0, 20.0, n)
+    beats = simulate_cell_beats(thetas, K, taus, n_beats, seed=11)
+    z = np.random.default_rng(11).standard_normal((n * n_beats, d))
+    ref = ((z @ K.sqrt).reshape(n, n_beats, d) / taus[:, None, None]
+           + thetas[:, None, :])
+    return beats, ref
+
+
+_AT_ONE_THREAD = """
+import sys
+import numpy as np
+from test_noise import BLOCK_SHAPES, _cell_and_reference
+
+for d in (80, 493):
+    for n, b in BLOCK_SHAPES:
+        beats, ref = _cell_and_reference(d, n, b)
+        if not np.array_equal(beats, ref):
+            sys.exit(f"d={d}, N={n}, B={b}: the beats differ")
+"""
+
+
+class TestSamplerBlocks:
+    """``simulate_cell_beats`` colours its draws block by block; the beats
+    are those of one (N B, d) draw and one product with K^{1/2}."""
+
+    def test_equals_one_product_at_one_blas_thread(self):
+        # a subprocess, as BLAS reads its thread count at import
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        paths = (Path(ecgdenoise.__file__).resolve().parents[1],
+                 Path(__file__).resolve().parent, env.get("PYTHONPATH"))
+        env["PYTHONPATH"] = os.pathsep.join(str(p) for p in paths if p)
+        run = subprocess.run([sys.executable, "-c", _AT_ONE_THREAD], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("n, n_beats", BLOCK_SHAPES)
+    def test_equals_one_product(self, n, n_beats):
+        # at this process's BLAS thread count a blocked product may differ
+        # from the one-shot one in the last bits; atol covers values near 0
+        beats, ref = _cell_and_reference(80, n, n_beats)
+        np.testing.assert_allclose(beats, ref, rtol=1e-13,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.fixture(scope="module")
+def grid_k():
+    """The grid's default noise at its default width, d=493, with K^{1/2}
+    built, so a measurement sees only the call it measures."""
+    k = matern_covariance(493, 500.0, 0.0005, 0.5)
+    k.sqrt
+    return k
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestWorkingMemory:
+    """Beyond their inputs and outputs, the sampler and the noise estimate
+    hold about one block of rows and a few d x d arrays, at perfbench's
+    pipeline cell (N=300, B=20, d=493)."""
+
+    def test_sampler_holds_one_block_beyond_its_output(self, grid_k):
+        rng = np.random.default_rng(3)
+        thetas = rng.standard_normal((300, grid_k.d))
+        taus = rng.uniform(2.0, 20.0, 300)
+        beats, peak = _traced_peak(simulate_cell_beats, thetas, grid_k,
+                                   taus, 20, 5)
+        block = (RESIDUAL_BLOCK_ROWS + GEMM_ROW_ALIGN) * grid_k.d * 8
+        # a second (N, B, d) array would add 23.7 MB
+        assert peak - beats.nbytes <= block + 2**20
+
+    def test_estimate_holds_one_block_and_two_matrices(self, grid_k):
+        rng = np.random.default_rng(4)
+        beats = simulate_cell_beats(rng.standard_normal((300, grid_k.d)),
+                                    grid_k, rng.uniform(2.0, 20.0, 300), 20,
+                                    6)
+        _, peak = _traced_peak(estimate_noise, beats)
+        d = grid_k.d
+        # the residual block, the pooled scatter and one block's scatter
+        assert peak <= RESIDUAL_BLOCK_ROWS * d * 8 + 2 * d * d * 8 + 2**20

@@ -19,6 +19,8 @@ from ecgdenoise.serialize import (
     save_dataset,
     save_json,
     save_matrix_csv,
+    save_npy,
+    save_series_csv,
 )
 
 
@@ -60,6 +62,55 @@ class TestMatrixCsv:
     def test_no_temp_files_left(self, tmp_path):
         save_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2)), ["a", "b"])
         assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+class _Unprintable:
+    """A row id that fails when the writer formats it."""
+
+    def __str__(self):
+        raise RuntimeError("no text for this id")
+
+
+class TestStreamedWrites:
+    """Writers stream to a temp file that replaces the target only once
+    the whole file is written."""
+
+    def test_matrix_error_partway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, np.ones((2, 3)), ["a", "b"])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="no text"):
+            save_matrix_csv(path, np.zeros((3, 3)),
+                            ["x", "y", _Unprintable()])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+    def test_series_error_partway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        save_series_csv(path, [("a", 0.0, 1.0)])
+        before = path.read_bytes()
+        with pytest.raises(ValueError):  # "%.17g" of a string
+            save_series_csv(path, [("b", 0.0, 1.0), ("b", 1.0, "two")])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+    def test_series_bytes(self, tmp_path):
+        save_series_csv(tmp_path / "s.csv", [("a", 0.1, -0.0), ("b", 2, 3)])
+        assert (tmp_path / "s.csv").read_text() == \
+            "series,x,y\na,0.10000000000000001,-0\nb,2,3\n"
+
+    @pytest.mark.parametrize("rows", [7, 3], ids=["over-long", "short"])
+    def test_npy_blocks_must_fill_the_shape(self, tmp_path, rows):
+        path = tmp_path / "a.npy"
+        with pytest.raises(ValueError, match=f"hold {rows * 4} values, "
+                                             r"shape \(5, 4\) needs 20"):
+            save_npy(path, [np.zeros((rows, 4))], (5, 4))
+        assert list(tmp_path.iterdir()) == []
+        save_npy(path, [np.ones((5, 4))], (5, 4))
+        with pytest.raises(ValueError):
+            save_npy(path, [np.zeros((1, 4)), np.zeros((rows - 1, 4))], (5, 4))
+        np.testing.assert_array_equal(np.load(path), np.ones((5, 4)))
+        assert [p.name for p in tmp_path.iterdir()] == ["a.npy"]
 
 
 def per_value_csv(matrix, row_ids) -> str:
