@@ -33,18 +33,19 @@ from .bench import (
     simulate_population,
 )
 from .errors import EcgDenoiseError, EmptyInputError
-from .noise import estimate_noise, matern_covariance
+from .noise import estimate_noise
 from .serialize import (load_dataset, load_json, load_matrix_csv,
                         save_dataset, save_matrix_csv, save_npy,
                         save_series_csv)
 
 # Unused here, but perfbench/tracing.py wraps these names in this module:
-# simulate_cell_beats, whiten and the five estimator functions.
+# simulate_cell_beats, matern_covariance, whiten and the five estimator
+# functions.
 from .bench import simulate_cell_beats  # noqa: F401
 from .estimators import (  # noqa: F401
     fa_posterior_mean_batch, fit_factor_analysis, fit_mog_fa,
     mog_fa_posterior_mean_batch, oracle_bayes_batch)
-from .noise import whiten  # noqa: F401
+from .noise import matern_covariance, whiten  # noqa: F401
 
 log = logging.getLogger("ecgdenoise")
 
@@ -95,9 +96,8 @@ def _cmd_simulate(args) -> int:
     config = BenchmarkConfig.from_dict(_config_dict(
         args, n_beats_grid=[args.beats], tau_regimes=[args.tau]))
     population_seed, [cell] = grid_seeds(config)
+    K = config.noise_covariance()
     thetas = simulate_population(config, population_seed)
-    K = matern_covariance(config.d, config.fs, config.lengthscale,
-                          config.smoothness)
     beats, taus, _ = draw_cell(thetas, K, *cell)
     out = _resolve_out(args.out, f"dataset-seed{args.seed}")
     save_dataset(out, make_samples(beats, thetas, taus),
@@ -198,8 +198,7 @@ def _cmd_denoise(args) -> int:
     if spec.needs_estimation:
         estimate = estimate_noise(samples)
     elif needs_k:
-        truth = (matern_covariance(config.d, config.fs, config.lengthscale,
-                                   config.smoothness), taus)
+        truth = config.noise_covariance(), taus
     estimates, extra = denoise(
         spec, means, n_beats, truth=truth, estimate=estimate, thetas=thetas,
         latent_dim=config.latent_dim, n_components=config.mog_components,

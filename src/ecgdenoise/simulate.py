@@ -174,13 +174,6 @@ def _rk4_rho(h: float) -> float:
     return 1.0 - h + h * h / 2.0 - h ** 3 / 6.0 + h ** 4 / 24.0
 
 
-def _shared(values, name: str) -> float:
-    values = np.unique(np.asarray(values, dtype=np.float64))
-    if values.size != 1:
-        raise ValueError(f"{name} must be shared by every trace of a batch")
-    return float(values[0])
-
-
 def _phase_path(omega: float, u: float, v: float, h: float, n_steps: int):
     """RK4 path of the phase point: the states, shape (n_steps + 1, 2), and
     the phase at the four stages of each step, shape (4 n_steps,)."""
@@ -287,20 +280,18 @@ def _rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
     """Integrate McSharry systems that share one phase path with RK4.
 
     Arrays ``a``, ``b``, ``theta`` (n, 5) and ``x0``, ``xinit`` (n,) are per
-    trace; ``omega``, ``u0`` and ``v0`` are shared (scalars, or arrays of
-    equal entries). Returns the phase states ``u``, ``v`` (m,) and the
-    voltages ``x`` (n, m) at every ``stride``-th step, m = n_steps // stride
-    + 1. With the forcing g fixed at the four stage phases, an RK4 step on
-    dx/dt = g - x is x -> rho x + c_k, c_k a weighted sum of those four g.
-    The batch is stepped a chunk of steps at a time (``FORCING_CHUNK``),
-    in three buffers reused for every chunk. Raises
-    :class:`IntegrationDivergedError` naming the first non-finite step and
-    trace.
+    trace; the floats ``omega``, ``u0`` and ``v0`` start the one phase path
+    they share. Returns the voltages ``x`` (n, m) at every ``stride``-th
+    step, m = n_steps // stride + 1. With the forcing g fixed at the four
+    stage phases, an RK4 step on dx/dt = g - x is x -> rho x + c_k, c_k a
+    weighted sum of those four g. The batch is stepped a chunk of steps at
+    a time (``FORCING_CHUNK``), in three buffers reused for every chunk.
+    Raises :class:`IntegrationDivergedError` naming the first non-finite
+    step and trace.
     """
     if stride < 1 or n_steps < 0 or n_steps % stride != 0:
         raise ValueError("n_steps must be a non-negative multiple of stride")
-    states, phases = _phase_path(_shared(omega, "omega"), _shared(u0, "u0"),
-                                 _shared(v0, "v0"), h, n_steps)
+    states, phases = _phase_path(omega, u0, v0, h, n_steps)
 
     rho = _rk4_rho(h)
     h6 = h / 6.0
@@ -345,15 +336,17 @@ def _rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
             raise IntegrationDivergedError(int(diverged[trace]), trace)
     if phase_diverged <= n_steps:
         raise IntegrationDivergedError(phase_diverged, 0)
-    return states[::stride, 0], states[::stride, 1], x
+    return x
 
 
-def integrate_states(params: OdeParams, duration: float, fs: float,
-                     initial_state=(-1.0, 0.0, 0.0)):
-    """Integrate one system and return ``(t, u, v, x)`` sampled at ``fs``.
+def integrate_mcsharry(params: OdeParams, duration: float, fs: float,
+                       initial_state=(-1.0, 0.0, 0.0)) -> RawTrace:
+    """Integrate the ODE from ``initial_state`` (u, v, x) and return the
+    voltage trace sampled at ``fs``.
 
-    Exposes the full state for limit-cycle diagnostics; most callers want
-    :func:`integrate_mcsharry`, which keeps only the voltage.
+    Deterministic given its inputs. Raises
+    :class:`IntegrationDivergedError` if the state becomes non-finite
+    (the error names the offending RK4 step).
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
@@ -363,25 +356,11 @@ def integrate_states(params: OdeParams, duration: float, fs: float,
     n_samples = int(round(duration * fs))
     if n_samples < 1:
         raise ValueError("duration must cover at least one sample")
-    h = 1.0 / (STRIDE * fs)
     u0, v0, x0 = (float(s) for s in initial_state)
-    u, v, x = _rk4_mcsharry(a[None], b[None], theta[None],
-                            np.array([params.x0]), params.omega, u0, v0,
-                            np.array([x0]), h, n_samples * STRIDE, STRIDE)
-    t = np.arange(n_samples + 1) / fs
-    return t, u, v, x[0]
-
-
-def integrate_mcsharry(params: OdeParams, duration: float, fs: float,
-                       initial_state=(-1.0, 0.0, 0.0)) -> RawTrace:
-    """Integrate the ODE and return the voltage trace sampled at ``fs``.
-
-    Deterministic given its inputs. Raises
-    :class:`IntegrationDivergedError` if the state becomes non-finite
-    (the error names the offending RK4 step).
-    """
-    _, _, _, x = integrate_states(params, duration, fs, initial_state)
-    return RawTrace(fs=fs, values=x)
+    x = _rk4_mcsharry(a[None], b[None], theta[None], np.array([params.x0]),
+                      params.omega, u0, v0, np.array([x0]),
+                      1.0 / (STRIDE * fs), n_samples * STRIDE, STRIDE)
+    return RawTrace(fs=fs, values=x[0])
 
 
 def sample_jittered_params(base: OdeParams, jitter_fraction: float,
@@ -448,6 +427,10 @@ def check_window(d: int, r_offset: int, fs: float, period: float) -> None:
             f"({fs * period:.3f} samples at fs={fs})"
         )
     steps = STRIDE * fs * period
+    if not math.isfinite(steps):
+        raise OffGridRateError(
+            f"fs={fs} gives more RK4 steps per {period:.6g} s cycle than "
+            f"a float can count")
     if abs(steps - round(steps)) > 1e-9 * steps:
         nearest = round(steps) / (STRIDE * period)
         raise OffGridRateError(
@@ -491,12 +474,14 @@ def extract_canonical_beats(params_batch, fs: float, d: int,
     # Sample j is step STRIDE * j from the start, read modulo the cycle;
     # only steps that are multiples of ``grid`` are read.
     grid = math.gcd(STRIDE, steps_per_cycle)
-    _, _, x_zero = _rk4_mcsharry(a, b, theta, x0, omega, -1.0, 0.0,
-                                 np.zeros(n), h, steps_per_cycle, grid)
+    x_zero = _rk4_mcsharry(a, b, theta, x0, omega, -1.0, 0.0, np.zeros(n),
+                           h, steps_per_cycle, grid)
     rho = _rk4_rho(h)
     x_init = x_zero[:, -1] / (1.0 - rho ** steps_per_cycle)
     steps = grid * np.arange(steps_per_cycle // grid)
-    orbit = x_zero[:, :-1] + rho ** steps * x_init[:, None]
+    # in place (x_init is a copy), so no second (n, steps) array is held
+    orbit = x_zero[:, :-1]
+    orbit += rho ** steps * x_init[:, None]
 
     def columns(samples):
         return (STRIDE * samples) % steps_per_cycle // grid

@@ -45,7 +45,7 @@ from ecgdenoise.noise import (
     unwhiten,
     whiten,
 )
-from ecgdenoise.simulate import DEFAULT_PARAMS, integrate_states
+from ecgdenoise.simulate import DEFAULT_PARAMS, STRIDE, _phase_path
 
 D = 493
 PAPER_MLE_SINGLE = 123.21
@@ -281,14 +281,12 @@ class TestCriterion6Properties:
 
         p = DEFAULT_PARAMS
         a, b, theta = p.as_arrays()
-        args = (a[None], b[None], theta[None], np.array([p.x0]),
-                np.array([p.omega]), np.array([0.8]), np.array([0.1]),
-                np.array([0.02]))
+        args = (a[None], b[None], theta[None], np.array([p.x0]), p.omega,
+                0.8, 0.1, np.array([0.02]))
 
         def run(refine):
             h = 1.0 / (1000.0 * refine)
-            _, _, xs = rk4_mcsharry(*args, h, int(250 * refine) * 4,
-                                    4 * refine)
+            xs = rk4_mcsharry(*args, h, int(250 * refine) * 4, 4 * refine)
             return xs[0]
 
         reference = run(16)
@@ -296,13 +294,14 @@ class TestCriterion6Properties:
         orders = -np.diff(np.log2(errors))
         checks["rk4_order"] = bool(np.all(orders >= 3.5))
 
-        # limit-cycle attraction at t = 10 s
+        # limit-cycle attraction at t = 10 s: the phase point after 1000
+        # samples at 100 Hz, stepped as integrate_mcsharry steps it
+        h = 1.0 / (STRIDE * 100.0)
         radii = []
         for r0, phase in ((0.15, 0.3), (0.7, -2.0), (1.9, 1.2)):
-            start = (r0 * math.cos(phase), r0 * math.sin(phase), 0.0)
-            _, u, v, _ = integrate_states(DEFAULT_PARAMS, 10.0, 100.0,
-                                          initial_state=start)
-            radii.append(abs(math.hypot(u[-1], v[-1]) - 1.0))
+            states, _ = _phase_path(DEFAULT_PARAMS.omega, r0 * math.cos(phase),
+                                    r0 * math.sin(phase), h, 1000 * STRIDE)
+            radii.append(abs(math.hypot(*states[-1]) - 1.0))
         checks["limit_cycle"] = bool(max(radii) < 1e-3)
 
         # end-to-end benchmark determinism

@@ -1,4 +1,5 @@
 """Benchmark harness: config plumbing, determinism, error marking."""
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -311,6 +312,33 @@ class TestBenchmarkConfig:
         config = small_config()
         again = BenchmarkConfig.from_dict(config.to_dict())
         assert again == config
+
+    def test_every_field_is_typed_and_written(self):
+        # a field without a type would skip canonical typing, and one
+        # missing from to_dict would drop out of reports and manifests
+        names = [f.name for f in dataclasses.fields(BenchmarkConfig)]
+        assert set(bench._FIELD_TYPES) == set(names)
+        assert list(small_config().to_dict()) == names
+
+    def test_to_dict_is_plain_json(self):
+        config = BenchmarkConfig(
+            seed=1, n_beats_grid=[20], tau_regimes=["uniform:2,20"],
+            estimators=["fa:estimated"],
+            latent_dim={"mode": "scree", "value": 0.5})
+        assert config.to_dict() == {
+            "seed": 1, "n_samples": 1000, "n_beats_grid": [20],
+            "tau_regimes": [{"kind": "uniform", "lo": 2.0, "hi": 20.0}],
+            "d": 493, "fs": 500.0, "r_offset": 164, "jitter_fraction": 0.3,
+            "amplitude_gain": 27.5, "lengthscale": 0.0005,
+            "smoothness": 0.5, "estimators": ["fa:estimated"],
+            "latent_dim": {"mode": "scree", "value": 0.5},
+            "mog_components": 5}
+
+    def test_noise_covariance_is_the_configs_matern_k(self):
+        config = small_config(lengthscale=0.02, smoothness=1.5)
+        np.testing.assert_array_equal(
+            config.noise_covariance().matrix,
+            matern_covariance(100, 500.0, 0.02, 1.5).matrix)
 
     def test_from_dict_parses_strings(self):
         config = BenchmarkConfig.from_dict({

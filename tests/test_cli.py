@@ -205,16 +205,19 @@ class TestSimulate:
         assert not (tmp_path / "ds").exists()
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail on any population simulation, so a refusal must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated a population")
+
+    monkeypatch.setattr(cli, "simulate_population", refuse)
+    monkeypatch.setattr(bench, "simulate_population", refuse)
+
+
+@pytest.mark.usefixtures("no_simulation")
 class TestInfiniteTau:
     """``tau`` = inf (noiseless beats) is refused before any simulation."""
-
-    @pytest.fixture(autouse=True)
-    def no_simulation(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("simulated a population")
-
-        monkeypatch.setattr(cli, "simulate_population", refuse)
-        monkeypatch.setattr(bench, "simulate_population", refuse)
 
     def test_simulate(self, tmp_path, capsys):
         flags = list(SIM_FLAGS)
@@ -237,6 +240,30 @@ class TestInfiniteTau:
         assert payload["error"]["type"] == "ValueError"
         assert payload["error"]["message"].startswith(
             "uniform tau regime needs finite 0 < lo < hi")
+        assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.usefixtures("no_simulation")
+class TestBadNoiseModel:
+    """A noise model with no Matern K is refused before any simulation."""
+
+    def test_simulate(self, tmp_path, capsys):
+        code, payload = run_json(capsys, [
+            "simulate", *SIM_FLAGS, "--smoothness", "0.7",
+            "--out", str(tmp_path / "ds")])
+        assert code == 1
+        assert payload["error"]["type"] == "ValueError"
+        assert payload["error"]["message"].startswith(
+            "smoothness 0.7 unsupported")
+        assert not (tmp_path / "ds").exists()
+
+    def test_benchmark(self, tmp_path, capsys):
+        code, payload = run_json(capsys, [
+            "benchmark", "--seed", "3", "--n-samples", "1000",
+            "--lengthscale", "0", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert payload["error"] == {"type": "ValueError",
+                                    "message": "lengthscale must be positive"}
         assert not (tmp_path / "r.json").exists()
 
 
@@ -887,6 +914,20 @@ class TestErrorHandling:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (1, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "-n", "2", "-B", "2", "--fs", "1e308", "--seed", "1"],
+        ["benchmark", "-n", "2", "--fs", "5e307", "--seed", "1"],
+    ], ids=["simulate", "benchmark"])
+    def test_uncountable_rate_is_json_error(self, argv, tmp_path, capsys):
+        # 4 fs RK4 steps per 1 s cycle overflow to inf
+        code, payload = run_json(capsys, [*argv,
+                                          "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert payload["error"]["type"] == "OffGridRateError"
+        assert f"fs={float(argv[argv.index('--fs') + 1])}" in \
+            payload["error"]["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestDatasetChecks:

@@ -574,8 +574,7 @@ class TestEmPaths:
                                  tau_regimes=(TauRegime.uniform(2, 20),))
         population_seed, [cell] = grid_seeds(config)
         thetas = simulate_population(config, population_seed)
-        K = matern_covariance(config.d, config.fs, config.lengthscale,
-                              config.smoothness)
+        K = config.noise_covariance()
         beats, _, _ = draw_cell(thetas, K, *cell)
         means = beats.mean(axis=1)
         K_hat, tau_hat = estimate_noise(beats)

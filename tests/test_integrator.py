@@ -27,7 +27,6 @@ from ecgdenoise.simulate import (
     _phase_path,
     _rk4_mcsharry,
     _rk4_rho,
-    _shared,
     extract_canonical_beat,
     extract_canonical_beats,
     jitter_population,
@@ -166,8 +165,7 @@ def _block_divergence_steps(path):
 def block_rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps,
                        stride):
     """The shared-phase kernel in blocks of ``BLOCK`` traces."""
-    states, phases = _phase_path(_shared(omega, "omega"), _shared(u0, "u0"),
-                                 _shared(v0, "v0"), h, n_steps)
+    states, phases = _phase_path(omega, u0, v0, h, n_steps)
     rho = _rk4_rho(h)
     h6 = h / 6.0
     w1 = h6 * (1.0 - h + h * h / 2.0 - h ** 3 / 4.0)
@@ -191,7 +189,7 @@ def block_rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps,
     if diverged.min() <= n_steps:
         trace = int(np.argmin(diverged))
         raise IntegrationDivergedError(int(diverged[trace]), trace)
-    return states[::stride, 0], states[::stride, 1], x
+    return x
 
 
 def four_cycle_extract(params_batch, fs, d, r_offset):
@@ -253,23 +251,27 @@ class TestAgainstReference:
         n = N_ROWS
         xinit = np.random.default_rng(3).uniform(-1.0, 1.0, n)
         pop = _population(n)
-        (u, v, x), (ref_u, ref_v, ref_x) = _run_both(
+        x, (ref_u, ref_v, ref_x) = _run_both(
             pop, xinit, start, h=1.0 / 2000.0, n_steps=2400, stride=4)
         assert x.shape == ref_x.shape == (n, 601)
         np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(np.broadcast_to(u, ref_u.shape), ref_u,
-                                   rtol=0, atol=1e-10)
-        np.testing.assert_allclose(np.broadcast_to(v, ref_v.shape), ref_v,
-                                   rtol=0, atol=1e-10)
+        # every trace's (u, v) is the one phase path, read every 4th step
+        states, _ = _phase_path(pop[0].omega, *start, 1.0 / 2000.0, 2400)
+        for column, ref in ((0, ref_u), (1, ref_v)):
+            np.testing.assert_allclose(
+                np.broadcast_to(states[::4, column], ref.shape), ref,
+                rtol=0, atol=1e-10)
 
     def test_output_includes_initial_state(self):
         xinit = np.array([0.25, -0.5])
-        u, v, x = _rk4_mcsharry(*_batch(_population(2), xinit)[:4],
-                                DEFAULT_PARAMS.omega, 0.8, 0.1,
-                                xinit, 1.0 / 2000.0, 400, 4)
-        assert u.shape == v.shape == (101,)
+        x = _rk4_mcsharry(*_batch(_population(2), xinit)[:4],
+                          DEFAULT_PARAMS.omega, 0.8, 0.1,
+                          xinit, 1.0 / 2000.0, 400, 4)
+        states, _ = _phase_path(DEFAULT_PARAMS.omega, 0.8, 0.1, 1.0 / 2000.0,
+                                400)
+        assert states.shape == (401, 2)
+        assert tuple(states[0]) == (0.8, 0.1)
         assert x.shape == (2, 101)
-        assert (u[0], v[0]) == (0.8, 0.1)
         np.testing.assert_array_equal(x[:, 0], xinit)
 
     def test_bad_stride_rejected(self):
@@ -278,12 +280,6 @@ class TestAgainstReference:
             with pytest.raises(ValueError):
                 _rk4_mcsharry(*args[:4], DEFAULT_PARAMS.omega, -1.0, 0.0,
                               args[4], 1.0 / 2000.0, n_steps, stride)
-
-    def test_unshared_phase_rejected(self):
-        a, b, theta, x0, xinit = _batch(_population(2), [0.0, 0.0])
-        with pytest.raises(ValueError, match="omega"):
-            _rk4_mcsharry(a, b, theta, x0, [6.0, 6.5], -1.0, 0.0, xinit,
-                          1.0 / 2000.0, 8, 4)
 
 
 class TestDivergence:
@@ -360,11 +356,6 @@ def _run_block(params_batch, xinit, start, h, n_steps, stride, theta=None):
     return _rk4_mcsharry(*args), block_rk4_mcsharry(*args)
 
 
-def _assert_bit_equal(got, want):
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
 @pytest.fixture(params=[FORCING_CHUNK, 4 * N_ROWS * STRIDE],
                 ids=["chunk-default", "chunk-one-stride"])
 def chunk_budget(request, monkeypatch):
@@ -379,8 +370,8 @@ class TestAgainstBlockKernel:
     def test_population_cycle(self, n):
         # one cycle at 500 Hz from phase pi, as extract_canonical_beats runs
         pop = _population(n, seed=n)
-        _assert_bit_equal(*_run_block(pop, np.zeros(n), (-1.0, 0.0),
-                                      1.0 / 2000.0, 2000, 4))
+        assert np.array_equal(*_run_block(pop, np.zeros(n), (-1.0, 0.0),
+                                          1.0 / 2000.0, 2000, 4))
 
     @pytest.mark.parametrize("n", [3, N_ROWS], ids=["scalar", "rows"])
     @pytest.mark.parametrize("start", [(-1.0, 0.0), (-1.0, -0.0), (0.8, 0.1)])
@@ -400,13 +391,13 @@ class TestAgainstBlockKernel:
         assert set(hits) == {1.0, -1.0}
         theta[0, 2], theta[1, 2] = hits[1.0], hits[-1.0]
         xinit = np.random.default_rng(4).uniform(-1.0, 1.0, n)
-        _assert_bit_equal(*_run_block(pop, xinit, start, h, n_steps, 4,
-                                      theta=theta))
+        assert np.array_equal(*_run_block(pop, xinit, start, h, n_steps, 4,
+                                          theta=theta))
 
     def test_forty_second_trace(self):
         (pop_params,) = _population(1, seed=203)
-        _assert_bit_equal(*_run_block([pop_params], [0.0], (-1.0, 0.0),
-                                      1.0 / 2000.0, 80000, STRIDE))
+        assert np.array_equal(*_run_block([pop_params], [0.0], (-1.0, 0.0),
+                                          1.0 / 2000.0, 80000, STRIDE))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

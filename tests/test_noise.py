@@ -380,8 +380,7 @@ class TestEstimateNoise:
                                  r_offset=26, n_beats_grid=(6,),
                                  tau_regimes=(TauRegime.uniform(2, 20),))
         population_seed, [cell] = grid_seeds(config)
-        K = matern_covariance(config.d, config.fs, config.lengthscale,
-                              config.smoothness)
+        K = config.noise_covariance()
         beats, taus, _ = draw_cell(
             simulate_population(config, population_seed), K, *cell)
         _, tau_hat = estimate_noise(beats)

@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgdenoise.errors import (
+    EcgDenoiseError,
     InvalidJitterError,
     OffGridRateError,
     WindowTooLongError,
 )
 from ecgdenoise.simulate import (
     DEFAULT_PARAMS,
+    STRIDE,
     OdeParams,
+    _phase_path,
     check_window,
     extract_canonical_beat,
     extract_canonical_beats,
     integrate_mcsharry,
-    integrate_states,
     jitter_population,
     sample_jittered_params,
 )
@@ -28,6 +30,15 @@ from ecgdenoise.simulate import (
 def logistic_radius(r0: float, t: float) -> float:
     """Closed-form radius of the limit-cycle attractor: dr/dt = r (1 - r)."""
     return r0 / (r0 + (1.0 - r0) * math.exp(-t))
+
+
+def final_radius(duration: float, fs: float, start) -> float:
+    """|(u, v)| at the last sample of a ``duration``-second trace at
+    ``fs`` from phase point ``start``, stepped as ``integrate_mcsharry``
+    steps it (every ``STRIDE``-th state is a sample)."""
+    states, _ = _phase_path(DEFAULT_PARAMS.omega, *start, 1.0 / (STRIDE * fs),
+                            int(round(duration * fs)) * STRIDE)
+    return math.hypot(*states[::STRIDE][-1])
 
 
 class TestOdeParams:
@@ -84,16 +95,12 @@ class TestIntegration:
 
     def test_radius_matches_logistic_solution(self):
         # independent oracle: dr/dt = r (1 - r) solved in closed form
-        _, u, v, _ = integrate_states(DEFAULT_PARAMS, duration=5.0, fs=500.0,
-                                      initial_state=(0.5, 0.0, 0.0))
-        r_end = math.hypot(u[-1], v[-1])
+        r_end = final_radius(5.0, 500.0, (0.5, 0.0))
         assert r_end == pytest.approx(logistic_radius(0.5, 5.0), abs=1e-9)
         # the radius is still ~7e-3 away from 1 at t = 5 s ...
         assert abs(r_end - 1.0) < 1e-2
         # ... and within 1e-3 by t = 10 s
-        _, u, v, _ = integrate_states(DEFAULT_PARAMS, duration=10.0, fs=500.0,
-                                      initial_state=(0.5, 0.0, 0.0))
-        assert abs(math.hypot(u[-1], v[-1]) - 1.0) < 1e-3
+        assert abs(final_radius(10.0, 500.0, (0.5, 0.0)) - 1.0) < 1e-3
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -101,10 +108,8 @@ class TestIntegration:
         phase=st.floats(min_value=-math.pi, max_value=math.pi),
     )
     def test_limit_cycle_attraction(self, r0, phase):
-        start = (r0 * math.cos(phase), r0 * math.sin(phase), 0.0)
-        _, u, v, _ = integrate_states(DEFAULT_PARAMS, duration=10.0, fs=100.0,
-                                      initial_state=start)
-        assert abs(math.hypot(u[-1], v[-1]) - 1.0) < 1e-3
+        start = (r0 * math.cos(phase), r0 * math.sin(phase))
+        assert abs(final_radius(10.0, 100.0, start) - 1.0) < 1e-3
 
     def test_period_between_r_peaks(self):
         fs = 500.0
@@ -123,14 +128,13 @@ class TestIntegration:
 
         p = DEFAULT_PARAMS
         a, b, theta = p.as_arrays()
-        args = (a[None], b[None], theta[None], np.array([p.x0]),
-                np.array([p.omega]), np.array([0.8]), np.array([0.1]),
-                np.array([0.02]))
+        args = (a[None], b[None], theta[None], np.array([p.x0]), p.omega,
+                0.8, 0.1, np.array([0.02]))
         fs = 250.0
 
         def run(refine):
             h = 1.0 / (4.0 * fs * refine)
-            _, _, x = rk4_mcsharry(*args, h, int(4 * fs * refine), 4 * refine)
+            x = rk4_mcsharry(*args, h, int(4 * fs * refine), 4 * refine)
             return x[0]
 
         reference = run(16)
@@ -297,3 +301,17 @@ class TestExtractCanonicalBeat:
     def test_bad_rate_refused(self, fs):
         with pytest.raises(ValueError, match="fs must be finite and positive"):
             check_window(1, 0, fs, DEFAULT_PARAMS.period)
+
+    @pytest.mark.parametrize("fs", [1e308, 5e307])
+    def test_uncountable_step_count_refused(self, fs):
+        # 4 fs steps per cycle overflow to inf, which round() cannot take
+        with pytest.raises(OffGridRateError) as err:
+            check_window(2, 0, fs, DEFAULT_PARAMS.period)
+        assert str(err.value).startswith(f"fs={fs} ")
+        assert isinstance(err.value, ValueError)
+        assert isinstance(err.value, EcgDenoiseError)
+
+    def test_mixed_omega_refused(self):
+        pop = [DEFAULT_PARAMS, replace(DEFAULT_PARAMS, omega=6.5)]
+        with pytest.raises(ValueError, match="shared omega"):
+            extract_canonical_beats(pop, fs=500.0, d=100)
