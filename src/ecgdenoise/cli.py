@@ -403,8 +403,12 @@ def main(argv=None) -> int:
             code = args.func(args)
         except BrokenPipeError:
             raise
-        except (EcgDenoiseError, ValueError, OSError, KeyError) as exc:
-            _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        except (EcgDenoiseError, ValueError, OSError, KeyError,
+                MemoryError) as exc:
+            # numpy's failed allocation is a private MemoryError subclass
+            kind = ("MemoryError" if isinstance(exc, MemoryError)
+                    else type(exc).__name__)
+            _emit({"error": {"type": kind, "message": str(exc)}})
             code = 1
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code

@@ -26,7 +26,8 @@ class WindowTooLongError(EcgDenoiseError, ValueError):
 
 
 class OffGridRateError(EcgDenoiseError, ValueError):
-    """One cycle at the sampling rate is not a whole number of RK4 steps."""
+    """One cycle at the sampling rate is not a whole number of RK4 steps,
+    or more of them than ``simulate.MAX_CYCLE_STEPS``."""
 
 
 class NoBeatsError(EcgDenoiseError):

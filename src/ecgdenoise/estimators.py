@@ -10,30 +10,31 @@ likelihood estimate and needs no code here; the others are:
   -- EM fit of low-rank structure on whitened beats with known per-row
   noise scale, denoising via the latent posterior mean.
 * mixture-of-Gaussians factor analysis (``fit_mog_fa``,
-  ``mog_fa_posterior_mean_batch``) -- same likelihood with an
-  empirical-Bayes Gaussian-mixture prior fitted to the latent scores.
+  ``mog_fa_posterior_mean_batch``) -- the FA fit, with an empirical-Bayes
+  Gaussian-mixture prior fitted to its latent posterior means in place of
+  z ~ N(0, I); the loadings are not refit.
 
 The factor models operate in whitened coordinates (noise becomes
 isotropic), where each recording's beat average has known noise variance
 psi = 1 / (tau^2 B); estimates are mapped back through the covariance
 square root.
 
-Both factor models fit their loadings by EM accelerated with squared
-extrapolation (SQUAREM; Varadhan & Roland 2008): plain FA is the mixture
-case with one standard-normal component. A fit stops at the first point
-from which one plain EM step raises the log-likelihood by at most
-``EM_TOL`` relative, or after ``EM_MAX_ITER`` evaluations of the EM map
-(one E-step, which also gives the log-likelihood, and one M-step). Its
-``loglik_trace`` holds the log-likelihood of every point it kept: each EM
-step and each extrapolation that did not lower the log-likelihood. So
+The loadings are fitted once, by FA's EM under z ~ N(0, I), accelerated
+with squared extrapolation (SQUAREM; Varadhan & Roland 2008). The fit
+stops at the first point from which one plain EM step raises the
+log-likelihood by at most ``EM_TOL`` relative, or after ``EM_MAX_ITER``
+evaluations of the EM map (one E-step, which also gives the
+log-likelihood, and one M-step). Its ``loglik_trace`` holds the
+log-likelihood of every point it kept: each EM step and each
+extrapolation that did not lower the log-likelihood. So
 ``FaModel.n_iter`` counts kept points, which is the map evaluations less
 the rejected extrapolations.
 
 Work on the (N, d) rows is kept out of the loops:
 
-* Stage 1 of the mixture fit is a plain FA fit; ``fit_mog_fa`` takes one
-  already made for the same rows (``stage1=``), so a caller that runs
-  both estimators fits FA once.
+* The mixture fit's loadings are a plain FA fit; ``fit_mog_fa`` takes
+  one already made for the same rows (``stage1=``), so a caller that
+  runs both estimators fits FA once.
 * Each E-step needs every row's energy off span(L), ||x_perp||^2. It is
   ||x||^2 - ||Q' x||^2, with ||x||^2 computed once per fit, not a fresh
   (N, d) residual. A row that lies so close to span(L) that the
@@ -130,8 +131,9 @@ class FaModel:
 class MogFaModel:
     """Factor model with a Gaussian-mixture latent prior.
 
-    ``fa`` carries the refit loadings/noise; the mixture components
-    (weights, latent means, latent covariances) define the prior over z.
+    ``fa`` is the stage-1 FA fit whose loadings the model uses; the
+    mixture components (weights, latent means, latent covariances) define
+    the prior over z in place of N(0, I).
     ``mixture_fit`` is the stage-2 mixture fit they came from (its
     convergence, restart log-likelihoods and re-seeds), or None for a
     model built from parts.
@@ -312,24 +314,20 @@ def _mog_component_terms(loadings, weights, means, covs, xw, psi, x2=None):
     return log_joint.T, latent_means, (chol @ rot, denom)
 
 
-def _em_step(loadings, xw, psi, weights, means, covs, x2=None):
-    """The log-likelihood at ``loadings`` and their EM update, under the
-    fixed latent prior sum_c weights[c] N(means[c], covs[c]); ``x2`` are
-    the rows' ||x||^2, if known."""
+def _em_step(loadings, xw, psi, x2=None):
+    """The log-likelihood at ``loadings`` and their EM update under the
+    latent prior z ~ N(0, I); ``x2`` are the rows' ||x||^2, if known."""
     log_joint, latent_means, (basis_q, denom) = _mog_component_terms(
-        loadings, weights, means, covs, xw, psi, x2
+        loadings, *_standard_prior(loadings.shape[1]), xw, psi, x2
     )
-    norm = logsumexp(log_joint, axis=1)
-    ll = float(norm.sum())
+    ll = float(log_joint[:, 0].sum())
     if not np.isfinite(ll):
         return ll, loadings
-    resp = np.exp(log_joint - norm[:, None]).T  # (C, N)
-    weighted = latent_means * (resp / psi)[:, :, None]
-    numer_t = weighted.sum(axis=0).T @ xw  # one GEMM for all components
-    ck = np.einsum("cn,cnp->cp", resp, 1.0 / denom)
-    denom_mat = np.sum((basis_q * ck[:, None, :]) @ np.swapaxes(basis_q, -1, -2)
-                       + np.swapaxes(weighted, -1, -2) @ latent_means, axis=0)
-    return ll, np.linalg.solve(denom_mat, numer_t).T
+    z, basis_q = latent_means[0], basis_q[0]
+    weighted = z * (1.0 / psi)[:, None]
+    ck = (1.0 / denom[0]).sum(axis=0)
+    denom_mat = (basis_q * ck) @ basis_q.T + weighted.T @ z
+    return ll, np.linalg.solve(denom_mat, weighted.T @ xw).T
 
 
 def _squarem(em_step, theta, max_evals, tol):
@@ -391,14 +389,13 @@ def _standard_prior(p: int):
     return np.ones(1), np.zeros((1, p)), np.eye(p)[None]
 
 
-def _fit_loadings(xw, psi, loadings, prior, max_iter=EM_MAX_ITER,
-                  tol=EM_TOL):
-    """EM fit of the loadings under a fixed latent ``(weights, means,
-    covs)`` prior, accelerated by :func:`_squarem`."""
+def _fit_loadings(xw, psi, loadings, max_iter=EM_MAX_ITER, tol=EM_TOL):
+    """EM fit of the loadings under z ~ N(0, I), accelerated by
+    :func:`_squarem`."""
     x2 = _row_energies(xw)
 
     def em_step(theta):
-        return _em_step(theta, xw, psi, *prior, x2)
+        return _em_step(theta, xw, psi, x2)
     return _squarem(em_step, loadings, max_iter, tol)
 
 
@@ -423,8 +420,8 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
     psi = _effective_psi(taus, n_beats, beats.shape[0])
     mean = beats.mean(axis=0)
     xw = (beats - mean) @ K.inv_sqrt
-    loadings, trace, converged = _fit_loadings(
-        xw, psi, _spectral_start(xw, psi, p), _standard_prior(p))
+    loadings, trace, converged = _fit_loadings(xw, psi,
+                                               _spectral_start(xw, psi, p))
     _check_loglik_trace(trace, "FA fit")
     return FaModel(mean=mean, loadings=loadings, loglik_trace=trace,
                    converged=converged)
@@ -477,12 +474,12 @@ def select_latent_dim(eigenvalues, slope_cutoff: float = DEFAULT_SLOPE_CUTOFF) -
 def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
                n_components: int = DEFAULT_N_COMPONENTS, n_beats=1,
                rng_seed=0, stage1: FaModel | None = None) -> MogFaModel:
-    """Three-stage empirical-Bayes mixture factor analysis.
+    """Two-stage empirical-Bayes mixture factor analysis.
 
     1. Plain FA on the whitened rows gives loadings and latent posterior
        means. 2. A C-component Gaussian mixture is fitted to those latent
-       scores. 3. The loadings are refit by EM under the fixed mixture
-       prior (conditional moments of the joint Gaussian per component).
+       scores. The model keeps the stage-1 fit as ``fa``, so its loadings,
+       ``loglik_trace`` and ``converged`` are FA's.
 
     ``stage1`` is an already fitted :func:`fit_factor_analysis` result
     for these rows, used in place of stage 1. It must have the rows' d,
@@ -503,17 +500,10 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
     elif not np.array_equal(stage1.mean, beats.mean(axis=0)):
         raise ValueError("stage1 was fitted to other rows: its mean is not "
                          "their column mean")
-    psi = _effective_psi(taus, n_beats, n)
-    xw = (beats - stage1.mean) @ K.inv_sqrt
-    latents = _posterior_latents(stage1.loadings, xw, psi)
+    latents = _posterior_latents(stage1.loadings, beats - stage1.mean,
+                                 _effective_psi(taus, n_beats, n), K.inv_sqrt)
     mixture = fit_gmm(latents, n_components, rng_seed)
-    prior = (mixture.weights, mixture.means, mixture.covariances)
-    loadings, trace, converged = _fit_loadings(xw, psi, stage1.loadings,
-                                               prior)
-    _check_loglik_trace(trace, "mixture FA fit, stage 3")
-    fa = FaModel(mean=stage1.mean, loadings=loadings, loglik_trace=trace,
-                 converged=converged)
-    return MogFaModel(fa=fa, weights=mixture.weights,
+    return MogFaModel(fa=stage1, weights=mixture.weights,
                       comp_means=mixture.means,
                       comp_covs=mixture.covariances, mixture_fit=mixture)
 

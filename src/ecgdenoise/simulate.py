@@ -31,6 +31,9 @@ STRIDE = 4
 #: Sampling rate (Hz) of the benchmark.
 DEFAULT_FS = 500.0
 
+#: Most RK4 steps per cycle (fs = 250 kHz at 1 s); each keeps 80 bytes.
+MAX_CYCLE_STEPS = 1_000_000
+
 #: Retry budget when jittered positions violate the wave ordering.
 JITTER_MAX_RETRIES = 100
 
@@ -414,7 +417,8 @@ def check_window(d: int, r_offset: int, fs: float, period: float) -> None:
     """Raise unless a ``d``-sample window with its R peak at column
     ``r_offset`` fits inside one cycle of ``period`` seconds at ``fs``,
     and that cycle is a whole number of RK4 steps (``STRIDE fs period``
-    an integer), so the samples read past its end stay on the grid."""
+    an integer), so the samples read past its end stay on the grid, and
+    at most ``MAX_CYCLE_STEPS``."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if not 0 <= r_offset < d:
@@ -427,10 +431,10 @@ def check_window(d: int, r_offset: int, fs: float, period: float) -> None:
             f"({fs * period:.3f} samples at fs={fs})"
         )
     steps = STRIDE * fs * period
-    if not math.isfinite(steps):
+    if not steps <= MAX_CYCLE_STEPS:  # also refuses inf
         raise OffGridRateError(
-            f"fs={fs} gives more RK4 steps per {period:.6g} s cycle than "
-            f"a float can count")
+            f"fs={fs:g} gives {steps:.6g} RK4 steps per {period:.6g} s "
+            f"cycle, more than MAX_CYCLE_STEPS = {MAX_CYCLE_STEPS}")
     if abs(steps - round(steps)) > 1e-9 * steps:
         nearest = round(steps) / (STRIDE * period)
         raise OffGridRateError(

@@ -280,6 +280,20 @@ class TestSharedFaFit:
             np.testing.assert_array_equal(estimates, alone)
             assert extra == alone_extra
 
+    def test_mixture_entry_describes_the_shared_fit(self, rng):
+        # mog_fa keeps the FA loadings, so in one cell its fit diagnostics
+        # are the fa entry's
+        means = rng.standard_normal((30, 6))
+        K, taus = matern_covariance(6, 500.0, 0.02, 1.5), np.full(30, 2.0)
+        fits = {}
+        fa, mog = (denoise(EstimatorSpec(kind, "truth"), means, 1,
+                           truth=(K, taus), estimate=None, thetas=None,
+                           latent_dim=LatentDimRule("fixed", 2),
+                           n_components=2, fit_seed=3, fa_fits=fits)[1]
+                   for kind in ("fa", "mog_fa"))
+        for key in ("converged", "n_iter", "loglik"):
+            assert mog[key] == fa[key]
+
     def test_failed_fit_fails_every_entry_that_needs_it(self, monkeypatch):
         # one sample: the factor-analysis fit is refused, once per cell,
         # and both entries built on it carry its error

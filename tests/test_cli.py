@@ -1,6 +1,7 @@
 """End-to-end CLI: simulate, estimate-noise, denoise, benchmark, plot-data."""
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgdenoise import bench, cli, estimators
+from ecgdenoise import bench, cli, estimators, simulate
 from ecgdenoise.bench import (
     BenchmarkConfig,
     EstimatorSpec,
@@ -442,16 +443,15 @@ class TestDenoise:
         assert estimates.shape == (4, 80)
 
     @pytest.mark.parametrize("estimator, fit", [
-        ("fa:truth", "FA fit"), ("mog_fa:truth", "mixture FA fit, stage 3")])
+        ("fa:truth", "FA fit"), ("mog_fa:truth", "FA fit")])
     def test_falling_loglik_is_json_error(self, small_fit, tmp_path, capsys,
                                           monkeypatch, estimator, fit):
+        # mog_fa's one loadings fit is its stage-1 FA fit
         fit_loadings = estimators._fit_loadings
 
-        def falling(xw, psi, loadings, prior, *args):
+        def falling(xw, psi, loadings, *args):
             loadings, trace, converged = fit_loadings(xw, psi, loadings,
-                                                      prior, *args)
-            if estimator.startswith("mog_fa") and len(prior[0]) == 1:
-                return loadings, trace, converged  # stage 1 stays as it was
+                                                      *args)
             return loadings, np.append(trace, trace[-1] - 1.0), converged
 
         monkeypatch.setattr(estimators, "_fit_loadings", falling)
@@ -928,6 +928,60 @@ class TestErrorHandling:
         assert f"fs={float(argv[argv.index('--fs') + 1])}" in \
             payload["error"]["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_rate_with_too_many_steps_is_json_error(self, monkeypatch,
+                                                    tmp_path, capsys):
+        # 4e8 RK4 steps per 1 s cycle: refused up front, naming fs; were it
+        # not, the stub stops the integration before it takes the memory
+        def no_steps(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(simulate, "_phase_path", no_steps)
+        code, payload = run_json(capsys, [
+            "simulate", "-n", "1", "-B", "2", "--fs", "1e8", "--seed", "1",
+            "--out", str(tmp_path / "fast")])
+        assert code == 1
+        assert payload["error"]["type"] == "OffGridRateError"
+        assert payload["error"]["message"].startswith("fs=1e+08 ")
+        assert not (tmp_path / "fast").exists()
+
+    def test_out_of_memory_is_json_error(self, monkeypatch, tmp_path,
+                                         capsys):
+        # numpy's failed allocation is a private MemoryError subclass; the
+        # document names the builtin
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def no_memory(*args):
+            raise _ArrayMemoryError("Unable to allocate 677. MiB")
+
+        monkeypatch.setattr(cli, "draw_cell", no_memory)
+        code = main(["simulate", "-n", "2", "-B", "2", "--d", "80", "--fs",
+                     "200", "--r-offset", "26", "--seed", "1",
+                     "--out", str(tmp_path / "oom")])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {
+            "type": "MemoryError", "message": "Unable to allocate 677. MiB"}}
+        assert not (tmp_path / "oom").exists()
+
+    def test_capped_address_space_is_json_error(self, tmp_path):
+        # the child alone runs under a 500 MB address-space limit, which
+        # its (2, 100000, 493) cell of 789 MB cannot fit in
+        def cap():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (500_000 * 1024, hard))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(
+            Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ecgdenoise.cli", "simulate", "-n", "2",
+             "-B", "100000", "--seed", "1", "--out", "oom"],
+            capture_output=True, cwd=tmp_path, env=env, timeout=120,
+            preexec_fn=cap)
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert json.loads(done.stdout)["error"]["type"] == "MemoryError"
+        assert not (tmp_path / "oom").exists()
 
 
 class TestDatasetChecks:

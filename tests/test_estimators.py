@@ -330,16 +330,6 @@ class TestMogFa:
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-9)
         assert np.all(resp >= 0)
 
-    def test_stage3_loglik_monotone(self, k_mod):
-        rng = np.random.default_rng(38)
-        loadings = _loadings(rng, D, 2, [2.0, 1.0])
-        thetas, _ = _fa_population(k_mod, rng, 150, loadings)
-        means = _observe(k_mod, thetas, 3.0, 2, seed=39)
-        model = fit_mog_fa(means, k_mod, taus=3.0, p=2, n_components=2,
-                           n_beats=2, rng_seed=40)
-        trace = model.fa.loglik_trace
-        assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
-
     def test_component_count_bounds(self, k_mod, rng):
         beats = rng.standard_normal((5, D))
         with pytest.raises(ValueError):
@@ -366,6 +356,14 @@ class TestMogFa:
                                           getattr(fresh, name))
         np.testing.assert_array_equal(given.mixture_fit.restart_logliks,
                                       fresh.mixture_fit.restart_logliks)
+
+    def test_keeps_the_given_stage1(self, k_mod, rng):
+        # the loadings are not refit: the model holds the stage-1 fit itself
+        beats = rng.standard_normal((30, D))
+        fa = fit_factor_analysis(beats, k_mod, taus=2.0, p=2)
+        model = fit_mog_fa(beats, k_mod, taus=2.0, p=2, n_components=2,
+                           stage1=fa)
+        assert model.fa is fa
 
     def test_foreign_stage1_refused(self, k_mod, rng):
         beats = rng.standard_normal((30, D))
@@ -457,12 +455,12 @@ def _loop_component_terms(loadings, weights, means, covs, xw, psi):
     return log_joint, np.stack(latent_means)
 
 
-def _plain_em(xw, psi, loadings, prior, max_iter, tol):
+def _plain_em(xw, psi, loadings, max_iter, tol):
     """Reference: plain EM on the same step, stopping at the first step
     that raises the log-likelihood by at most ``tol`` relative."""
     trace = []
     for _ in range(max_iter):
-        ll, update = estimators._em_step(loadings, xw, psi, *prior)
+        ll, update = estimators._em_step(loadings, xw, psi)
         trace.append(ll)
         if len(trace) > 1 and ll - trace[-2] <= tol * (1.0 + abs(ll)):
             return loadings, np.asarray(trace), True
@@ -541,28 +539,21 @@ class TestEmPaths:
         _assert_rel(latent_means, want_means, 1e-12)
 
     @settings(max_examples=20, deadline=None)
-    @given(mixture_problems(p_below_half_d=True), st.booleans())
-    def test_squarem_reaches_plain_em(self, problem, mixture_prior):
+    @given(mixture_problems(p_below_half_d=True))
+    def test_squarem_reaches_plain_em(self, problem):
         # Both run to a tolerance far below LOGLIK_SLACK, so each ends at
         # the maximum it climbs to (at EM_TOL either may stop short of it
         # by up to EM_TOL / (1 - EM rate) relative). As in the package,
-        # plain FA fits centred rows from the spectral start, and the
-        # mixture fit starts near its answer (stage 3 starts from the
-        # stage-1 fit; here from the true loadings).
-        xw, psi, loadings, prior = problem
+        # FA fits centred rows from the spectral start.
+        xw, psi, loadings, _ = problem
         p = loadings.shape[1]
-        if mixture_prior:
-            start = loadings
-        else:
-            xw = xw - xw.mean(axis=0)
-            prior = estimators._standard_prior(p)
-            start = estimators._spectral_start(xw, psi, p)
+        xw = xw - xw.mean(axis=0)
+        start = estimators._spectral_start(xw, psi, p)
         fit, trace, converged = estimators._fit_loadings(
-            xw, psi, start, prior, 1500, 1e-12)
+            xw, psi, start, 1500, 1e-12)
         estimators._check_loglik_trace(trace)
-        assert estimators._em_step(fit, xw, psi, *prior)[0] == trace[-1]
-        _, want, want_converged = _plain_em(xw, psi, start, prior, 1500,
-                                            1e-12)
+        assert estimators._em_step(fit, xw, psi)[0] == trace[-1]
+        _, want, want_converged = _plain_em(xw, psi, start, 1500, 1e-12)
         assume(converged and want_converged)
         assert trace[-1] >= want[-1] - LOGLIK_SLACK * (1.0 + abs(want[-1]))
 
@@ -585,9 +576,8 @@ class TestEmPaths:
         psi = estimators._effective_psi(tau_hat, 20, 200)
         xw = (means - model.mean) @ K_hat.inv_sqrt
         start = estimators._spectral_start(xw, psi, 7)
-        _, plain, plain_converged = _plain_em(
-            xw, psi, start, estimators._standard_prior(7), EM_MAX_ITER,
-            EM_TOL)
+        _, plain, plain_converged = _plain_em(xw, psi, start, EM_MAX_ITER,
+                                              EM_TOL)
         assert not plain_converged
         assert model.loglik_trace[-1] > plain[-1]
 
@@ -601,32 +591,29 @@ class TestModelValidation:
     def test_falling_trace_is_typed_and_names_the_fit(self):
         trace = np.array([-10.0, -5.0, -5.5, -4.0])
         with pytest.raises(NonMonotoneFitError,
-                           match=r"^stage 3: .* point 2 of 4 is 0\.5 below"):
-            estimators._check_loglik_trace(trace, "stage 3")
+                           match=r"^FA fit: .* point 2 of 4 is 0\.5 below"):
+            estimators._check_loglik_trace(trace, "FA fit")
         assert issubclass(NonMonotoneFitError, EcgDenoiseError)
         # a fall within LOGLIK_SLACK (relative) passes
         estimators._check_loglik_trace(
-            np.array([-10.0, -10.0 - 5.0 * LOGLIK_SLACK]), "stage 3")
+            np.array([-10.0, -10.0 - 5.0 * LOGLIK_SLACK]), "FA fit")
 
     @pytest.mark.parametrize("mixture", [False, True], ids=["fa", "mog_fa"])
     def test_fits_name_themselves(self, monkeypatch, rng, k_mod, mixture):
+        # the mixture fit's one loadings fit is its stage-1 FA fit
         fit_loadings = estimators._fit_loadings
 
-        def falling(xw, psi, loadings, prior, *args):
+        def falling(xw, psi, loadings, *args):
             loadings, trace, converged = fit_loadings(xw, psi, loadings,
-                                                      prior, *args)
-            if mixture and len(prior[0]) == 1:
-                return loadings, trace, converged  # stage 1 as it was
+                                                      *args)
             return loadings, np.append(trace, trace[-1] - 1.0), converged
 
         monkeypatch.setattr(estimators, "_fit_loadings", falling)
         means = rng.standard_normal((30, D))
-        if mixture:
-            with pytest.raises(NonMonotoneFitError,
-                               match="^mixture FA fit, stage 3: "):
+        with pytest.raises(NonMonotoneFitError, match="^FA fit: "):
+            if mixture:
                 fit_mog_fa(means, k_mod, np.full(30, 5.0), 2, n_components=2)
-        else:
-            with pytest.raises(NonMonotoneFitError, match="^FA fit: "):
+            else:
                 fit_factor_analysis(means, k_mod, np.full(30, 5.0), 2)
 
     def test_mog_model_rejects_bad_weights(self):

@@ -13,8 +13,10 @@ from ecgdenoise.errors import (
     OffGridRateError,
     WindowTooLongError,
 )
+from ecgdenoise import simulate
 from ecgdenoise.simulate import (
     DEFAULT_PARAMS,
+    MAX_CYCLE_STEPS,
     STRIDE,
     OdeParams,
     _phase_path,
@@ -310,6 +312,20 @@ class TestExtractCanonicalBeat:
         assert str(err.value).startswith(f"fs={fs} ")
         assert isinstance(err.value, ValueError)
         assert isinstance(err.value, EcgDenoiseError)
+
+    def test_step_bound(self, monkeypatch):
+        # 4e8 steps per 1 s cycle are refused, naming fs, before any step
+        def no_steps(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(simulate, "_phase_path", no_steps)
+        period = DEFAULT_PARAMS.period
+        with pytest.raises(OffGridRateError, match=r"^fs=1e\+08 .*MAX_CYCLE"):
+            extract_canonical_beat(DEFAULT_PARAMS, fs=1e8, d=2)
+        check_window(2, 0, MAX_CYCLE_STEPS / (STRIDE * period), period)
+        with pytest.raises(OffGridRateError, match="MAX_CYCLE_STEPS"):
+            check_window(2, 0, (MAX_CYCLE_STEPS + 1) / (STRIDE * period),
+                         period)
 
     def test_mixed_omega_refused(self):
         pop = [DEFAULT_PARAMS, replace(DEFAULT_PARAMS, omega=6.5)]
