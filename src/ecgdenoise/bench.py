@@ -236,6 +236,9 @@ class LatentDimRule:
     def __post_init__(self):
         if self.mode == "scree":
             value = _typed("LatentDimRule key 'value'", self.value, _NUMBER)
+            if not math.isfinite(value):
+                raise ValueError(f"scree slope cutoff must be finite, not "
+                                 f"{value!r}")
         elif self.mode == "fixed":
             if isinstance(self.value, (bool, np.bool_)) \
                     or not isinstance(self.value, numbers.Real) \
@@ -526,7 +529,7 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
     ``estimate`` and ``oracle_bayes`` without ``thetas`` are refused.
     With ``thetas``, the dict also holds the estimates' error (``_scored``).
 
-    ``fa`` and stage 1 of ``mog_fa`` are one factor-analysis fit. Calls
+    ``mog_fa`` extends the factor-analysis fit that ``fa`` uses. Calls
     that pass the same ``fa_fits`` dict (one per set of means) share it:
     the first fit per noise mode and latent dimension is kept there, and
     so is its error, which every later call that needs the fit raises.
@@ -574,10 +577,9 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
         extra.update(_fit_facts(model))
         return _scored(fa_posterior_mean_batch(model, means, K, taus,
                                                n_beats), extra, thetas)
-    model = fit_mog_fa(means, K, taus, p,
+    model = fit_mog_fa(fa_fits[key], means, K, taus,
                        n_components=min(n_components, len(means)),
-                       n_beats=n_beats, rng_seed=fit_seed,
-                       stage1=fa_fits[key])
+                       n_beats=n_beats, rng_seed=fit_seed)
     extra.update(_fit_facts(model.fa))
     extra["n_components"] = int(model.n_components)
     extra.update(_mixture_facts(model.mixture_fit))
@@ -681,7 +683,10 @@ def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats, seeds):
     estimate = None
     if any(spec.needs_estimation for spec in config.estimators) \
             and n_beats >= 2:
-        estimate = estimate_noise(beats)
+        try:
+            estimate = estimate_noise(beats)
+        except _ENTRY_ERRORS as exc:  # raised by each :estimated entry
+            estimate = exc
     cell_timings["noise_s"] = clock.lap()
     cell_timings["denoise_s"] = {}
 
@@ -690,6 +695,8 @@ def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats, seeds):
     for spec in config.estimators:
         label = f"{regime.label}, B={n_beats}, {spec.name}"
         try:
+            if spec.needs_estimation and isinstance(estimate, Exception):
+                raise estimate
             _, extra = denoise(
                 spec, means, n_beats, truth=(K, taus), estimate=estimate,
                 thetas=thetas, latent_dim=config.latent_dim,

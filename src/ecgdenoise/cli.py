@@ -36,7 +36,7 @@ from .errors import EcgDenoiseError, EmptyInputError
 from .noise import estimate_noise
 from .serialize import (load_dataset, load_json, load_matrix_csv,
                         save_dataset, save_matrix_csv, save_npy,
-                        save_series_csv)
+                        save_series_csv, staged_directory)
 
 # Unused here, but perfbench/tracing.py wraps these names in this module:
 # simulate_cell_beats, matern_covariance, whiten and the five estimator
@@ -163,10 +163,10 @@ def _cmd_estimate_noise(args) -> int:
     samples, manifest = load_dataset(args.dataset)
     k_hat, tau_hat = estimate_noise(samples)
     out = _resolve_out(args.out, Path(args.dataset).name + "-noise")
-    out.mkdir(parents=True, exist_ok=True)
-    save_npy(out / "k_hat.npy", [k_hat.matrix], k_hat.matrix.shape)
-    save_matrix_csv(out / "tau_hat.csv", tau_hat[:, None],
-                    [s.sample_id for s in samples])
+    with staged_directory(out) as stage:
+        save_npy(stage / "k_hat.npy", [k_hat.matrix], k_hat.matrix.shape)
+        save_matrix_csv(stage / "tau_hat.csv", tau_hat[:, None],
+                        [s.sample_id for s in samples])
     summary = {
         "k_hat": str(out / "k_hat.npy"),
         "tau_hat": str(out / "tau_hat.csv"),

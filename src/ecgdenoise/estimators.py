@@ -10,9 +10,9 @@ likelihood estimate and needs no code here; the others are:
   -- EM fit of low-rank structure on whitened beats with known per-row
   noise scale, denoising via the latent posterior mean.
 * mixture-of-Gaussians factor analysis (``fit_mog_fa``,
-  ``mog_fa_posterior_mean_batch``) -- the FA fit, with an empirical-Bayes
-  Gaussian-mixture prior fitted to its latent posterior means in place of
-  z ~ N(0, I); the loadings are not refit.
+  ``mog_fa_posterior_mean_batch``) -- a given FA fit, with an
+  empirical-Bayes Gaussian-mixture prior fitted to its latent posterior
+  means in place of z ~ N(0, I); the loadings are not refit.
 
 The factor models operate in whitened coordinates (noise becomes
 isotropic), where each recording's beat average has known noise variance
@@ -30,19 +30,20 @@ extrapolation that did not lower the log-likelihood. So
 ``FaModel.n_iter`` counts kept points, which is the map evaluations less
 the rejected extrapolations.
 
-Work on the (N, d) rows is kept out of the loops:
+Every latent posterior, FA's included, is the mixture prior's; FA's
+z ~ N(0, I) is its one-component case (Tipping & Bishop 1999). Work on
+the (N, d) rows is kept out of the loops:
 
-* The mixture fit's loadings are a plain FA fit; ``fit_mog_fa`` takes
-  one already made for the same rows (``stage1=``), so a caller that
-  runs both estimators fits FA once.
-* Each E-step needs every row's energy off span(L), ||x_perp||^2. It is
-  ||x||^2 - ||Q' x||^2, with ||x||^2 computed once per fit, not a fresh
-  (N, d) residual. A row that lies so close to span(L) that the
-  difference would lose more than ``gmm.CANCELLATION_LIMIT`` machine
-  epsilons takes its explicit residual instead.
-* The posterior means map latents back through the (p, d) product
-  L' K^{1/2}, and FA reads the rows through the (d, p) product
-  K^{-1/2} L, so no (N, d) x (d, d) product is formed for them.
+* ``fit_mog_fa`` extends the FA fit it is given for the same rows, so a
+  caller that runs both estimators fits FA once.
+* With L = Q R, a posterior reads the rows only as y = Q' x, through the
+  (d, p) product K^{-1/2} Q, and maps latents back through the (p, d)
+  product L' K^{1/2}: no (N, d) x (d, d) product is formed for them.
+* Each E-step also needs every row's energy off span(L), ||x_perp||^2 =
+  ||x||^2 - ||y||^2, with ||x||^2 computed once per fit. A row so close
+  to span(L) that the difference would lose more than
+  ``gmm.CANCELLATION_LIMIT`` machine epsilons takes its explicit
+  residual instead.
 """
 from __future__ import annotations
 
@@ -131,10 +132,10 @@ class FaModel:
 class MogFaModel:
     """Factor model with a Gaussian-mixture latent prior.
 
-    ``fa`` is the stage-1 FA fit whose loadings the model uses; the
-    mixture components (weights, latent means, latent covariances) define
-    the prior over z in place of N(0, I).
-    ``mixture_fit`` is the stage-2 mixture fit they came from (its
+    ``fa`` is the FA fit whose loadings the model uses; the mixture
+    components (weights, latent means, latent covariances) define the
+    prior over z in place of N(0, I), which :meth:`from_fa` keeps as the
+    one component. ``mixture_fit`` is the mixture fit they came from (its
     convergence, restart log-likelihoods and re-seeds), or None for a
     model built from parts.
     """
@@ -221,22 +222,6 @@ def _effective_psi(taus, n_beats, n_rows: int) -> np.ndarray:
     return 1.0 / (taus * taus * n_beats)
 
 
-def _posterior_latents(loadings: np.ndarray, rows: np.ndarray,
-                       psi: np.ndarray, inv_sqrt=None) -> np.ndarray:
-    """Posterior mean of z for centred rows with whitened noise psi_i I.
-
-    The rows are whitened already, or, given ``inv_sqrt``, in beat space;
-    then they meet the whitener only through the (d, p) product
-    ``inv_sqrt @ loadings``.
-    """
-    s2, w = np.linalg.eigh(loadings.T @ loadings)
-    if inv_sqrt is None:
-        scores = rows @ loadings @ w
-    else:
-        scores = rows @ ((inv_sqrt @ loadings) @ w)
-    return (scores / (psi[:, None] + s2[None, :])) @ w.T
-
-
 def _spectral_start(xw: np.ndarray, psi: np.ndarray, p: int) -> np.ndarray:
     """Top-p principal directions of the rows, scaled by their excess
     variance over the mean noise level.
@@ -268,23 +253,15 @@ def _row_energies(xw: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", xw, xw)
 
 
-def _mog_component_terms(loadings, weights, means, covs, xw, psi, x2=None):
-    """Log joint densities and posterior latent means per component.
-
-    Returns ``(log_joint (N, C), latent_means (C, N, p))`` plus the cached
-    per-component quantities needed by the M-step. Every component's
-    whitened covariance is L S_c L^T + psi_i I, so with L = Q R the part
-    of a row orthogonal to span(L) adds the same ||x_perp||^2 / psi_i to
-    each component and the rest is worked in p dimensions.
+def _span_coordinates(loadings, xw, x2=None):
+    """``(R, y, perp2)``, L = Q R: per row y = Q' x and ||x_perp||^2.
 
     ``x2`` holds the rows' ||x||^2 (computed here when None), and
-    ||x_perp||^2 is taken as ||x||^2 - ||y||^2 with y = Q' x. That loses
-    about ||x||^2 / ||x_perp||^2 machine epsilons, so a row for which
-    this exceeds ``CANCELLATION_LIMIT`` (or the difference is not
-    positive) takes the explicit residual x - Q y instead.
+    ||x_perp||^2 is ||x||^2 - ||y||^2. That loses about ||x||^2 /
+    ||x_perp||^2 machine epsilons, so a row for which this exceeds
+    ``CANCELLATION_LIMIT`` (or the difference is not positive) takes the
+    explicit residual x - Q y instead.
     """
-    d = xw.shape[1]
-    p = loadings.shape[1]
     q_l, r_l = np.linalg.qr(loadings)
     y = xw @ q_l
     if x2 is None:
@@ -294,6 +271,20 @@ def _mog_component_terms(loadings, weights, means, covs, xw, psi, x2=None):
     if close.any():
         x_perp = xw[close] - y[close] @ q_l.T
         perp2[close] = _row_energies(x_perp)
+    return r_l, y, perp2
+
+
+def _mog_component_terms(r_l, y, perp2, d, weights, means, covs, psi):
+    """Log joint densities and posterior latent means per component.
+
+    Returns ``(log_joint (N, C), latent_means (C, N, p))`` plus the cached
+    per-component quantities needed by the M-step. Every component's
+    whitened covariance is L S_c L^T + psi_i I, so with L = Q R a row x
+    of width ``d`` is worked in p dimensions, through y = Q' x (see
+    :func:`_span_coordinates`); its energy off span(L), ``perp2``, adds
+    the same ||x_perp||^2 / psi_i to each component's quadratic form.
+    """
+    p = r_l.shape[1]
     chol = np.linalg.cholesky(covs + 1e-12 * np.eye(p))
     basis = r_l @ chol  # (C, p, p): L chol_c in the Q coordinates
     lam, rot = np.linalg.eigh(np.swapaxes(basis, -1, -2) @ basis)
@@ -318,8 +309,8 @@ def _em_step(loadings, xw, psi, x2=None):
     """The log-likelihood at ``loadings`` and their EM update under the
     latent prior z ~ N(0, I); ``x2`` are the rows' ||x||^2, if known."""
     log_joint, latent_means, (basis_q, denom) = _mog_component_terms(
-        loadings, *_standard_prior(loadings.shape[1]), xw, psi, x2
-    )
+        *_span_coordinates(loadings, xw, x2), xw.shape[1],
+        *_standard_prior(loadings.shape[1]), psi)
     ll = float(log_joint[:, 0].sum())
     if not np.isfinite(ll):
         return ll, loadings
@@ -435,12 +426,10 @@ def fa_posterior_mean_batch(model: FaModel, means: np.ndarray,
     1 / (tau_i^2 B_i); its estimate is mean + K^{1/2} L E[z | x_i]. As
     tau sqrt(B) grows the estimate approaches the beat average (projected
     on the factor subspace); as tau -> 0 it approaches the global mean.
+    It is the one-component case of :func:`mog_fa_posterior_mean_batch`.
     """
-    means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-    psi = _effective_psi(taus, n_beats, means.shape[0])
-    latents = _posterior_latents(model.loadings, means - model.mean, psi,
-                                 K.inv_sqrt)
-    return model.mean + latents @ (model.loadings.T @ K.sqrt)
+    return mog_fa_posterior_mean_batch(MogFaModel.from_fa(model), means, K,
+                                       taus, n_beats)
 
 
 def select_latent_dim(eigenvalues, slope_cutoff: float = DEFAULT_SLOPE_CUTOFF) -> int:
@@ -471,39 +460,28 @@ def select_latent_dim(eigenvalues, slope_cutoff: float = DEFAULT_SLOPE_CUTOFF) -
 # mixture-of-Gaussians factor analysis
 # ---------------------------------------------------------------------------
 
-def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
+def fit_mog_fa(fa: FaModel, beats: np.ndarray, K: CovarianceMatrix, taus,
                n_components: int = DEFAULT_N_COMPONENTS, n_beats=1,
-               rng_seed=0, stage1: FaModel | None = None) -> MogFaModel:
-    """Two-stage empirical-Bayes mixture factor analysis.
+               rng_seed=0) -> MogFaModel:
+    """Empirical-Bayes mixture factor analysis on top of the FA fit ``fa``.
 
-    1. Plain FA on the whitened rows gives loadings and latent posterior
-       means. 2. A C-component Gaussian mixture is fitted to those latent
-       scores. The model keeps the stage-1 fit as ``fa``, so its loadings,
-       ``loglik_trace`` and ``converged`` are FA's.
-
-    ``stage1`` is an already fitted :func:`fit_factor_analysis` result
-    for these rows, used in place of stage 1. It must have the rows' d,
-    latent dimension ``p`` and, bit for bit, their column mean.
+    ``fa`` is the :func:`fit_factor_analysis` result for these rows and
+    must hold their column mean bit for bit. A C-component Gaussian
+    mixture is fitted to its latent posterior means; the model keeps
+    ``fa`` itself, so its loadings, trace and convergence are FA's.
     """
     beats = np.asarray(beats, dtype=np.float64)
     if beats.ndim != 2:
         raise ValueError("need an (N, d) matrix")
-    n = beats.shape[0]
-    if not 1 <= int(n_components) <= n:
+    if not 1 <= int(n_components) <= beats.shape[0]:
         raise ValueError("need N >= n_components >= 1")
-    if stage1 is None:
-        stage1 = fit_factor_analysis(beats, K, taus, p, n_beats=n_beats)
-    elif (stage1.d, stage1.latent_dim) != (beats.shape[1], int(p)):
-        raise ValueError(
-            f"stage1 has d={stage1.d} and p={stage1.latent_dim}; these "
-            f"rows and p need d={beats.shape[1]} and p={int(p)}")
-    elif not np.array_equal(stage1.mean, beats.mean(axis=0)):
-        raise ValueError("stage1 was fitted to other rows: its mean is not "
+    if not np.array_equal(fa.mean, beats.mean(axis=0)):
+        raise ValueError("fa was fitted to other rows: its mean is not "
                          "their column mean")
-    latents = _posterior_latents(stage1.loadings, beats - stage1.mean,
-                                 _effective_psi(taus, n_beats, n), K.inv_sqrt)
+    _, [latents] = _mog_fa_posterior(MogFaModel.from_fa(fa), beats, K, taus,
+                                     n_beats)
     mixture = fit_gmm(latents, n_components, rng_seed)
-    return MogFaModel(fa=stage1, weights=mixture.weights,
+    return MogFaModel(fa=fa, weights=mixture.weights,
                       comp_means=mixture.means,
                       comp_covs=mixture.covariances, mixture_fit=mixture)
 
@@ -511,14 +489,21 @@ def fit_mog_fa(beats: np.ndarray, K: CovarianceMatrix, taus, p: int,
 def _mog_fa_posterior(model: MogFaModel, means: np.ndarray,
                       K: CovarianceMatrix, taus, n_beats=1):
     """Responsibilities p(c | x) (N, C) and each component's posterior
-    latent means (C, N, p) for the rows of ``means``."""
+    latent means (C, N, p) for the rows of ``means``.
+
+    The rows are read in span(L) only, as y = Q' K^{-1/2} (x - mean),
+    through the (d, p) product K^{-1/2} Q. Their energy off span(L) is
+    left out: its ||x_perp||^2 / psi_i, like d log psi_i, is the same for
+    every component of a row, so it cancels in the responsibilities, and
+    it never enters the latent means.
+    """
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
     psi = _effective_psi(taus, n_beats, means.shape[0])
-    xw = (means - model.fa.mean) @ K.inv_sqrt
+    q_l, r_l = np.linalg.qr(model.fa.loadings)
+    y = (means - model.fa.mean) @ (K.inv_sqrt @ q_l)
     log_joint, latent_means, _ = _mog_component_terms(
-        model.fa.loadings, model.weights, model.comp_means, model.comp_covs,
-        xw, psi,
-    )
+        r_l, y, 0.0, 0,  # perp2 and d: they cancel, see above
+        model.weights, model.comp_means, model.comp_covs, psi)
     resp = np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])
     return resp, latent_means
 

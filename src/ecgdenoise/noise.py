@@ -200,10 +200,11 @@ def matern_covariance(d: int, fs: float, lengthscale: float,
     d = int(d)
     if d < 1:
         raise ValueError("d must be at least 1")
-    if not fs > 0:
-        raise ValueError("fs must be positive")
-    if not lengthscale > 0:
-        raise ValueError("lengthscale must be positive")
+    for name, value in (("fs", fs), ("lengthscale", lengthscale)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value!r}")
     if smoothness not in SUPPORTED_SMOOTHNESS:
         raise ValueError(
             f"smoothness {smoothness} unsupported; choose one of "
@@ -303,15 +304,21 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
 
     total = np.zeros((d, d))
     sigma_sq = np.empty(len(beat_sets))
-    for first, stop, resid in _residual_blocks(beat_sets, counts, d):
-        total += resid.T @ resid
-        energy = np.einsum("ij,ij->i", resid, resid)
-        offsets = np.cumsum(counts[first:stop]) - counts[first:stop]
-        sigma_sq[first:stop] = np.add.reduceat(energy, offsets) / d
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for first, stop, resid in _residual_blocks(beat_sets, counts, d):
+            total += resid.T @ resid
+            energy = np.einsum("ij,ij->i", resid, resid)
+            offsets = np.cumsum(counts[first:stop]) - counts[first:stop]
+            sigma_sq[first:stop] = np.add.reduceat(energy, offsets) / d
+        trace = float(np.trace(total))
     del resid  # the last view of the block buffer, freed before eigh
+    # the diagonal bounds every entry (Cauchy-Schwarz), so this suffices
+    if not math.isfinite(trace):
+        raise ValueError("the residual scatter overflows float64: the "
+                         "beats vary too much around their means")
     zero = np.flatnonzero(sigma_sq <= 0.0)
     if zero.size:
         raise ZeroNoiseError(f"sample {zero[0]} has zero residual energy")
-    total *= d / float(np.trace(total))
+    total *= d / trace
     k_hat = CovarianceMatrix.from_matrix(total)
     return k_hat, 1.0 / np.sqrt(sigma_sq)

@@ -9,15 +9,18 @@ order, split by the manifest's ``beat_counts``; ``thetas.npy`` (N, d) and
 ``taus.npy`` (N,) hold the ground truth the samples carry, and a simulated
 dataset's manifest holds the ``BenchmarkConfig`` that drew it under
 ``config``. Benchmark reports are JSON documents with a ``schema_version``
-field. Writes are atomic (temp + rename).
+field. Writes are atomic (temp + rename). A dataset, and any other set
+of files that belong together, is written in a
+:func:`staged_directory` and moved in place only once every file is.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,37 @@ def _atomic_file(path, mode: str = "w"):
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        raise
+
+
+@contextmanager
+def staged_directory(directory):
+    """A new sibling directory to write the files of ``directory`` in.
+
+    They move to ``directory`` when the block ends without an exception:
+    the staging directory is renamed to it, or, if it exists, each file
+    replaces its namesake there. On an exception they are removed, with
+    every directory made for them, so a failed write leaves nothing.
+    """
+    directory = Path(directory)
+    missing = [parent for parent in directory.parents if not parent.exists()]
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    # private (0700), as are the files that _atomic_file writes (0600)
+    stage = Path(tempfile.mkdtemp(prefix=f".{directory.name}.",
+                                  suffix=".tmp", dir=directory.parent))
+    try:
+        yield stage
+        if directory.exists():
+            for path in stage.iterdir():
+                os.replace(path, directory / path.name)
+            stage.rmdir()
+        else:
+            os.replace(stage, directory)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        for parent in missing:  # deepest first, each empty now
+            with suppress(OSError):
+                parent.rmdir()
         raise
 
 
@@ -203,8 +237,9 @@ def save_dataset(directory, samples, manifest_extra: dict) -> None:
     ``tau``, each written when every sample has one. A list in which
     only some samples have one is refused, naming the first without.
 
-    The beats of all samples must share one width. The manifest is
-    written last, once every array is in place.
+    The beats of all samples must share one width. The files are
+    written in a :func:`staged_directory`, the manifest last, so a failed
+    write leaves no partial dataset.
     """
     directory = Path(directory)
     if not samples:
@@ -224,24 +259,25 @@ def save_dataset(directory, samples, manifest_extra: dict) -> None:
                              f"{name} but others have one")
         carried[name] = not missing
     beat_counts = [s.n_beats for s in samples]
-    save_npy(directory / BEATS_FILE, (s.beats for s in samples),
-             (sum(beat_counts), d))
-    if carried["theta"]:
-        save_npy(directory / THETAS_FILE,
-                 (s.theta.values for s in samples), (n, d))
-    if carried["tau"]:
-        save_npy(directory / TAUS_FILE, [[s.tau for s in samples]], (n,))
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "ecgdenoise-dataset",
-        "n_samples": n,
-        "sample_ids": sample_ids,
-        "beat_counts": beat_counts,
-        "has_ground_truth": carried["theta"],
-        "has_true_taus": carried["tau"],
-    }
-    manifest.update(manifest_extra)
-    save_json(directory / "manifest.json", manifest)
+    with staged_directory(directory) as stage:
+        save_npy(stage / BEATS_FILE, (s.beats for s in samples),
+                 (sum(beat_counts), d))
+        if carried["theta"]:
+            save_npy(stage / THETAS_FILE,
+                     (s.theta.values for s in samples), (n, d))
+        if carried["tau"]:
+            save_npy(stage / TAUS_FILE, [[s.tau for s in samples]], (n,))
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "ecgdenoise-dataset",
+            "n_samples": n,
+            "sample_ids": sample_ids,
+            "beat_counts": beat_counts,
+            "has_ground_truth": carried["theta"],
+            "has_true_taus": carried["tau"],
+        }
+        manifest.update(manifest_extra)
+        save_json(stage / "manifest.json", manifest)
 
 
 def load_dataset(directory):

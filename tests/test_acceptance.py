@@ -243,7 +243,7 @@ class TestCriterion6Properties:
             for i in range(200)
         ])
         fa = fit_factor_analysis(means, k, taus=3.0, p=3, n_beats=4)
-        mog = fit_mog_fa(means, k, taus=3.0, p=3, n_components=2,
+        mog = fit_mog_fa(fa, means, k, taus=3.0, n_components=2,
                          n_beats=4, rng_seed=7)
         for name, trace in (("fa", fa.loglik_trace),
                             ("mog", mog.fa.loglik_trace)):

@@ -20,6 +20,7 @@ from ecgdenoise.bench import (
 from ecgdenoise.errors import (
     EcgDenoiseError,
     InsufficientReplicatesError,
+    ZeroNoiseError,
 )
 from ecgdenoise.estimators import fit_factor_analysis, fit_mog_fa
 from ecgdenoise.noise import CovarianceMatrix, matern_covariance
@@ -145,6 +146,11 @@ class TestLatentDimRule:
         with pytest.raises(ValueError, match="must be an integer"):
             LatentDimRule("fixed", value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_scree_cutoff_must_be_finite(self, value):
+        with pytest.raises(ValueError, match=f"must be finite, not {value}"):
+            LatentDimRule("scree", value)
+
     def test_scree_cutoff_stays_a_float(self):
         assert LatentDimRule("scree", -0.75).value == -0.75
 
@@ -204,11 +210,8 @@ class TestDenoise:
                            truth=(K, taus), estimate=None, thetas=None,
                            latent_dim=LatentDimRule("fixed", 2),
                            n_components=2, fit_seed=3)
-        if kind == "fa":
-            model = fit_factor_analysis(means, K, taus, 2)
-        else:
-            model = fit_mog_fa(means, K, taus, 2, n_components=2,
-                               rng_seed=3).fa
+        # a mog_fa entry describes the FA fit that its mixture extends
+        model = fit_factor_analysis(means, K, taus, 2)
         assert extra["converged"] == model.converged
         assert extra["n_iter"] == model.n_iter
         assert extra["loglik"] == model.loglik_trace[-1]
@@ -223,7 +226,8 @@ class TestDenoise:
                            truth=(K, taus), estimate=None, thetas=None,
                            latent_dim=LatentDimRule("fixed", 2),
                            n_components=3, fit_seed=3)
-        mixture = fit_mog_fa(means, K, taus, 2, n_components=3,
+        fa = fit_factor_analysis(means, K, taus, 2)
+        mixture = fit_mog_fa(fa, means, K, taus, n_components=3,
                              rng_seed=3).mixture_fit
         assert mixture.restart_logliks.shape == (10,)
         assert extra["gmm_converged"] == mixture.converged
@@ -237,7 +241,7 @@ class TestDenoise:
 
 def _counting_fa_fits(monkeypatch):
     """Count every fit_factor_analysis call, from bench or from inside
-    fit_mog_fa."""
+    the estimators module (fit_mog_fa extends a fit and makes none)."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -493,6 +497,28 @@ class TestRunBenchmark:
         assert "B >= 2" in result["error"]
         # and the rest of the cell is intact
         assert report.result("tau=4", 1, "mle")["status"] == "ok"
+
+    def test_failed_noise_estimate_fails_only_estimated_entries(
+            self, monkeypatch):
+        def refuse(beats):
+            raise ZeroNoiseError("sample 0 has zero residual energy")
+
+        monkeypatch.setattr(bench, "estimate_noise", refuse)
+        one_worker(monkeypatch)
+        config = small_config(
+            n_samples=10, n_beats_grid=(2,), tau_regimes=(TauRegime.fixed(4),),
+            estimators=(EstimatorSpec("mle"), EstimatorSpec("fa", "truth"),
+                        EstimatorSpec("fa", "estimated"),
+                        EstimatorSpec("mog_fa", "estimated")),
+            mog_components=2)
+        [cell] = run_benchmark(config).cells
+        results = cell["estimators"]
+        for name in ("fa_estimated", "mog_fa_estimated"):
+            assert results[name] == {
+                "status": "failed",
+                "error": "ZeroNoiseError: sample 0 has zero residual energy"}
+        assert results["mle"]["status"] == results["fa_truth"]["status"] \
+            == "ok"
 
     def test_mle_matches_analytic(self, report):
         result = report.result("tau=4", 4, "mle")

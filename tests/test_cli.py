@@ -286,6 +286,32 @@ class TestEstimateNoise:
         assert payload["tau_median_relative_error"] < 0.5
 
 
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new-out", "existing-out"])
+    def test_failed_write_leaves_no_output(self, dataset, tmp_path, capsys,
+                                           monkeypatch, existing):
+        # tau_hat.csv fails to write after k_hat.npy is written
+        def failing(*args):
+            raise OSError(27, "File too large")
+
+        monkeypatch.setattr(cli, "save_matrix_csv", failing)
+        out = tmp_path / "noise"
+        if existing:
+            out.mkdir()
+            (out / "keep.txt").write_text("kept")
+        code, payload = run_json(capsys, [
+            "estimate-noise", "--dataset", str(dataset), "--out", str(out)
+        ])
+        assert code == 1
+        assert payload["error"] == {"type": "OSError",
+                                    "message": "[Errno 27] File too large"}
+        if existing:
+            assert [p.name for p in tmp_path.iterdir()] == ["noise"]
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+
 class TestDenoise:
     @pytest.mark.parametrize("estimator", ["mle", "oracle_bayes",
                                            "fa:truth", "fa:estimated"])
@@ -506,8 +532,9 @@ class TestBenchmark:
         ("--latent-dim", "scree:x", "a positive integer or 'scree[:CUTOFF]'"),
         ("--latent-dim", "0", "a positive integer or 'scree[:CUTOFF]'"),
         ("--latent-dim", "screech", "a positive integer or 'scree[:CUTOFF]'"),
+        ("--latent-dim", "scree:nan", "a positive integer or 'scree[:CUTOFF]'"),
     ], ids=["beats-grid", "latent-dim", "scree-cutoff", "latent-dim-zero",
-            "scree-prefix"])
+            "scree-prefix", "scree-nan"])
     def test_malformed_grid_flag_is_named(self, tmp_path, capsys, flag, text,
                                           form):
         code, payload = run_json(capsys, [
@@ -611,6 +638,10 @@ class TestBenchmark:
              "missing LatentDimRule key(s): ['mode']"),
             ({"seed": 1, "latent_dim": {"mode": "fixed"}},
              "missing LatentDimRule key(s): ['value']"),
+            ({"seed": 1, "latent_dim": {"mode": "scree", "value": np.nan}},
+             "scree slope cutoff must be finite, not nan"),
+            ({"seed": 1, "lengthscale": np.inf},
+             "lengthscale must be finite, not inf"),
         ]:
             config_path.write_text(json.dumps(document))
             code, payload = run_json(capsys, [
@@ -982,6 +1013,26 @@ class TestErrorHandling:
         assert (done.returncode, done.stderr) == (1, b"")
         assert json.loads(done.stdout)["error"]["type"] == "MemoryError"
         assert not (tmp_path / "oom").exists()
+
+    def test_capped_file_size_leaves_no_dataset(self, tmp_path):
+        # the child alone may write files of 100 KiB at most, and its
+        # beats.npy is 768 KB: no dataset directory and no staging one
+        def cap():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100 * 1024, hard))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(
+            Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ecgdenoise.cli", "simulate", "-n", "4",
+             "-B", "300", "--d", "80", "--fs", "200", "--r-offset", "26",
+             "--seed", "1", "--out", "big-ds"],
+            capture_output=True, cwd=tmp_path, env=env, timeout=120,
+            preexec_fn=cap)
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert json.loads(done.stdout)["error"] == {
+            "type": "OSError", "message": "[Errno 27] File too large"}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDatasetChecks:

@@ -286,7 +286,8 @@ class TestMogFa:
         z[:, 0] += np.where(labels == 1, 2.5, -2.5)
         thetas = unwhiten(k_mod, z @ loadings.T)
         means = _observe(k_mod, thetas, 5.0, 4, seed=34)
-        model = fit_mog_fa(means, k_mod, taus=5.0, p=2, n_components=2,
+        fa = fit_factor_analysis(means, k_mod, taus=5.0, p=2, n_beats=4)
+        model = fit_mog_fa(fa, means, k_mod, taus=5.0, n_components=2,
                            n_beats=4, rng_seed=35)
         resp, _ = estimators._mog_fa_posterior(model, means, k_mod,
                                                5.0 * 2.0)
@@ -324,7 +325,8 @@ class TestMogFa:
 
     def test_responsibilities_sum_to_one(self, k_mod, rng):
         beats = rng.standard_normal((50, D))
-        model = fit_mog_fa(beats, k_mod, taus=2.0, p=2, n_components=3,
+        fa = fit_factor_analysis(beats, k_mod, taus=2.0, p=2)
+        model = fit_mog_fa(fa, beats, k_mod, taus=2.0, n_components=3,
                            rng_seed=37)
         resp, _ = estimators._mog_fa_posterior(model, beats[:5], k_mod, 2.0)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-9)
@@ -332,56 +334,30 @@ class TestMogFa:
 
     def test_component_count_bounds(self, k_mod, rng):
         beats = rng.standard_normal((5, D))
+        fa = fit_factor_analysis(beats, k_mod, taus=1.0, p=2)
         with pytest.raises(ValueError):
-            fit_mog_fa(beats, k_mod, taus=1.0, p=2, n_components=6)
-
-    def test_given_stage1_is_the_same_fit(self, k_mod):
-        rng = np.random.default_rng(42)
-        loadings = _loadings(rng, D, 3, [3.0, 2.0, 1.0])
-        thetas, _ = _fa_population(k_mod, rng, 120, loadings)
-        taus = rng.uniform(2.0, 20.0, 120)
-        # beat means of B = 4 beats: noise K / (tau^2 B)
-        means = thetas + rng.standard_normal((120, D)) @ k_mod.sqrt \
-            / (taus[:, None] * 2.0)
-        stage1 = fit_factor_analysis(means, k_mod, taus, 3, n_beats=4)
-        given = fit_mog_fa(means, k_mod, taus, 3, n_components=3, n_beats=4,
-                           rng_seed=44, stage1=stage1)
-        fresh = fit_mog_fa(means, k_mod, taus, 3, n_components=3, n_beats=4,
-                           rng_seed=44)
-        for name in ("loadings", "mean", "loglik_trace"):
-            np.testing.assert_array_equal(getattr(given.fa, name),
-                                          getattr(fresh.fa, name))
-        for name in ("weights", "comp_means", "comp_covs"):
-            np.testing.assert_array_equal(getattr(given, name),
-                                          getattr(fresh, name))
-        np.testing.assert_array_equal(given.mixture_fit.restart_logliks,
-                                      fresh.mixture_fit.restart_logliks)
+            fit_mog_fa(fa, beats, k_mod, taus=1.0, n_components=6)
 
     def test_keeps_the_given_stage1(self, k_mod, rng):
         # the loadings are not refit: the model holds the stage-1 fit itself
         beats = rng.standard_normal((30, D))
         fa = fit_factor_analysis(beats, k_mod, taus=2.0, p=2)
-        model = fit_mog_fa(beats, k_mod, taus=2.0, p=2, n_components=2,
-                           stage1=fa)
+        model = fit_mog_fa(fa, beats, k_mod, taus=2.0, n_components=2)
         assert model.fa is fa
 
     def test_foreign_stage1_refused(self, k_mod, rng):
         beats = rng.standard_normal((30, D))
-        stage1 = fit_factor_analysis(beats, k_mod, taus=2.0, p=2)
+        fa = fit_factor_analysis(beats, k_mod, taus=2.0, p=2)
         # other rows: one row dropped, or every row moved by a rounding
         for other in (beats[:-1], beats * (1.0 + 1e-15)):
             with pytest.raises(ValueError, match="other rows"):
-                fit_mog_fa(other, k_mod, taus=2.0, p=2, n_components=2,
-                           stage1=stage1)
-        with pytest.raises(ValueError, match="p=3"):
-            fit_mog_fa(beats, k_mod, taus=2.0, p=3, n_components=2,
-                       stage1=stage1)
+                fit_mog_fa(fa, other, k_mod, taus=2.0, n_components=2)
+        # rows of another width have another column mean too
         narrow = beats[:, :-1]
         k_narrow = matern_covariance(d=D - 1, fs=500.0, lengthscale=0.02,
                                      smoothness=1.5)
-        with pytest.raises(ValueError, match=f"d={D - 1}"):
-            fit_mog_fa(narrow, k_narrow, taus=2.0, p=2, n_components=2,
-                       stage1=stage1)
+        with pytest.raises(ValueError, match="other rows"):
+            fit_mog_fa(fa, narrow, k_narrow, taus=2.0, n_components=2)
 
 
 class TestPosteriorBackProjection:
@@ -399,17 +375,20 @@ class TestPosteriorBackProjection:
         taus = rng.uniform(2.0, 20.0, 200)
         means = thetas + rng.standard_normal((200, D)) @ k_mod.sqrt \
             / taus[:, None]
-        mog = fit_mog_fa(means, k_mod, taus, 3, n_components=2,
-                         rng_seed=46)
         fa = fit_factor_analysis(means, k_mod, taus, 3)
+        mog = fit_mog_fa(fa, means, k_mod, taus, n_components=2,
+                         rng_seed=46)
         psi = estimators._effective_psi(taus, 1, 200)
         return means, taus, psi, fa, mog
 
     def test_fa(self, k_mod, fitted):
+        # E[z | x] = L' (L L' + psi I)^{-1} x, solved in all d dimensions
         means, taus, psi, fa, _ = fitted
         xw = (means - fa.mean) @ k_mod.inv_sqrt
-        latents = estimators._posterior_latents(fa.loadings, xw, psi)
-        want = fa.mean + (latents @ fa.loadings.T) @ k_mod.sqrt
+        loadings = fa.loadings
+        cov_x = loadings @ loadings.T + psi[:, None, None] * np.eye(D)
+        latents = np.linalg.solve(cov_x, xw[:, :, None])[:, :, 0] @ loadings
+        want = fa.mean + (latents @ loadings.T) @ k_mod.sqrt
         got = fa_posterior_mean_batch(fa, means, k_mod, taus)
         _assert_rel(got, want, 1e-12)
 
@@ -506,7 +485,8 @@ class TestEmPaths:
     def test_span_terms_match_loop(self, problem):
         xw, psi, loadings, (weights, means, covs) = problem
         log_joint, latent_means, _ = estimators._mog_component_terms(
-            loadings, weights, means, covs, xw, psi)
+            *estimators._span_coordinates(loadings, xw), xw.shape[1],
+            weights, means, covs, psi)
         want_joint, want_means = _loop_component_terms(
             loadings, weights, means, covs, xw, psi)
         _assert_rel(log_joint, want_joint, 1e-12)
@@ -532,7 +512,8 @@ class TestEmPaths:
         assert np.all(np.sum(xw * xw, axis=1)
                       > 1e12 * np.sum(off * off, axis=1))
         log_joint, latent_means, _ = estimators._mog_component_terms(
-            loadings, weights, means, covs, xw, psi)
+            *estimators._span_coordinates(loadings, xw), d,
+            weights, means, covs, psi)
         want_joint, want_means = _loop_component_terms(
             loadings, weights, means, covs, xw, psi)
         _assert_rel(log_joint, want_joint, 1e-12)
@@ -600,7 +581,7 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("mixture", [False, True], ids=["fa", "mog_fa"])
     def test_fits_name_themselves(self, monkeypatch, rng, k_mod, mixture):
-        # the mixture fit's one loadings fit is its stage-1 FA fit
+        # a mixture entry's one loadings fit is the FA fit it extends
         fit_loadings = estimators._fit_loadings
 
         def falling(xw, psi, loadings, *args):
@@ -609,12 +590,15 @@ class TestModelValidation:
             return loadings, np.append(trace, trace[-1] - 1.0), converged
 
         monkeypatch.setattr(estimators, "_fit_loadings", falling)
-        means = rng.standard_normal((30, D))
+        means, taus = rng.standard_normal((30, D)), np.full(30, 5.0)
         with pytest.raises(NonMonotoneFitError, match="^FA fit: "):
             if mixture:
-                fit_mog_fa(means, k_mod, np.full(30, 5.0), 2, n_components=2)
+                denoise(EstimatorSpec("mog_fa"), means, 1,
+                        truth=(k_mod, taus), estimate=None, thetas=None,
+                        latent_dim=LatentDimRule("fixed", 2),
+                        n_components=2, fit_seed=0)
             else:
-                fit_factor_analysis(means, k_mod, np.full(30, 5.0), 2)
+                fit_factor_analysis(means, k_mod, taus, 2)
 
     def test_mog_model_rejects_bad_weights(self):
         fa = FaModel(mean=np.zeros(4), loadings=np.zeros((4, 2)),

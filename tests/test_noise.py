@@ -125,6 +125,14 @@ class TestMaternCovariance:
         assert eigs.min() >= -1e-10
         assert np.trace(k.matrix) == pytest.approx(493.0, abs=1e-8)
 
+    @pytest.mark.parametrize("name", ["fs", "lengthscale"])
+    def test_infinite_scale_refused(self, name):
+        # r = lag / (fs lengthscale) would be 0: an all-ones K
+        given = {"d": 4, "fs": 500.0, "lengthscale": 0.02, "smoothness": 1.5}
+        given[name] = math.inf
+        with pytest.raises(ValueError, match=f"{name} must be finite, not inf"):
+            matern_covariance(**given)
+
     def test_unsupported_smoothness(self):
         with pytest.raises(ValueError, match=r"0.5.*1.5.*2.5"):
             matern_covariance(d=4, fs=500.0, lengthscale=0.02, smoothness=2.0)
@@ -351,6 +359,15 @@ class TestEstimateNoise:
         beats = np.tile(np.linspace(0, 1, small_k.d), (4, 1))
         with pytest.raises(ZeroNoiseError):
             estimate_noise([EcgSample(sample_id="s0", beats=beats)])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_scatter_refused(self, small_k, rng):
+        # squares of 1e160 overflow float64: refused as such, no warning
+        theta = rng.standard_normal((5, small_k.d))
+        samples = _simulate_samples(small_k, [2.0] * 5, theta, B=4, seed=0)
+        beats = np.stack([s.beats for s in samples]) * 1e160
+        with pytest.raises(ValueError, match="overflows float64"):
+            estimate_noise(beats)
 
     def test_trace_exactly_d(self, small_k, rng):
         theta = rng.standard_normal((5, small_k.d))

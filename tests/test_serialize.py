@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ecgdenoise import serialize
 from ecgdenoise.errors import EmptyInputError, InvalidSampleIdError
 from ecgdenoise.noise import EcgSample
 from ecgdenoise.simulate import ThetaBeat
@@ -370,6 +371,41 @@ class TestDataset:
         with pytest.raises(EmptyInputError):
             save_dataset(tmp_path / "ds", [], manifest_extra={})
         assert not (tmp_path / "ds").exists()  # nothing was written
+
+    @staticmethod
+    def _fail_second_write(monkeypatch):
+        """``save_npy`` raises the ``ulimit -f`` error for thetas.npy."""
+        save_npy = serialize.save_npy
+
+        def failing(path, *args):
+            if Path(path).name == "thetas.npy":
+                raise OSError(27, "File too large")
+            return save_npy(path, *args)
+
+        monkeypatch.setattr(serialize, "save_npy", failing)
+
+    @pytest.mark.parametrize("out", ["ds", "new/deeper/ds"])
+    def test_failed_write_leaves_nothing(self, tmp_path, rng, monkeypatch,
+                                         out):
+        # no dataset directory, no staging one, no parent made for them
+        self._fail_second_write(monkeypatch)
+        with pytest.raises(OSError, match="File too large"):
+            self._write(tmp_path / out, rng)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_the_old_dataset(self, tmp_path, rng,
+                                                  monkeypatch):
+        # beats.npy, written before the failure, would change the beats
+        self._write(tmp_path / "ds", rng)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "ds").iterdir()}
+        self._fail_second_write(monkeypatch)
+        other = [EcgSample(sample_id="s0", beats=np.ones((2, 8)),
+                           theta=ThetaBeat(np.ones(8)), tau=2.0)]
+        with pytest.raises(OSError, match="File too large"):
+            save_dataset(tmp_path / "ds", other, manifest_extra={"d": 8})
+        assert list(tmp_path.iterdir()) == [tmp_path / "ds"]
+        assert {p.name: p.read_bytes()
+                for p in (tmp_path / "ds").iterdir()} == before
 
     def test_manifest_is_returned_as_written(self, tmp_path, rng):
         # nothing is filled in: a simulated dataset's rate is the one in
