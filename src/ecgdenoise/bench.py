@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     EcgDenoiseError,
+    FloatRangeError,
     InsufficientReplicatesError,
     WorkerDiedError,
 )
@@ -590,14 +591,18 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
 def _scored(estimates, extra: dict, thetas):
     """``(estimates, extra)`` with, where there are ``thetas``, the error
     fields of a report entry added to ``extra``: ``mse`` in the summed
-    convention, its standard error ``se`` and ``mse_per_coordinate``."""
+    convention, its standard error ``se`` and ``mse_per_coordinate``.
+    Errors that are not finite float64 values are refused."""
     if thetas is not None:
-        errors = np.sum((estimates - thetas) ** 2, axis=1)
         n, d = thetas.shape
-        extra.update(
-            mse=float(errors.mean()),
-            se=float(errors.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-            mse_per_coordinate=float(errors.mean() / d))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            errors = np.sum((estimates - thetas) ** 2, axis=1)
+            mse = float(errors.mean())
+            se = float(errors.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        if not (math.isfinite(mse) and math.isfinite(se)):
+            raise FloatRangeError("the estimates' squared errors overflow "
+                                  "float64")
+        extra.update(mse=mse, se=se, mse_per_coordinate=mse / d)
     return estimates, extra
 
 

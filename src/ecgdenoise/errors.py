@@ -46,6 +46,11 @@ class FitDivergedError(EcgDenoiseError):
     """An EM fit produced a non-finite log-likelihood or collapsed."""
 
 
+class FloatRangeError(EcgDenoiseError, ValueError):
+    """A noise level, whitened distance or estimate error is not a finite
+    float64: the input's scale is out of float64's range for it."""
+
+
 class NonMonotoneFitError(EcgDenoiseError, ValueError):
     """An EM fit's recorded log-likelihood fell between kept points; the
     message names the fit."""

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitDivergedError, NonMonotoneFitError
+from .errors import FitDivergedError, FloatRangeError, NonMonotoneFitError
 from .gmm import CANCELLATION_LIMIT, GaussianMixture, fit_gmm, logsumexp
 from .noise import CovarianceMatrix
 from .simulate import _readonly
@@ -190,13 +190,17 @@ def oracle_bayes_batch(means: np.ndarray, atoms: np.ndarray,
     if atoms_matrix.ndim != 2 or atoms_matrix.shape[0] < 1:
         raise ValueError("atoms must be a non-empty (N, d) matrix")
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-    aw = atoms_matrix @ K.inv_sqrt
-    xw = means @ K.inv_sqrt
-    d2 = (
-        np.sum(aw * aw, axis=1)[None, :]
-        - 2.0 * (xw @ aw.T)
-        + np.sum(xw * xw, axis=1)[:, None]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        aw = atoms_matrix @ K.inv_sqrt
+        xw = means @ K.inv_sqrt
+        d2 = (
+            np.sum(aw * aw, axis=1)[None, :]
+            - 2.0 * (xw @ aw.T)
+            + np.sum(xw * xw, axis=1)[:, None]
+        )
+    if not np.all(np.isfinite(d2)):
+        raise FloatRangeError("the whitened distances from the beat means "
+                              "to the atoms overflow float64")
     # BLAS may round equal columns of the product differently, so equal
     # atoms (which have equal sums) take the distance of their first copy
     sums = atoms_matrix.sum(axis=1)
@@ -219,7 +223,15 @@ def _effective_psi(taus, n_beats, n_rows: int) -> np.ndarray:
     n_beats = np.broadcast_to(np.asarray(n_beats, dtype=np.float64), (n_rows,))
     if np.any(n_beats < 1):
         raise ValueError("n_beats must be at least 1")
-    return 1.0 / (taus * taus * n_beats)
+    with np.errstate(over="ignore", divide="ignore"):  # refused below
+        psi = 1.0 / (taus * taus * n_beats)
+    bad = np.flatnonzero(~np.isfinite(psi) | (psi <= 0.0))
+    if bad.size:
+        i = bad[0]
+        raise FloatRangeError(f"row {i}: the noise variance 1 / (tau^2 B) "
+                              f"at tau={taus[i]:g}, B={n_beats[i]:g} is "
+                              f"{psi[i]:g}, not a finite positive float64")
+    return psi
 
 
 def _spectral_start(xw: np.ndarray, psi: np.ndarray, p: int) -> np.ndarray:

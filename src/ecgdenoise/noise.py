@@ -2,12 +2,13 @@
 
 Beats within a recording share a global temporal covariance K (trace
 normalized to d for identifiability) scaled per recording by 1 / tau^2.
-Estimation pools residual scatter across recordings for K and reads the
-per-recording scale off the residual energy, tr(C_i) / d.
+K is stationary, a symmetric Toeplitz matrix. Estimation pools residual
+scatter across recordings and averages it along its diagonals for K, and
+reads the per-recording scale off the residual energy, tr(C_i) / d.
 
 A :class:`CovarianceMatrix` holds K's floored eigenpairs and builds K,
-K^{1/2} and K^{-1/2} from them only when they are first read. A Matern K
-is a symmetric Toeplitz matrix, whose eigenpairs come from two
+K^{1/2} and K^{-1/2} from them only when they are first read. The
+eigenpairs of a Matern K and of the estimate alike come from two
 eigenproblems of half its size.
 """
 from __future__ import annotations
@@ -37,13 +38,13 @@ RESIDUAL_BLOCK_ROWS = 1024
 class CovarianceMatrix:
     """A d x d PSD covariance, held as its floored eigenpairs.
 
-    Instances come from :meth:`from_matrix`, which symmetrizes, rescales
-    the trace to d and decomposes any valid input, or from
-    :func:`matern_covariance`; both floor the spectrum and restore the
-    trace. ``matrix``, ``sqrt`` and ``inv_sqrt`` are rebuilt from the
-    eigenpairs on first read, once each, read-only. They share one
-    eigenbasis and satisfy ``inv_sqrt @ matrix @ inv_sqrt == I`` to float
-    precision.
+    Instances come from :func:`matern_covariance` and
+    :func:`estimate_noise`: each builds a symmetric Toeplitz K from its
+    first row and decomposes it with :func:`_toeplitz_eigh`, and
+    :meth:`_floored` floors the spectrum and restores the trace.
+    ``matrix``, ``sqrt`` and ``inv_sqrt`` are rebuilt from the eigenpairs
+    on first read, once each, read-only. They share one eigenbasis and
+    satisfy ``inv_sqrt @ matrix @ inv_sqrt == I`` to float precision.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -70,26 +71,6 @@ class CovarianceMatrix:
         return self._symmetric(self.eigenvectors / np.sqrt(self.eigenvalues))
 
     @classmethod
-    def from_matrix(cls, matrix) -> "CovarianceMatrix":
-        """Validate and decompose a covariance matrix, rescaled so its
-        trace equals d. The input is read, never written: it is symmetrized
-        into one new array, which is rescaled in place and decomposed."""
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        d = m.shape[0]
-        scale = max(1.0, float(np.abs(m).max()))
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * scale):
-            raise ValueError("covariance must be symmetric to 1e-10")
-        sym = m + m.T
-        sym *= 0.5
-        trace = float(np.trace(sym))
-        if not trace > 0:
-            raise ValueError("covariance trace must be positive")
-        sym *= d / trace
-        return cls._floored(*np.linalg.eigh(sym))
-
-    @classmethod
     def _floored(cls, vals, vecs) -> "CovarianceMatrix":
         """The covariance of eigenpairs with trace d: refused unless PSD,
         then floored at ``EIGENVALUE_FLOOR`` and rescaled to trace d."""
@@ -98,10 +79,6 @@ class CovarianceMatrix:
         vals = np.maximum(vals, EIGENVALUE_FLOOR)
         vals *= vals.size / vals.sum()  # restore exact trace after flooring
         return cls(eigenvalues=_readonly(vals), eigenvectors=_readonly(vecs))
-
-    @classmethod
-    def identity(cls, d: int) -> "CovarianceMatrix":
-        return cls.from_matrix(np.eye(d))
 
 
 def _as_tau(tau) -> float:
@@ -274,17 +251,22 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     mean form scatters C_i = R^T R / (B - 1); centering removes the
     canonical-beat outer product, and the (B - 1) divisor absorbs the
     1 - 1/B deflation of mean-centered residuals, so C_i is unbiased for
-    K / tau_i^2. Then S = tr(sum C_i), K = (d / S) sum C_i (trace exactly
-    d) and sigma_i^2 = tr(C_i) / d, unbiased for 1 / tau_i^2 because the
+    K / tau_i^2. The model's K is stationary, a symmetric Toeplitz matrix,
+    so K_hat is too: its first row r_k is the sum of the k-th diagonal of
+    S = sum C_i over tr(S), so r_0 = 1 and the trace is d. This is the
+    biased (divide-by-d) average along the diagonals, which is positive
+    semi-definite by construction (Brockwell & Davis 1991, section 7.2).
+    sigma_i^2 = tr(C_i) / d is unbiased for 1 / tau_i^2 because the
     model's K has trace d.
 
     ``samples`` is a sequence of :class:`EcgSample` or (B, d) matrices (B
     may differ between samples) or an (N, B, d) array. Residuals are
     stacked in blocks of about ``RESIDUAL_BLOCK_ROWS`` rows, in one pass:
-    one GEMM per block accumulates sum C_i, and the block's row energies
-    give the sigma_i^2. The sum is rescaled to trace d in place, and
-    :meth:`CovarianceMatrix.from_matrix` decomposes it from one symmetrized
-    copy, so no other d x d copy is made.
+    one GEMM per block accumulates S, and the block's row energies give
+    the sigma_i^2. K_hat's eigenpairs come from :func:`_toeplitz_eigh`, as
+    a Matern K's do. A scatter that overflows float64 is refused with a
+    ``ValueError``; a sample with zero residual energy, or a scatter whose
+    trace has no finite reciprocal, with a :class:`ZeroNoiseError`.
 
     Returns ``(K_hat, tau_hat)`` with ``tau_hat`` an array aligned with the
     sample order.
@@ -304,14 +286,15 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
 
     total = np.zeros((d, d))
     sigma_sq = np.empty(len(beat_sets))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for first, stop, resid in _residual_blocks(beat_sets, counts, d):
             total += resid.T @ resid
             energy = np.einsum("ij,ij->i", resid, resid)
             offsets = np.cumsum(counts[first:stop]) - counts[first:stop]
             sigma_sq[first:stop] = np.add.reduceat(energy, offsets) / d
-        trace = float(np.trace(total))
-    del resid  # the last view of the block buffer, freed before eigh
+        trace = np.trace(total)
+        inverse = 1.0 / trace  # each refused below if not finite
+    del resid  # the last view of the block buffer
     # the diagonal bounds every entry (Cauchy-Schwarz), so this suffices
     if not math.isfinite(trace):
         raise ValueError("the residual scatter overflows float64: the "
@@ -319,6 +302,12 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     zero = np.flatnonzero(sigma_sq <= 0.0)
     if zero.size:
         raise ZeroNoiseError(f"sample {zero[0]} has zero residual energy")
-    total *= d / trace
-    k_hat = CovarianceMatrix.from_matrix(total)
+    if not math.isfinite(inverse):
+        raise ZeroNoiseError(f"the residual scatter's trace {trace:.3g} "
+                             "underflows float64: its reciprocal is not "
+                             "finite")
+    row = np.array([np.trace(total, k) for k in range(d)])
+    del total  # freed before the eigenproblems
+    row *= inverse
+    k_hat = CovarianceMatrix._floored(*_toeplitz_eigh(row))
     return k_hat, 1.0 / np.sqrt(sigma_sq)

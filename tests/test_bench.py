@@ -520,6 +520,36 @@ class TestRunBenchmark:
         assert results["mle"]["status"] == results["fa_truth"]["status"] \
             == "ok"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau, failed", [
+        (1e-300, {"mle": "FloatRangeError", "oracle_bayes": "FloatRangeError",
+                  "fa_truth": "FloatRangeError",
+                  "mog_fa_truth": "FloatRangeError",
+                  "fa_estimated": "ValueError"}),
+        (1e300, {"fa_truth": "FloatRangeError",
+                 "mog_fa_truth": "FloatRangeError",
+                 "fa_estimated": "ZeroNoiseError"}),
+    ], ids=["tiny-tau", "huge-tau"])
+    def test_out_of_range_noise_fails_typed(self, monkeypatch, tau, failed):
+        # at tau = 1e-300 the beats' squares overflow, and tau^2 B makes
+        # psi inf; at 1e300 psi is 0 and the residuals vanish. Each entry
+        # that cannot be computed fails; the report holds no inf or NaN
+        one_worker(monkeypatch)
+        config = BenchmarkConfig(seed=1, n_samples=4, d=40, fs=200.0,
+                                 r_offset=10, n_beats_grid=(2,),
+                                 tau_regimes=(TauRegime.fixed(tau),))
+        [cell] = run_benchmark(config).cells
+        results = cell["estimators"]
+        assert len(results) == 5
+        for name, result in results.items():
+            if name in failed:
+                assert result["status"] == "failed"
+                assert result["error"].startswith(failed[name] + ": ")
+            else:
+                assert result["status"] == "ok"
+                assert result["mse"] == 0.0
+        json.dumps(cell, allow_nan=False)
+
     def test_mle_matches_analytic(self, report):
         result = report.result("tau=4", 4, "mle")
         analytic = 100 / (4.0**2 * 4)

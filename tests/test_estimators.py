@@ -117,7 +117,8 @@ class TestOracleBayes:
 
     def test_whitened_metric_decides(self):
         # a two-atom case where whitened and raw distances disagree
-        k = CovarianceMatrix.from_matrix(np.diag([1.95, 0.05]))
+        k = CovarianceMatrix(eigenvalues=np.array([1.95, 0.05]),
+                             eigenvectors=np.eye(2))
         atoms = np.array([[1.0, 0.0], [0.0, 0.35]])
         x = np.zeros(2)
         # raw distances: 1.0 vs 0.35 -> atom 1; whitened: 1/sqrt(1.95)=0.716
@@ -210,7 +211,7 @@ class TestFactorAnalysis:
         assert rms < 1e-4
 
     def test_full_rank_high_precision_reproduces_input(self, rng):
-        k = CovarianceMatrix.identity(8)
+        k = CovarianceMatrix(eigenvalues=np.ones(8), eigenvectors=np.eye(8))
         beats = rng.standard_normal((30, 8))
         model = fit_factor_analysis(beats, k, taus=1e6, p=8)
         sample = EcgSample(sample_id="s", beats=beats[3][None, :])
@@ -540,8 +541,10 @@ class TestEmPaths:
 
     def test_slow_ragged_fit_converges(self):
         # 200 ECG beats at fs 250 with tau ~ U(2, 20), B = 20 and estimated
-        # noise: plain EM is still climbing after EM_MAX_ITER steps
-        config = BenchmarkConfig(seed=0, n_samples=200, fs=250.0, d=246,
+        # noise: plain EM is still climbing after EM_MAX_ITER steps. Plain
+        # EM converges in 671 steps at this seed, in 203 to 479 at seeds
+        # 0-5 and 7
+        config = BenchmarkConfig(seed=6, n_samples=200, fs=250.0, d=246,
                                  n_beats_grid=(20,),
                                  tau_regimes=(TauRegime.uniform(2, 20),))
         population_seed, [cell] = grid_seeds(config)

@@ -44,44 +44,28 @@ def noise_beats(k, tau, n_beats, seed):
                                n_beats, seed)[0]
 
 
+def _from_eigh(matrix):
+    """The covariance of a symmetric matrix of trace d, decomposed by one
+    dense ``eigh``."""
+    return CovarianceMatrix._floored(*np.linalg.eigh(matrix))
+
+
 class TestCovarianceMatrix:
     def test_identity(self):
-        k = CovarianceMatrix.identity(8)
+        k = CovarianceMatrix(eigenvalues=np.ones(8), eigenvectors=np.eye(8))
         np.testing.assert_allclose(k.matrix, np.eye(8), atol=1e-12)
         np.testing.assert_allclose(k.sqrt, np.eye(8), atol=1e-12)
 
-    def test_rejects_asymmetric(self):
-        m = np.eye(4)
-        m[0, 1] = 0.5
-        with pytest.raises(ValueError, match="symmetric"):
-            CovarianceMatrix.from_matrix(m)
-
     def test_rejects_indefinite(self):
-        m = np.diag([1.0, -0.5])
         with pytest.raises(ValueError, match="positive semi-definite"):
-            CovarianceMatrix.from_matrix(m)
-
-    def test_rejects_nonpositive_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            CovarianceMatrix.from_matrix(np.diag([1.0, -1.0]))
-
-    def test_input_is_not_written(self, rng):
-        # off trace d and off symmetric by less than the tolerance, so
-        # symmetrizing or rescaling in place would show in the input
-        a = rng.standard_normal((6, 6))
-        m = 3.0 * (a @ a.T)
-        m[0, 1] += 1e-12
-        expected = m.copy()
-        k = CovarianceMatrix.from_matrix(m)
-        np.testing.assert_array_equal(m, expected)
-        m.flags.writeable = False
-        again = CovarianceMatrix.from_matrix(m)
-        np.testing.assert_array_equal(m, expected)
-        np.testing.assert_array_equal(again.eigenvalues, k.eigenvalues)
+            CovarianceMatrix._floored(np.array([-0.5, 2.5]), np.eye(2))
 
     def test_trace_normalized(self, rng):
-        a = rng.standard_normal((12, 12))
-        k = CovarianceMatrix.from_matrix(a @ a.T)
+        # rank 6 of 12: flooring raises six eigenvalues, and the trace is
+        # restored to d after it
+        a = rng.standard_normal((12, 6))
+        m = a @ a.T
+        k = _from_eigh(m * (12.0 / np.trace(m)))
         assert np.trace(k.matrix) == pytest.approx(12.0, abs=1e-9)
 
     def test_whitening_contract(self, small_k):
@@ -95,7 +79,7 @@ class TestCovarianceMatrix:
         # directions (the sandwich identity itself is limited to
         # eps * lam_max / floor there)
         v = np.arange(1.0, 7.0)
-        k = CovarianceMatrix.from_matrix(np.outer(v, v))
+        k = _from_eigh(np.outer(v, v) * (6.0 / (v @ v)))
         assert np.all(k.eigenvalues > 0)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(6)
@@ -164,7 +148,7 @@ class TestMaternHalves:
         # the benchmark's 0.5 ms noise and the module default 20 ms, 500 Hz
         k = matern_covariance(d, 500.0, lengthscale, smoothness)
         kernel = _kernel(d, 500.0, lengthscale, smoothness)
-        full = CovarianceMatrix.from_matrix(kernel)
+        full = _from_eigh(kernel)
         vecs = k.eigenvectors
         assert np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-14
         assert np.all(np.diff(k.eigenvalues) >= 0)
@@ -193,8 +177,9 @@ class TestLazyFactors:
 
     @pytest.mark.parametrize("build", [
         lambda: matern_covariance(80, 200.0, 5e-4, 0.5),
-        lambda: CovarianceMatrix.from_matrix(_kernel(30, 500.0, 0.02, 2.5)),
-    ], ids=["matern", "from_matrix"])
+        lambda: estimate_noise(
+            np.random.default_rng(8).standard_normal((4, 3, 30)))[0],
+    ], ids=["matern", "estimate_noise"])
     def test_bit_equal_read_only_and_built_once(self, build):
         k = build()
         assert not {"matrix", "sqrt", "inv_sqrt"} & vars(k).keys()
@@ -316,7 +301,7 @@ class TestReadOnlyViews:
 
 class TestWhiten:
     def test_identity_covariance(self):
-        k = CovarianceMatrix.identity(6)
+        k = CovarianceMatrix(eigenvalues=np.ones(6), eigenvectors=np.eye(6))
         x = np.arange(6.0)
         np.testing.assert_allclose(whiten(k, x), x, atol=1e-12)
 
@@ -367,6 +352,13 @@ class TestEstimateNoise:
         samples = _simulate_samples(small_k, [2.0] * 5, theta, B=4, seed=0)
         beats = np.stack([s.beats for s in samples]) * 1e160
         with pytest.raises(ValueError, match="overflows float64"):
+            estimate_noise(beats)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_trace_refused(self, rng):
+        # squares of 1e-160 are subnormal: a trace whose reciprocal is inf
+        beats = rng.standard_normal((5, 3, 20)) * 1e-160
+        with pytest.raises(ZeroNoiseError, match="reciprocal is not finite"):
             estimate_noise(beats)
 
     def test_trace_exactly_d(self, small_k, rng):
@@ -429,14 +421,24 @@ class TestEstimateNoise:
         np.testing.assert_allclose(t1[perm], t2, rtol=1e-9)
 
 
+#: How far K_hat may sit from :func:`_loop_estimate_noise`'s, entry by
+#: entry: the two sum the scatters in another order and decompose K_hat
+#: by another eigensolver, each exact to a few ulps of K's largest entry,
+#: which is at most 1.
+K_HAT_ATOL = 1e-12
+
+
 def _loop_estimate_noise(beat_sets):
-    """Reference: one scatter and one trace per sample."""
+    """Reference: one scatter and one trace per sample. K_hat is the
+    dense Toeplitz matrix whose first row is the sum of S = sum C_i along
+    each diagonal over tr(S), decomposed by one dense ``eigh``."""
     d = beat_sets[0].shape[1]
     scatters = [(r.T @ r) / (r.shape[0] - 1)
                 for r in (b - b.mean(axis=0) for b in beat_sets)]
     total = sum(scatters, np.zeros((d, d)))
-    k_hat = CovarianceMatrix.from_matrix(
-        total * (d / float(np.trace(total))))
+    row = np.array([np.trace(total, k) for k in range(d)]) / np.trace(total)
+    lags = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    k_hat = _from_eigh(row[lags])
     taus = np.array([1.0 / math.sqrt(np.trace(c) / d) for c in scatters])
     return k_hat, taus
 
@@ -450,6 +452,34 @@ def ragged_beats(draw):
     theta = rng.standard_normal(d) * 5.0
     return [theta + rng.standard_normal((b, d)) * rng.uniform(0.05, 2.0)
             for b in counts]
+
+
+@st.composite
+def scaled_ragged_beats(draw):
+    """1 to 12 samples of width 1 to 64, each with its own B_i >= 2 and
+    a noise scale spread over six decades."""
+    d = draw(st.integers(1, 64))
+    counts = draw(st.lists(st.integers(2, 9), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.standard_normal(d) * 5.0
+    return [theta + rng.standard_normal((b, d)) * 10.0 ** rng.uniform(-3, 3)
+            for b in counts]
+
+
+class TestStationaryKHat:
+    @settings(max_examples=60, deadline=None)
+    @given(beat_sets=scaled_ragged_beats())
+    def test_is_the_diagonal_average(self, beat_sets):
+        k_hat, _ = estimate_noise(beat_sets)
+        m, d = k_hat.matrix, k_hat.d
+        assert np.array_equal(m, m.T)
+        np.testing.assert_allclose(m[1:, 1:], m[:-1, :-1], rtol=0,
+                                   atol=K_HAT_ATOL)
+        assert abs(np.trace(m) - d) <= 1e-9 * d
+        # the trace is restored after flooring by a factor of at most 1
+        assert k_hat.eigenvalues.min() >= noise.EIGENVALUE_FLOOR * (1 - 1e-9)
+        k_ref, _ = _loop_estimate_noise(beat_sets)
+        np.testing.assert_allclose(m, k_ref.matrix, rtol=0, atol=K_HAT_ATOL)
 
 
 class TestEstimateNoiseParity:
@@ -471,7 +501,7 @@ class TestEstimateNoiseParity:
             assert rows <= max(block_rows, counts.max())
         k_ref, tau_ref = _loop_estimate_noise(beat_sets)
         np.testing.assert_allclose(k_hat.matrix, k_ref.matrix, rtol=0,
-                                   atol=1e-12)
+                                   atol=K_HAT_ATOL)
         np.testing.assert_allclose(taus, tau_ref, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -482,7 +512,7 @@ class TestEstimateNoiseParity:
         k_hat, taus = estimate_noise(beats)
         k_ref, tau_ref = _loop_estimate_noise(list(beats))
         np.testing.assert_allclose(k_hat.matrix, k_ref.matrix, rtol=0,
-                                   atol=1e-12)
+                                   atol=K_HAT_ATOL)
         np.testing.assert_allclose(taus, tau_ref, rtol=1e-12)
         samples = [EcgSample(sample_id=f"s{i}", beats=row)
                    for i, row in enumerate(beats)]
