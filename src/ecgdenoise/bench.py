@@ -32,13 +32,11 @@ from .errors import (
 )
 from .estimators import (
     DEFAULT_N_COMPONENTS,
-    DEFAULT_SLOPE_CUTOFF,
     fa_posterior_mean_batch,
     fit_factor_analysis,
     fit_mog_fa,
     mog_fa_posterior_mean_batch,
     oracle_bayes_batch,
-    select_latent_dim,
 )
 from .noise import (
     RESIDUAL_BLOCK_ROWS,
@@ -81,6 +79,9 @@ DEFAULT_NOISE_SMOOTHNESS = 0.5
 #: stays available through the config; the fixed default matches the
 #: effective dimensionality of the jittered-parameter population.
 DEFAULT_LATENT_DIM = 7
+
+#: The scree rule's slope cutoff when ``scree`` is given without one.
+DEFAULT_SLOPE_CUTOFF = -0.8
 
 ESTIMATOR_KINDS = ("mle", "oracle_bayes", "fa", "mog_fa")
 NOISE_MODES = ("truth", "estimated")
@@ -261,22 +262,36 @@ class LatentDimRule:
             return cls("scree", float(cutoff) if cutoff else DEFAULT_SLOPE_CUTOFF)
         return cls("fixed", int(text))
 
-    def choose(self, shape, whitened_means=None) -> int:
-        """p for N means of width d, ``shape`` = (N, d): the fixed value or
-        the scree pick on ``whitened_means`` (unread when fixed), capped at
-        min(d, N - 1), the rank of N centred rows."""
-        n, d = shape
+    def choose(self, means: np.ndarray, K: CovarianceMatrix) -> int:
+        """p for the (N, d) beat ``means``, whose noise covariance is ``K``:
+        the fixed value, or the scree pick on the spectrum of the whitened
+        means (``K`` is unread when fixed), capped at min(d, N - 1), the
+        rank of N centred rows."""
+        n, d = means.shape
         if self.mode == "fixed":
-            p = int(self.value)
+            p = self.value
+        elif n < 2:  # no spread to take a spectrum of; the cap is 0
+            p = 0
         else:
-            cov = np.cov(whitened_means.T, ddof=1)
+            cov = np.cov(whiten(K, means, means.mean(axis=0)).T, ddof=1)
             eigs = np.linalg.eigvalsh(np.atleast_2d(cov))[::-1]
-            eigs = np.maximum(eigs, 0.0)
-            p = select_latent_dim(eigs, slope_cutoff=self.value)
+            p = _scree_dim(np.maximum(eigs, 0.0), self.value)
         return min(p, d, n - 1)
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "value": self.value}
+
+
+def _scree_dim(eigenvalues: np.ndarray, slope_cutoff: float) -> int:
+    """Scree rule: the longest prefix of the descending, non-negative
+    ``eigenvalues`` whose log-eigenvalue slopes log(lam[j+1]) - log(lam[j])
+    stay at most ``slope_cutoff`` (steep decay = signal); at least 1."""
+    floor = max(float(eigenvalues[0]), np.finfo(float).tiny) * 1e-15
+    slopes = np.diff(np.log(np.maximum(eigenvalues, floor)))
+    p = 1
+    while p - 1 < slopes.size and slopes[p - 1] <= slope_cutoff:
+        p += 1
+    return p
 
 
 _DEFAULT_REGIMES = (
@@ -349,6 +364,8 @@ class BenchmarkConfig:
                                      _ITEM_TYPES[name])
                               for i, item in enumerate(value))
             object.__setattr__(self, name, value)
+        if self.seed < 0:  # SeedSequence's own refusal names no field
+            raise ValueError("seed must be >= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if any(b < 1 for b in self.n_beats_grid):
@@ -557,10 +574,7 @@ def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
         estimates, idx = oracle_bayes_batch(means, thetas, K)
         extra["atom_accuracy"] = float(np.mean(idx == np.arange(len(means))))
         return _scored(estimates, extra, thetas)
-    whitened = None
-    if latent_dim.mode == "scree":
-        whitened = whiten(K, means, means.mean(axis=0))
-    p = latent_dim.choose(means.shape, whitened)
+    p = latent_dim.choose(means, K)
     extra["latent_dim"] = p
     key = (spec.noise, p)
     if fa_fits is None:

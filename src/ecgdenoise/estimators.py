@@ -17,7 +17,8 @@ likelihood estimate and needs no code here; the others are:
 The factor models operate in whitened coordinates (noise becomes
 isotropic), where each recording's beat average has known noise variance
 psi = 1 / (tau^2 B); estimates are mapped back through the covariance
-square root.
+square root. Their latent dimension p is given: ``bench.LatentDimRule``
+chooses it.
 
 The loadings are fitted once, by FA's EM under z ~ N(0, I), accelerated
 with squared extrapolation (SQUAREM; Varadhan & Roland 2008). The fit
@@ -66,7 +67,6 @@ EM_MAX_ITER = 500
 #: Monotonicity slack when validating a recorded log-likelihood trace.
 LOGLIK_SLACK = 1e-9
 
-DEFAULT_SLOPE_CUTOFF = -0.8
 DEFAULT_N_COMPONENTS = 5
 
 
@@ -392,16 +392,6 @@ def _standard_prior(p: int):
     return np.ones(1), np.zeros((1, p)), np.eye(p)[None]
 
 
-def _fit_loadings(xw, psi, loadings, max_iter=EM_MAX_ITER, tol=EM_TOL):
-    """EM fit of the loadings under z ~ N(0, I), accelerated by
-    :func:`_squarem`."""
-    x2 = _row_energies(xw)
-
-    def em_step(theta):
-        return _em_step(theta, xw, psi, x2)
-    return _squarem(em_step, loadings, max_iter, tol)
-
-
 def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
                         p: int, n_beats=1) -> FaModel:
     """Fit loadings by EM on whitened rows with known per-row noise.
@@ -409,7 +399,8 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
     ``beats`` is an (N, d) matrix of per-recording beat averages; row i has
     noise covariance K / (tau_i^2 n_beats_i). The column mean is removed,
     rows are whitened, and EM maximizes the marginal likelihood
-    N(x | 0, L L^T + psi_i I). The noise diagonal is pinned by the known
+    N(x | 0, L L^T + psi_i I), accelerated by :func:`_squarem` from
+    :func:`_spectral_start`. The noise diagonal is pinned by the known
     precisions rather than fitted.
     """
     beats = np.asarray(beats, dtype=np.float64)
@@ -423,8 +414,10 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
     psi = _effective_psi(taus, n_beats, beats.shape[0])
     mean = beats.mean(axis=0)
     xw = (beats - mean) @ K.inv_sqrt
-    loadings, trace, converged = _fit_loadings(xw, psi,
-                                               _spectral_start(xw, psi, p))
+    x2 = _row_energies(xw)
+    loadings, trace, converged = _squarem(
+        lambda L: _em_step(L, xw, psi, x2), _spectral_start(xw, psi, p),
+        EM_MAX_ITER, EM_TOL)
     _check_loglik_trace(trace, "FA fit")
     return FaModel(mean=mean, loadings=loadings, loglik_trace=trace,
                    converged=converged)
@@ -442,30 +435,6 @@ def fa_posterior_mean_batch(model: FaModel, means: np.ndarray,
     """
     return mog_fa_posterior_mean_batch(MogFaModel.from_fa(model), means, K,
                                        taus, n_beats)
-
-
-def select_latent_dim(eigenvalues, slope_cutoff: float = DEFAULT_SLOPE_CUTOFF) -> int:
-    """Scree rule: longest prefix whose log-eigenvalue slopes stay steep.
-
-    ``eigenvalues`` must be sorted descending and non-negative. Consecutive
-    slopes log(lam[j+1]) - log(lam[j]) are scanned from the front; the
-    prefix grows while the slope is at most ``slope_cutoff`` (steep decay =
-    signal). Returns at least 1.
-    """
-    vals = np.asarray(eigenvalues, dtype=np.float64)
-    if vals.size == 0:
-        raise ValueError("eigenvalues must be non-empty")
-    if np.any(vals < 0):
-        raise ValueError("eigenvalues must be non-negative")
-    if np.any(np.diff(vals) > 1e-12 * max(1.0, float(vals[0]))):
-        raise ValueError("eigenvalues must be sorted descending")
-    floor = max(float(vals[0]), np.finfo(float).tiny) * 1e-15
-    logs = np.log(np.maximum(vals, floor))
-    slopes = np.diff(logs)
-    p = 1
-    while p - 1 < slopes.size and slopes[p - 1] <= slope_cutoff:
-        p += 1
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ computed from the rows instead.
 
 Each restart has its own seed stream, k-means++ start and path. A
 component that empties is re-seeded on a random row, at most
-``REINIT_RETRIES`` times per restart, before the fit is declared failed.
-A restart leaves the batch when it converges. The fit keeps the first
+``REINIT_RETRIES`` times per restart. The first failure ends the fit: a
+restart whose log-likelihood is not finite, or whose empty component has
+used its re-seeds, raises ``FitDivergedError`` in that iteration. A
+restart leaves the batch when it converges. The fit keeps the first
 restart with the largest final log-likelihood.
 """
 from __future__ import annotations
@@ -200,9 +202,9 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
     Runs ``n_restarts`` seeded EM fits side by side and keeps the first
     with the best final log-likelihood. A restart stops once an iteration
     raises its log-likelihood by at most ``tol * (1 + |ll|)``, or after
-    ``max_iter`` iterations. Deterministic given ``rng_seed``. When a
-    restart fails, the error of the lowest-numbered failing restart is
-    raised.
+    ``max_iter`` iterations. Deterministic given ``rng_seed``. The first
+    restart to fail ends the fit with its ``FitDivergedError``; of two
+    that fail in one iteration, the lower-numbered one's is raised.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
@@ -241,7 +243,6 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
     prev_ll = np.full(n_restarts, -np.inf)
     converged = np.zeros(n_restarts, dtype=bool)
     reseeds = np.zeros(n_restarts, dtype=int)
-    failure = None  # (restart, error) of the lowest-numbered failure
     active = np.arange(n_restarts)
 
     for _ in range(max_iter):
@@ -266,33 +267,24 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
         empty = stats[:, 0].reshape(c, k) < 1e-10
 
         stepping = np.ones(k, dtype=bool)
-        leaving = np.zeros(k, dtype=bool)
         for slot in np.flatnonzero(~np.isfinite(ll) | empty.any(axis=0)):
             r = active[slot]
-            if failure is not None and r > failure[0]:
-                break
-            stepping[slot] = False
             if not np.isfinite(ll[slot]):
-                error = FitDivergedError(
-                    "mixture log-likelihood is not finite")
-            elif reseeds[r] >= REINIT_RETRIES:
-                error = FitDivergedError(
+                raise FitDivergedError("mixture log-likelihood is not finite")
+            if reseeds[r] >= REINIT_RETRIES:
+                raise FitDivergedError(
                     f"component(s) {np.flatnonzero(empty[:, slot]).tolist()} "
                     f"stayed empty after {REINIT_RETRIES} re-seeds"
                 )
-            else:
-                reseeds[r] += 1
-                for comp in np.flatnonzero(empty[:, slot]):
-                    means[comp, r] = zc[rngs[r].integers(n)]
-                    covs[comp, r] = global_cov
-                    factors[comp, r] = global_factor
-                prev_ll[r] = -np.inf
-                continue
-            # the restarts after a failing one would never have run
-            failure = (r, error)
-            leaving |= active >= r
-        stepping &= ~leaving
+            stepping[slot] = False
+            reseeds[r] += 1
+            for comp in np.flatnonzero(empty[:, slot]):
+                means[comp, r] = zc[rngs[r].integers(n)]
+                covs[comp, r] = global_cov
+                factors[comp, r] = global_factor
+            prev_ll[r] = -np.inf
 
+        leaving = np.zeros(k, dtype=bool)
         step = active[stepping]
         if step.size:
             if step.size < k:
@@ -312,8 +304,6 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
             leaving[np.flatnonzero(stepping)[done]] = True
         active = active[~leaving]
 
-    if failure is not None:
-        raise failure[1]
     best = int(np.argmax(loglik))
     return GaussianMixture(weights[:, best].copy(), means[:, best] + centre,
                            covs[:, best].copy(), float(loglik[best]),

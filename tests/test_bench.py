@@ -4,9 +4,12 @@ import json
 import multiprocessing
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgdenoise import bench, cli, estimators
 from ecgdenoise.bench import (
@@ -23,7 +26,8 @@ from ecgdenoise.errors import (
     ZeroNoiseError,
 )
 from ecgdenoise.estimators import fit_factor_analysis, fit_mog_fa
-from ecgdenoise.noise import CovarianceMatrix, matern_covariance
+from ecgdenoise.noise import (CovarianceMatrix, estimate_noise,
+                              matern_covariance)
 
 
 def one_worker(monkeypatch):
@@ -121,6 +125,24 @@ class TestEstimatorSpec:
         assert EstimatorSpec.parse(f"{kind}:truth") == EstimatorSpec(kind)
 
 
+def _reference_scree(means, K, cutoff):
+    """The scree pick spelled out: whiten the centred means, take their
+    covariance's spectrum, descending and clipped at 0, count the leading
+    log-eigenvalue slopes at most ``cutoff``, cap at min(d, N - 1)."""
+    n, d = means.shape
+    white = (means - means.mean(axis=0)) @ K.inv_sqrt
+    cov = np.atleast_2d(np.cov(white.T, ddof=1))
+    eigs = [max(float(lam), 0.0) for lam in np.linalg.eigvalsh(cov)[::-1]]
+    floor = max(eigs[0], np.finfo(float).tiny) * 1e-15
+    logs = np.log([max(lam, floor) for lam in eigs])
+    p = 1
+    for before, after in zip(logs, logs[1:]):
+        if after - before > cutoff:
+            break
+        p += 1
+    return min(p, d, n - 1)
+
+
 class TestLatentDimRule:
     def test_parse_fixed(self):
         assert LatentDimRule.parse("7") == LatentDimRule("fixed", 7)
@@ -130,15 +152,16 @@ class TestLatentDimRule:
         assert rule.mode == "scree" and rule.value == -0.5
 
     def test_fixed_choose(self):
-        rule = LatentDimRule("fixed", 4)
-        assert rule.choose((10, 8), np.zeros((10, 8))) == 4
-        assert LatentDimRule("fixed", 4.0).choose((10, 8)) == 4
+        # K is read only by the scree rule
+        means = np.zeros((10, 8))
+        assert LatentDimRule("fixed", 4).choose(means, None) == 4
+        assert LatentDimRule("fixed", 4.0).choose(means, None) == 4
 
     @pytest.mark.parametrize("shape, p", [((4, 80), 3), ((10, 2), 2),
                                           ((8, 80), 7)])
     def test_fixed_capped_at_rank(self, shape, p):
         # N centred rows of width d have rank at most min(d, N - 1)
-        assert LatentDimRule("fixed", 7).choose(shape) == p
+        assert LatentDimRule("fixed", 7).choose(np.zeros(shape), None) == p
 
     @pytest.mark.parametrize("value", [7.9, 0.5, True, np.bool_(True),
                                        np.inf, np.nan])
@@ -158,7 +181,26 @@ class TestLatentDimRule:
         rule = LatentDimRule("scree", -0.8)
         data = rng.standard_normal((5, 20)) * 1e-3
         data[:, 0] += np.array([10.0, -10.0, 10.0, -10.0, 10.0])
-        assert 1 <= rule.choose(data.shape, data) <= 4
+        K = matern_covariance(20, 500.0, 0.02, 1.5)
+        assert 1 <= rule.choose(data, K) <= 4
+        # one row has no spread, so no spectrum: p is capped at 0 unread
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rule.choose(data[:1], K) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 30), d=st.integers(1, 24), rank=st.integers(0, 6),
+           cutoff=st.floats(-4.0, -0.01), seed=st.integers(0, 2**32 - 1))
+    def test_scree_choose_matches_a_plain_reference(self, n, d, rank,
+                                                    cutoff, seed):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-1, 2, rank)
+        means = (rng.standard_normal((n, rank)) * scales
+                 @ rng.standard_normal((rank, d))
+                 + rng.standard_normal((n, d)))
+        K = matern_covariance(d, 500.0, 0.02, 1.5)
+        assert LatentDimRule("scree", cutoff).choose(means, K) \
+            == _reference_scree(means, K, cutoff)
 
 
 class TestDenoise:
@@ -396,6 +438,7 @@ class TestBenchmarkConfig:
         ({"r_offset": 100}, "r_offset"),  # d = 100
         ({"d": 501, "r_offset": 164}, "exceeds one cycle"),
         ({"d": 201, "fs": 200.0}, "exceeds one cycle"),
+        ({"seed": -1}, "^seed must be >= 0$"),
     ])
     def test_bad_values_rejected_up_front(self, overrides, match):
         with pytest.raises(ValueError, match=match):
@@ -606,6 +649,32 @@ class TestRunBenchmark:
         total = timings["population_s"] + timings["covariance_s"] \
             + timings["cells_s"]
         assert abs(total - wall) <= 0.05 * wall
+
+    def test_scree_entries_take_the_reference_pick(self):
+        # every fitted entry's p is the scree pick on its cell's means,
+        # whitened by the K it was given: the true K or the cell's
+        # estimate. At this cutoff the picks run from 5 to 8
+        config = small_config(
+            n_samples=20, d=80, fs=200.0, r_offset=26, n_beats_grid=(2, 4),
+            latent_dim=LatentDimRule("scree", -0.2),
+            estimators=(EstimatorSpec("fa", "truth"),
+                        EstimatorSpec("fa", "estimated"),
+                        EstimatorSpec("mog_fa", "truth")))
+        report = run_benchmark(config)
+        population_seed, cells = bench.grid_seeds(config)
+        thetas = bench.simulate_population(config, population_seed)
+        K = config.noise_covariance()
+        picks = []
+        for cell, (regime, n_beats, seeds) in zip(report.cells, cells):
+            beats, _, _ = bench.draw_cell(thetas, K, regime, n_beats, seeds)
+            means = beats.mean(axis=1)
+            K_hat, _ = estimate_noise(beats)
+            for name, entry in cell["estimators"].items():
+                assert entry["status"] == "ok", entry
+                given = K_hat if name.endswith("estimated") else K
+                picks.append(entry["latent_dim"])
+                assert picks[-1] == _reference_scree(means, given, -0.2)
+        assert len(picks) == 12 and len(set(picks)) > 1
 
     def test_seed_changes_results(self, report):
         other = run_benchmark(small_config(seed=6))

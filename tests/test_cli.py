@@ -473,14 +473,13 @@ class TestDenoise:
     def test_falling_loglik_is_json_error(self, small_fit, tmp_path, capsys,
                                           monkeypatch, estimator, fit):
         # mog_fa's one loadings fit is its stage-1 FA fit
-        fit_loadings = estimators._fit_loadings
+        squarem = estimators._squarem
 
-        def falling(xw, psi, loadings, *args):
-            loadings, trace, converged = fit_loadings(xw, psi, loadings,
-                                                      *args)
+        def falling(*args):
+            loadings, trace, converged = squarem(*args)
             return loadings, np.append(trace, trace[-1] - 1.0), converged
 
-        monkeypatch.setattr(estimators, "_fit_loadings", falling)
+        monkeypatch.setattr(estimators, "_squarem", falling)
         code, payload = run_json(capsys, [
             "denoise", "--dataset", str(small_fit), "--estimator", estimator,
             "--out", str(tmp_path / "x.csv"),

@@ -11,6 +11,7 @@ from ecgdenoise.bench import (
     EstimatorSpec,
     LatentDimRule,
     TauRegime,
+    _scree_dim,
     denoise,
     draw_cell,
     grid_seeds,
@@ -28,7 +29,6 @@ from ecgdenoise.estimators import (
     fit_mog_fa,
     mog_fa_posterior_mean_batch,
     oracle_bayes_batch,
-    select_latent_dim,
 )
 from ecgdenoise.noise import (
     CovarianceMatrix,
@@ -135,28 +135,25 @@ class TestOracleBayes:
 
 
 class TestSelectLatentDim:
+    """The scree rule ``LatentDimRule`` applies to a descending,
+    non-negative spectrum."""
+
     def test_hand_computed_slopes(self):
         # ln(10/100) = ln(1/10) = -2.303 <= -0.8; ln(0.99/1) = -0.01 > -0.8
-        assert select_latent_dim([100.0, 10.0, 1.0, 0.99, 0.98]) == 3
+        assert _scree_dim(np.array([100.0, 10.0, 1.0, 0.99, 0.98]),
+                          -0.8) == 3
 
     def test_flat_spectrum(self):
-        assert select_latent_dim([2.0, 2.0, 2.0]) == 1
+        assert _scree_dim(np.array([2.0, 2.0, 2.0]), -0.8) == 1
 
     def test_single_eigenvalue(self):
-        assert select_latent_dim([5.0]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_latent_dim([])
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="descending"):
-            select_latent_dim([1.0, 2.0])
+        assert _scree_dim(np.array([5.0]), -0.8) == 1
 
     def test_custom_cutoff(self):
-        vals = [100.0, 50.0, 25.0, 24.0]  # slopes -0.69, -0.69, -0.04
-        assert select_latent_dim(vals, slope_cutoff=-0.5) == 3
-        assert select_latent_dim(vals, slope_cutoff=-0.8) == 1
+        # slopes -0.69, -0.69, -0.04
+        vals = np.array([100.0, 50.0, 25.0, 24.0])
+        assert _scree_dim(vals, -0.5) == 3
+        assert _scree_dim(vals, -0.8) == 1
 
 
 class TestFactorAnalysis:
@@ -531,8 +528,8 @@ class TestEmPaths:
         p = loadings.shape[1]
         xw = xw - xw.mean(axis=0)
         start = estimators._spectral_start(xw, psi, p)
-        fit, trace, converged = estimators._fit_loadings(
-            xw, psi, start, 1500, 1e-12)
+        fit, trace, converged = estimators._squarem(
+            lambda L: estimators._em_step(L, xw, psi), start, 1500, 1e-12)
         estimators._check_loglik_trace(trace)
         assert estimators._em_step(fit, xw, psi)[0] == trace[-1]
         _, want, want_converged = _plain_em(xw, psi, start, 1500, 1e-12)
@@ -585,14 +582,13 @@ class TestModelValidation:
     @pytest.mark.parametrize("mixture", [False, True], ids=["fa", "mog_fa"])
     def test_fits_name_themselves(self, monkeypatch, rng, k_mod, mixture):
         # a mixture entry's one loadings fit is the FA fit it extends
-        fit_loadings = estimators._fit_loadings
+        squarem = estimators._squarem
 
-        def falling(xw, psi, loadings, *args):
-            loadings, trace, converged = fit_loadings(xw, psi, loadings,
-                                                      *args)
+        def falling(*args):
+            loadings, trace, converged = squarem(*args)
             return loadings, np.append(trace, trace[-1] - 1.0), converged
 
-        monkeypatch.setattr(estimators, "_fit_loadings", falling)
+        monkeypatch.setattr(estimators, "_squarem", falling)
         means, taus = rng.standard_normal((30, D)), np.full(30, 5.0)
         with pytest.raises(NonMonotoneFitError, match="^FA fit: "):
             if mixture:
