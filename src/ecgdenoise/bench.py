@@ -7,9 +7,11 @@ parameters), and aggregates squared reconstruction error per estimator.
 
 Error is reported in the summed convention (squared error totaled over the
 d coordinates, averaged over samples); ``mse_per_coordinate`` divides it
-by d. Everything is deterministic given the config seed; cells
-draw from independently spawned seed streams so results do not depend on
-execution order.
+by d. Everything is deterministic given the config seed. Every random
+stream is a node of one seed tree, derived by its position alone
+(:func:`grid_seeds`): the population, each cell's taus, noise and fits.
+So results depend neither on execution order nor on which other
+estimators share a cell.
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ from .simulate import (
     DEFAULT_FS,
     DEFAULT_PARAMS,
     ThetaBeat,
+    _child_seeds,
     _readonly,
     check_window,
     extract_canonical_beats,
@@ -376,6 +379,12 @@ class BenchmarkConfig:
             raise ValueError("at least one estimator is required")
         if self.mog_components < 1:
             raise ValueError("mog_components must be >= 1")
+        try:
+            DEFAULT_PARAMS.scaled(self.amplitude_gain)
+        except ValueError:  # OdeParams' refusal names its own fields
+            raise ValueError(
+                f"amplitude_gain must scale the wave amplitudes to finite "
+                f"values, not {self.amplitude_gain!r}") from None
         # omega is never jittered, so every beat shares the default period
         check_window(self.d, self.r_offset, self.fs, DEFAULT_PARAMS.period)
         for what, keys in (
@@ -503,14 +512,15 @@ def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
 
 def grid_seeds(config: BenchmarkConfig):
     """The population's seed and the (tau regime, beat count, seeds) of
-    each cell in ``config`` order: the root seed spawns one stream for the
-    population, then one per cell, which spawns the cell's (tau, noise,
-    fit) ``seeds``. Only this function spawns, as a second ``spawn`` on one
-    ``SeedSequence`` gives other children."""
+    each cell in ``config`` order. The root seed's child 0 is the
+    population's and child 1 + k is cell k's, whose children 0, 1 and 2
+    are its (tau, noise, fit) ``seeds``. Each is derived by its position
+    (:func:`simulate._child_seeds`) and none is ever advanced, so every
+    mixture fit of a cell restarts from the same streams, and ``denoise``
+    on a dataset reproduces each of its cell's entries."""
     cells = list(itertools.product(config.tau_regimes, config.n_beats_grid))
-    root = np.random.SeedSequence(config.seed)
-    population_seed, *cell_seeds = root.spawn(1 + len(cells))
-    seeds = [s.spawn(3) for s in cell_seeds]
+    population_seed, *cell_seeds = _child_seeds(config.seed, 1 + len(cells))
+    seeds = [_child_seeds(s, 3) for s in cell_seeds]
     return population_seed, [(*c, s) for c, s in zip(cells, seeds)]
 
 
@@ -803,13 +813,13 @@ def _run_cells(config, thetas, K, cells: list, workers: int) -> list:
 def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
     """Run the full grid; a failing estimator marks its cell entry failed.
 
-    Deterministic given ``config.seed`` (cells use independently spawned
-    seed streams keyed by position), whether the cells run here or in
-    ``meta["workers"]`` worker processes (see ``_cell_workers``). Forked
-    workers inherit the population, read-only for every cell, and K, whose
-    factors each builds once; a worker that dies raises
-    ``WorkerDiedError``. When ``out_path`` is given the report is also
-    written there atomically.
+    Deterministic given ``config.seed`` (every stream is keyed by its
+    position in one seed tree, see :func:`grid_seeds`), whether the cells
+    run here or in ``meta["workers"]`` worker processes (see
+    ``_cell_workers``). Forked workers inherit the population, read-only
+    for every cell, and K, whose factors each builds once; a worker that
+    dies raises ``WorkerDiedError``. When ``out_path`` is given the report
+    is also written there atomically.
 
     ``meta["timings"]`` says where the wall-clock time went: the
     population and K, the cell stage as a whole (``cells_s``), and per

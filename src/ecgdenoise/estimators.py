@@ -418,7 +418,23 @@ def fit_factor_analysis(beats: np.ndarray, K: CovarianceMatrix, taus,
     loadings, trace, converged = _squarem(
         lambda L: _em_step(L, xw, psi, x2), _spectral_start(xw, psi, p),
         EM_MAX_ITER, EM_TOL)
-    _check_loglik_trace(trace, "FA fit")
+    try:
+        _check_loglik_trace(trace, "FA fit")
+    except NonMonotoneFitError:
+        # The log-likelihood sums terms as large as ||x_i||^2 / psi_i, so
+        # its rounding error is about eps times their sum. A fall within
+        # that is rounding: the noise is too small for float64 to resolve
+        # the fit, and no exact rescaling of the rows would change that.
+        with np.errstate(over="ignore"):
+            rounding = np.finfo(np.float64).eps * float(np.sum(x2 / psi))
+        fall = float(np.max(-np.diff(trace)))
+        if fall <= rounding:
+            raise FloatRangeError(
+                f"FA fit: the log-likelihood falls by {fall:.3g}, within "
+                f"its float64 rounding error eps sum ||x_i||^2 / psi_i = "
+                f"{rounding:.3g}; the noise variance psi, down to "
+                f"{psi.min():.3g}, is too small to resolve") from None
+        raise
     return FaModel(mean=mean, loadings=loadings, loglik_trace=trace,
                    converged=converged)
 

@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FitDivergedError
+from .simulate import _child_seeds
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -202,9 +203,11 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
     Runs ``n_restarts`` seeded EM fits side by side and keeps the first
     with the best final log-likelihood. A restart stops once an iteration
     raises its log-likelihood by at most ``tol * (1 + |ll|)``, or after
-    ``max_iter`` iterations. Deterministic given ``rng_seed``. The first
-    restart to fail ends the fit with its ``FitDivergedError``; of two
-    that fail in one iteration, the lower-numbered one's is raised.
+    ``max_iter`` iterations. Restart r draws from child r of ``rng_seed``
+    (an int or a ``SeedSequence``, which is left as it was), so the fit
+    depends on ``z`` and ``rng_seed`` alone. The first restart to fail
+    ends the fit with its ``FitDivergedError``; of two that fail in one
+    iteration, the lower-numbered one's is raised.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
@@ -217,10 +220,8 @@ def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
         raise ValueError("n_restarts must be at least 1")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not isinstance(rng_seed, np.random.SeedSequence):
-        rng_seed = np.random.SeedSequence(rng_seed)
     rngs = [np.random.default_rng(child)
-            for child in rng_seed.spawn(n_restarts)]
+            for child in _child_seeds(rng_seed, n_restarts)]
 
     n, p = z.shape
     c = n_components

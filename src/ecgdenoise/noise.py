@@ -178,10 +178,10 @@ def matern_covariance(d: int, fs: float, lengthscale: float,
     if d < 1:
         raise ValueError("d must be at least 1")
     for name, value in (("fs", fs), ("lengthscale", lengthscale)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, not {value!r}")
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
     if smoothness not in SUPPORTED_SMOOTHNESS:
         raise ValueError(
             f"smoothness {smoothness} unsupported; choose one of "

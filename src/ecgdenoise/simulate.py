@@ -400,17 +400,30 @@ def sample_jittered_params(base: OdeParams, jitter_fraction: float,
     )
 
 
+def _child_seeds(seed, n: int) -> list:
+    """The ``n`` children of ``seed`` (an int or a ``SeedSequence``) that
+    its first ``spawn(n)`` gives: child i has spawn key ``(*key, i)``.
+    Unlike ``spawn``, this leaves ``seed`` as it was, so a stream depends
+    only on its position in the seed tree, never on what was drawn from
+    the tree before. The package derives every child stream here."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return [np.random.SeedSequence(seed.entropy,
+                                   spawn_key=(*seed.spawn_key, i),
+                                   pool_size=seed.pool_size)
+            for i in range(n)]
+
+
 def jitter_population(base: OdeParams, jitter_fraction: float, n: int,
                       seed) -> list[OdeParams]:
     """Draw ``n`` independent jittered parameter sets.
 
-    Each draw uses its own child seed (indexed by position), so results do
-    not depend on how a caller partitions the work.
+    Draw i uses child i of ``seed`` (:func:`_child_seeds`), so results do
+    not depend on how a caller partitions the work, and one ``seed``
+    gives the same population each time it is passed.
     """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    children = seed.spawn(n)
-    return [sample_jittered_params(base, jitter_fraction, s) for s in children]
+    return [sample_jittered_params(base, jitter_fraction, s)
+            for s in _child_seeds(seed, n)]
 
 
 def check_window(d: int, r_offset: int, fs: float, period: float) -> None:

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecgdenoise import bench, cli, estimators
@@ -28,6 +28,11 @@ from ecgdenoise.errors import (
 from ecgdenoise.estimators import fit_factor_analysis, fit_mog_fa
 from ecgdenoise.noise import (CovarianceMatrix, estimate_noise,
                               matern_covariance)
+
+
+ALL_SPECS = tuple(EstimatorSpec.parse(text) for text in (
+    "mle", "oracle_bayes", "fa:truth", "fa:estimated", "mog_fa:truth",
+    "mog_fa:estimated"))
 
 
 def one_worker(monkeypatch):
@@ -572,7 +577,12 @@ class TestRunBenchmark:
         (1e300, {"fa_truth": "FloatRangeError",
                  "mog_fa_truth": "FloatRangeError",
                  "fa_estimated": "ZeroNoiseError"}),
-    ], ids=["tiny-tau", "huge-tau"])
+        # psi = 5e-281 is a float64, but the FA trace falls within its
+        # rounding error
+        (1e140, {"fa_truth": "FloatRangeError",
+                 "mog_fa_truth": "FloatRangeError",
+                 "fa_estimated": "ZeroNoiseError"}),
+    ], ids=["tiny-tau", "huge-tau", "large-tau"])
     def test_out_of_range_noise_fails_typed(self, monkeypatch, tau, failed):
         # at tau = 1e-300 the beats' squares overflow, and tau^2 B makes
         # psi inf; at 1e300 psi is 0 and the residuals vanish. Each entry
@@ -679,6 +689,52 @@ class TestRunBenchmark:
     def test_seed_changes_results(self, report):
         other = run_benchmark(small_config(seed=6))
         assert json.dumps(other.body()) != json.dumps(report.body())
+
+    def test_population_from_one_seed_sequence_repeats(self):
+        config = small_config(n_samples=6)
+        seed = np.random.SeedSequence(3)
+        first = bench.simulate_population(config, seed)
+        np.testing.assert_array_equal(
+            bench.simulate_population(config, seed), first)
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=st.builds(
+               lambda seed, n, n_beats, regime, p, c: BenchmarkConfig(
+                   seed=seed, n_samples=n, d=40, fs=200.0, r_offset=10,
+                   n_beats_grid=(n_beats,), tau_regimes=(regime,),
+                   latent_dim=LatentDimRule("fixed", p), mog_components=c),
+               st.integers(0, 2**32 - 1), st.integers(8, 30),
+               st.sampled_from([1, 3]),
+               st.sampled_from([TauRegime.fixed(5.0),
+                                TauRegime.uniform(2, 20)]),
+               st.integers(1, 3), st.integers(2, 3)),
+           order=st.permutations(ALL_SPECS),
+           listed=st.integers(1, len(ALL_SPECS)))
+    # simulate -n 30 -B 3 --d 80 --fs 200 --r-offset 26 --seed 1's cell
+    # with mog_fa:estimated listed first: a second mixture fit that drew
+    # other restarts than the first would move mog_fa_truth's error there
+    @example(config=BenchmarkConfig(
+                 seed=1, n_samples=30, d=80, fs=200.0, r_offset=26,
+                 n_beats_grid=(3,), tau_regimes=(TauRegime.uniform(2, 20),)),
+             order=[EstimatorSpec("mog_fa", "estimated"),
+                    EstimatorSpec("mog_fa", "truth"), *ALL_SPECS[:4]],
+             listed=2)
+    def test_entry_depends_only_on_its_cell_and_spec(self, config, order,
+                                                     listed):
+        # each entry is the same with the estimator list permuted and
+        # extended (all six, in reverse) and cut down to its spec alone
+        def entries(specs):
+            [cell] = run_benchmark(dataclasses.replace(
+                config, estimators=tuple(specs))).cells
+            return cell["estimators"]
+
+        specs = order[:listed]
+        got = entries(specs)
+        assert sorted(got) == sorted(spec.name for spec in specs)
+        extended = entries(order[::-1])
+        for spec in specs:
+            assert got[spec.name] == extended[spec.name], spec.name
+            assert got[spec.name] == entries([spec])[spec.name], spec.name
 
     def test_report_written_atomically(self, tmp_path):
         out = tmp_path / "sub" / "report.json"

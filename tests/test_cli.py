@@ -267,6 +267,36 @@ class TestBadNoiseModel:
                                     "message": "lengthscale must be positive"}
         assert not (tmp_path / "r.json").exists()
 
+    def test_nan_lengthscale_is_named_not_finite(self, tmp_path, capsys):
+        code, payload = run_json(capsys, [
+            "benchmark", "--seed", "3", "--lengthscale=nan",
+            "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "lengthscale must be finite, not nan"}
+        assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.usefixtures("no_simulation")
+class TestBadGain:
+    """A gain that takes the wave amplitudes out of float64's finite range
+    is refused by its own name before any simulation."""
+
+    @pytest.mark.parametrize("gain", ["1e308", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_refused_naming_the_gain(self, tmp_path, capsys, command, gain):
+        flags = SIM_FLAGS if command == "simulate" else ["--seed", "3"]
+        out = tmp_path / "out"
+        code, payload = run_json(capsys, [
+            command, *flags, f"--gain={gain}", "--out", str(out)])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "amplitude_gain must scale the wave amplitudes to "
+                       f"finite values, not {float(gain)!r}"}
+        assert not out.exists()
+
 
 class TestEstimateNoise:
     def test_outputs(self, dataset, tmp_path, capsys):

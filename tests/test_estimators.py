@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecgdenoise import estimators
-from ecgdenoise.errors import EcgDenoiseError, NonMonotoneFitError
+from ecgdenoise.errors import (EcgDenoiseError, FloatRangeError,
+                               NonMonotoneFitError)
 from ecgdenoise.bench import (
     BenchmarkConfig,
     EstimatorSpec,
@@ -598,6 +599,17 @@ class TestModelValidation:
                         n_components=2, fit_seed=0)
             else:
                 fit_factor_analysis(means, k_mod, taus, 2)
+
+    @pytest.mark.parametrize("tau", [1e13, 1e100])
+    def test_fall_within_rounding_is_float_range(self, rng, k_mod, tau):
+        # 4 centred rows have rank 3 = p: the fit leaves only rounding
+        # off span(L), which 1 / psi = tau^2 B magnifies past the trace's
+        # slack, but not past eps sum ||x_i||^2 / psi_i
+        means = 10.0 * rng.standard_normal((4, D))
+        with pytest.raises(FloatRangeError,
+                           match="^FA fit: .* within its float64 rounding"):
+            fit_factor_analysis(means, k_mod, np.full(4, tau), 3, n_beats=2)
+        fit_factor_analysis(means, k_mod, np.full(4, 5.0), 3, n_beats=2)
 
     def test_mog_model_rejects_bad_weights(self):
         fa = FaModel(mean=np.zeros(4), loadings=np.zeros((4, 2)),

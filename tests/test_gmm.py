@@ -285,6 +285,15 @@ class TestFitGmm:
         np.testing.assert_array_equal(a.means, b.means)
         assert a.loglik == b.loglik
 
+    def test_seed_sequence_is_not_advanced(self):
+        # a second fit from one SeedSequence restarts from the same streams
+        z, seed = _clustered(3), np.random.SeedSequence(9)
+        a = fit_gmm(z, 3, seed, n_restarts=3)
+        b = fit_gmm(z, 3, seed, n_restarts=3)
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.restart_logliks, b.restart_logliks)
+        assert seed.n_children_spawned == 0
+
     def test_empty_component_reseeded_then_fails(self, monkeypatch):
         # component 1 never takes any responsibility, so every E-step
         # finds it empty: the fit re-seeds it REINIT_RETRIES times, then

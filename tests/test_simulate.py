@@ -242,6 +242,25 @@ class TestJitter:
         assert pop == again
 
 
+class TestChildSeeds:
+    @pytest.mark.parametrize("kwargs", [
+        {"entropy": 0}, {"entropy": 2**64 + 3},
+        {"entropy": 7, "spawn_key": (2, 5)}, {"entropy": 7, "pool_size": 8}])
+    def test_children_of_a_first_spawn(self, kwargs):
+        # the streams of a first spawn, so seeded results stay as they were
+        spawned = np.random.SeedSequence(**kwargs).spawn(4)
+        seeds = [np.random.SeedSequence(**kwargs)]
+        if list(kwargs) == ["entropy"]:  # an int: the default key and pool
+            seeds.append(kwargs["entropy"])
+        for seed in seeds:
+            children = simulate._child_seeds(seed, 4)
+            assert [c.spawn_key for c in children] == \
+                [c.spawn_key for c in spawned]
+            for child, reference in zip(children, spawned):
+                np.testing.assert_array_equal(child.generate_state(8),
+                                              reference.generate_state(8))
+
+
 class TestExtractCanonicalBeat:
     def test_single_sample_window(self):
         beat = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=1, r_offset=0)
