@@ -64,7 +64,6 @@ from .simulate import (
 log = logging.getLogger("ecgdenoise")
 
 DEFAULT_D = 493
-DEFAULT_R_OFFSET = DEFAULT_D // 3  # extract_canonical_beat's default
 
 #: Wave-amplitude gain applied to the base parameters so simulated beats sit
 #: on a millivolt scale comparable to the unit-diagonal noise model.
@@ -338,7 +337,8 @@ class BenchmarkConfig:
     Each field is stored as the type ``_FIELD_TYPES`` gives it (int or
     float, lists as tuples, nested objects built), so equal values give
     equal reports; a value of another kind raises ValueError naming the
-    field.
+    field. An ``r_offset`` left as None puts R at column ``d // 3``, as
+    :func:`extract_canonical_beats` does, and is stored as that int.
     """
 
     seed: int
@@ -347,7 +347,7 @@ class BenchmarkConfig:
     tau_regimes: tuple = _DEFAULT_REGIMES
     d: int = DEFAULT_D
     fs: float = DEFAULT_FS
-    r_offset: int = DEFAULT_R_OFFSET
+    r_offset: int | None = None
     jitter_fraction: float = DEFAULT_JITTER
     amplitude_gain: float = DEFAULT_AMPLITUDE_GAIN
     lengthscale: float = DEFAULT_NOISE_LENGTHSCALE
@@ -361,7 +361,10 @@ class BenchmarkConfig:
     def __post_init__(self):
         for name, kind_types in _FIELD_TYPES.items():
             where = f"BenchmarkConfig field {name!r}"
-            value = _typed(where, getattr(self, name), kind_types)
+            value = getattr(self, name)
+            if name == "r_offset" and value is None:  # d is typed by now
+                value = self.d // 3
+            value = _typed(where, value, kind_types)
             if name in _ITEM_TYPES:
                 value = tuple(_typed(f"{where} item {i}", item,
                                      _ITEM_TYPES[name])
@@ -385,6 +388,9 @@ class BenchmarkConfig:
             raise ValueError(
                 f"amplitude_gain must scale the wave amplitudes to finite "
                 f"values, not {self.amplitude_gain!r}") from None
+        if not self.amplitude_gain > 0:  # 0 zeroes every beat, < 0 inverts R
+            raise ValueError(f"amplitude_gain must be positive, not "
+                             f"{self.amplitude_gain!r}")
         # omega is never jittered, so every beat shares the default period
         check_window(self.d, self.r_offset, self.fs, DEFAULT_PARAMS.period)
         for what, keys in (

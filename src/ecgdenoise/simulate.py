@@ -50,8 +50,8 @@ FORCING_CHUNK = 1 << 16
 #: take it on NumPy rows, all traces at once (about 3 us a step).
 SCALAR_STEP_TRACES = 8
 
-#: A stage phase this far inside (-pi, pi) of every trace's wave position
-#: skips the wrap of ``phase - theta_i``; it covers the rounding there.
+#: A chunk whose every ``phase - theta_i`` lies this far inside (-pi, pi)
+#: skips wave i's wrap; the margin covers the rounding there.
 _WRAP_MARGIN = 1e-6
 
 
@@ -204,46 +204,29 @@ def _phase_path(omega: float, u: float, v: float, h: float, n_steps: int):
     return np.frombuffer(states).reshape(-1, 2), phases
 
 
-def _wrap_runs(phases, theta) -> list:
-    """Per wave i, the runs ``(start, stop)`` of stage phases at which some
-    trace's ``phase - theta_i`` may leave [-pi, pi); the bounds come from
-    the batch's least and greatest theta_i. At every other phase the wrap
-    into (-pi, pi] leaves the difference as it is."""
-    lo, hi = theta.min(axis=0), theta.max(axis=0)
-    runs = []
-    for i in range(theta.shape[1]):
-        rows = np.flatnonzero((phases - hi[i] < _WRAP_MARGIN - math.pi)
-                              | (phases - lo[i] >= math.pi - _WRAP_MARGIN))
-        ends = np.flatnonzero(np.diff(rows) > 1)
-        runs.append(list(zip(rows[np.r_[0, ends + 1]].tolist(),
-                             (rows[np.r_[ends, -1]] + 1).tolist()))
-                    if rows.size else [])
-    return runs
-
-
-def _baseline_minus_waves(phases, first, waves, runs, total, dth, g) -> None:
+def _baseline_minus_waves(phases, waves, total, dth, g) -> None:
     """Write ``x0 - sum_i a_i dth_i exp(-dth_i^2 / (2 b_i^2))`` into
     ``total``, shape (phases, traces), with ``dth_i`` the phase minus
-    ``theta_i`` wrapped into (-pi, pi] on the row runs ``runs[i]`` (the
-    rows that need it, counted from ``first``, the index of ``phases[0]``
-    in the runs). ``waves`` is ``(a, -2 b^2, theta, x0)`` with one row per
-    wave; ``dth`` and ``g`` are scratch buffers of ``total``'s shape.
-    Elementwise only, so no trace depends on the others."""
+    ``theta_i`` wrapped into (-pi, pi]. ``waves`` is ``(a, -2 b^2, theta,
+    x0)`` with one row per wave; ``dth`` and ``g`` are scratch buffers of
+    ``total``'s shape. A wave whose every ``dth_i`` lies ``_WRAP_MARGIN``
+    inside (-pi, pi), by the phases' and the batch's theta_i bounds,
+    skips the wrap, which would leave it as it is. Elementwise only, so
+    no trace depends on the others."""
     a, neg_two_b_sq, theta, x0 = waves
+    # a non-finite phase fails both tests, so its chunk is wrapped
+    inside = ((phases.min() - theta.max(axis=1) >= _WRAP_MARGIN - math.pi)
+              & (phases.max() - theta.min(axis=1) < math.pi - _WRAP_MARGIN))
     total.fill(0.0)
     for i in range(a.shape[0]):
         np.subtract(phases[:, None], theta[i], out=dth)
-        for start, stop in runs[i]:
-            start, stop = max(start - first, 0), min(stop - first, len(dth))
-            if start >= stop:
-                continue
-            part, turns = dth[start:stop], g[start:stop]
-            np.add(part, math.pi, out=turns)
-            turns /= _TWO_PI
-            np.floor(turns, out=turns)
-            turns *= _TWO_PI
-            part -= turns
-            part[part == -math.pi] = math.pi
+        if not inside[i]:
+            np.add(dth, math.pi, out=g)
+            g /= _TWO_PI
+            np.floor(g, out=g)
+            g *= _TWO_PI
+            dth -= g
+            dth[dth == -math.pi] = math.pi
         np.multiply(dth, dth, out=g)
         g /= neg_two_b_sq[i]
         np.exp(g, out=g)
@@ -304,7 +287,6 @@ def _rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
     n = len(xinit)
     waves = (np.ascontiguousarray(a.T), -(2.0 * b.T * b.T),
              np.ascontiguousarray(theta.T), x0)
-    wrap = _wrap_runs(phases, theta)
     chunk = max(stride, min(n_steps, FORCING_CHUNK // (4 * n))
                 // stride * stride)
     total, dth, g = (np.empty((4 * chunk, n)) for _ in range(3))
@@ -318,9 +300,8 @@ def _rk4_mcsharry(a, b, theta, x0, omega, u0, v0, xinit, h, n_steps, stride):
     for first in range(0, n_steps, chunk):
         steps = min(chunk, n_steps - first)
         rows = 4 * steps
-        _baseline_minus_waves(phases[4 * first:4 * first + rows], 4 * first,
-                              waves, wrap, total[:rows], dth[:rows],
-                              g[:rows])
+        _baseline_minus_waves(phases[4 * first:4 * first + rows], waves,
+                              total[:rows], dth[:rows], g[:rows])
         forcing = total[:rows].reshape(steps, 4, n)
         # c_k, then x_{k+1} = c_k + rho x_k in place of c_k
         path = np.multiply(forcing[:, 0], w1, out=dth[:steps])

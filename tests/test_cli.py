@@ -183,6 +183,34 @@ class TestSimulate:
             seed=5, n_samples=100, n_beats_grid=(20,),
             tau_regimes=(TauRegime.uniform(2, 20),))
 
+    def test_omitted_r_offset_is_a_third_of_d(self, tmp_path, capsys):
+        flags = ["simulate", "-n", "4", "-B", "3", "--d", "80", "--fs", "200",
+                 "--seed", "1"]
+        code, _ = run_json(capsys, [*flags, "--out", str(tmp_path / "a")])
+        assert code == 0
+        manifest = load_json(tmp_path / "a" / "manifest.json")
+        assert manifest["config"]["r_offset"] == 26
+        code, _ = run_json(capsys, [*flags, "--r-offset", "26",
+                                    "--out", str(tmp_path / "b")])
+        assert code == 0
+        assert all((tmp_path / "a" / name).read_bytes()
+                   == (tmp_path / "b" / name).read_bytes()
+                   for name in ("beats.npy", "thetas.npy", "manifest.json"))
+
+    def test_existing_out_is_overwritten(self, dataset, tmp_path, capsys):
+        # each file replaces its namesake; a file of another name stays
+        out = tmp_path / "ds"
+        out.mkdir()
+        for name in ("beats.npy", "manifest.json", "thetas.npy", "notes.txt"):
+            (out / name).write_text("old")
+        code, _ = run_json(capsys, ["simulate", *SIM_FLAGS, "--out", str(out)])
+        assert code == 0
+        assert (out / "notes.txt").read_text() == "old"
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "notes.txt"} == \
+            {p.name: p.read_bytes() for p in dataset.iterdir()}
+        assert [p.name for p in tmp_path.iterdir()] == ["ds"]
+
     def test_malformed_tau_is_json_error(self, tmp_path, capsys):
         flags = list(SIM_FLAGS)
         flags[flags.index("--tau") + 1] = "uniform:2"
@@ -280,21 +308,29 @@ class TestBadNoiseModel:
 
 @pytest.mark.usefixtures("no_simulation")
 class TestBadGain:
-    """A gain that takes the wave amplitudes out of float64's finite range
-    is refused by its own name before any simulation."""
+    """A gain that takes the wave amplitudes out of float64's finite range,
+    or that is not positive, is refused by its own name before any
+    simulation."""
 
-    @pytest.mark.parametrize("gain", ["1e308", "inf", "nan"])
+    @pytest.mark.parametrize("gain, message", [
+        ("1e308", "amplitude_gain must scale the wave amplitudes to finite "
+                  "values, not 1e+308"),
+        ("inf", "amplitude_gain must scale the wave amplitudes to finite "
+                "values, not inf"),
+        ("nan", "amplitude_gain must scale the wave amplitudes to finite "
+                "values, not nan"),
+        ("0", "amplitude_gain must be positive, not 0.0"),
+        ("-1", "amplitude_gain must be positive, not -1.0"),
+    ], ids=["1e308", "inf", "nan", "0", "-1"])
     @pytest.mark.parametrize("command", ["simulate", "benchmark"])
-    def test_refused_naming_the_gain(self, tmp_path, capsys, command, gain):
+    def test_refused_naming_the_gain(self, tmp_path, capsys, command, gain,
+                                     message):
         flags = SIM_FLAGS if command == "simulate" else ["--seed", "3"]
         out = tmp_path / "out"
         code, payload = run_json(capsys, [
             command, *flags, f"--gain={gain}", "--out", str(out)])
         assert code == 1
-        assert payload["error"] == {
-            "type": "ValueError",
-            "message": "amplitude_gain must scale the wave amplitudes to "
-                       f"finite values, not {float(gain)!r}"}
+        assert payload["error"] == {"type": "ValueError", "message": message}
         assert not out.exists()
 
 
@@ -315,6 +351,21 @@ class TestEstimateNoise:
         assert payload["trace"] == pytest.approx(80.0, abs=1e-6)
         assert payload["tau_median_relative_error"] < 0.5
 
+
+    def test_existing_out_is_overwritten(self, dataset, tmp_path, capsys):
+        argv = ["estimate-noise", "--dataset", str(dataset), "--out"]
+        assert run_json(capsys, [*argv, str(tmp_path / "fresh")])[0] == 0
+        out = tmp_path / "noise"
+        out.mkdir()
+        for name in ("k_hat.npy", "tau_hat.csv", "notes.txt"):
+            (out / name).write_text("old")
+        assert run_json(capsys, [*argv, str(out)])[0] == 0
+        assert (out / "notes.txt").read_text() == "old"
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "notes.txt"} == \
+            {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh",
+                                                              "noise"]
 
     @pytest.mark.parametrize("existing", [False, True],
                              ids=["new-out", "existing-out"])
@@ -746,6 +797,20 @@ class TestPlotData:
         np.testing.assert_array_equal(overlay_reconstruction(overlay),
                                       estimates[row_ids.index("s00002")])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "mse-table"], "mse-table needs --report"),
+        (["--kind", "beats-overlay", "--sample", "s99999"],
+         "sample 's99999' not in dataset"),
+    ], ids=["mse-table-no-report", "overlay-unknown-sample"])
+    def test_refusal_writes_nothing(self, dataset, tmp_path, capsys, argv,
+                                    message):
+        out = tmp_path / "plot.csv"
+        code, payload = run_json(capsys, [
+            "plot-data", *argv, "--dataset", str(dataset), "--out", str(out)])
+        assert code == 1
+        assert payload["error"]["message"] == message
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--estimator fa:truth",
                                       "--latent-dim 3"])
     def test_fit_flags_are_refused(self, dataset, tmp_path, capsys, flag):
@@ -1100,6 +1165,25 @@ class TestDatasetChecks:
         assert error["message"] == (
             f"{beats}: sample 's00000': ground-truth beat length 80 does not "
             f"match the beats' 79")
+
+    @pytest.mark.parametrize("command", [
+        ["estimate-noise", "--out", "noise"],
+        ["denoise", "--estimator", "mle", "--out", "estimates.csv"],
+    ], ids=["estimate-noise", "denoise"])
+    def test_nonfinite_beat_is_json_error(self, copy, capsys, command):
+        beats = copy / "beats.npy"
+        values = np.load(beats)
+        values[7, 40] = np.nan  # a beat of the second recording
+        np.save(beats, values)
+        before = sorted(p.name for p in copy.parent.rglob("*"))
+        *argv, out = command
+        code, payload = run_json(capsys, [*argv, str(copy / out),
+                                          "--dataset", str(copy)])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": f"{beats}: sample 's00001': beats must be finite"}
+        assert sorted(p.name for p in copy.parent.rglob("*")) == before
 
     @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
     def test_invalid_true_tau_is_json_error(self, copy, capsys, bad):

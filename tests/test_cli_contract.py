@@ -61,16 +61,14 @@ def flags(draw, specs):
 
 @st.composite
 def simulation_specs(draw):
-    """The flags ``simulate`` and ``benchmark`` share, at a small size.
-    Without ``--r-offset`` the default offset lies past a window this
-    small."""
+    """The flags ``simulate`` and ``benchmark`` share, at a small size."""
     d = draw(st.integers(8, 64))
     return [
         ("--n-samples", st.integers(1, 8), values(0, -1)),
         ("--d", st.just(d), values(0, -1)),
         ("--fs", st.none() | st.integers(d, 1000),
          values("0", "-1", "nan", "inf", "200.1", "1e8", "1e308")),
-        ("--r-offset", st.integers(0, d - 1), values(None, -1, d)),
+        ("--r-offset", st.none() | st.integers(0, d - 1), values(-1, d)),
         ("--jitter", values(None, "0", "0.3", "0.9"),
          values("-0.1", "1", "nan")),
         ("--gain", values(None, "27.5", "1"),

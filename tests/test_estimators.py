@@ -543,7 +543,7 @@ class TestEmPaths:
         # EM converges in 671 steps at this seed, in 203 to 479 at seeds
         # 0-5 and 7
         config = BenchmarkConfig(seed=6, n_samples=200, fs=250.0, d=246,
-                                 n_beats_grid=(20,),
+                                 r_offset=164, n_beats_grid=(20,),
                                  tau_regimes=(TauRegime.uniform(2, 20),))
         population_seed, [cell] = grid_seeds(config)
         thetas = simulate_population(config, population_seed)

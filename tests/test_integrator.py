@@ -356,11 +356,24 @@ def _run_block(params_batch, xinit, start, h, n_steps, stride, theta=None):
     return _rk4_mcsharry(*args), block_rk4_mcsharry(*args)
 
 
-@pytest.fixture(params=[FORCING_CHUNK, 4 * N_ROWS * STRIDE],
-                ids=["chunk-default", "chunk-one-stride"])
+#: Strides per forcing chunk. From a start at phase pi, some waves need the
+#: wrap on steps 0-2, the R wave moved to pi from a stage phase from step 8
+#: on, and the S wave up to step 102-108, so these boundaries fall on each
+#: side of the steps that need it; a chunk holding none skips the wrap.
+CHUNK_STRIDES = {"one-stride": 1, "2-strides": 2, "3-strides": 3,
+                 "26-strides": 26, "27-strides": 27}
+
+
+@pytest.fixture(params=[None, *CHUNK_STRIDES.values()],
+                ids=["chunk-default", *(f"chunk-{k}" for k in CHUNK_STRIDES)])
 def chunk_budget(request, monkeypatch):
-    monkeypatch.setattr(simulate, "FORCING_CHUNK", request.param)
-    return request.param
+    """The forcing budget of a test's ``n`` traces: the default, or one
+    that gives chunks of the param's number of strides."""
+    budget = FORCING_CHUNK
+    if request.param is not None:
+        budget = 4 * request.getfixturevalue("n") * STRIDE * request.param
+    monkeypatch.setattr(simulate, "FORCING_CHUNK", budget)
+    return budget
 
 
 class TestAgainstBlockKernel:
@@ -441,3 +454,26 @@ class TestAgainstBlockKernel:
             tracemalloc.stop()
         output = n * (n_steps // 4 + 1) * 8
         assert peak < output + 3 * FORCING_CHUNK * 8 + 2**20
+
+    def test_forcing_split_at_each_wrap_edge(self):
+        # one cycle from phase 0: the phase crosses +-pi mid-path, where the
+        # T wave's phase - theta drops below -pi; a chunk boundary one row
+        # either side of each row where some wave starts or stops needing
+        # the wrap gives the block kernel's forcing bit for bit
+        pop = _population(N_ROWS, seed=2)
+        a, b, theta, x0, _ = _batch(pop, np.zeros(N_ROWS))
+        _, phases = _phase_path(pop[0].omega, 1.0, 0.0, 1.0 / 2000.0, 2000)
+        want = _block_forcing(phases, a, b, theta, x0)
+        waves = (np.ascontiguousarray(a.T), -(2.0 * b.T * b.T),
+                 np.ascontiguousarray(theta.T), x0)
+        dth = phases[:, None, None] - theta
+        needs = ((dth < -math.pi) | (dth >= math.pi)).any(axis=1)
+        edges = np.flatnonzero(np.diff(needs, axis=0).any(axis=1)) + 1
+        assert edges.size >= 2
+        for split in np.unique(edges[:, None] + np.arange(-1, 2)):
+            got = np.empty_like(want)
+            for rows in (slice(0, split), slice(split, None)):
+                simulate._baseline_minus_waves(
+                    phases[rows], waves, got[rows],
+                    np.empty_like(got[rows]), np.empty_like(got[rows]))
+            assert np.array_equal(got, want), split
