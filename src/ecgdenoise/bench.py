@@ -43,7 +43,7 @@ from .estimators import (
 from .noise import (
     RESIDUAL_BLOCK_ROWS,
     CovarianceMatrix,
-    EcgSample,
+    Recordings,
     estimate_noise,
     matern_covariance,
     whiten,
@@ -53,7 +53,6 @@ from .simulate import (
     BACKEND,
     DEFAULT_FS,
     DEFAULT_PARAMS,
-    ThetaBeat,
     _child_seeds,
     _readonly,
     check_window,
@@ -538,16 +537,14 @@ def draw_cell(thetas, K, regime: TauRegime, n_beats: int, seeds):
     return beats, taus, fit_seed
 
 
-def make_samples(beats: np.ndarray, thetas=None, taus=None) -> list:
-    """Wrap a beats array (N, B, d) into EcgSample objects, ids s00000...;
-    sample i carries row i of ``thetas`` (N, d) and ``taus`` (N,) where
-    they are given."""
-    n = beats.shape[0]
+def make_samples(beats: np.ndarray, thetas=None, taus=None) -> Recordings:
+    """The :class:`Recordings` of a cell's beats (N, B, d), ids s00000...,
+    with its ``thetas`` (N, d) and ``taus`` (N,) where they are given."""
+    n, n_beats, d = beats.shape
     width = max(5, len(str(n - 1)))
-    return [EcgSample(f"s{i:0{width}d}", beats[i],
-                      None if thetas is None else ThetaBeat(thetas[i]),
-                      None if taus is None else taus[i])
-            for i in range(n)]
+    return Recordings([f"s{i:0{width}d}" for i in range(n)],
+                      beats.reshape(n * n_beats, d), np.full(n, n_beats),
+                      thetas, taus)
 
 
 def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,

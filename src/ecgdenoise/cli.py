@@ -108,21 +108,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _dataset_truth(samples):
-    """The true taus and thetas, each None unless every sample has it."""
-    taus = thetas = None
-    if all(s.tau is not None for s in samples):
-        taus = np.array([s.tau for s in samples])
-    if all(s.theta is not None for s in samples):
-        thetas = np.stack([s.theta.values for s in samples])
-    return taus, thetas
-
-
-def _recorded_cell(manifest, samples, where, needs_k: bool):
+def _recorded_cell(manifest, recordings, where, needs_k: bool):
     """The one-cell config that ``manifest``, read from ``where``, records
-    for ``samples``, and its cell's fit seed. A record must be complete, as
-    ``from_dict`` would fill a gap with a default, and must describe
-    ``samples``. Without one, a caller that ``needs_k`` is refused; others
+    for ``recordings``, and its cell's fit seed. A record must be complete,
+    as ``from_dict`` would fill a gap with a default, and must describe
+    ``recordings``. Without one, a caller that ``needs_k`` is refused; others
     get ``BenchmarkConfig``'s defaults, for its fit settings alone, and fit
     seed 0."""
     record = manifest.get("config")
@@ -145,37 +135,35 @@ def _recorded_cell(manifest, samples, where, needs_k: bool):
     if len(cells) != 1:
         raise EcgDenoiseError(f"{where}: the recorded config has {len(cells)} "
                               f"grid cells; a dataset is one")
-    if config.d != samples[0].d:
-        raise EcgDenoiseError(f"{where}: the recorded config has d="
-                              f"{config.d}, the beats have width "
-                              f"{samples[0].d}")
+    if config.d != recordings.d:
+        raise EcgDenoiseError(f"{where}: the recorded config has d={config.d}"
+                              f", the beats have width {recordings.d}")
     [(_, n_beats, (_, _, fit_seed))] = cells
-    counts = sorted({s.n_beats for s in samples})
-    if (config.n_samples, [n_beats]) != (len(samples), counts):
+    counts = np.unique(recordings.counts).tolist()
+    if (config.n_samples, [n_beats]) != (len(recordings), counts):
         raise EcgDenoiseError(
             f"{where}: the recorded config has {config.n_samples} recordings "
-            f"of {n_beats} beats, the data has {len(samples)} of "
+            f"of {n_beats} beats, the data has {len(recordings)} of "
             f"{' or '.join(map(str, counts))}")
     return config, fit_seed
 
 
 def _cmd_estimate_noise(args) -> int:
-    samples, manifest = load_dataset(args.dataset)
-    k_hat, tau_hat = estimate_noise(samples)
+    recordings, _ = load_dataset(args.dataset)
+    k_hat, tau_hat = estimate_noise(recordings)
     out = _resolve_out(args.out, Path(args.dataset).name + "-noise")
     with staged_directory(out) as stage:
-        save_npy(stage / "k_hat.npy", [k_hat.matrix], k_hat.matrix.shape)
+        save_npy(stage / "k_hat.npy", k_hat.matrix)
         save_matrix_csv(stage / "tau_hat.csv", tau_hat[:, None],
-                        [s.sample_id for s in samples])
+                        recordings.ids)
     summary = {
         "k_hat": str(out / "k_hat.npy"),
         "tau_hat": str(out / "tau_hat.csv"),
         "trace": float(np.trace(k_hat.matrix)),
         "tau_hat_median": float(np.median(tau_hat)),
     }
-    true_taus, _ = _dataset_truth(samples)
-    if true_taus is not None:
-        rel = np.abs(tau_hat - true_taus) / true_taus
+    if recordings.taus is not None:
+        rel = np.abs(tau_hat - recordings.taus) / recordings.taus
         summary["tau_median_relative_error"] = float(np.median(rel))
     _emit(summary)
     return 0
@@ -185,26 +173,24 @@ def _cmd_denoise(args) -> int:
     """``bench.denoise`` on the dataset as loaded, with the fit settings of
     its recorded grid cell. Noise is estimated for ``:estimated`` specs;
     other specs but ``mle`` get the recorded K where there are true taus."""
-    samples, manifest = load_dataset(args.dataset)
+    recordings, manifest = load_dataset(args.dataset)
     spec = EstimatorSpec.parse(args.estimator)
-    means = np.stack([s.beat_mean for s in samples])
-    n_beats = np.array([s.n_beats for s in samples], dtype=float)
-    taus, thetas = _dataset_truth(samples)
     needs_k = spec.kind != "mle" and not spec.needs_estimation \
-        and taus is not None
+        and recordings.taus is not None
     config, fit_seed = _recorded_cell(
-        manifest, samples, Path(args.dataset) / "manifest.json", needs_k)
+        manifest, recordings, Path(args.dataset) / "manifest.json", needs_k)
     truth = estimate = None
     if spec.needs_estimation:
-        estimate = estimate_noise(samples)
+        estimate = estimate_noise(recordings)
     elif needs_k:
-        truth = config.noise_covariance(), taus
+        truth = config.noise_covariance(), recordings.taus
     estimates, extra = denoise(
-        spec, means, n_beats, truth=truth, estimate=estimate, thetas=thetas,
+        spec, recordings.means(), recordings.counts.astype(float),
+        truth=truth, estimate=estimate, thetas=recordings.thetas,
         latent_dim=config.latent_dim, n_components=config.mog_components,
         fit_seed=fit_seed)
     out = _resolve_out(args.out, f"denoised-{spec.name}.csv")
-    save_matrix_csv(out, estimates, [s.sample_id for s in samples])
+    save_matrix_csv(out, estimates, recordings.ids)
     _emit({"estimates": str(out), "estimator": spec.name, **extra})
     return 0
 
@@ -249,8 +235,6 @@ def _mse_table_rows(report) -> list:
     benchmark report's shape, an ``mse`` that is not a number included,
     raises an EcgDenoiseError naming ``report``, and a report without an
     ok entry an EmptyInputError."""
-    if not report:
-        raise EcgDenoiseError("mse-table needs --report")
     document = load_json(report)
     rows = []
     try:
@@ -276,45 +260,54 @@ def _mse_table_rows(report) -> list:
     return rows
 
 
+#: Each plot kind's inputs, the one it needs first; any other is refused.
+_PLOT_INPUTS = {"beats-overlay": ("dataset", "sample", "estimates"),
+                "tau-hist": ("dataset", "bins"),
+                "beat-count-hist": ("dataset",), "mse-table": ("report",)}
+
+
 def _cmd_plot_data(args) -> int:
     """Long-format (series, x, y) rows of one plot kind, written as CSV."""
+    reads = _PLOT_INPUTS[args.kind]
+    if not getattr(args, reads[0]):
+        raise EcgDenoiseError(f"{args.kind} needs --{reads[0]}")
+    for name in sorted(set().union(*_PLOT_INPUTS.values()) - set(reads)):
+        if getattr(args, name) is not None:
+            raise EcgDenoiseError(f"--kind {args.kind} does not read --{name}")
     out = _resolve_out(args.out, f"plot-{args.kind}.csv")
     if args.kind == "mse-table":
         rows = _mse_table_rows(args.report)
     else:
-        if not args.dataset:
-            raise EcgDenoiseError(f"{args.kind} needs --dataset")
-        samples, _ = load_dataset(args.dataset)
+        recordings, _ = load_dataset(args.dataset)
         if args.kind == "beats-overlay":
-            wanted = args.sample or samples[0].sample_id
-            ids = [s.sample_id for s in samples]
+            ids = recordings.ids
+            wanted = ids[0] if args.sample is None else args.sample
             if wanted not in ids:
                 raise EcgDenoiseError(f"sample {wanted!r} not in dataset")
             row = ids.index(wanted)
             rows = [(f"beat_{b:02d}", float(j), float(v))
-                    for b, beat in enumerate(samples[row].beats)
+                    for b, beat in enumerate(recordings[row].beats)
                     for j, v in enumerate(beat)]
-            if args.estimates:
+            if args.estimates is not None:
                 estimates, row_ids = load_matrix_csv(args.estimates)
-                if row_ids != ids or estimates.shape[1] != samples[0].d:
+                if tuple(row_ids) != ids or estimates.shape[1] != recordings.d:
                     raise EcgDenoiseError(
                         f"{args.estimates} is not what denoise writes for "
                         f"this dataset: one row per sample id, in order, "
-                        f"of width {samples[0].d}")
+                        f"of width {recordings.d}")
                 rows += [("reconstruction", float(j), float(v))
                          for j, v in enumerate(estimates[row])]
         elif args.kind == "tau-hist":
-            taus, _ = _dataset_truth(samples)
-            if taus is None:
+            if recordings.taus is None:
                 raise EmptyInputError("no tau values available")
-            counts, edges = np.histogram(taus, bins=args.bins)
+            counts, edges = np.histogram(
+                recordings.taus, bins=20 if args.bins is None else args.bins)
             rows = [("tau_count", float(0.5 * (edges[i] + edges[i + 1])),
                      float(c)) for i, c in enumerate(counts)]
             rows += [("tau_bin_edge", float(i), float(e))
                      for i, e in enumerate(edges)]
         else:  # beat-count-hist
-            values, freq = np.unique([s.n_beats for s in samples],
-                                     return_counts=True)
+            values, freq = np.unique(recordings.counts, return_counts=True)
             rows = [("beat_count", float(v), float(c))
                     for v, c in zip(values, freq)]
     save_series_csv(out, rows)
@@ -378,14 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("plot-data", help="long-format CSV for plotting")
-    p.add_argument("--kind", required=True,
-                   choices=["beats-overlay", "tau-hist", "beat-count-hist",
-                            "mse-table"])
+    p.add_argument("--kind", required=True, choices=list(_PLOT_INPUTS))
     p.add_argument("--dataset")
     p.add_argument("--report")
     p.add_argument("--sample", help="sample id for beats-overlay")
     p.add_argument("--estimates", help="denoise's CSV (beats-overlay)")
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=int, help="tau-hist's bins (default 20)")
     p.add_argument("--out", help="CSV path")
     p.set_defaults(func=_cmd_plot_data)
     return parser

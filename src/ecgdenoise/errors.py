@@ -68,3 +68,11 @@ class InvalidSampleIdError(EcgDenoiseError, ValueError):
 class WorkerDiedError(EcgDenoiseError):
     """A benchmark cell worker process ended before its cells finished;
     the message names them."""
+
+
+class InvalidRecordingsError(EcgDenoiseError, ValueError):
+    """A recording set's arrays misfit or hold a bad value, in ``field``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field

@@ -196,7 +196,7 @@ def _kmeanspp_centers(z: np.ndarray, n_components: int, rng) -> np.ndarray:
 
 
 def fit_gmm(z: np.ndarray, n_components: int, rng_seed,
-            n_restarts: int = 10, max_iter: int = 200,
+            n_restarts: int = 10, max_iter: int = 1000,
             tol: float = 1e-7) -> GaussianMixture:
     """Fit a full-covariance Gaussian mixture to rows of ``z`` by EM.
 

@@ -14,12 +14,15 @@ eigenproblems of half its size.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientReplicatesError, ZeroNoiseError
+from .errors import (InsufficientReplicatesError, InvalidRecordingsError,
+                     ZeroNoiseError)
 from .simulate import ThetaBeat, _readonly
 
 SUPPORTED_SMOOTHNESS = (0.5, 1.5, 2.5)
@@ -81,47 +84,101 @@ class CovarianceMatrix:
         return cls(eigenvalues=_readonly(vals), eigenvectors=_readonly(vecs))
 
 
-def _as_tau(tau) -> float:
-    value = float(tau)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError("tau must be finite and strictly positive")
-    return value
-
-
 @dataclass(frozen=True)
 class EcgSample:
-    """One recording: B aligned beats, plus ground truth when simulated:
-    the clean beat ``theta`` and the noise precision ``tau`` (the noise
-    scale is 1 / tau)."""
+    """Recording i of a :class:`Recordings`, as ``recordings[i]`` gives it:
+    its B aligned beats, plus ground truth when simulated: the clean beat
+    ``theta`` and the noise precision ``tau`` (noise scale 1 / tau)."""
 
     sample_id: str
     beats: np.ndarray
     theta: ThetaBeat | None = None
     tau: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "beats", _readonly(self.beats))
-        if self.beats.ndim != 2 or self.beats.shape[0] < 1:
-            raise ValueError("beats must be a non-empty (B, d) matrix")
-        if not np.all(np.isfinite(self.beats)):
-            raise ValueError("beats must be finite")
-        if self.theta is not None and self.theta.d != self.d:
-            raise ValueError(f"ground-truth beat length {self.theta.d} does "
-                             f"not match the beats' {self.d}")
-        if self.tau is not None:
-            object.__setattr__(self, "tau", _as_tau(self.tau))
-
     @property
     def n_beats(self) -> int:
         return self.beats.shape[0]
 
     @property
+    def beat_mean(self) -> np.ndarray:
+        return self.beats.mean(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class Recordings(Sequence):
+    """A recording set as arrays: recording i is ``ids[i]``, the next
+    ``counts[i]`` rows of ``beats`` (sum B_i, d) and, when simulated, row i
+    of ``thetas`` (N, d) and ``taus`` (N,). The arrays are held read-only
+    and checked once, here; a refusal is an :class:`InvalidRecordingsError`
+    that names the array and, for a bad value, its first recording."""
+
+    ids: tuple
+    beats: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    thetas: np.ndarray | None = field(default=None, repr=False)
+    taus: np.ndarray | None = field(default=None, repr=False)
+    _starts: np.ndarray = field(init=False, repr=False)  # first beat rows
+
+    def __post_init__(self):
+        ids, counts = tuple(self.ids), np.array(self.counts)
+        n, beats = len(ids), _readonly(self.beats)
+        if not (n and counts.shape == (n,) and counts.dtype.kind in "iu"
+                and np.all(counts >= 1)):
+            raise InvalidRecordingsError("counts", (
+                f"need at least one recording, each an id and a count >= 1, "
+                f"not {n} ids and counts of shape {counts.shape}"))
+        if beats.ndim != 2 or len(beats) != counts.sum():
+            raise InvalidRecordingsError("beats", (
+                f"beats of shape {beats.shape}, but the counts sum to "
+                f"{counts.sum()} rows"))
+        counts.flags.writeable = False
+        starts = np.cumsum(counts) - counts
+        thetas = taus = None
+        checks = [("beats", np.logical_and.reduceat(
+            np.isfinite(beats).all(axis=1), starts), "beats must be finite")]
+        if self.thetas is not None:
+            thetas = _readonly(self.thetas)
+            if thetas.shape[1:] != beats.shape[1:]:
+                raise InvalidRecordingsError(
+                    "beats", f"sample {ids[0]!r}: ground-truth beat length "
+                             f"{thetas.shape[-1]} does not match the beats' "
+                             f"{beats.shape[1]}")
+            checks.append(("thetas", np.isfinite(thetas).all(axis=1),
+                           "beat values must be finite"))
+        if self.taus is not None:
+            taus = _readonly(self.taus)
+            checks.append(("taus", np.isfinite(taus) & (taus > 0),
+                           "tau must be finite and strictly positive"))
+        for name, ok, problem in checks:
+            if ok.shape != (n,):
+                raise InvalidRecordingsError(
+                    name, f"{name} must hold one row per recording, {n}")
+            if not ok.all():
+                raise InvalidRecordingsError(
+                    name, f"sample {ids[np.argmin(ok)]!r}: {problem}")
+        vars(self).update(ids=ids, beats=beats, counts=counts, thetas=thetas,
+                          taus=taus, _starts=starts)  # frozen: no __setattr__
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i) -> EcgSample:
+        i = range(len(self))[operator.index(i)]
+        start = self._starts[i]
+        return EcgSample(
+            self.ids[i], self.beats[start:start + self.counts[i]],
+            None if self.thetas is None else ThetaBeat(self.thetas[i]),
+            None if self.taus is None else float(self.taus[i]))
+
+    @property
     def d(self) -> int:
         return self.beats.shape[1]
 
-    @property
-    def beat_mean(self) -> np.ndarray:
-        return self.beats.mean(axis=0)
+    def means(self) -> np.ndarray:
+        """Each recording's beat mean (N, d), bit for bit its rows'
+        ``mean(axis=0)``, which ``np.add.reduceat`` is not for B >= 3."""
+        runs = np.split(self.beats, self._starts[1:])
+        return np.stack([run.mean(axis=0) for run in runs])
 
 
 def _toeplitz_eigh(row: np.ndarray):
@@ -215,14 +272,7 @@ def unwhiten(K: CovarianceMatrix, x_white: np.ndarray, mu=None) -> np.ndarray:
     return x
 
 
-def _sample_beats(sample) -> np.ndarray:
-    beats = sample.beats if isinstance(sample, EcgSample) else np.asarray(sample)
-    if beats.ndim != 2:
-        raise ValueError("each sample must be a (B, d) beat matrix")
-    return np.asarray(beats, dtype=np.float64)
-
-
-def _residual_blocks(beat_sets, counts, d):
+def _residual_blocks(beats, counts):
     """Yield ``(first, stop, resid)`` over consecutive runs of samples.
 
     ``resid`` stacks the residuals of samples ``first:stop`` around their
@@ -231,16 +281,17 @@ def _residual_blocks(beat_sets, counts, d):
     sample's B_i, if larger).
     """
     per_block = max(1, RESIDUAL_BLOCK_ROWS // int(counts.max()))
-    buffer = np.empty((min(int(counts.sum()), per_block * int(counts.max())),
-                       d))
-    for first in range(0, len(beat_sets), per_block):
-        stop = min(first + per_block, len(beat_sets))
+    buffer = np.empty((min(len(beats), per_block * int(counts.max())),
+                       beats.shape[1]))
+    starts = np.cumsum(counts) - counts
+    for first in range(0, len(counts), per_block):
+        stop = min(first + per_block, len(counts))
         rows = 0
-        for beats in beat_sets[first:stop]:
-            block = buffer[rows:rows + beats.shape[0]]
-            np.subtract(beats, beats.mean(axis=0), out=block)
-            block *= 1.0 / math.sqrt(beats.shape[0] - 1)
-            rows += beats.shape[0]
+        for start, b in zip(starts[first:stop], counts[first:stop]):
+            own, block = beats[start:start + b], buffer[rows:rows + b]
+            np.subtract(own, own.mean(axis=0), out=block)
+            block *= 1.0 / math.sqrt(b - 1)
+            rows += b
         yield first, stop, buffer[:rows]
 
 
@@ -259,35 +310,36 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     sigma_i^2 = tr(C_i) / d is unbiased for 1 / tau_i^2 because the
     model's K has trace d.
 
-    ``samples`` is a sequence of :class:`EcgSample` or (B, d) matrices (B
-    may differ between samples) or an (N, B, d) array. Residuals are
-    stacked in blocks of about ``RESIDUAL_BLOCK_ROWS`` rows, in one pass:
-    one GEMM per block accumulates S, and the block's row energies give
-    the sigma_i^2. K_hat's eigenpairs come from :func:`_toeplitz_eigh`, as
-    a Matern K's do. A scatter that overflows float64 is refused with a
-    ``ValueError``; a sample with zero residual energy, or a scatter whose
-    trace has no finite reciprocal, with a :class:`ZeroNoiseError`.
+    ``samples`` is a :class:`Recordings` (B may differ between samples)
+    or a grid cell's (N, B, d) array, which give the same result bit for
+    bit. Residuals are stacked in blocks of about ``RESIDUAL_BLOCK_ROWS``
+    rows, in one pass: one GEMM per block accumulates S, and the block's
+    row energies give the sigma_i^2. K_hat's eigenpairs come from
+    :func:`_toeplitz_eigh`, as a Matern K's do. A scatter that overflows
+    float64 is refused with a ``ValueError``; a sample with zero residual
+    energy, or a scatter whose trace has no finite reciprocal, with a
+    :class:`ZeroNoiseError`.
 
     Returns ``(K_hat, tau_hat)`` with ``tau_hat`` an array aligned with the
     sample order.
     """
-    beat_sets = [_sample_beats(s) for s in samples]
-    if not beat_sets:
-        raise ValueError("samples must be non-empty")
-    d = beat_sets[0].shape[1]
-    for i, beats in enumerate(beat_sets):
-        if beats.shape[1] != d:
-            raise ValueError("all samples must share the same beat length d")
-        if beats.shape[0] < 2:
-            raise InsufficientReplicatesError(
-                f"sample {i} has {beats.shape[0]} beat(s); need B >= 2"
-            )
-    counts = np.array([beats.shape[0] for beats in beat_sets])
+    if isinstance(samples, Recordings):
+        beats, counts, d = samples.beats, samples.counts, samples.d
+    else:
+        cell = np.asarray(samples, dtype=np.float64)
+        if cell.ndim != 3 or 0 in cell.shape:
+            raise ValueError("need Recordings or a non-empty (N, B, d) cell")
+        n, b, d = cell.shape
+        beats, counts = cell.reshape(n * b, d), np.full(n, b)
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        raise InsufficientReplicatesError(
+            f"sample {short[0]} has {counts[short[0]]} beat(s); need B >= 2")
 
     total = np.zeros((d, d))
-    sigma_sq = np.empty(len(beat_sets))
+    sigma_sq = np.empty(len(counts))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first, stop, resid in _residual_blocks(beat_sets, counts, d):
+        for first, stop, resid in _residual_blocks(beats, counts):
             total += resid.T @ resid
             energy = np.einsum("ij,ij->i", resid, resid)
             offsets = np.cumsum(counts[first:stop]) - counts[first:stop]

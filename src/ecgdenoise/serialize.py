@@ -6,7 +6,7 @@ value as ``%.17g``, which round-trips float64 exactly; plot series are
 Datasets are a directory with a ``manifest.json`` plus float64 ``.npy``
 arrays: ``beats.npy`` holds every recording's beats stacked in manifest
 order, split by the manifest's ``beat_counts``; ``thetas.npy`` (N, d) and
-``taus.npy`` (N,) hold the ground truth the samples carry, and a simulated
+``taus.npy`` (N,) hold the ground truth the recordings carry, and a simulated
 dataset's manifest holds the ``BenchmarkConfig`` that drew it under
 ``config``. Benchmark reports are JSON documents with a ``schema_version``
 field. Writes are atomic (temp + rename). A dataset, and any other set
@@ -16,7 +16,6 @@ of files that belong together, is written in a
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 import tempfile
@@ -25,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidSampleIdError
-from .noise import EcgSample, _as_tau
-from .simulate import ThetaBeat
+from .errors import InvalidRecordingsError, InvalidSampleIdError
+from .noise import Recordings
 
 SCHEMA_VERSION = 1
 
@@ -153,9 +151,8 @@ def load_json(path) -> dict:
 # dataset directories
 # ---------------------------------------------------------------------------
 
-BEATS_FILE = "beats.npy"
-THETAS_FILE = "thetas.npy"
-TAUS_FILE = "taus.npy"
+#: The :class:`Recordings` arrays a dataset holds, each as ``<name>.npy``.
+DATASET_ARRAYS = ("beats", "thetas", "taus")
 
 
 def _check_sample_ids(sample_ids, where) -> None:
@@ -193,29 +190,20 @@ def _check_manifest(manifest: dict, where) -> list:
     return counts
 
 
-def save_npy(path, blocks, shape) -> None:
-    """Write ``blocks`` in order as one little-endian float64 ``.npy`` array
-    of ``shape``, streaming each block rather than concatenating them.
-    Blocks that hold more or fewer values than ``shape`` raise
-    ``ValueError``, and ``path`` is left as it was."""
-    header = {"descr": "<f8", "fortran_order": False, "shape": tuple(shape)}
-    expected = math.prod(header["shape"])
+def save_npy(path, array) -> None:
+    """Write ``array`` as a little-endian float64 ``.npy`` file, the bytes
+    of ``np.save``, with the file's own write errors."""
+    values = np.ascontiguousarray(array, dtype="<f8")
+    header = {"descr": "<f8", "fortran_order": False, "shape": values.shape}
     with _atomic_file(path, "wb") as handle:
         np.lib.format.write_array_header_1_0(handle, header)
-        written = 0
-        for block in blocks:
-            values = np.ascontiguousarray(block, dtype="<f8")
-            handle.write(values.data)
-            written += values.size
-        if written != expected:
-            raise ValueError(f"{path}: the blocks hold {written} values, "
-                             f"shape {header['shape']} needs {expected}")
+        handle.write(values.data)
 
 
-def _load_npy(path, ndim: int, n_rows: int, rows_from: str) -> np.ndarray:
-    """A float64 ``.npy`` array of ``ndim`` dimensions and ``n_rows`` rows,
-    the count that ``rows_from`` states; anything else (truncated, pickled,
-    another dtype) raises ``ValueError`` naming ``path``."""
+def _load_npy(path, ndim: int) -> np.ndarray:
+    """A float64 ``.npy`` array of ``ndim`` dimensions; anything else
+    (truncated, pickled, another dtype) raises ``ValueError`` naming
+    ``path``."""
     try:
         array = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
@@ -226,105 +214,67 @@ def _load_npy(path, ndim: int, n_rows: int, rows_from: str) -> np.ndarray:
     if array.dtype != np.float64 or array.ndim != ndim:
         raise ValueError(f"{path}: expected a {ndim}-D float64 array, "
                          f"found {array.ndim}-D {array.dtype}")
-    if array.shape[0] != n_rows:
-        raise ValueError(f"{path}: {array.shape[0]} rows, but {rows_from}")
     return array
 
 
-def save_dataset(directory, samples, manifest_extra: dict) -> None:
-    """Write ``samples`` under ``directory``, with the ground truth they
-    carry: ``thetas.npy`` from their ``theta`` and ``taus.npy`` from their
-    ``tau``, each written when every sample has one. A list in which
-    only some samples have one is refused, naming the first without.
+def save_dataset(directory, recordings, manifest_extra: dict) -> None:
+    """Write ``recordings`` under ``directory``: each of their
+    ``DATASET_ARRAYS`` that they hold as ``<name>.npy``, as it is. Their
+    ids must name CSV rows (:func:`_check_sample_ids`).
 
-    The beats of all samples must share one width. The files are
-    written in a :func:`staged_directory`, the manifest last, so a failed
-    write leaves no partial dataset.
+    The files are written in a :func:`staged_directory`, the manifest
+    last, so a failed write leaves no partial dataset.
     """
     directory = Path(directory)
-    if not samples:
-        raise EmptyInputError("a dataset needs at least one sample")
-    sample_ids = [s.sample_id for s in samples]
+    sample_ids = list(recordings.ids)
     _check_sample_ids(sample_ids, directory)
-    n, d = len(samples), samples[0].d
-    for sample in samples:
-        if sample.d != d:
-            raise ValueError(f"{directory}: sample {sample.sample_id!r} has "
-                             f"beats of width {sample.d}, the first has {d}")
-    carried = {}
-    for name in ("theta", "tau"):
-        missing = [s.sample_id for s in samples if getattr(s, name) is None]
-        if 0 < len(missing) < n:
-            raise ValueError(f"{directory}: sample {missing[0]!r} has no "
-                             f"{name} but others have one")
-        carried[name] = not missing
-    beat_counts = [s.n_beats for s in samples]
     with staged_directory(directory) as stage:
-        save_npy(stage / BEATS_FILE, (s.beats for s in samples),
-                 (sum(beat_counts), d))
-        if carried["theta"]:
-            save_npy(stage / THETAS_FILE,
-                     (s.theta.values for s in samples), (n, d))
-        if carried["tau"]:
-            save_npy(stage / TAUS_FILE, [[s.tau for s in samples]], (n,))
+        for name in DATASET_ARRAYS:
+            if (values := getattr(recordings, name)) is not None:
+                save_npy(stage / f"{name}.npy", values)
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "kind": "ecgdenoise-dataset",
-            "n_samples": n,
+            "n_samples": len(sample_ids),
             "sample_ids": sample_ids,
-            "beat_counts": beat_counts,
-            "has_ground_truth": carried["theta"],
-            "has_true_taus": carried["tau"],
+            "beat_counts": recordings.counts.tolist(),
+            "has_ground_truth": recordings.thetas is not None,
+            "has_true_taus": recordings.taus is not None,
         }
         manifest.update(manifest_extra)
         save_json(stage / "manifest.json", manifest)
 
 
 def load_dataset(directory):
-    """Read a dataset directory; returns ``(samples, manifest)``.
+    """Read a dataset directory; returns ``(recordings, manifest)``.
 
-    Each sample's beats are a read-only row slice of ``beats.npy``. Truth
-    arrays hold one row per manifest sample id, in order, and each row is
-    carried on its sample. A bad value raises ValueError naming its file
-    and sample id.
+    The :class:`Recordings` hold the arrays as read, checked by their
+    constructor: truth arrays have one row per manifest sample id, in
+    order. An array that does not fit, or a bad value, raises ValueError
+    naming its file and, for a bad value, its sample id.
     """
     directory = Path(directory)
-    manifest = load_json(directory / "manifest.json")
+    manifest_path = directory / "manifest.json"
+    manifest = load_json(manifest_path)
     if manifest.get("kind") != "ecgdenoise-dataset":
         raise ValueError(f"{directory}: not an ecgdenoise dataset")
-    beats_path = directory / BEATS_FILE
-    if not beats_path.exists() and (directory / "beats").is_dir():
+    paths = {name: directory / f"{name}.npy" for name in DATASET_ARRAYS}
+    if not paths["beats"].exists() and (directory / "beats").is_dir():
         raise ValueError(
-            f"{beats_path} is missing: {directory} has the older layout of "
-            f"one CSV per recording under beats/, which is no longer read; "
-            f"re-run `ecgdenoise simulate` to write the dataset again"
+            f"{paths['beats']} is missing: {directory} has the older layout "
+            f"of one CSV per recording under beats/, which is no longer "
+            f"read; re-run `ecgdenoise simulate` to write the dataset again"
         )
-    counts = _check_manifest(manifest, directory / "manifest.json")
-    sample_ids = manifest["sample_ids"]
-    n, n_beats = len(sample_ids), sum(counts)
-    beats = _load_npy(beats_path, 2, n_beats,
-                      f"the manifest's beat_counts sum to {n_beats}")
-    per_sample = f"the manifest has {n} sample_ids"
-    thetas_path, taus_path = directory / THETAS_FILE, directory / TAUS_FILE
-    thetas = taus = None
+    counts = _check_manifest(manifest, manifest_path)
+    beats, thetas, taus = _load_npy(paths["beats"], 2), None, None
     if manifest.get("has_ground_truth"):
-        thetas = _load_npy(thetas_path, 2, n, per_sample)
+        thetas = _load_npy(paths["thetas"], 2)
     if manifest.get("has_true_taus"):
-        taus = _load_npy(taus_path, 1, n, per_sample)
-    ends = np.cumsum(counts)
-    samples = []
-    for i, sid in enumerate(sample_ids):
-        theta = tau = None
-        try:  # ``source`` names the file of the value being checked
-            if thetas is not None:
-                source = thetas_path
-                theta = ThetaBeat(values=thetas[i])
-            if taus is not None:
-                source = taus_path
-                tau = _as_tau(taus[i])
-            source = beats_path
-            samples.append(EcgSample(sid, beats[ends[i] - counts[i]:ends[i]],
-                                     theta, tau))
-        except ValueError as exc:
-            raise ValueError(f"{source}: sample {sid!r}: {exc}") from exc
-    return samples, manifest
+        taus = _load_npy(paths["taus"], 1)
+    try:
+        recordings = Recordings(manifest["sample_ids"], beats, counts,
+                                thetas, taus)
+    except InvalidRecordingsError as exc:
+        raise ValueError(f"{paths.get(exc.field, manifest_path)}: "
+                         f"{exc}") from exc
+    return recordings, manifest

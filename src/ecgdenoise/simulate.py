@@ -438,7 +438,7 @@ def check_window(d: int, r_offset: int, fs: float, period: float) -> None:
 
 
 def extract_canonical_beats(params_batch, fs: float, d: int,
-                            r_offset: int | None = None) -> np.ndarray:
+                            r_offset: int) -> np.ndarray:
     """Extract steady-state beats for a batch sharing one ``omega``.
 
     Returns an array of shape ``(len(params_batch), d)``; see
@@ -452,8 +452,7 @@ def extract_canonical_beats(params_batch, fs: float, d: int,
     omega = params_batch[0].omega
     if any(p.omega != omega for p in params_batch):
         raise ValueError("batched extraction requires a shared omega")
-    d = int(d)
-    r_offset = d // 3 if r_offset is None else int(r_offset)
+    d, r_offset = int(d), int(r_offset)
     period = _TWO_PI / omega
     check_window(d, r_offset, fs, period)
 
@@ -494,12 +493,12 @@ def extract_canonical_beats(params_batch, fs: float, d: int,
 
 
 def extract_canonical_beat(params: OdeParams, fs: float, d: int,
-                           r_offset: int | None = None) -> ThetaBeat:
+                           r_offset: int) -> ThetaBeat:
     """Extract one steady-state beat of length ``d`` sampled at ``fs``.
 
     The beat window places the R peak (the cycle's global maximum) at
-    column ``r_offset`` (default ``d // 3``). Requires
-    ``d <= fs * 2 pi / omega``, i.e. the window must fit inside one cycle.
+    column ``r_offset``. Requires ``d <= fs * 2 pi / omega``, i.e. the
+    window must fit inside one cycle.
     Deterministic: repeated extractions return identical vectors.
     """
     beats = extract_canonical_beats([params], fs, d, r_offset)

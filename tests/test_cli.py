@@ -1,4 +1,5 @@
 """End-to-end CLI: simulate, estimate-noise, denoise, benchmark, plot-data."""
+import dataclasses
 import json
 import os
 import resource
@@ -18,7 +19,7 @@ from ecgdenoise.bench import (
     run_benchmark,
 )
 from ecgdenoise.cli import main
-from ecgdenoise.noise import EcgSample, estimate_noise
+from ecgdenoise.noise import Recordings, estimate_noise
 from ecgdenoise.serialize import (
     load_dataset,
     load_json,
@@ -68,10 +69,9 @@ def small_fit(dataset, tmp_path_factory):
 @pytest.fixture(scope="module")
 def unlabelled(small_fit, tmp_path_factory):
     """The same recordings and record saved with no true thetas or taus."""
-    samples, manifest = load_dataset(small_fit)
+    recordings, manifest = load_dataset(small_fit)
     out = tmp_path_factory.mktemp("cli") / "unlabelled"
-    save_dataset(out, [EcgSample(sample_id=s.sample_id, beats=s.beats)
-                       for s in samples],
+    save_dataset(out, dataclasses.replace(recordings, thetas=None, taus=None),
                  manifest_extra={"config": manifest["config"]})
     return out
 
@@ -84,6 +84,26 @@ def configless(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "configless"
     save_dataset(out, samples, manifest_extra={})
     return out
+
+
+def test_load_dataset_gives_what_perfbench_reads(dataset):
+    # perfbench's pipeline check and tracer read the loaded dataset through
+    # these names alone, and they change only with the benchmark's own
+    # definition: a 2-tuple whose first item has a length and yields
+    # recordings with an id, beats, their mean and count, tau and theta
+    loaded = cli.load_dataset(dataset)
+    assert isinstance(loaded, tuple) and len(loaded) == 2
+    recordings = loaded[0]
+    assert len(recordings) == 12
+    items = list(recordings)
+    assert len(items) == 12
+    for sample in items:
+        assert isinstance(sample.sample_id, str)
+        assert sample.beats.shape == (6, 80) and sample.n_beats == 6
+        np.testing.assert_array_equal(sample.beat_mean,
+                                      sample.beats.mean(axis=0))
+        assert isinstance(sample.tau, float)
+        assert sample.theta.values.shape == (80,)
 
 
 def run_json(capsys, argv):
@@ -801,7 +821,10 @@ class TestPlotData:
         (["--kind", "mse-table"], "mse-table needs --report"),
         (["--kind", "beats-overlay", "--sample", "s99999"],
          "sample 's99999' not in dataset"),
-    ], ids=["mse-table-no-report", "overlay-unknown-sample"])
+        (["--kind", "beats-overlay", "--sample", ""],
+         "sample '' not in dataset"),
+    ], ids=["mse-table-no-report", "overlay-unknown-sample",
+            "overlay-empty-sample"])
     def test_refusal_writes_nothing(self, dataset, tmp_path, capsys, argv,
                                     message):
         out = tmp_path / "plot.csv"
@@ -809,6 +832,33 @@ class TestPlotData:
             "plot-data", *argv, "--dataset", str(dataset), "--out", str(out)])
         assert code == 1
         assert payload["error"]["message"] == message
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["beat-count-hist", "--dataset", "@ds", "--report", "nothere.json"],
+         "report"),
+        (["beat-count-hist", "--dataset", "@ds", "--bins", "20"], "bins"),
+        (["mse-table", "--report", "@report", "--dataset", "@ds"], "dataset"),
+        (["mse-table", "--report", "@report", "--sample", "zzz"], "sample"),
+        (["beats-overlay", "--dataset", "@ds", "--report", "@report"],
+         "report"),
+        (["beats-overlay", "--dataset", "@ds", "--bins", "5"], "bins"),
+        (["tau-hist", "--dataset", "@ds", "--sample", "s00000"], "sample"),
+        (["tau-hist", "--dataset", "@ds", "--estimates", "e.csv"],
+         "estimates"),
+    ], ids=["count-report", "count-bins", "table-dataset", "table-sample",
+            "overlay-report", "overlay-bins", "tau-sample", "tau-estimates"])
+    def test_input_the_kind_does_not_read_is_refused(
+            self, dataset, report, tmp_path, capsys, argv, flag):
+        files = {"@ds": str(dataset), "@report": str(report)}
+        kind, *rest = argv
+        code, payload = run_json(capsys, [
+            "plot-data", "--kind", kind, *[files.get(a, a) for a in rest],
+            "--out", str(tmp_path / "plot.csv")])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "EcgDenoiseError",
+            "message": f"--kind {kind} does not read --{flag}"}
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--estimator fa:truth",
@@ -853,9 +903,9 @@ class TestPlotData:
         ])
         assert code == 0
         rows = out.read_text().strip().splitlines()[1:]
-        counts = sum(float(r.split(",")[2]) for r in rows
-                     if r.startswith("tau_count"))
-        assert counts == 12
+        counts = [float(r.split(",")[2]) for r in rows
+                  if r.startswith("tau_count")]
+        assert (len(counts), sum(counts)) == (20, 12)  # 20 bins by default
 
     def test_tau_hist_conserves_counts(self, dataset, tmp_path, capsys):
         out = tmp_path / "tau.csv"
@@ -870,9 +920,9 @@ class TestPlotData:
         assert (len(counts), sum(counts), len(edges)) == (7, 12, 8)
 
     def test_beat_count_hist(self, tmp_path, capsys, rng):
-        samples = [EcgSample(str(i), rng.standard_normal((b, 8)))
-                   for i, b in enumerate([3, 3, 5])]
-        save_dataset(tmp_path / "ds", samples, manifest_extra={})
+        recordings = Recordings(["0", "1", "2"], rng.standard_normal((11, 8)),
+                                [3, 3, 5])
+        save_dataset(tmp_path / "ds", recordings, manifest_extra={})
         out = tmp_path / "counts.csv"
         code, _ = run_json(capsys, [
             "plot-data", "--kind", "beat-count-hist", "--dataset",
@@ -1149,14 +1199,15 @@ class TestDatasetChecks:
         np.save(thetas, np.load(thetas)[:-1])
         error = self.estimate_noise_error(capsys, copy)
         assert error["type"] == "ValueError"
-        assert f"{thetas}: 11 rows" in error["message"]
+        assert error["message"] == (
+            f"{thetas}: thetas must hold one row per recording, 12")
 
     def test_short_beats_row_is_json_error(self, copy, capsys):
         beats = copy / "beats.npy"
         np.save(beats, np.load(beats)[:-1])  # beat_counts sum to 72
         error = self.estimate_noise_error(capsys, copy)
-        assert f"{beats}: 71 rows" in error["message"]
-        assert "beat_counts sum to 72" in error["message"]
+        assert error["message"] == (
+            f"{beats}: beats of shape (71, 80), but the counts sum to 72 rows")
 
     def test_narrow_beats_file_is_named(self, copy, capsys):
         beats = copy / "beats.npy"

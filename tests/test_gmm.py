@@ -97,7 +97,7 @@ def _loop_fit_once(z, n_components, rng, max_iter, tol,
                 reseeds=reinits)
 
 
-def _loop_fit_gmm(z, n_components, rng_seed, n_restarts=10, max_iter=200,
+def _loop_fit_gmm(z, n_components, rng_seed, n_restarts=10, max_iter=1000,
                   tol=1e-7, hooks=None):
     """Reference: every restart on its own; the first best one is kept.
 

@@ -23,18 +23,22 @@ from ecgdenoise.bench import (
     grid_seeds,
     simulate_population,
 )
-from ecgdenoise.errors import InsufficientReplicatesError, ZeroNoiseError
+from ecgdenoise.errors import (
+    InsufficientReplicatesError,
+    InvalidRecordingsError,
+    ZeroNoiseError,
+)
 from ecgdenoise.estimators import FaModel, MogFaModel
 from ecgdenoise.noise import (
     RESIDUAL_BLOCK_ROWS,
     CovarianceMatrix,
-    EcgSample,
+    Recordings,
     estimate_noise,
     matern_covariance,
     unwhiten,
     whiten,
 )
-from ecgdenoise.simulate import RawTrace, ThetaBeat
+from ecgdenoise.simulate import RawTrace
 
 
 def noise_beats(k, tau, n_beats, seed):
@@ -42,6 +46,13 @@ def noise_beats(k, tau, n_beats, seed):
     one-row cell of ``simulate_cell_beats``, the sampler the grid runs."""
     return simulate_cell_beats(np.zeros((1, k.d)), k, np.array([tau]),
                                n_beats, seed)[0]
+
+
+def stacked(beat_sets) -> Recordings:
+    """Recordings s0, s1, ... of these (B_i, d) beat matrices."""
+    return Recordings([f"s{i}" for i in range(len(beat_sets))],
+                      np.concatenate(beat_sets),
+                      [len(beats) for beats in beat_sets])
 
 
 def _from_eigh(matrix):
@@ -255,18 +266,19 @@ class TestSampleNoiseBeats:
         np.testing.assert_allclose(a / 4.0, b, rtol=1e-12)
 
     def test_precision_type(self, small_k):
-        # one tau check: a sample's true tau and the sampler's taus
-        beats = np.zeros((2, small_k.d))
+        # the recordings' true taus and the sampler's taus are refused alike
+        beats = np.zeros((4, small_k.d))
         for bad in (0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="tau must be finite"):
-                EcgSample("s", beats, tau=bad)
+                Recordings(["a", "b"], beats, [2, 2], taus=[2.0, bad])
             with pytest.raises(ValueError, match="tau must be finite"):
                 simulate_cell_beats(np.zeros((2, small_k.d)), small_k,
                                     np.array([2.0, bad]), 2, seed=0)
-        sample = EcgSample("s", beats, tau=4)
-        assert type(sample.tau) is float and sample.tau == 4.0
-        assert type(EcgSample("s", beats, tau=np.float64(2.5)).tau) is float
-        assert EcgSample("s", beats).tau is None
+        recordings = Recordings(["a", "b"], beats, [2, 2], taus=[4, 2.5])
+        assert recordings.taus.dtype == np.float64
+        assert [type(s.tau) for s in recordings] == [float, float]
+        assert recordings[0].tau == 4.0
+        assert Recordings(["a"], beats, [4])[0].tau is None
 
 
 class TestReadOnlyViews:
@@ -280,12 +292,14 @@ class TestReadOnlyViews:
         loglik = np.array([-3.0, -2.0])
         weights, comp_means = np.ones(1), np.zeros((1, 2))
         comp_covs = np.eye(2)[None].copy()
-        sample = EcgSample("x", beats, theta=ThetaBeat(theta))
+        recordings = Recordings(["x"], beats, [3], thetas=theta[None])
+        sample = recordings[0]
         trace = RawTrace(fs=500.0, values=values)
         fa = FaModel(mean=mean, loadings=loadings, loglik_trace=loglik)
         mog = MogFaModel(fa=fa, weights=weights, comp_means=comp_means,
                          comp_covs=comp_covs)
-        held = [(sample.beats, beats), (sample.theta.values, theta),
+        held = [(recordings.beats, beats), (recordings.thetas, theta),
+                (sample.beats, beats), (sample.theta.values, theta),
                 (trace.values, values), (fa.mean, mean),
                 (fa.loadings, loadings), (fa.loglik_trace, loglik),
                 (mog.weights, weights), (mog.comp_means, comp_means),
@@ -326,24 +340,20 @@ class TestWhiten:
 
 
 def _simulate_samples(k, taus, theta_rows, B, seed):
-    samples = []
-    for i, (tau, theta) in enumerate(zip(taus, theta_rows)):
-        beats = simulate_cell_beats(theta[None], k, np.array([tau]), B,
-                                    (seed, i))[0]
-        samples.append(EcgSample(sample_id=f"s{i}", beats=beats))
-    return samples
+    return stacked([simulate_cell_beats(theta[None], k, np.array([tau]), B,
+                                        (seed, i))[0]
+                    for i, (tau, theta) in enumerate(zip(taus, theta_rows))])
 
 
 class TestEstimateNoise:
     def test_requires_two_beats(self, small_k):
-        sample = EcgSample(sample_id="s0", beats=np.zeros((1, small_k.d)))
         with pytest.raises(InsufficientReplicatesError):
-            estimate_noise([sample])
+            estimate_noise(stacked([np.zeros((1, small_k.d))]))
 
     def test_zero_noise_flagged(self, small_k):
         beats = np.tile(np.linspace(0, 1, small_k.d), (4, 1))
         with pytest.raises(ZeroNoiseError):
-            estimate_noise([EcgSample(sample_id="s0", beats=beats)])
+            estimate_noise(stacked([beats]))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_scatter_refused(self, small_k, rng):
@@ -399,11 +409,7 @@ class TestEstimateNoise:
         theta = rng.standard_normal((6, small_k.d))
         samples = _simulate_samples(small_k, [3.0] * 6, theta, B=5, seed=2)
         k1, t1 = estimate_noise(samples)
-        scaled = [
-            EcgSample(sample_id=s.sample_id, beats=10.0 * s.beats)
-            for s in samples
-        ]
-        k2, t2 = estimate_noise(scaled)
+        k2, t2 = estimate_noise(stacked([10.0 * s.beats for s in samples]))
         np.testing.assert_allclose(k1.matrix, k2.matrix, atol=1e-12)
         np.testing.assert_allclose(t1 / 10.0, t2, rtol=1e-7)
 
@@ -416,7 +422,7 @@ class TestEstimateNoise:
         samples = _simulate_samples(k, [4.0] * 8, theta, B=6, seed=3)
         k1, t1 = estimate_noise(samples)
         perm = [5, 2, 7, 0, 3, 6, 1, 4]
-        k2, t2 = estimate_noise([samples[i] for i in perm])
+        k2, t2 = estimate_noise(stacked([samples[i].beats for i in perm]))
         np.testing.assert_allclose(k1.matrix, k2.matrix, atol=1e-9)
         np.testing.assert_allclose(t1[perm], t2, rtol=1e-9)
 
@@ -470,7 +476,7 @@ class TestStationaryKHat:
     @settings(max_examples=60, deadline=None)
     @given(beat_sets=scaled_ragged_beats())
     def test_is_the_diagonal_average(self, beat_sets):
-        k_hat, _ = estimate_noise(beat_sets)
+        k_hat, _ = estimate_noise(stacked(beat_sets))
         m, d = k_hat.matrix, k_hat.d
         assert np.array_equal(m, m.T)
         np.testing.assert_allclose(m[1:, 1:], m[:-1, :-1], rtol=0,
@@ -487,12 +493,12 @@ class TestEstimateNoiseParity:
     @given(beat_sets=ragged_beats(), block_rows=st.integers(1, 40))
     def test_ragged_matches_loop(self, beat_sets, block_rows):
         # small blocks split the samples over several blocks of one or more
-        counts = np.array([b.shape[0] for b in beat_sets])
+        recordings = stacked(beat_sets)
+        counts = recordings.counts
         with mock.patch.object(noise, "RESIDUAL_BLOCK_ROWS", block_rows):
-            k_hat, taus = estimate_noise(beat_sets)
+            k_hat, taus = estimate_noise(recordings)
             blocks = [(first, stop, resid.shape[0]) for first, stop, resid
-                      in noise._residual_blocks(beat_sets, counts,
-                                                beat_sets[0].shape[1])]
+                      in noise._residual_blocks(recordings.beats, counts)]
         # the blocks cover the samples in order within the row bound
         assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
         assert blocks[-1][1] == len(beat_sets)
@@ -514,22 +520,97 @@ class TestEstimateNoiseParity:
         np.testing.assert_allclose(k_hat.matrix, k_ref.matrix, rtol=0,
                                    atol=K_HAT_ATOL)
         np.testing.assert_allclose(taus, tau_ref, rtol=1e-12)
-        samples = [EcgSample(sample_id=f"s{i}", beats=row)
-                   for i, row in enumerate(beats)]
-        k_list, tau_list = estimate_noise(samples)
-        np.testing.assert_array_equal(k_list.matrix, k_hat.matrix)
-        np.testing.assert_array_equal(tau_list, taus)
+        # the same cell as recordings gives the same estimate, bit for bit
+        k_rec, tau_rec = estimate_noise(stacked(list(beats)))
+        np.testing.assert_array_equal(k_rec.matrix, k_hat.matrix)
+        np.testing.assert_array_equal(tau_rec, taus)
 
     def test_errors_name_the_sample(self, rng):
         good = rng.standard_normal((4, 6))
         with pytest.raises(InsufficientReplicatesError, match="sample 2"):
-            estimate_noise([good, good, good[:1]])
+            estimate_noise(stacked([good, good, good[:1]]))
         with pytest.raises(ZeroNoiseError, match="sample 1"):
-            estimate_noise([good, np.tile(np.arange(6.0), (3, 1)), good])
-        with pytest.raises(ValueError, match="same beat length"):
-            estimate_noise([good, good[:, :5]])
-        with pytest.raises(ValueError, match="non-empty"):
-            estimate_noise([])
+            estimate_noise(stacked([good, np.tile(np.arange(6.0), (3, 1)),
+                                    good]))
+        with pytest.raises(InsufficientReplicatesError, match="sample 0"):
+            estimate_noise(good[None, :1])
+        for cell in ([], good, np.zeros((0, 4, 6))):
+            with pytest.raises(ValueError, match="non-empty"):
+                estimate_noise(cell)
+
+
+@st.composite
+def recording_sets(draw):
+    """Recordings of ragged or equal counts from 1 to 12 beats, with the
+    (B_i, d) beat matrices they stack."""
+    d = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)
+                  | st.integers(1, 12).map(lambda b: [b] * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beat_sets = [rng.standard_normal((b, d)) * 10.0 ** rng.uniform(-3, 3)
+                 + rng.standard_normal(d) for b in counts]
+    return stacked(beat_sets), beat_sets
+
+
+class TestRecordings:
+    @settings(max_examples=80, deadline=None)
+    @given(case=recording_sets())
+    def test_means_are_each_recordings_mean(self, case):
+        # bit for bit: denoise on a dataset must give the grid's entries,
+        # whose means are the (N, B, d) cell's mean(axis=1)
+        recordings, beat_sets = case
+        means = recordings.means()
+        for mean, beats in zip(means, beat_sets):
+            assert mean.tobytes() == beats.mean(axis=0).tobytes()
+        if len({len(beats) for beats in beat_sets}) == 1:
+            cell = np.stack(beat_sets)
+            assert means.tobytes() == cell.mean(axis=1).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=recording_sets())
+    def test_items_are_the_recordings(self, case):
+        recordings, beat_sets = case
+        assert len(recordings) == len(beat_sets)
+        items = list(recordings)
+        assert [s.sample_id for s in items] == list(recordings.ids)
+        for sample, beats in zip(items, beat_sets):
+            np.testing.assert_array_equal(sample.beats, beats)
+            assert sample.n_beats == len(beats)
+            assert (sample.theta, sample.tau) == (None, None)
+        assert recordings[-1].sample_id == recordings.ids[-1]
+        with pytest.raises(IndexError):
+            recordings[len(beat_sets)]
+
+    @pytest.mark.parametrize("change, field, message", [
+        ({"counts": [2, 1]}, "beats", "beats of shape (4, 3), but the "
+                                      "counts sum to 3 rows"),
+        ({"counts": [2, 0, 2]}, "counts", "not 2 ids and counts of shape "
+                                          "(3,)"),
+        ({"counts": [2.0, 2.0]}, "counts", "each an id and a count >= 1"),
+        ({"ids": [], "counts": []}, "counts", "need at least one recording"),
+        ({"ids": ["a"]}, "counts", "not 1 ids and counts of shape (2,)"),
+        ({"beats": np.full((4, 3), np.inf)}, "beats",
+         "sample 'a': beats must be finite"),
+        ({"thetas": [[0.0] * 3, [0.0, np.nan, 0.0]]}, "thetas",
+         "sample 'b': beat values must be finite"),
+        ({"thetas": np.zeros((2, 4))}, "beats",
+         "sample 'a': ground-truth beat length 4 does not match the "
+         "beats' 3"),
+        ({"thetas": np.zeros((3, 3))}, "thetas", "one row per recording"),
+        ({"taus": [2.0, 0.0]}, "taus",
+         "sample 'b': tau must be finite and strictly positive"),
+        ({"taus": [2.0]}, "taus", "one row per recording"),
+    ], ids=["rows", "zero-count", "float-counts", "empty", "ids", "beat",
+            "theta", "theta-width", "theta-rows", "tau", "tau-rows"])
+    def test_refusals_name_the_array(self, change, field, message):
+        arrays = {"ids": ["a", "b"], "beats": np.zeros((4, 3)),
+                  "counts": [2, 2], **change}
+        with pytest.raises(InvalidRecordingsError) as info:
+            Recordings(**arrays)
+        assert info.value.field == field
+        assert message in str(info.value)
+        assert isinstance(info.value, ValueError)
 
 
 #: (N, B) cells across the sampler's blocks of about

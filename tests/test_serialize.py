@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ecgdenoise import serialize
-from ecgdenoise.errors import EmptyInputError, InvalidSampleIdError
-from ecgdenoise.noise import EcgSample
-from ecgdenoise.simulate import ThetaBeat
+from ecgdenoise.errors import InvalidSampleIdError
+from ecgdenoise.noise import Recordings
 from ecgdenoise.serialize import (
     load_dataset,
     load_json,
@@ -23,6 +22,12 @@ from ecgdenoise.serialize import (
     save_npy,
     save_series_csv,
 )
+
+
+def stacked(ids, beat_sets, thetas=None, taus=None) -> Recordings:
+    """The recordings of ``ids`` with these (B_i, d) beat matrices."""
+    return Recordings(ids, np.concatenate(beat_sets),
+                      [len(beats) for beats in beat_sets], thetas, taus)
 
 
 def assert_same(a, b):
@@ -100,16 +105,15 @@ class TestStreamedWrites:
         assert (tmp_path / "s.csv").read_text() == \
             "series,x,y\na,0.10000000000000001,-0\nb,2,3\n"
 
-    @pytest.mark.parametrize("rows", [7, 3], ids=["over-long", "short"])
-    def test_npy_blocks_must_fill_the_shape(self, tmp_path, rows):
+    def test_npy_error_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "a.npy"
-        with pytest.raises(ValueError, match=f"hold {rows * 4} values, "
-                                             r"shape \(5, 4\) needs 20"):
-            save_npy(path, [np.zeros((rows, 4))], (5, 4))
-        assert list(tmp_path.iterdir()) == []
-        save_npy(path, [np.ones((5, 4))], (5, 4))
-        with pytest.raises(ValueError):
-            save_npy(path, [np.zeros((1, 4)), np.zeros((rows - 1, 4))], (5, 4))
+        save_npy(path, np.ones((5, 4)))
+        expected = tmp_path / "expected.npy"
+        np.save(expected, np.ones((5, 4)))
+        assert path.read_bytes() == expected.read_bytes()
+        expected.unlink()
+        with pytest.raises(ValueError):  # not a number
+            save_npy(path, ["one"])
         np.testing.assert_array_equal(np.load(path), np.ones((5, 4)))
         assert [p.name for p in tmp_path.iterdir()] == ["a.npy"]
 
@@ -163,35 +167,36 @@ class TestDataset:
         d = 40
         thetas = rng.standard_normal((3, d))
         taus = np.array([2.0, 5.0, 9.0])
-        samples = [
-            EcgSample(sample_id=f"s{i}", beats=thetas[i] + 0.01 *
-                      rng.standard_normal((4, d)),
-                      theta=ThetaBeat(thetas[i]), tau=taus[i])
-            for i in range(3)
-        ]
-        save_dataset(tmp_path / "ds", samples,
+        beats = np.repeat(thetas, 4, axis=0) + 0.01 * \
+            rng.standard_normal((12, d))
+        recordings = Recordings(["s0", "s1", "s2"], beats, [4, 4, 4],
+                                thetas, taus)
+        save_dataset(tmp_path / "ds", recordings,
                      manifest_extra={"d": d, "seed": 1})
         loaded, manifest = load_dataset(tmp_path / "ds")
         assert manifest["n_samples"] == 3
         assert manifest["beat_counts"] == [4, 4, 4]
         assert manifest["has_ground_truth"] and manifest["has_true_taus"]
         assert "r_offset" not in manifest
-        for i, (sample, original) in enumerate(zip(loaded, samples)):
-            np.testing.assert_array_equal(sample.beats, original.beats)
+        assert loaded.ids == ("s0", "s1", "s2")
+        for name in ("beats", "counts", "thetas", "taus"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(recordings, name))
+        for i, sample in enumerate(loaded):
+            np.testing.assert_array_equal(sample.beats,
+                                          beats[4 * i:4 * i + 4])
             np.testing.assert_array_equal(sample.theta.values, thetas[i])
-            assert float(sample.tau) == taus[i]
-        # every sample's beats are a view of the one loaded array
-        stacked = loaded[0].beats.base
-        assert stacked.size == 12 * d
-        assert all(s.beats.base is stacked for s in loaded)
+            assert sample.tau == taus[i]
+            # a read-only view of the one loaded array
+            assert np.shares_memory(sample.beats, loaded.beats)
+            assert not sample.beats.flags.writeable
 
     def test_beats_file_is_the_stacked_array(self, tmp_path, rng):
-        samples = [EcgSample(sample_id=f"s{i}",
-                             beats=rng.standard_normal((b, 5)))
-                   for i, b in enumerate((3, 1, 2))]
-        save_dataset(tmp_path / "ds", samples, manifest_extra={})
+        recordings = stacked(["s0", "s1", "s2"],
+                             [rng.standard_normal((b, 5)) for b in (3, 1, 2)])
+        save_dataset(tmp_path / "ds", recordings, manifest_extra={})
         expected = tmp_path / "expected.npy"
-        np.save(expected, np.concatenate([s.beats for s in samples]))
+        np.save(expected, recordings.beats)
         assert (tmp_path / "ds" / "beats.npy").read_bytes() == \
             expected.read_bytes()
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == \
@@ -199,19 +204,19 @@ class TestDataset:
 
     @staticmethod
     def _write(directory, rng):
-        thetas = rng.standard_normal((3, 8))
-        samples = [EcgSample(sample_id=f"s{i}", beats=np.zeros((2, 8)),
-                             theta=ThetaBeat(thetas[i]), tau=i + 2.0)
-                   for i in range(3)]
-        save_dataset(directory, samples, manifest_extra={"d": 8})
+        recordings = Recordings(["s0", "s1", "s2"], np.zeros((6, 8)),
+                                [2, 2, 2], rng.standard_normal((3, 8)),
+                                [2.0, 3.0, 4.0])
+        save_dataset(directory, recordings, manifest_extra={"d": 8})
 
     @pytest.mark.parametrize("name", ["thetas.npy", "taus.npy"])
     def test_truth_rows_match_manifest(self, tmp_path, rng, name):
         self._write(tmp_path / "ds", rng)
         path = tmp_path / "ds" / name
         np.save(path, np.load(path)[:-1])  # drop s2
-        with pytest.raises(ValueError,
-                           match=f"{name}: 2 rows, but the manifest has 3 "):
+        stem = name.removesuffix(".npy")
+        message = f"{path}: {stem} must hold one row per recording, 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(tmp_path / "ds")
 
     @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
@@ -259,12 +264,35 @@ class TestDataset:
         with pytest.raises(ValueError, match=message):
             load_dataset(tmp_path / "ds")
 
+    def test_invalid_beat_is_named(self, tmp_path, rng):
+        self._write(tmp_path / "ds", rng)
+        path = tmp_path / "ds" / "beats.npy"
+        values = np.zeros((6, 8))
+        values[3, 5] = np.nan  # the second row of s1
+        np.save(path, values)
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path / "ds")
+        assert str(info.value) == f"{path}: sample 's1': beats must be finite"
+
+    def test_empty_dataset_is_named(self, tmp_path, rng):
+        self._write(tmp_path / "ds", rng)
+        manifest = load_json(tmp_path / "ds" / "manifest.json")
+        manifest.update(n_samples=0, sample_ids=[], beat_counts=[],
+                        has_ground_truth=False, has_true_taus=False)
+        save_json(tmp_path / "ds" / "manifest.json", manifest)
+        np.save(tmp_path / "ds" / "beats.npy", np.zeros((0, 8)))
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path / "ds")
+        assert str(info.value).startswith(
+            f"{tmp_path / 'ds' / 'manifest.json'}: need at least one "
+            f"recording")
+
     def test_beats_rows_match_beat_counts(self, tmp_path, rng):
         self._write(tmp_path / "ds", rng)
         path = tmp_path / "ds" / "beats.npy"
         np.save(path, np.zeros((5, 8)))  # beat_counts sum to 6
-        message = re.escape(f"{path}: 5 rows, but the manifest's "
-                            f"beat_counts sum to 6")
+        message = re.escape(f"{path}: beats of shape (5, 8), but the counts "
+                            f"sum to 6 rows")
         with pytest.raises(ValueError, match=message):
             load_dataset(tmp_path / "ds")
 
@@ -318,15 +346,15 @@ class TestDataset:
         (["\ta"], "'\\\\ta'"),
     ])
     def test_bad_sample_ids_are_refused_on_save(self, tmp_path, ids, bad):
-        samples = [EcgSample(sample_id=sid, beats=np.full((2, 3), float(i)))
-                   for i, sid in enumerate(ids)]
+        recordings = stacked(ids, [np.full((2, 3), float(i))
+                                   for i in range(len(ids))])
         with pytest.raises(InvalidSampleIdError, match=f"sample id {bad}"):
-            save_dataset(tmp_path / "ds", samples, manifest_extra={})
+            save_dataset(tmp_path / "ds", recordings, manifest_extra={})
         assert not (tmp_path / "ds").exists()
 
     def test_id_with_a_path_writes_no_file_for_it(self, tmp_path):
-        sample = EcgSample(sample_id="../escape", beats=np.ones((2, 3)))
-        save_dataset(tmp_path / "ds", [sample], manifest_extra={})
+        recordings = Recordings(["../escape"], np.ones((2, 3)), [2])
+        save_dataset(tmp_path / "ds", recordings, manifest_extra={})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
         loaded, _ = load_dataset(tmp_path / "ds")
         assert loaded[0].sample_id == "../escape"
@@ -350,27 +378,6 @@ class TestDataset:
         save_json(tmp_path / "ds" / "manifest.json", manifest)
         with pytest.raises(ValueError, match=match):
             load_dataset(tmp_path / "ds")
-
-    def test_ragged_widths_and_bad_truth_are_refused_on_save(self, tmp_path):
-        samples = [EcgSample(sample_id="a", beats=np.zeros((2, 3))),
-                   EcgSample(sample_id="b", beats=np.zeros((2, 4)))]
-        with pytest.raises(ValueError, match="'b' has beats of width 4"):
-            save_dataset(tmp_path / "ds", samples, manifest_extra={})
-        # truth is saved for every sample or for none: the first sample
-        # without it is named
-        theta = ThetaBeat(np.ones(3))
-        mixed = [EcgSample("a", np.zeros((2, 3)), theta=theta, tau=2.0),
-                 EcgSample("b", np.zeros((2, 3)), tau=2.0),
-                 EcgSample("c", np.zeros((2, 3)), theta=theta)]
-        with pytest.raises(ValueError, match=re.escape(
-                "sample 'b' has no theta but others have one")):
-            save_dataset(tmp_path / "ds", mixed, manifest_extra={})
-        with pytest.raises(ValueError, match=re.escape(
-                "sample 'c' has no tau but others have one")):
-            save_dataset(tmp_path / "ds", mixed[::2], manifest_extra={})
-        with pytest.raises(EmptyInputError):
-            save_dataset(tmp_path / "ds", [], manifest_extra={})
-        assert not (tmp_path / "ds").exists()  # nothing was written
 
     @staticmethod
     def _fail_second_write(monkeypatch):
@@ -399,8 +406,8 @@ class TestDataset:
         self._write(tmp_path / "ds", rng)
         before = {p.name: p.read_bytes() for p in (tmp_path / "ds").iterdir()}
         self._fail_second_write(monkeypatch)
-        other = [EcgSample(sample_id="s0", beats=np.ones((2, 8)),
-                           theta=ThetaBeat(np.ones(8)), tau=2.0)]
+        other = Recordings(["s0"], np.ones((2, 8)), [2], np.ones((1, 8)),
+                           [2.0])
         with pytest.raises(OSError, match="File too large"):
             save_dataset(tmp_path / "ds", other, manifest_extra={"d": 8})
         assert list(tmp_path.iterdir()) == [tmp_path / "ds"]
@@ -448,8 +455,8 @@ def finite_arrays(shape):
 
 @st.composite
 def datasets(draw):
-    """Ragged samples, each carrying a theta, a tau, both or neither, the
-    same for every sample; returns them with their parts."""
+    """Ragged recordings with thetas, taus, both or neither; returns them
+    with their parts."""
     n = draw(st.integers(1, 8))
     d = draw(st.integers(1, 9))
     counts = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
@@ -458,20 +465,16 @@ def datasets(draw):
     thetas = draw(st.none() | finite_arrays((n, d)))
     taus = draw(st.none() | hnp.arrays(
         np.float64, (n,), elements=st.floats(min_value=1e-3, max_value=1e3)))
-    samples = [EcgSample(sid, beats[i],
-                         None if thetas is None else ThetaBeat(thetas[i]),
-                         None if taus is None else taus[i])
-               for i, sid in enumerate(ids)]
-    return samples, (ids, beats, thetas, taus)
+    return stacked(ids, beats, thetas, taus), (ids, beats, thetas, taus)
 
 
 class TestRoundTripProperties:
     @settings(max_examples=60, deadline=None)
     @given(datasets())
     def test_dataset_round_trips_exactly(self, case):
-        samples, (ids, beats, thetas, taus) = case
+        recordings, (ids, beats, thetas, taus) = case
         with tempfile.TemporaryDirectory() as tmp:
-            save_dataset(Path(tmp) / "ds", samples, manifest_extra={})
+            save_dataset(Path(tmp) / "ds", recordings, manifest_extra={})
             loaded, _ = load_dataset(Path(tmp) / "ds")
         assert [s.sample_id for s in loaded] == ids
         for i, sample in enumerate(loaded):
@@ -488,12 +491,12 @@ class TestRoundTripProperties:
     @settings(max_examples=40, deadline=None)
     @given(datasets())
     def test_loaded_samples_save_to_the_same_files(self, case):
-        # the samples as loaded carry everything the dataset holds: saved
+        # the recordings as loaded hold everything the dataset holds: saved
         # again, they give its arrays byte for byte and its manifest
-        samples, _ = case
+        recordings, _ = case
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp) / "first", Path(tmp) / "second"
-            save_dataset(first, samples, manifest_extra={"x": 1})
+            save_dataset(first, recordings, manifest_extra={"x": 1})
             loaded, manifest = load_dataset(first)
             save_dataset(second, loaded, manifest_extra={"x": 1})
             written = sorted(p.name for p in first.iterdir())

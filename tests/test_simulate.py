@@ -165,11 +165,11 @@ class TestIntegration:
         # carries the P tail into the QRS.
         fs = 500.0
         d = 493
-        full = extract_canonical_beat(DEFAULT_PARAMS, fs, d).values
-        no_p = extract_canonical_beat(
-            replace(DEFAULT_PARAMS, a=(0.0,) + DEFAULT_PARAMS.a[1:]), fs, d
-        ).values
         r_off = 164
+        full = extract_canonical_beat(DEFAULT_PARAMS, fs, d, r_off).values
+        no_p = extract_canonical_beat(
+            replace(DEFAULT_PARAMS, a=(0.0,) + DEFAULT_PARAMS.a[1:]), fs, d,
+            r_off).values
         qrs = slice(r_off - 25, r_off + 25)
         diff = full[qrs] - no_p[qrs]
         shape_change = np.sqrt(np.mean((diff - diff.mean()) ** 2))
@@ -269,13 +269,17 @@ class TestExtractCanonicalBeat:
         assert beat.values[0] == pytest.approx(steady_peak, abs=1e-6)
 
     def test_default_window_peak_at_offset(self):
-        beat = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=493)
+        # the benchmark's window: d = 493, R at d // 3
+        beat = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=493,
+                                      r_offset=164)
         assert beat.d == 493
         assert int(np.argmax(beat.values)) == 164
 
     def test_deterministic(self):
-        a = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=400)
-        b = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=400)
+        a = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=400,
+                                   r_offset=133)
+        b = extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=400,
+                                   r_offset=133)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_successive_cycles_agree(self):
@@ -296,7 +300,8 @@ class TestExtractCanonicalBeat:
 
     def test_window_too_long(self):
         with pytest.raises(WindowTooLongError):
-            extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=501)
+            extract_canonical_beat(DEFAULT_PARAMS, fs=500.0, d=501,
+                                   r_offset=167)
 
     def test_batch_matches_single(self):
         pop = jitter_population(DEFAULT_PARAMS, 0.1, 4, seed=5)
@@ -312,7 +317,8 @@ class TestExtractCanonicalBeat:
     def test_off_grid_rate_refused(self):
         # 4 * 333.3 * 1 s = 1333.2 RK4 steps per cycle; 1333 is nearest
         with pytest.raises(OffGridRateError, match="nearest valid fs is 333.25"):
-            extract_canonical_beat(DEFAULT_PARAMS, fs=333.3, d=200)
+            extract_canonical_beat(DEFAULT_PARAMS, fs=333.3, d=200,
+                                   r_offset=66)
 
     def test_every_integer_rate_on_grid(self):
         for fs in range(1, 2001):
@@ -340,7 +346,7 @@ class TestExtractCanonicalBeat:
         monkeypatch.setattr(simulate, "_phase_path", no_steps)
         period = DEFAULT_PARAMS.period
         with pytest.raises(OffGridRateError, match=r"^fs=1e\+08 .*MAX_CYCLE"):
-            extract_canonical_beat(DEFAULT_PARAMS, fs=1e8, d=2)
+            extract_canonical_beat(DEFAULT_PARAMS, fs=1e8, d=2, r_offset=0)
         check_window(2, 0, MAX_CYCLE_STEPS / (STRIDE * period), period)
         with pytest.raises(OffGridRateError, match="MAX_CYCLE_STEPS"):
             check_window(2, 0, (MAX_CYCLE_STEPS + 1) / (STRIDE * period),
@@ -349,4 +355,4 @@ class TestExtractCanonicalBeat:
     def test_mixed_omega_refused(self):
         pop = [DEFAULT_PARAMS, replace(DEFAULT_PARAMS, omega=6.5)]
         with pytest.raises(ValueError, match="shared omega"):
-            extract_canonical_beats(pop, fs=500.0, d=100)
+            extract_canonical_beats(pop, fs=500.0, d=100, r_offset=33)
