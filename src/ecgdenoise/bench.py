@@ -15,6 +15,7 @@ estimators share a cell.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import math
@@ -29,7 +30,6 @@ from . import __version__
 from .errors import (
     EcgDenoiseError,
     FloatRangeError,
-    InsufficientReplicatesError,
     WorkerDiedError,
 )
 from .estimators import (
@@ -207,15 +207,16 @@ class EstimatorSpec:
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator {self.kind!r}")
         if self.noise not in NOISE_MODES:
-            raise ValueError(f"unknown noise mode {self.noise!r}")
+            raise ValueError(f"unknown noise mode {self.noise!r} in "
+                             f"estimator '{self.kind}:{self.noise}'")
         if self.kind in ("mle", "oracle_bayes") and self.noise != "truth":
             raise ValueError(f"{self.kind} has no {self.noise!r} noise mode: "
                              f"it runs only as {self.kind}:truth")
 
     @classmethod
     def parse(cls, text: str) -> "EstimatorSpec":
-        kind, _, noise = str(text).partition(":")
-        return cls(kind=kind, noise=noise or "truth")
+        kind, colon, noise = str(text).partition(":")
+        return cls(kind=kind, noise=noise if colon else "truth")
 
     @property
     def name(self) -> str:
@@ -492,7 +493,7 @@ def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
     besides the result only one block of draws is alive. The draws are the
     stream of one (N B, d) draw and, at one BLAS thread, the rows equal
     that draw times K^{1/2} bit for bit. The rows are then scaled and
-    shifted in place.
+    shifted in place, where an overflow raises ``FloatRangeError``.
     """
     if n_beats < 1:
         raise ValueError(f"n_beats must be at least 1, not {n_beats}")
@@ -510,8 +511,13 @@ def simulate_cell_beats(thetas: np.ndarray, K: CovarianceMatrix,
         draws = z[:stop - start]
         rng.standard_normal(out=draws)
         np.matmul(draws, K.sqrt, out=rows[start:stop])
-    beats /= taus[:, None, None]
-    beats += thetas[:, None, :]
+    try:
+        with np.errstate(over="raise"):
+            beats /= taus[:, None, None]
+            beats += thetas[:, None, :]
+    except FloatingPointError:
+        raise FloatRangeError(f"the noisy beats overflow float64 at tau "
+                              f"{taus.min():.3g}") from None
     return beats
 
 
@@ -547,68 +553,52 @@ def make_samples(beats: np.ndarray, thetas=None, taus=None) -> Recordings:
                       thetas, taus)
 
 
-def denoise(spec: EstimatorSpec, means, n_beats, *, truth, estimate, thetas,
-            latent_dim: LatentDimRule, n_components: int, fit_seed,
-            fa_fits: dict | None = None):
-    """Estimates (N, d) of the clean beats plus a dict of diagnostics.
+def denoise(spec: EstimatorSpec, recordings: Recordings,
+            K: CovarianceMatrix | None = None, *, latent_dim: LatentDimRule,
+            n_components: int, fit_seed, shared: dict | None = None):
+    """Estimates (N, d) of the clean beats of ``recordings``, from their
+    beat means, plus a dict of diagnostics.
 
-    ``means`` holds each sample's beat mean and ``n_beats`` its beat count.
-    ``truth`` and ``estimate`` are ``(K, taus)`` pairs, or None when that
-    noise knowledge is not available; ``thetas`` are the ground-truth
-    beats (the oracle's atoms) or None. ``mle`` needs none of them. A
-    ``:truth`` spec without ``truth``, an ``:estimated`` one without
-    ``estimate`` and ``oracle_bayes`` without ``thetas`` are refused.
-    With ``thetas``, the dict also holds the estimates' error (``_scored``).
-
-    ``mog_fa`` extends the factor-analysis fit that ``fa`` uses. Calls
-    that pass the same ``fa_fits`` dict (one per set of means) share it:
-    the first fit per noise mode and latent dimension is kept there, and
-    so is its error, which every later call that needs the fit raises.
+    A ``:truth`` spec reads ``K`` with ``recordings.taus`` and is refused
+    without either; an ``:estimated`` one reads ``estimate_noise``'s. With
+    ``recordings.thetas``, the oracle's atoms, the dict also holds the
+    estimates' error (``_scored``). Calls on one ``recordings`` with one
+    ``shared`` dict make each of these once (:func:`_kept`): the beat
+    means (``"means"``), the noise estimate (``"noise"``) and the FA fit
+    per noise mode and p (``("fa", mode, p)``), which ``mog_fa`` extends.
     """
-    extra = {}
+    shared = {} if shared is None else shared
+    if spec.needs_estimation:  # first: its working set holds no means yet
+        K, taus = _kept(shared, "noise", estimate_noise, recordings)
+    means = _kept(shared, "means", Recordings.means, recordings)
+    thetas, extra = recordings.thetas, {}
     if spec.kind == "mle":
         return _scored(means.copy(), extra, thetas)
-    if spec.needs_estimation:
-        if estimate is None:
-            raise InsufficientReplicatesError(
-                "estimated noise mode needs B >= 2 beats per sample"
-            )
-        K, taus = estimate
-    elif truth is None:
+    if not spec.needs_estimation:
+        taus = recordings.taus
+    if K is None or taus is None:
         hint = "" if spec.kind == "oracle_bayes" else \
             f"; use {spec.kind}:estimated"
         raise EcgDenoiseError(
             f"{spec.name} needs the true noise (K, taus){hint}")
-    else:
-        K, taus = truth
     if spec.kind == "oracle_bayes":
         if thetas is None:
             raise EcgDenoiseError("oracle_bayes needs the ground-truth beats")
         estimates, idx = oracle_bayes_batch(means, thetas, K)
         extra["atom_accuracy"] = float(np.mean(idx == np.arange(len(means))))
         return _scored(estimates, extra, thetas)
+    n_beats = recordings.counts
     p = latent_dim.choose(means, K)
     extra["latent_dim"] = p
-    key = (spec.noise, p)
-    if fa_fits is None:
-        fa_fits = {}
-    if key not in fa_fits:
-        try:
-            fa_fits[key] = fit_factor_analysis(means, K, taus, p,
-                                               n_beats=n_beats)
-        except _ENTRY_ERRORS as exc:
-            fa_fits[key] = exc
-    if isinstance(fa_fits[key], Exception):
-        raise fa_fits[key]
+    fa = _kept(shared, ("fa", spec.noise, p), fit_factor_analysis, means, K,
+               taus, p, n_beats)
+    extra.update(_fit_facts(fa))
     if spec.kind == "fa":
-        model = fa_fits[key]
-        extra.update(_fit_facts(model))
-        return _scored(fa_posterior_mean_batch(model, means, K, taus,
+        return _scored(fa_posterior_mean_batch(fa, means, K, taus,
                                                n_beats), extra, thetas)
-    model = fit_mog_fa(fa_fits[key], means, K, taus,
+    model = fit_mog_fa(fa, means, K, taus,
                        n_components=min(n_components, len(means)),
                        n_beats=n_beats, rng_seed=fit_seed)
-    extra.update(_fit_facts(model.fa))
     extra["n_components"] = int(model.n_components)
     extra.update(_mixture_facts(model.mixture_fit))
     return _scored(mog_fa_posterior_mean_batch(model, means, K, taus,
@@ -635,6 +625,19 @@ def _scored(estimates, extra: dict, thetas):
 
 #: What a failing estimator raises; the grid marks its entry failed.
 _ENTRY_ERRORS = (EcgDenoiseError, ValueError, np.linalg.LinAlgError)
+
+
+def _kept(shared: dict, key, compute, *args):
+    """``compute(*args)``, kept as ``shared[key]`` for every later call; an
+    ``_ENTRY_ERRORS`` error it raises is kept and raised again instead."""
+    if key not in shared:
+        try:
+            shared[key] = compute(*args)
+        except _ENTRY_ERRORS as exc:
+            shared[key] = exc
+    if isinstance(shared[key], Exception):
+        raise shared[key]
+    return shared[key]
 
 
 def _fit_facts(model) -> dict:
@@ -701,40 +704,36 @@ def _cell_workers(n_cells: int) -> int:
 
 
 def _run_cell(config: BenchmarkConfig, thetas, K, regime, n_beats, seeds):
-    """One grid cell: its noise draw, noise estimate and entries.
-
-    Returns the report's cell and its timings, from a clock of its own,
-    so that a cell gives the same result in a worker process as here.
+    """One grid cell: its noise draw, noise estimate and entries, each
+    ``denoise`` on its :class:`Recordings` with one ``shared`` memo, which
+    takes the noise estimate first for ``noise_s``. Returns the report's
+    cell and its timings, from a clock of its own, so that a cell gives
+    the same result in a worker process as here.
     """
-    clock = _Clock()
-    beats, taus, fit_seed = draw_cell(thetas, K, regime, n_beats, seeds)
-    means = beats.mean(axis=1)
+    clock, shared = _Clock(), {}
+    try:
+        beats, taus, fit_seed = draw_cell(thetas, K, regime, n_beats, seeds)
+        recordings = make_samples(beats, thetas, taus)
+    except FloatRangeError as exc:  # the beats overflow
+        recordings = fit_seed = None
+        shared.update(means=exc, noise=exc)  # each entry reads one first
     cell_timings = {"tau_label": regime.label, "n_beats": n_beats,
                     "sampling_s": clock.lap()}
 
-    estimate = None
-    if any(spec.needs_estimation for spec in config.estimators) \
-            and n_beats >= 2:
-        try:
-            estimate = estimate_noise(beats)
-        except _ENTRY_ERRORS as exc:  # raised by each :estimated entry
-            estimate = exc
+    if any(spec.needs_estimation for spec in config.estimators):
+        with contextlib.suppress(*_ENTRY_ERRORS):  # kept for each entry
+            _kept(shared, "noise", estimate_noise, recordings)
     cell_timings["noise_s"] = clock.lap()
     cell_timings["denoise_s"] = {}
 
     results = {}
-    fa_fits = {}
     for spec in config.estimators:
         label = f"{regime.label}, B={n_beats}, {spec.name}"
         try:
-            if spec.needs_estimation and isinstance(estimate, Exception):
-                raise estimate
             _, extra = denoise(
-                spec, means, n_beats, truth=(K, taus), estimate=estimate,
-                thetas=thetas, latent_dim=config.latent_dim,
+                spec, recordings, K, latent_dim=config.latent_dim,
                 n_components=config.mog_components, fit_seed=fit_seed,
-                fa_fits=fa_fits,
-            )
+                shared=shared)
             results[spec.name] = {"status": "ok", **extra}
             log.info("%s: mse=%.4g", label, extra["mse"])
         except _ENTRY_ERRORS as exc:
@@ -827,8 +826,8 @@ def run_benchmark(config: BenchmarkConfig, out_path=None) -> BenchmarkReport:
     ``meta["timings"]`` says where the wall-clock time went: the
     population and K, the cell stage as a whole (``cells_s``), and per
     cell its noise sampling, its noise estimation and each entry's
-    ``denoise`` and scoring. A factor-analysis fit that entries of a cell
-    share counts toward the first of them. With more than one worker the
+    ``denoise`` and scoring. The means and a fit that entries of a cell
+    share count toward the first of them. With more than one worker the
     cells overlap, so their times add up to more than ``cells_s``.
     """
     t_start = time.perf_counter()

@@ -171,22 +171,16 @@ def _cmd_estimate_noise(args) -> int:
 
 def _cmd_denoise(args) -> int:
     """``bench.denoise`` on the dataset as loaded, with the fit settings of
-    its recorded grid cell. Noise is estimated for ``:estimated`` specs;
-    other specs but ``mle`` get the recorded K where there are true taus."""
+    its recorded grid cell. A spec that reads the true noise gets the
+    recorded K where there are true taus."""
     recordings, manifest = load_dataset(args.dataset)
     spec = EstimatorSpec.parse(args.estimator)
     needs_k = spec.kind != "mle" and not spec.needs_estimation \
         and recordings.taus is not None
     config, fit_seed = _recorded_cell(
         manifest, recordings, Path(args.dataset) / "manifest.json", needs_k)
-    truth = estimate = None
-    if spec.needs_estimation:
-        estimate = estimate_noise(recordings)
-    elif needs_k:
-        truth = config.noise_covariance(), recordings.taus
     estimates, extra = denoise(
-        spec, recordings.means(), recordings.counts.astype(float),
-        truth=truth, estimate=estimate, thetas=recordings.thetas,
+        spec, recordings, config.noise_covariance() if needs_k else None,
         latent_dim=config.latent_dim, n_components=config.mog_components,
         fit_seed=fit_seed)
     out = _resolve_out(args.out, f"denoised-{spec.name}.csv")

@@ -43,7 +43,7 @@ the (N, d) rows is kept out of the loops:
 * Each E-step also needs every row's energy off span(L), ||x_perp||^2 =
   ||x||^2 - ||y||^2, with ||x||^2 computed once per fit. A row so close
   to span(L) that the difference would lose more than
-  ``gmm.CANCELLATION_LIMIT`` machine epsilons takes its explicit
+  ``_SPAN_CANCELLATION_LIMIT`` machine epsilons takes its explicit
   residual instead.
 """
 from __future__ import annotations
@@ -53,11 +53,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitDivergedError, FloatRangeError, NonMonotoneFitError
-from .gmm import CANCELLATION_LIMIT, GaussianMixture, fit_gmm, logsumexp
+from .gmm import GaussianMixture, fit_gmm, logsumexp
 from .noise import CovarianceMatrix
 from .simulate import _readonly
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+#: ||x||^2 / ||x_perp||^2 past which ``_span_coordinates`` takes the explicit
+#: residual: losing 1e3 eps keeps the E-step within 1e-12 relative of a loop.
+_SPAN_CANCELLATION_LIMIT = 1e3
 
 #: EM stopping rule: one EM step raises the log-likelihood by at most
 #: EM_TOL relative, or EM_MAX_ITER evaluations of the EM map are spent.
@@ -271,15 +275,15 @@ def _span_coordinates(loadings, xw, x2=None):
     ``x2`` holds the rows' ||x||^2 (computed here when None), and
     ||x_perp||^2 is ||x||^2 - ||y||^2. That loses about ||x||^2 /
     ||x_perp||^2 machine epsilons, so a row for which this exceeds
-    ``CANCELLATION_LIMIT`` (or the difference is not positive) takes the
-    explicit residual x - Q y instead.
+    ``_SPAN_CANCELLATION_LIMIT`` (or the difference is not positive)
+    takes the explicit residual x - Q y instead.
     """
     q_l, r_l = np.linalg.qr(loadings)
     y = xw @ q_l
     if x2 is None:
         x2 = _row_energies(xw)
     perp2 = x2 - _row_energies(y)
-    close = (perp2 <= 0.0) | (x2 > CANCELLATION_LIMIT * perp2)
+    close = (perp2 <= 0.0) | (x2 > _SPAN_CANCELLATION_LIMIT * perp2)
     if close.any():
         x_perp = xw[close] - y[close] @ q_l.T
         perp2[close] = _row_energies(x_perp)

@@ -311,30 +311,32 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     model's K has trace d.
 
     ``samples`` is a :class:`Recordings` (B may differ between samples)
-    or a grid cell's (N, B, d) array, which give the same result bit for
-    bit. Residuals are stacked in blocks of about ``RESIDUAL_BLOCK_ROWS``
-    rows, in one pass: one GEMM per block accumulates S, and the block's
-    row energies give the sigma_i^2. K_hat's eigenpairs come from
-    :func:`_toeplitz_eigh`, as a Matern K's do. A scatter that overflows
-    float64 is refused with a ``ValueError``; a sample with zero residual
-    energy, or a scatter whose trace has no finite reciprocal, with a
-    :class:`ZeroNoiseError`.
+    or an (N, B, d) array, whose refusals name a sample by position, not
+    id; both give the same result bit for bit. Residuals are stacked in
+    blocks of about ``RESIDUAL_BLOCK_ROWS`` rows, in one pass: one GEMM
+    per block accumulates S, and the block's row energies give the
+    sigma_i^2. K_hat's eigenpairs come from :func:`_toeplitz_eigh`, as a
+    Matern K's do. A scatter that overflows float64 is refused with a
+    ``ValueError``; a sample with zero residual energy, or a scatter whose
+    trace has no finite reciprocal, with a :class:`ZeroNoiseError`.
 
     Returns ``(K_hat, tau_hat)`` with ``tau_hat`` an array aligned with the
     sample order.
     """
     if isinstance(samples, Recordings):
         beats, counts, d = samples.beats, samples.counts, samples.d
+        names = samples.ids
     else:
         cell = np.asarray(samples, dtype=np.float64)
         if cell.ndim != 3 or 0 in cell.shape:
             raise ValueError("need Recordings or a non-empty (N, B, d) cell")
         n, b, d = cell.shape
-        beats, counts = cell.reshape(n * b, d), np.full(n, b)
+        beats, counts, names = cell.reshape(n * b, d), np.full(n, b), range(n)
     short = np.flatnonzero(counts < 2)
     if short.size:
         raise InsufficientReplicatesError(
-            f"sample {short[0]} has {counts[short[0]]} beat(s); need B >= 2")
+            f"sample {names[short[0]]!r} has {counts[short[0]]} beat(s); "
+            f"need B >= 2")
 
     total = np.zeros((d, d))
     sigma_sq = np.empty(len(counts))
@@ -353,7 +355,8 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
                          "beats vary too much around their means")
     zero = np.flatnonzero(sigma_sq <= 0.0)
     if zero.size:
-        raise ZeroNoiseError(f"sample {zero[0]} has zero residual energy")
+        raise ZeroNoiseError(f"sample {names[zero[0]]!r} has zero residual "
+                             f"energy")
     if not math.isfinite(inverse):
         raise ZeroNoiseError(f"the residual scatter's trace {trace:.3g} "
                              "underflows float64: its reciprocal is not "

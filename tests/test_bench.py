@@ -120,6 +120,13 @@ class TestEstimatorSpec:
         with pytest.raises(ValueError):
             EstimatorSpec.parse("vae")
 
+    @pytest.mark.parametrize("text", ["fa:", "mog_fa:", "mle:"])
+    def test_empty_noise_mode_refused(self, text):
+        # a colon with no mode after it is not the default truth mode
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown noise mode '' in estimator '{text}'")):
+            EstimatorSpec.parse(text)
+
     @pytest.mark.parametrize("kind", ["mle", "oracle_bayes"])
     def test_truth_only_kinds_refuse_estimated_noise(self, kind):
         # neither reads an estimate, so an entry named plain ``kind`` would
@@ -208,40 +215,47 @@ class TestLatentDimRule:
             == _reference_scree(means, K, cutoff)
 
 
+def single_beats(means, thetas=None, taus=None):
+    """Recordings of one beat each, whose beat means are ``means``."""
+    return bench.make_samples(means[:, None, :], thetas, taus)
+
+
 class TestDenoise:
     def test_refusals(self):
         means = np.arange(12.0).reshape(3, 4)
+        K = matern_covariance(4, 500.0, 0.02, 1.5)
 
-        def run(text, **given):
-            kwargs = dict(truth=None, estimate=None, thetas=None,
-                          latent_dim=LatentDimRule("fixed", 1),
-                          n_components=1, fit_seed=0)
-            kwargs.update(given)
-            return denoise(EstimatorSpec.parse(text), means, np.ones(3),
-                           **kwargs)
+        def run(text, K=None, **truth):
+            return denoise(EstimatorSpec.parse(text),
+                           single_beats(means, **truth), K,
+                           latent_dim=LatentDimRule("fixed", 1),
+                           n_components=1, fit_seed=0)
 
         estimates, extra = run("mle")  # needs no noise and no ground truth
         np.testing.assert_array_equal(estimates, means)
         assert extra == {}
-        with pytest.raises(EcgDenoiseError, match=re.escape(
-                "fa_truth needs the true noise (K, taus); use "
-                "fa:estimated")):
-            run("fa:truth")
+        # the true noise is K with the recordings' taus: neither alone
+        for given in ({}, {"K": K}, {"taus": np.ones(3)}):
+            with pytest.raises(EcgDenoiseError, match=re.escape(
+                    "fa_truth needs the true noise (K, taus); use "
+                    "fa:estimated")):
+                run("fa:truth", **given)
         # oracle_bayes has no estimated mode to point to
         with pytest.raises(EcgDenoiseError, match=re.escape(
                 "oracle_bayes needs the true noise (K, taus)") + "$"):
             run("oracle_bayes")
-        with pytest.raises(InsufficientReplicatesError, match="B >= 2"):
+        # estimate_noise alone refuses single beats, naming the recording
+        with pytest.raises(InsufficientReplicatesError, match=re.escape(
+                "sample 's00000' has 1 beat(s); need B >= 2")):
             run("mog_fa:estimated")
-        truth = (matern_covariance(4, 500.0, 0.02, 1.5), np.ones(3))
         with pytest.raises(EcgDenoiseError, match="oracle_bayes needs the"):
-            run("oracle_bayes", truth=truth)
+            run("oracle_bayes", K, taus=np.ones(3))
 
     def test_scored_against_thetas(self, rng):
         # the error fields of a report entry, in the summed convention
         means, thetas = rng.standard_normal((2, 5, 4))
-        _, extra = denoise(EstimatorSpec("mle"), means, np.ones(5),
-                           truth=None, estimate=None, thetas=thetas,
+        _, extra = denoise(EstimatorSpec("mle"),
+                           single_beats(means, thetas=thetas),
                            latent_dim=LatentDimRule("fixed", 1),
                            n_components=1, fit_seed=0)
         errors = np.sum((means - thetas) ** 2, axis=1)
@@ -253,8 +267,8 @@ class TestDenoise:
     def test_fit_diagnostics(self, rng, kind):
         means = rng.standard_normal((30, 6))
         K, taus = matern_covariance(6, 500.0, 0.02, 1.5), np.full(30, 2.0)
-        _, extra = denoise(EstimatorSpec(kind, "truth"), means, 1,
-                           truth=(K, taus), estimate=None, thetas=None,
+        _, extra = denoise(EstimatorSpec(kind, "truth"),
+                           single_beats(means, taus=taus), K,
                            latent_dim=LatentDimRule("fixed", 2),
                            n_components=2, fit_seed=3)
         # a mog_fa entry describes the FA fit that its mixture extends
@@ -269,8 +283,8 @@ class TestDenoise:
         # final log-likelihoods and the re-seeds over all of them
         means = rng.standard_normal((30, 6))
         K, taus = matern_covariance(6, 500.0, 0.02, 1.5), np.full(30, 2.0)
-        _, extra = denoise(EstimatorSpec("mog_fa", "truth"), means, 1,
-                           truth=(K, taus), estimate=None, thetas=None,
+        _, extra = denoise(EstimatorSpec("mog_fa", "truth"),
+                           single_beats(means, taus=taus), K,
                            latent_dim=LatentDimRule("fixed", 2),
                            n_components=3, fit_seed=3)
         fa = fit_factor_analysis(means, K, taus, 2)
@@ -286,17 +300,25 @@ class TestDenoise:
         assert json.loads(json.dumps(entry)) == entry
 
 
-def _counting_fa_fits(monkeypatch):
-    """Count every fit_factor_analysis call, from bench or from inside
-    the estimators module (fit_mog_fa extends a fit and makes none)."""
+def _counting(monkeypatch, module, name):
+    """Count every call of ``module.name``, wrapped where it is looked up."""
     calls = []
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return fit_factor_analysis(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(bench, "fit_factor_analysis", counted)
-    monkeypatch.setattr(estimators, "fit_factor_analysis", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _counting_fa_fits(monkeypatch):
+    """Count every fit_factor_analysis call, from bench or from inside
+    the estimators module (fit_mog_fa extends a fit and makes none)."""
+    calls = _counting(monkeypatch, bench, "fit_factor_analysis")
+    monkeypatch.setattr(estimators, "fit_factor_analysis",
+                        bench.fit_factor_analysis)
     return calls
 
 
@@ -317,17 +339,17 @@ class TestSharedFaFit:
     def test_shared_fit_matches_a_separate_one(self, rng):
         means = rng.standard_normal((30, 6))
         K, taus = matern_covariance(6, 500.0, 0.02, 1.5), np.full(30, 2.0)
-        kwargs = dict(truth=(K, taus), estimate=None, thetas=None,
-                      latent_dim=LatentDimRule("fixed", 2), n_components=2,
+        recordings = single_beats(means, taus=taus)
+        kwargs = dict(latent_dim=LatentDimRule("fixed", 2), n_components=2,
                       fit_seed=3)
-        fits = {}
-        shared = [denoise(EstimatorSpec(kind, "truth"), means, 1,
-                          fa_fits=fits, **kwargs)
-                  for kind in ("fa", "mog_fa")]
-        assert list(fits) == [("truth", 2)]
-        for kind, (estimates, extra) in zip(("fa", "mog_fa"), shared):
-            alone, alone_extra = denoise(EstimatorSpec(kind, "truth"), means,
-                                         1, **kwargs)
+        shared = {}
+        together = [denoise(EstimatorSpec(kind, "truth"), recordings, K,
+                            shared=shared, **kwargs)
+                    for kind in ("fa", "mog_fa")]
+        assert list(shared) == ["means", ("fa", "truth", 2)]
+        for kind, (estimates, extra) in zip(("fa", "mog_fa"), together):
+            alone, alone_extra = denoise(EstimatorSpec(kind, "truth"),
+                                         recordings, K, **kwargs)
             np.testing.assert_array_equal(estimates, alone)
             assert extra == alone_extra
 
@@ -336,11 +358,10 @@ class TestSharedFaFit:
         # are the fa entry's
         means = rng.standard_normal((30, 6))
         K, taus = matern_covariance(6, 500.0, 0.02, 1.5), np.full(30, 2.0)
-        fits = {}
-        fa, mog = (denoise(EstimatorSpec(kind, "truth"), means, 1,
-                           truth=(K, taus), estimate=None, thetas=None,
+        recordings, shared = single_beats(means, taus=taus), {}
+        fa, mog = (denoise(EstimatorSpec(kind, "truth"), recordings, K,
                            latent_dim=LatentDimRule("fixed", 2),
-                           n_components=2, fit_seed=3, fa_fits=fits)[1]
+                           n_components=2, fit_seed=3, shared=shared)[1]
                    for kind in ("fa", "mog_fa"))
         for key in ("converged", "n_iter", "loglik"):
             assert mog[key] == fa[key]
@@ -361,6 +382,68 @@ class TestSharedFaFit:
             assert results[name] == {
                 "status": "failed",
                 "error": "ValueError: need an (N, d) matrix with N >= 2"}
+
+
+def _one_cell(n_beats, specs):
+    """A one-cell config of ``specs`` and the cell's recordings, K and fit
+    seed, as the grid draws them."""
+    config = small_config(n_samples=30, n_beats_grid=(n_beats,),
+                          tau_regimes=(TauRegime.uniform(2, 20),),
+                          estimators=specs, mog_components=2)
+    population_seed, [cell] = bench.grid_seeds(config)
+    K = config.noise_covariance()
+    thetas = bench.simulate_population(config, population_seed)
+    beats, taus, fit_seed = bench.draw_cell(thetas, K, *cell)
+    return config, bench.make_samples(beats, thetas, taus), K, fit_seed
+
+
+class TestCellMemo:
+    """A grid cell passes its recordings to each entry's ``denoise`` with
+    one memo of the beat means, the noise estimate and the FA fits."""
+
+    #: every spec, an estimated mixture first, so that it makes the fit
+    #: that fa:estimated then reads
+    SPECS = (ALL_SPECS[-1], *ALL_SPECS[:-1])
+
+    def test_each_shared_result_is_computed_once(self, monkeypatch):
+        config, *_ = _one_cell(4, self.SPECS)
+        one_worker(monkeypatch)
+        estimates = _counting(monkeypatch, bench, "estimate_noise")
+        means = _counting(monkeypatch, bench.Recordings, "means")
+        fits = _counting_fa_fits(monkeypatch)
+        [cell] = run_benchmark(config).cells
+        assert all(entry["status"] == "ok"
+                   for entry in cell["estimators"].values())
+        # one fit per noise mode at the one latent dimension
+        assert (len(estimates), len(means), len(fits)) == (1, 1, 2)
+
+    def test_entries_equal_denoise_alone(self):
+        config, recordings, K, fit_seed = _one_cell(4, self.SPECS)
+        [cell] = run_benchmark(config).cells
+        for spec in self.SPECS:
+            _, extra = denoise(spec, recordings, K,
+                               latent_dim=config.latent_dim,
+                               n_components=config.mog_components,
+                               fit_seed=fit_seed, shared={})
+            assert cell["estimators"][spec.name] == {"status": "ok", **extra}
+
+    def test_refused_estimate_fails_only_estimated_entries(self, monkeypatch):
+        # at B = 1 estimate_noise refuses the first recording, once, and
+        # only the :estimated entries carry its error
+        config, *_ = _one_cell(1, self.SPECS)
+        one_worker(monkeypatch)
+        estimates = _counting(monkeypatch, bench, "estimate_noise")
+        [cell] = run_benchmark(config).cells
+        assert len(estimates) == 1
+        for spec in self.SPECS:
+            entry = cell["estimators"][spec.name]
+            if spec.needs_estimation:
+                assert entry == {
+                    "status": "failed",
+                    "error": "InsufficientReplicatesError: sample 's00000' "
+                             "has 1 beat(s); need B >= 2"}
+            else:
+                assert entry["status"] == "ok"
 
 
 class TestBenchmarkConfig:
@@ -570,6 +653,10 @@ class TestRunBenchmark:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tau, failed", [
+        # at tau = 1e-310 the noisy beats themselves overflow
+        (1e-310, dict.fromkeys(["mle", "oracle_bayes", "fa_truth",
+                                "mog_fa_truth", "fa_estimated"],
+                               "FloatRangeError")),
         (1e-300, {"mle": "FloatRangeError", "oracle_bayes": "FloatRangeError",
                   "fa_truth": "FloatRangeError",
                   "mog_fa_truth": "FloatRangeError",
@@ -582,7 +669,7 @@ class TestRunBenchmark:
         (1e140, {"fa_truth": "FloatRangeError",
                  "mog_fa_truth": "FloatRangeError",
                  "fa_estimated": "ZeroNoiseError"}),
-    ], ids=["tiny-tau", "huge-tau", "large-tau"])
+    ], ids=["subnormal-tau", "tiny-tau", "huge-tau", "large-tau"])
     def test_out_of_range_noise_fails_typed(self, monkeypatch, tau, failed):
         # at tau = 1e-300 the beats' squares overflow, and tau^2 B makes
         # psi inf; at 1e300 psi is 0 and the residuals vanish. Each entry

@@ -19,7 +19,7 @@ from ecgdenoise.bench import (
     run_benchmark,
 )
 from ecgdenoise.cli import main
-from ecgdenoise.noise import Recordings, estimate_noise
+from ecgdenoise.noise import Recordings
 from ecgdenoise.serialize import (
     load_dataset,
     load_json,
@@ -292,6 +292,45 @@ class TestInfiniteTau:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestSubnormalTau:
+    """At tau = 1e-310 the noisy beats overflow float64: a typed error and
+    no RuntimeWarning."""
+
+    @staticmethod
+    def run(tmp_path, *argv):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(
+            Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ecgdenoise.cli", *argv, "-n", "4",
+             "--d", "40", "--fs", "200", "--r-offset", "10", "--seed", "1"],
+            capture_output=True, cwd=tmp_path, env=env, timeout=120)
+        return done.returncode, json.loads(done.stdout), done.stderr
+
+    ERROR = "the noisy beats overflow float64 at tau 1e-310"
+
+    def test_simulate(self, tmp_path):
+        code, payload, stderr = self.run(tmp_path, "simulate", "-B", "2",
+                                         "--tau", "1e-310", "--out", "ds")
+        assert (code, stderr) == (1, b"")
+        assert payload["error"] == {"type": "FloatRangeError",
+                                    "message": self.ERROR}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_benchmark_fails_that_cell_only(self, tmp_path):
+        code, _, stderr = self.run(tmp_path, "benchmark", "--taus",
+                                   "1e-310;2", "--beats-grid", "2",
+                                   "--out", "r.json")
+        assert code == 0
+        assert b"RuntimeWarning" not in stderr  # the log names each entry
+        tiny, two = json.loads((tmp_path / "r.json").read_text())["cells"]
+        assert set(tiny["estimators"]) == set(two["estimators"])
+        for entry in tiny["estimators"].values():
+            assert entry == {"status": "failed",
+                             "error": f"FloatRangeError: {self.ERROR}"}
+        for entry in two["estimators"].values():
+            assert entry["status"] == "ok"
+
+
 @pytest.mark.usefixtures("no_simulation")
 class TestBadNoiseModel:
     """A noise model with no Matern K is refused before any simulation."""
@@ -512,13 +551,10 @@ class TestDenoise:
             "--estimator", "mog_fa:estimated", "--out", str(out),
         ])
         assert code == 0
-        samples, _ = load_dataset(configless)
+        recordings, _ = load_dataset(configless)
         defaults = BenchmarkConfig(seed=0)
         _, extra = bench.denoise(
-            EstimatorSpec("mog_fa", "estimated"),
-            np.stack([s.beat_mean for s in samples]), np.full(12, 6.0),
-            truth=None, estimate=estimate_noise(samples),
-            thetas=np.stack([s.theta.values for s in samples]),
+            EstimatorSpec("mog_fa", "estimated"), recordings,
             latent_dim=defaults.latent_dim,
             n_components=defaults.mog_components, fit_seed=0)
         assert payload == {"estimates": str(out),
@@ -549,6 +585,21 @@ class TestDenoise:
             "message": f"{kind} has no 'estimated' noise mode: it runs only "
                        f"as {kind}:truth"}
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["denoise", "benchmark"])
+    def test_empty_noise_mode_is_json_error(self, dataset, tmp_path, capsys,
+                                            command):
+        # "fa:" names no noise mode; it does not mean fa:truth
+        source = ["--dataset", str(dataset)] if command == "denoise" \
+            else ["--seed", "1"]
+        code, payload = run_json(capsys, [
+            command, *source, "--estimator", "fa:",
+            "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "unknown noise mode '' in estimator 'fa:'"}
+        assert not (tmp_path / "out").exists()
 
     def test_fixed_latent_dim_capped_at_rank(self, tmp_path, capsys):
         # 4 centred rows have rank 3, below the default p = 7

@@ -1,7 +1,7 @@
 """MLE, oracle Bayes, factor analysis and mixture FA estimators."""
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from ecgdenoise import estimators
@@ -16,6 +16,7 @@ from ecgdenoise.bench import (
     denoise,
     draw_cell,
     grid_seeds,
+    make_samples,
     simulate_cell_beats,
     simulate_population,
 )
@@ -79,10 +80,8 @@ def _observe(k, thetas, tau, n_beats, seed):
 class TestMleAverage:
     def test_single_beat_identity(self):
         beat = np.linspace(-1, 1, 10)
-        sample = EcgSample(sample_id="s", beats=beat[None, :])
         estimates, _ = denoise(
-            EstimatorSpec("mle"), sample.beat_mean[None, :], sample.n_beats,
-            truth=None, estimate=None, thetas=None,
+            EstimatorSpec("mle"), make_samples(beat[None, None, :]),
             latent_dim=LatentDimRule("fixed", 1), n_components=1,
             fit_seed=0)
         np.testing.assert_array_equal(estimates[0], beat)
@@ -452,18 +451,14 @@ def _assert_rel(actual, expected, rel):
     assert np.abs(actual - expected).max() <= rel * scale
 
 
-@st.composite
-def mixture_problems(draw, p_below_half_d=False):
-    """Whitened rows of a C-component mixture factor model, each with its
-    own noise level psi_i (spread over 1.5 decades), and the model's
-    loadings and ``(weights, means, covs)`` prior. The loadings have
-    orthogonal columns of scale 1 to 3, so two float evaluations of one
-    formula agree to near machine precision."""
-    n = draw(st.integers(20, 60))
-    d = draw(st.integers(1, 10))
-    p = draw(st.integers(1, max(1, d // 2) if p_below_half_d else d))
-    c = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _mixture_problem(n, d, p, c, seed):
+    """``n`` whitened rows of width ``d`` of a ``c``-component mixture
+    factor model of ``p`` factors, each row with its own noise level psi_i
+    (spread over 1.5 decades), and the model's loadings and ``(weights,
+    means, covs)`` prior. The loadings have orthogonal columns of scale 1
+    to 3, so two float evaluations of one formula agree to near machine
+    precision."""
+    rng = np.random.default_rng(seed)
     loadings = _loadings(rng, d, p, rng.uniform(1.0, 3.0, p))
     weights = rng.dirichlet(np.ones(c))
     means = 2.0 * rng.standard_normal((c, p))
@@ -478,9 +473,24 @@ def mixture_problems(draw, p_below_half_d=False):
     return xw, psi, loadings, (weights, means, covs)
 
 
+@st.composite
+def mixture_problems(draw, p_below_half_d=False):
+    """A :func:`_mixture_problem` of 20 to 60 rows of width 1 to 10."""
+    n = draw(st.integers(20, 60))
+    d = draw(st.integers(1, 10))
+    p = draw(st.integers(1, max(1, d // 2) if p_below_half_d else d))
+    c = draw(st.integers(1, 3))
+    return _mixture_problem(n, d, p, c, draw(st.integers(0, 2**32 - 1)))
+
+
 class TestEmPaths:
     @settings(max_examples=80, deadline=None)
     @given(mixture_problems())
+    # rows whose ||x||^2 / ||x_perp||^2 reaches 1e4 (9927 and 6692): with
+    # ||x||^2 - ||y||^2 taken up to that ratio, log_joint was 1.41 and
+    # 1.07 times the bound away from the loop
+    @example(_mixture_problem(24, 4, 1, 1, 2088946))
+    @example(_mixture_problem(20, 6, 2, 1, 13507480))
     def test_span_terms_match_loop(self, problem):
         xw, psi, loadings, (weights, means, covs) = problem
         log_joint, latent_means, _ = estimators._mog_component_terms(
@@ -488,6 +498,8 @@ class TestEmPaths:
             weights, means, covs, psi)
         want_joint, want_means = _loop_component_terms(
             loadings, weights, means, covs, xw, psi)
+        target(float(np.abs(log_joint - want_joint).max()
+                     / np.abs(want_joint).max()) / 1e-12)
         _assert_rel(log_joint, want_joint, 1e-12)
         _assert_rel(latent_means, want_means, 1e-12)
 
@@ -593,8 +605,8 @@ class TestModelValidation:
         means, taus = rng.standard_normal((30, D)), np.full(30, 5.0)
         with pytest.raises(NonMonotoneFitError, match="^FA fit: "):
             if mixture:
-                denoise(EstimatorSpec("mog_fa"), means, 1,
-                        truth=(k_mod, taus), estimate=None, thetas=None,
+                denoise(EstimatorSpec("mog_fa"),
+                        make_samples(means[:, None, :], taus=taus), k_mod,
                         latent_dim=LatentDimRule("fixed", 2),
                         n_components=2, fit_seed=0)
             else:

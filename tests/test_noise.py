@@ -2,6 +2,7 @@
 whitening, and K/tau estimation."""
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -526,14 +527,21 @@ class TestEstimateNoiseParity:
         np.testing.assert_array_equal(tau_rec, taus)
 
     def test_errors_name_the_sample(self, rng):
+        # recordings by their ids, an (N, B, d) array by position
         good = rng.standard_normal((4, 6))
-        with pytest.raises(InsufficientReplicatesError, match="sample 2"):
+        with pytest.raises(InsufficientReplicatesError, match=re.escape(
+                "sample 's2' has 1 beat(s); need B >= 2")):
             estimate_noise(stacked([good, good, good[:1]]))
-        with pytest.raises(ZeroNoiseError, match="sample 1"):
+        with pytest.raises(ZeroNoiseError, match=re.escape(
+                "sample 's1' has zero residual energy")):
             estimate_noise(stacked([good, np.tile(np.arange(6.0), (3, 1)),
                                     good]))
-        with pytest.raises(InsufficientReplicatesError, match="sample 0"):
+        with pytest.raises(InsufficientReplicatesError, match=re.escape(
+                "sample 0 has 1 beat(s); need B >= 2")):
             estimate_noise(good[None, :1])
+        with pytest.raises(ZeroNoiseError, match="^sample 1 has zero"):
+            estimate_noise(np.stack([good[:3],
+                                     np.tile(np.arange(6.0), (3, 1))]))
         for cell in ([], good, np.zeros((0, 4, 6))):
             with pytest.raises(ValueError, match="non-empty"):
                 estimate_noise(cell)
