@@ -378,11 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    handler, level, propagate = (logging.StreamHandler(sys.stderr),
+                                 log.level, log.propagate)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
+                                           "%(message)s"))
+    log.addHandler(handler)  # this call's stderr and level, undone on return
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.propagate = False  # a root handler would write each record again
     try:
         try:
             code = args.func(args)
@@ -402,6 +404,10 @@ def main(argv=None) -> int:
         # descriptor at the null device so the exit flush stays quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+        log.propagate = propagate
 
 
 if __name__ == "__main__":

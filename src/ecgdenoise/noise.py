@@ -175,10 +175,13 @@ class Recordings(Sequence):
         return self.beats.shape[1]
 
     def means(self) -> np.ndarray:
-        """Each recording's beat mean (N, d), bit for bit its rows'
-        ``mean(axis=0)``, which ``np.add.reduceat`` is not for B >= 3."""
-        runs = np.split(self.beats, self._starts[1:])
-        return np.stack([run.mean(axis=0) for run in runs])
+        """Each recording's beat mean (N, d), one ``mean(axis=1)`` per run
+        of equal counts: bit for bit ``mean(axis=0)``, as reduceat is not."""
+        firsts = np.flatnonzero(np.diff(self.counts, prepend=0))
+        runs = zip(self._starts[firsts], self.counts[firsts],
+                   np.diff(firsts, append=len(self.counts)))
+        return np.concatenate([self.beats[s:s + m * b].reshape(m, b, -1)
+                               .mean(axis=1) for s, b, m in runs])
 
 
 def _toeplitz_eigh(row: np.ndarray):
@@ -272,7 +275,7 @@ def unwhiten(K: CovarianceMatrix, x_white: np.ndarray, mu=None) -> np.ndarray:
     return x
 
 
-def _residual_blocks(beats, counts):
+def _residual_blocks(samples: Recordings):
     """Yield ``(first, stop, resid)`` over consecutive runs of samples.
 
     ``resid`` stacks the residuals of samples ``first:stop`` around their
@@ -280,10 +283,10 @@ def _residual_blocks(beats, counts):
     into one reused buffer of at most ``RESIDUAL_BLOCK_ROWS`` rows (or one
     sample's B_i, if larger).
     """
+    beats, counts, starts = samples.beats, samples.counts, samples._starts
     per_block = max(1, RESIDUAL_BLOCK_ROWS // int(counts.max()))
     buffer = np.empty((min(len(beats), per_block * int(counts.max())),
                        beats.shape[1]))
-    starts = np.cumsum(counts) - counts
     for first in range(0, len(counts), per_block):
         stop = min(first + per_block, len(counts))
         rows = 0
@@ -310,41 +313,36 @@ def estimate_noise(samples) -> tuple[CovarianceMatrix, np.ndarray]:
     sigma_i^2 = tr(C_i) / d is unbiased for 1 / tau_i^2 because the
     model's K has trace d.
 
-    ``samples`` is a :class:`Recordings` (B may differ between samples)
-    or an (N, B, d) array, whose refusals name a sample by position, not
-    id; both give the same result bit for bit. Residuals are stacked in
-    blocks of about ``RESIDUAL_BLOCK_ROWS`` rows, in one pass: one GEMM
-    per block accumulates S, and the block's row energies give the
-    sigma_i^2. K_hat's eigenpairs come from :func:`_toeplitz_eigh`, as a
-    Matern K's do. A scatter that overflows float64 is refused with a
-    ``ValueError``; a sample with zero residual energy, or a scatter whose
-    trace has no finite reciprocal, with a :class:`ZeroNoiseError`.
+    ``samples`` is a :class:`Recordings` (B may differ between samples) or an
+    (N, B, d) array, checked as the Recordings of ids 0 to N - 1. Residuals are
+    stacked in blocks of about ``RESIDUAL_BLOCK_ROWS`` rows, in one pass: one
+    GEMM per block accumulates S, and the block's row energies give the
+    sigma_i^2. K_hat's eigenpairs come from :func:`_toeplitz_eigh`, as a Matern
+    K's do. A scatter that overflows float64 is refused with a ``ValueError``;
+    a sample with zero residual energy, or a scatter whose trace has no finite
+    reciprocal, with a :class:`ZeroNoiseError`.
 
-    Returns ``(K_hat, tau_hat)`` with ``tau_hat`` an array aligned with the
-    sample order.
+    Returns ``(K_hat, tau_hat)``, ``tau_hat`` in the sample order.
     """
-    if isinstance(samples, Recordings):
-        beats, counts, d = samples.beats, samples.counts, samples.d
-        names = samples.ids
-    else:
+    if not isinstance(samples, Recordings):
         cell = np.asarray(samples, dtype=np.float64)
         if cell.ndim != 3 or 0 in cell.shape:
             raise ValueError("need Recordings or a non-empty (N, B, d) cell")
         n, b, d = cell.shape
-        beats, counts, names = cell.reshape(n * b, d), np.full(n, b), range(n)
-    short = np.flatnonzero(counts < 2)
-    if short.size:
-        raise InsufficientReplicatesError(
-            f"sample {names[short[0]]!r} has {counts[short[0]]} beat(s); "
-            f"need B >= 2")
+        samples = Recordings(range(n), cell.reshape(n * b, d), np.full(n, b))
+    counts, names, d = samples.counts, samples.ids, samples.d
+    if counts.min() < 2:
+        i = np.argmax(counts < 2)  # the first short sample
+        raise InsufficientReplicatesError(f"sample {names[i]!r} has "
+                                          f"{counts[i]} beat(s); need B >= 2")
 
     total = np.zeros((d, d))
     sigma_sq = np.empty(len(counts))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first, stop, resid in _residual_blocks(beats, counts):
+        for first, stop, resid in _residual_blocks(samples):
             total += resid.T @ resid
             energy = np.einsum("ij,ij->i", resid, resid)
-            offsets = np.cumsum(counts[first:stop]) - counts[first:stop]
+            offsets = samples._starts[first:stop] - samples._starts[first]
             sigma_sq[first:stop] = np.add.reduceat(energy, offsets) / d
         trace = np.trace(total)
         inverse = 1.0 / trace  # each refused below if not finite

@@ -1,6 +1,7 @@
 """End-to-end CLI: simulate, estimate-noise, denoise, benchmark, plot-data."""
 import dataclasses
 import json
+import logging
 import os
 import resource
 import shutil
@@ -169,6 +170,37 @@ class TestSimulate:
         files_b = {p.name: p.read_bytes() for p in b.iterdir()}
         assert len(files_a) == 4
         assert files_a == files_b
+
+    def test_verbose_logs_that_call_alone(self, tmp_path, capsys):
+        # three calls in one process: only the one given -v logs INFO, to
+        # the stderr of that call, and each leaves the logging as it was
+        package, root = logging.getLogger("ecgdenoise"), logging.getLogger()
+        before = (package.level, package.handlers[:], root.handlers[:])
+        errors = []
+        for name, verbose in (("a", []), ("b", ["-v"]), ("c", [])):
+            assert main([*verbose, "simulate", *SIM_FLAGS, "--out",
+                         str(tmp_path / name)]) == 0
+            errors.append(capsys.readouterr().err)
+            assert (package.level, package.handlers, root.handlers) == before
+        assert errors == [
+            "", f"INFO ecgdenoise: wrote dataset to {tmp_path / 'b'}\n", ""]
+
+    def test_verbose_logs_once_under_a_root_handler(self, tmp_path, capsys):
+        # an embedding program's root handler does not write the records
+        # of a call again, and gets them back once the call returns
+        root, package = logging.getLogger(), logging.getLogger("ecgdenoise")
+        handler = logging.StreamHandler(sys.stderr)
+        root.addHandler(handler)
+        try:
+            assert main(["-v", "simulate", *SIM_FLAGS, "--out",
+                         str(tmp_path / "a")]) == 0
+            assert capsys.readouterr().err == (
+                f"INFO ecgdenoise: wrote dataset to {tmp_path / 'a'}\n")
+            assert package.propagate
+            package.warning("after")
+        finally:
+            root.removeHandler(handler)
+        assert capsys.readouterr().err == "after\n"
 
     def test_dataset_is_its_recorded_grid_cell(self, dataset60, tmp_path,
                                                capsys):

@@ -450,11 +450,19 @@ def _loop_estimate_noise(beat_sets):
     return k_hat, taus
 
 
+def count_runs(low, high):
+    """Beat counts from ``low`` to ``high`` in 1 to 4 runs of 1 to 5
+    consecutive recordings with equal counts."""
+    runs = st.lists(st.tuples(st.integers(low, high), st.integers(1, 5)),
+                    min_size=1, max_size=4)
+    return runs.map(lambda runs: [b for b, m in runs for _ in range(m)])
+
+
 @st.composite
 def ragged_beats(draw):
-    """Per-sample (B_i, d) beat sets with mixed B_i >= 2."""
+    """Per-sample (B_i, d) beat sets with mixed B_i >= 2, in runs."""
     d = draw(st.integers(1, 8))
-    counts = draw(st.lists(st.integers(2, 9), min_size=1, max_size=10))
+    counts = draw(count_runs(2, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     theta = rng.standard_normal(d) * 5.0
     return [theta + rng.standard_normal((b, d)) * rng.uniform(0.05, 2.0)
@@ -491,15 +499,22 @@ class TestStationaryKHat:
 
 class TestEstimateNoiseParity:
     @settings(max_examples=80, deadline=None)
-    @given(beat_sets=ragged_beats(), block_rows=st.integers(1, 40))
-    def test_ragged_matches_loop(self, beat_sets, block_rows):
-        # small blocks split the samples over several blocks of one or more
+    @given(beat_sets=ragged_beats(), data=st.data())
+    def test_ragged_matches_loop(self, beat_sets, data):
+        # blocks of 1 to 4 samples, so runs of up to 5 equal counts cross
+        # them; a bound below the longest sample gives each its own block
         recordings = stacked(beat_sets)
         counts = recordings.counts
+        longest = int(counts.max())
+        per_block = data.draw(st.integers(0, 4), label="samples per block")
+        block_rows = max(1, per_block * longest + data.draw(
+            st.integers(0, longest - 1), label="spare rows"))
         with mock.patch.object(noise, "RESIDUAL_BLOCK_ROWS", block_rows):
             k_hat, taus = estimate_noise(recordings)
             blocks = [(first, stop, resid.shape[0]) for first, stop, resid
-                      in noise._residual_blocks(recordings.beats, counts)]
+                      in noise._residual_blocks(recordings)]
+        assert all(stop - first <= max(per_block, 1)
+                   for first, stop, _ in blocks)
         # the blocks cover the samples in order within the row bound
         assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
         assert blocks[-1][1] == len(beat_sets)
@@ -545,16 +560,28 @@ class TestEstimateNoiseParity:
         for cell in ([], good, np.zeros((0, 4, 6))):
             with pytest.raises(ValueError, match="non-empty"):
                 estimate_noise(cell)
+        # an array is checked as the recordings of ids 0..N-1: a non-finite
+        # beat is refused by that check, before any scatter
+        for bad in (np.nan, np.inf):
+            cell = np.stack([good[:3]] * 4)
+            cell[2, 1, 4] = bad
+            with pytest.raises(InvalidRecordingsError, match=re.escape(
+                    "sample 2: beats must be finite")) as info:
+                estimate_noise(cell)
+            assert isinstance(info.value, ValueError)
+            assert info.value.field == "beats"
 
 
 @st.composite
 def recording_sets(draw):
-    """Recordings of ragged or equal counts from 1 to 12 beats, with the
+    """Recordings of ragged or equal counts from 1 to 12 beats, or of runs
+    of equal counts from 1 to 6 (single beats next to several), with the
     (B_i, d) beat matrices they stack."""
     d = draw(st.integers(1, 9))
     n = draw(st.integers(1, 8))
     counts = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n)
-                  | st.integers(1, 12).map(lambda b: [b] * n))
+                  | st.integers(1, 12).map(lambda b: [b] * n)
+                  | count_runs(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     beat_sets = [rng.standard_normal((b, d)) * 10.0 ** rng.uniform(-3, 3)
                  + rng.standard_normal(d) for b in counts]
